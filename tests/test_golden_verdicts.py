@@ -1,0 +1,152 @@
+"""Behaviour lock: every verdict a case list produces, pinned in a JSON file.
+
+The cases cover what the benchmark references do not: ``baseline`` and
+``improved`` on the whole synthetic suite, rule-path false alarms that a
+missing-data burst keeps away from the regular-activity gate, and every
+fail-safe note, reached by record surgery (dropped channels, an early
+``alarm_index``, NaN bursts, noisy records) and the surrogate beat banks.
+The bank-method fail-safes fire before any beat pair is warped, so the
+whole lock stays cheap; one dtw-full case warps a single pair.
+
+A verdict is compared whole: decision, ``gate_fired``, method, and every
+evidence entry with its witnesses rounded to 12 significant digits.
+
+``python tests/test_golden_verdicts.py`` rewrites the JSON file. Do that
+only for a deliberate change of behaviour, and say so in CHANGES.md.
+"""
+import json
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+
+from alarmsentinel.alarm_logic import classify_alarm
+from alarmsentinel.dtw import corpus_from_records
+from alarmsentinel.record_io import Arrhythmia, Record
+from alarmsentinel.synthkit import SynthSpec, generate, suite_specs, surrogate_banks
+
+GOLDEN_PATH = Path(__file__).with_name("golden_verdicts.json")
+
+
+def _round(value):
+    return None if value is None else float(f"{value:.12g}")
+
+
+def canonical(verdict) -> dict:
+    d = verdict.to_dict()
+    for e in d["evidence"]:
+        e["witnesses"] = {k: _round(v) for k, v in sorted(e["witnesses"].items())}
+    return d
+
+
+def _record(arrhythmia, event, seed, **spec):
+    record, _ = generate(SynthSpec(name=f"g{seed}", arrhythmia=arrhythmia, event=event, seed=seed, **spec))
+    return record
+
+
+def _burst(record, start_s=6.0, length_s=0.8):
+    """NaN on every channel, ``start_s`` before the alarm."""
+    start = record.alarm.alarm_index - int(round(start_s * record.sample_rate))
+    record.samples[:, start : start + int(round(length_s * record.sample_rate))] = np.nan
+    return record
+
+
+def _early(record, seconds):
+    """Move the alarm to ``seconds`` after the record starts."""
+    record.alarm = replace(record.alarm, alarm_index=int(round(seconds * record.sample_rate)))
+    return record
+
+
+def _keep(record, names):
+    """Drop every channel not named."""
+    keep = [i for i, ch in enumerate(record.channels) if ch.name in names]
+    return Record(record.name, record.sample_rate, [record.channels[i] for i in keep], record.samples[keep].copy(), record.alarm)
+
+
+def _cases():
+    """``{name: (record factory, method, keyword arguments)}``."""
+    A = Arrhythmia
+    banks = surrogate_banks(seed=0)
+    cases = {}
+
+    for spec in suite_specs(seed=7, per_class=10):
+        for method in ("baseline", "improved"):
+            cases[f"suite/{spec.name}/{method}"] = (lambda spec=spec: generate(spec)[0], method, {})
+
+    # false alarms whose burst keeps the gate from dismissing them
+    for k, arrhythmia in enumerate(A):
+        for method in ("baseline", "improved"):
+            cases[f"burst/{arrhythmia.name}/false/{method}"] = (
+                lambda a=arrhythmia, k=k: _burst(_record(a, False, 500 + k)), method, {}
+            )
+            cases[f"burst/{arrhythmia.name}/true/{method}"] = (
+                lambda a=arrhythmia, k=k: _burst(_record(a, True, 510 + k), start_s=14.0), method, {}
+            )
+
+    # an alarm early in the record: short windows, few beats
+    for k, arrhythmia in enumerate(a for a in A if a is not A.VFIB):
+        for seconds in (1.0, 3.0):
+            cases[f"early/{arrhythmia.name}/{seconds:g}s"] = (
+                lambda a=arrhythmia, k=k, s=seconds: _early(_record(a, True, 520 + k), s), "improved", {}
+            )
+    cases["early/VFIB/4s"] = (lambda: _burst(_early(_record(A.VFIB, True, 530), 4.0), start_s=2.0), "improved", {})
+
+    # fail-safe notes
+    for arrhythmia in (A.ASYSTOLE, A.BRADYCARDIA, A.TACHYCARDIA):
+        cases[f"no-pulse-channel/{arrhythmia.name}"] = (
+            lambda a=arrhythmia: _record(a, True, 540, channels=("RESP",)), "improved", {}
+        )
+    cases["vfib_no_ecg"] = (lambda: _keep(_record(A.VFIB, True, 541), ("ABP", "PLETH")), "improved", {})
+    for method in ("baseline", "improved"):
+        cases[f"vtach_no_votes/gapped-abp/{method}"] = (
+            lambda: _burst(_keep(_record(A.VTACH, True, 542), ("ABP",))), method, {}
+        )
+        cases[f"vtach_no_votes/early/{method}"] = (
+            lambda: _early(_keep(_record(A.VTACH, True, 543), ("II", "V")), 1.0), method, {}
+        )
+    for method in ("dtw-vbank", "dtw-self-min", "dtw-self-kl"):
+        cases[f"vtach_no_ecg/{method}"] = (
+            lambda: _burst(_keep(_record(A.VTACH, True, 544), ("ABP", "PLETH"))), method, {"banks": banks}
+        )
+        cases[f"vtach_no_annotations/{method}"] = (
+            lambda: _burst(_record(A.VTACH, True, 545, channels=("II", "RESP"))), method, {"banks": banks, "lead": "RESP"}
+        )
+    for method in ("dtw-self-min", "dtw-self-kl"):
+        cases[f"self_bank_failed/noisy/{method}"] = (
+            lambda: _record(A.VTACH, False, 546, noise_mv=3.0), method, {}
+        )
+        cases[f"self_bank_failed/early/{method}"] = (
+            lambda: _burst(_early(_record(A.VTACH, True, 547), 12.0)), method, {}
+        )
+    cases["vtach_too_few_beats/dtw-vbank"] = (
+        lambda: _early(_record(A.VTACH, True, 548), 1.0), "dtw-vbank", {"banks": banks}
+    )
+
+    # the gate dismisses a false VT alarm before any DTW method runs
+    for method in ("dtw-full", "dtw-vbank", "dtw-self-min", "dtw-self-kl"):
+        cases[f"gate/{method}"] = (lambda: _record(A.VTACH, False, 549), method, {"banks": banks})
+
+    # one nearest-neighbour match against a one-entry corpus
+    cases["nearest/dtw-full"] = (
+        lambda: _record(A.VTACH, True, 550),
+        "dtw-full",
+        {"corpus": corpus_from_records([(_record(A.VTACH, False, 551), False)])},
+    )
+    return cases
+
+
+def _verdicts() -> dict:
+    return {name: canonical(classify_alarm(make(), method, **kwargs)) for name, (make, method, kwargs) in _cases().items()}
+
+
+def test_golden_verdicts():
+    expected = json.loads(GOLDEN_PATH.read_text())
+    got = _verdicts()
+    assert sorted(got) == sorted(expected)
+    changed = [name for name in expected if got[name] != expected[name]]
+    assert not changed, f"{len(changed)} verdicts changed, first {changed[0]}: {got[changed[0]]}"
+
+
+if __name__ == "__main__":
+    GOLDEN_PATH.write_text(json.dumps(_verdicts(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN_PATH}")
