@@ -8,20 +8,22 @@ ventricular tachycardia alarms backed by beat banks or a labelled
 training corpus.
 """
 from .alarm_logic import (
+    CHECKS,
     DTW_METHODS,
     METHODS,
+    AlarmContext,
     ChannelEvidence,
-    TestConfig,
+    Thresholds,
     Verdict,
+    check_asystole,
+    check_bradycardia,
+    check_tachycardia,
+    check_vfib,
+    check_vtach,
     classify_alarm,
     detect_annotations,
     most_reliable_channel,
     regular_activity,
-    test_asystole,
-    test_bradycardia,
-    test_tachycardia,
-    test_vfib,
-    test_vtach,
 )
 from .beat_banks import (
     BankKind,
@@ -61,7 +63,7 @@ from .dtw import (
     save_corpus_cache,
     znormalize,
 )
-from .errors import AlarmSentinelError, InsufficientCleanBeats, UnsupportedMethod
+from .errors import AlarmSentinelError, CannotDecide, InsufficientCleanBeats, UnsupportedMethod
 from .evaluation import (
     ConfusionCounts,
     MetricsReport,

@@ -1,28 +1,40 @@
-"""Alarm adjudication: regular-activity gate plus per-arrhythmia tests.
+"""Alarm adjudication: regular-activity gate plus per-arrhythmia checks.
 
 The flow mirrors the bedside logic: first decide whether any channel
 shows completely regular activity in the analysis window (if so the
-alarm cannot be real and is dismissed), otherwise run the test
+alarm cannot be real and is dismissed), otherwise run the check
 specific to the alarm type. Every decision keeps per-channel evidence
 so a verdict can be audited.
 
-A deliberate asymmetry runs through everything here: when a test
+A deliberate asymmetry runs through everything here: when a check
 cannot be evaluated (too few beats, no usable channel, bank
-construction failed), the alarm is allowed through as true. False
+construction failed), it raises :class:`CannotDecide` and
+:func:`classify_alarm` lets the alarm through as true. False
 negatives are the dangerous direction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
+from itertools import groupby
 from pathlib import Path
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 from scipy.signal import periodogram
 
-from .beats import BeatAnnotation, BeatLabel, beat_segments, classify_beat_spectral, detect_pulses, detect_qrs
+from .beats import (
+    BeatAnnotation,
+    BeatLabel,
+    beat_segments,
+    classify_beat_spectral,
+    detect_pulses,
+    detect_qrs,
+    window_heart_rate,
+)
 from .beat_banks import BankSet, bank_novelty_stats, extract_self_bank, vt_labels_from_bank
 from .dtw import TrainingCorpus, WarpParams, classify_full_signal
 from .errors import (
+    CannotDecide,
     EmptyCorpus,
     InsufficientCleanBeats,
     MissingLead,
@@ -35,13 +47,10 @@ from .errors import (
 from .record_io import Arrhythmia, ChannelKind, Record
 from .signal_quality import QualityReport, assess_quality
 
-METHODS = ("baseline", "improved", "dtw-full", "dtw-vbank", "dtw-self-min", "dtw-self-kl")
-DTW_METHODS = ("dtw-full", "dtw-vbank", "dtw-self-min", "dtw-self-kl")
-
 
 @dataclass
-class TestConfig:
-    """Thresholds for the gate and the five arrhythmia tests."""
+class Thresholds:
+    """Thresholds for the gate and the five arrhythmia checks."""
 
     analysis_window_s: float = 16.0
     asystole_gap_s: float = 3.0
@@ -61,7 +70,7 @@ class TestConfig:
     rr_max_s: float = 1.5
     min_regular_beats: int = 5
 
-    def update(self, overrides: dict) -> "TestConfig":
+    def update(self, overrides: dict) -> "Thresholds":
         names = {f.name: f.type for f in fields(self)}
         for key, value in overrides.items():
             if key not in names:
@@ -71,7 +80,7 @@ class TestConfig:
         return self
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "TestConfig":
+    def from_file(cls, path: str | Path) -> "Thresholds":
         """Read ``key = value`` lines; unknown keys are errors."""
         overrides = {}
         for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -117,6 +126,24 @@ class Verdict:
         }
 
 
+@dataclass
+class AlarmContext:
+    """What the arrhythmia checks read: the record, its analysis window
+    with the validity report and beat annotations, and the inputs of
+    the adjudication method."""
+
+    record: Record
+    annotations: list[BeatAnnotation | None]
+    quality: QualityReport
+    window: tuple[int, int]
+    config: Thresholds = field(default_factory=Thresholds)
+    method: str = "improved"
+    banks: BankSet | None = None
+    corpus: TrainingCorpus | None = None
+    warp: WarpParams | None = None
+    lead: str = "II"
+
+
 _KIND_PRIORITY = {
     ChannelKind.ECG: 1,
     ChannelKind.ABP: 2,
@@ -145,6 +172,15 @@ def most_reliable_channel(
     return min(pool, key=key)
 
 
+def analysis_lead(record: Record, lead: str) -> int | None:
+    """The named lead, else the first ECG channel; None when neither exists."""
+    try:
+        return record.channel_index(lead)
+    except MissingLead:
+        ecg = record.channels_of_kind(ChannelKind.ECG)
+        return ecg[0] if ecg else None
+
+
 def _invalid_overlap(quality: QualityReport, channel: int, window: tuple[int, int]) -> int:
     start, end = window
     return sum(
@@ -158,33 +194,40 @@ def regular_activity(
     annotations: list[BeatAnnotation | None],
     quality: QualityReport,
     window: tuple[int, int] | None = None,
-    config: TestConfig | None = None,
-) -> tuple[list[bool], bool]:
-    """Per-channel regularity and the any-channel verdict.
+    config: Thresholds | None = None,
+) -> tuple[list[ChannelEvidence], bool]:
+    """Per-channel gate evidence and the any-channel verdict.
 
     A channel is regular only when the window has zero invalid
     samples, at least five beats, RR spread (coefficient of variation)
-    at most 0.1, and every RR interval within [0.43 s, 1.5 s].
+    at most 0.1, and every RR interval within [0.43 s, 1.5 s]. Each
+    channel's evidence witnesses its validity, its beat count in the
+    window, and the RR spread once there are two beats.
     """
-    config = config or TestConfig()
+    config = config or Thresholds()
     window = window or _analysis_window(record, config)
     fs = record.sample_rate
-    per_channel: list[bool] = []
-    for i in range(record.n_channels):
+    evidence: list[ChannelEvidence] = []
+    for i, ch in enumerate(record.channels):
+        witnesses: dict[str, float] = {"validity": quality.validity[i]}
         ann = annotations[i] if i < len(annotations) else None
         regular = False
-        if ann is not None and _invalid_overlap(quality, i, window) == 0:
+        if ann is not None:
             beats_in = ann.within(*window)
-            if beats_in.count >= config.min_regular_beats:
+            witnesses["beats"] = float(beats_in.count)
+            if beats_in.count >= 2:
                 rr = np.diff(beats_in.indices) / fs
                 cv = float(np.std(rr) / np.mean(rr))
+                witnesses["rr_cv"] = cv
                 regular = (
-                    cv <= config.rr_cv_max
+                    beats_in.count >= config.min_regular_beats
+                    and _invalid_overlap(quality, i, window) == 0
+                    and cv <= config.rr_cv_max
                     and float(rr.min()) >= config.rr_min_s
                     and float(rr.max()) <= config.rr_max_s
                 )
-        per_channel.append(regular)
-    return per_channel, any(per_channel)
+        evidence.append(ChannelEvidence(ch.name, "regular_activity", regular, witnesses))
+    return evidence, any(e.outcome for e in evidence)
 
 
 def _longest_gap_samples(indices: np.ndarray, window: tuple[int, int]) -> int:
@@ -200,84 +243,55 @@ def _longest_gap_samples(indices: np.ndarray, window: tuple[int, int]) -> int:
     return max(spans)
 
 
-def test_asystole(
-    annotation: BeatAnnotation,
-    window: tuple[int, int],
-    sample_rate: float,
-    config: TestConfig | None = None,
-) -> bool:
-    """True iff some 3 s stretch of the window contains no beat."""
-    config = config or TestConfig()
-    gap = _longest_gap_samples(annotation.indices, window)
-    return gap >= config.asystole_gap_s * sample_rate
+def check_asystole(ctx: AlarmContext) -> list[ChannelEvidence]:
+    """Fires iff the most reliable annotated channel has a beat-free
+    stretch of at least 3 s in the window."""
+    record = ctx.record
+    candidates = [i for i in range(record.n_channels) if ctx.annotations[i] is not None]
+    best = most_reliable_channel(record, ctx.quality, candidates)
+    if best is None:
+        raise CannotDecide("asystole_no_channel")
+    fs = record.sample_rate
+    gap = _longest_gap_samples(ctx.annotations[best].indices, ctx.window)
+    fired = gap >= ctx.config.asystole_gap_s * fs
+    return [ChannelEvidence(record.channels[best].name, "asystole_gap", fired, {"longest_gap_s": gap / fs})]
 
 
-def _rate_extreme(
-    record: Record,
-    annotations: list[BeatAnnotation | None],
-    quality: QualityReport,
-    window: tuple[int, int],
-    config: TestConfig,
-    beats_per_window: int,
-    pick_min: bool,
-) -> tuple[bool, str, dict]:
+def _rate_check(ctx: AlarmContext, test: str, beats_per_window: int, pick_min: bool) -> list[ChannelEvidence]:
+    record, config = ctx.record, ctx.config
     candidates = [
         i for i in range(record.n_channels)
-        if annotations[i] is not None and record.channels[i].kind in (ChannelKind.ECG, ChannelKind.ABP, ChannelKind.PPG)
+        if ctx.annotations[i] is not None and record.channels[i].kind in (ChannelKind.ECG, ChannelKind.ABP, ChannelKind.PPG)
     ]
-    best = most_reliable_channel(record, quality, candidates)
+    best = most_reliable_channel(record, ctx.quality, candidates)
     if best is None:
-        return True, "", {"reason_no_channel": 1.0}
+        raise CannotDecide(test, reason_no_channel=1.0)
     name = record.channels[best].name
-    beats_in = annotations[best].within(*window)
+    beats_in = ctx.annotations[best].within(*ctx.window)
     if beats_in.count < beats_per_window:
         # not enough beats to measure a rate: never suppress on missing evidence
-        return True, name, {"beats": float(beats_in.count), "needed": float(beats_per_window)}
-    spans = (beats_in.indices[beats_per_window - 1 :] - beats_in.indices[: beats_in.count - beats_per_window + 1])
-    rates = 60.0 * (beats_per_window - 1) / (spans / record.sample_rate)
+        return [ChannelEvidence(name, test, True, {"beats": float(beats_in.count), "needed": float(beats_per_window)})]
+    rates = window_heart_rate(beats_in, record.sample_rate, beats_per_window)
     extreme = float(rates.min() if pick_min else rates.max())
+    fired = extreme < config.brady_hr if pick_min else extreme > config.tachy_hr
     key = "min_window_hr" if pick_min else "max_window_hr"
-    if pick_min:
-        fired = extreme < config.brady_hr
-    else:
-        fired = extreme > config.tachy_hr
-    return fired, name, {key: extreme, "beats": float(beats_in.count)}
+    return [ChannelEvidence(name, test, fired, {key: extreme, "beats": float(beats_in.count)})]
 
 
-def test_bradycardia(
-    record: Record,
-    annotations: list[BeatAnnotation | None],
-    quality: QualityReport,
-    window: tuple[int, int] | None = None,
-    config: TestConfig | None = None,
-) -> bool:
-    """True iff the most reliable channel's slowest 4-beat window is
+def check_bradycardia(ctx: AlarmContext) -> list[ChannelEvidence]:
+    """Fires iff the most reliable channel's slowest 4-beat window is
     under the threshold (or it has too few beats to say)."""
-    config = config or TestConfig()
-    window = window or _analysis_window(record, config)
-    fired, _, _ = _rate_extreme(record, annotations, quality, window, config, config.brady_beats, pick_min=True)
-    return fired
+    return _rate_check(ctx, "bradycardia_hr", ctx.config.brady_beats, pick_min=True)
 
 
-def test_tachycardia(
-    record: Record,
-    annotations: list[BeatAnnotation | None],
-    quality: QualityReport,
-    window: tuple[int, int] | None = None,
-    config: TestConfig | None = None,
-) -> bool:
-    """True iff the fastest 17-beat window exceeds the threshold."""
-    config = config or TestConfig()
-    window = window or _analysis_window(record, config)
-    fired, _, _ = _rate_extreme(record, annotations, quality, window, config, config.tachy_beats, pick_min=False)
-    return fired
+def check_tachycardia(ctx: AlarmContext) -> list[ChannelEvidence]:
+    """Fires iff the fastest 17-beat window exceeds the threshold (or
+    there are too few beats to say)."""
+    return _rate_check(ctx, "tachycardia_hr", ctx.config.tachy_beats, pick_min=False)
 
 
-def _vfib_detail(samples: np.ndarray, fs: float, config: TestConfig) -> tuple[bool, dict]:
+def _vfib_detail(samples: np.ndarray, fs: float, config: Thresholds) -> tuple[bool, dict]:
     n = len(samples)
-    need = int(round(config.vf_min_duration_s * fs))
-    if n < need:
-        raise WindowTooShort(f"fibrillation test needs {config.vf_min_duration_s} s, got {n / fs:.2f} s")
     win = int(round(2.0 * fs))
     hop = int(round(0.5 * fs))
     qualifying: list[bool] = []
@@ -310,91 +324,72 @@ def _vfib_detail(samples: np.ndarray, fs: float, config: TestConfig) -> tuple[bo
     return best_span >= config.vf_min_duration_s, {"sustained_s": best_span}
 
 
-def test_vfib(samples: np.ndarray, sample_rate: float, config: TestConfig | None = None) -> bool:
-    """True iff low-frequency oscillation dominates for long enough.
+def check_vfib(ctx: AlarmContext) -> list[ChannelEvidence]:
+    """Fires iff low-frequency oscillation dominates the most reliable
+    ECG channel for long enough.
 
     Sliding 2 s spectra must show a dominant frequency in 2-8 Hz with
     at least 60% of 0.5-30 Hz power within 1 Hz of it, sustained for
-    the configured minimum duration.
+    the configured minimum duration. A window shorter than that
+    duration cannot be judged.
     """
-    fired, _ = _vfib_detail(np.asarray(samples, dtype=np.float64), sample_rate, config or TestConfig())
-    return fired
+    record, (start, end) = ctx.record, ctx.window
+    best = most_reliable_channel(record, ctx.quality, record.channels_of_kind(ChannelKind.ECG))
+    if best is None:
+        raise CannotDecide("vfib_no_ecg")
+    fs = record.sample_rate
+    if end - start < int(round(ctx.config.vf_min_duration_s * fs)):
+        raise CannotDecide("vfib_window_too_short", window_s=(end - start) / fs)
+    fired, witnesses = _vfib_detail(record.samples[best, start:end], fs, ctx.config)
+    return [ChannelEvidence(record.channels[best].name, "vfib_dominance", fired, witnesses)]
 
 
-def _ventricular_run_hr(beats_in: BeatAnnotation, fs: float, config: TestConfig) -> tuple[bool, float, float]:
-    """Scan runs of consecutive ventricular labels for a fast window."""
-    idx = beats_in.indices
-    labels = beats_in.labels or []
+def _ventricular_run_hr(beats_in: BeatAnnotation, fs: float, config: Thresholds) -> tuple[bool, float, float]:
+    """Longest run of consecutive ventricular labels, and the fastest
+    ``vt_beats``-beat window inside any run."""
     best_run = 0
     best_hr = 0.0
-    run_start = None
-    for pos in range(len(labels) + 1):
-        ventricular = pos < len(labels) and labels[pos] is BeatLabel.VENTRICULAR
+    pos = 0
+    for ventricular, group in groupby(beats_in.labels or [], key=lambda label: label is BeatLabel.VENTRICULAR):
+        length = len(list(group))
         if ventricular:
-            if run_start is None:
-                run_start = pos
-            continue
-        if run_start is not None:
-            length = pos - run_start
             best_run = max(best_run, length)
-            k = config.vt_beats
-            for s in range(run_start, pos - k + 1):
-                span = (idx[s + k - 1] - idx[s]) / fs
-                best_hr = max(best_hr, 60.0 * (k - 1) / span)
-            run_start = None
+            if length >= config.vt_beats:
+                run = BeatAnnotation(beats_in.channel, beats_in.indices[pos : pos + length])
+                best_hr = max(best_hr, float(window_heart_rate(run, fs, config.vt_beats).max()))
+        pos += length
     return best_hr > config.vt_hr, float(best_run), best_hr
 
 
 def _vtach_votes(
-    record: Record,
-    annotations: list[BeatAnnotation | None],
-    quality: QualityReport,
-    window: tuple[int, int],
-    config: TestConfig,
-    channels: list[int] | None = None,
-    include_abp: bool = True,
+    ctx: AlarmContext,
+    labelled: list[BeatAnnotation | None],
+    include_abp: bool,
 ) -> list[ChannelEvidence]:
+    """One vote per labelled ECG channel (a fast ventricular run) and,
+    with ``include_abp``, per gap-free pressure channel (a collapsed
+    pulse). Unlabelled ECG channels abstain."""
+    record, (start, end) = ctx.record, ctx.window
     votes: list[ChannelEvidence] = []
-    pool = channels if channels is not None else list(range(record.n_channels))
-    for i in pool:
-        ch = record.channels[i]
-        ann = annotations[i]
+    for i, ch in enumerate(record.channels):
+        ann = labelled[i]
         if ch.kind is ChannelKind.ECG and ann is not None and ann.labels is not None:
-            beats_in = ann.within(*window)
-            positive, run, hr = _ventricular_run_hr(beats_in, record.sample_rate, config)
+            positive, run, hr = _ventricular_run_hr(ann.within(start, end), record.sample_rate, ctx.config)
             votes.append(
                 ChannelEvidence(ch.name, "vtach_ecg", positive, {"ventricular_run": run, "run_hr": hr})
             )
         elif ch.kind is ChannelKind.ABP and include_abp:
-            segment = record.samples[i, window[0] : window[1]]
+            segment = record.samples[i, start:end]
             if np.isnan(segment).any() or len(segment) == 0:
                 continue  # no vote from a channel with gaps
             std = float(np.std(segment))
             votes.append(
-                ChannelEvidence(ch.name, "vtach_abp", std < config.vt_abp_std, {"abp_std": std})
+                ChannelEvidence(ch.name, "vtach_abp", std < ctx.config.vt_abp_std, {"abp_std": std})
             )
     return votes
 
 
-def test_vtach(
-    record: Record,
-    annotations: list[BeatAnnotation | None],
-    quality: QualityReport,
-    window: tuple[int, int] | None = None,
-    config: TestConfig | None = None,
-) -> bool:
-    """Any-channel VT rule: an ECG channel with a fast ventricular run,
-    or a pressure channel with a collapsed pulse, confirms the alarm.
-
-    ECG annotations must carry beat labels; unlabeled channels abstain.
-    """
-    config = config or TestConfig()
-    window = window or _analysis_window(record, config)
-    votes = _vtach_votes(record, annotations, quality, window, config)
-    return any(v.outcome for v in votes)
-
-
-def spectral_vt_labels(record: Record, annotation: BeatAnnotation, config: TestConfig | None = None) -> BeatAnnotation:
+def spectral_vt_labels(record: Record, annotation: BeatAnnotation) -> BeatAnnotation:
     """Label each beat Normal/Ventricular from its slice's band power."""
     segments = beat_segments(annotation)
     fs = record.sample_rate
@@ -415,7 +410,102 @@ def spectral_vt_labels(record: Record, annotation: BeatAnnotation, config: TestC
     return BeatAnnotation(annotation.channel, annotation.indices.copy(), labels)
 
 
-def _analysis_window(record: Record, config: TestConfig) -> tuple[int, int]:
+def _spectral_votes(ctx: AlarmContext) -> list[ChannelEvidence]:
+    """Spectral beat labels on every ECG channel; pressure votes too."""
+    labelled = list(ctx.annotations)
+    for i in ctx.record.channels_of_kind(ChannelKind.ECG):
+        if labelled[i] is None:
+            continue
+        beats_in = labelled[i].within(*ctx.window)
+        # too few beats to segment: the channel abstains
+        labelled[i] = spectral_vt_labels(ctx.record, beats_in) if beats_in.count >= 3 else None
+    return _vtach_votes(ctx, labelled, include_abp=True)
+
+
+def _bank_votes(ctx: AlarmContext) -> list[ChannelEvidence]:
+    """Beat-bank labels on the single analysis lead; pressure does not vote.
+
+    The self methods build the patient's bank from the pre-alarm beats
+    when ``ctx.banks`` carries none.
+    """
+    record = ctx.record
+    lead = analysis_lead(record, ctx.lead)
+    if lead is None:
+        raise CannotDecide("vtach_no_ecg")
+    ann = ctx.annotations[lead]
+    if ann is None:
+        raise CannotDecide("vtach_no_annotations")
+
+    bank_method = ctx.method.removeprefix("dtw-")
+    banks = ctx.banks or BankSet()
+    if bank_method in ("self-min", "self-kl") and (banks.self_bank is None or banks.stats is None):
+        try:
+            self_bank = extract_self_bank(record, ann, exclude_s=ctx.config.analysis_window_s)
+        except InsufficientCleanBeats as exc:
+            raise CannotDecide("self_bank_failed", clean_beats_found=float(exc.found)) from None
+        banks = replace(banks, self_bank=self_bank, stats=bank_novelty_stats(self_bank, ctx.warp))
+
+    beats_in = ann.within(*ctx.window)
+    try:
+        labels = vt_labels_from_bank(record, beats_in, bank_method, banks, ctx.warp)
+    except TooFewBeats:
+        raise CannotDecide("vtach_too_few_beats", beats=float(beats_in.count)) from None
+    labelled: list[BeatAnnotation | None] = [None] * record.n_channels
+    labelled[lead] = labels
+    return _vtach_votes(ctx, labelled, include_abp=False)
+
+
+def _nearest_signal(ctx: AlarmContext) -> list[ChannelEvidence]:
+    """The label of the nearest labelled pre-alarm signal on the lead."""
+    if ctx.corpus is None:
+        raise EmptyCorpus("dtw-full needs a training corpus")
+    label, index, distance = classify_full_signal(ctx.record, ctx.corpus, ctx.warp, lead=ctx.lead)
+    return [ChannelEvidence(ctx.lead, "nearest_neighbor", label, {"distance": distance, "neighbor": float(index)})]
+
+
+class Method(NamedTuple):
+    """What sets a method apart: the evidence it gathers for a VT alarm,
+    and how the outcomes of a check's evidence combine into the verdict."""
+
+    vt_evidence: Callable[[AlarmContext], list[ChannelEvidence]]
+    combine: Callable[[Iterable[bool]], bool] = any
+
+
+METHOD_TABLE: dict[str, Method] = {
+    "baseline": Method(_spectral_votes, all),
+    "improved": Method(_spectral_votes),
+    "dtw-full": Method(_nearest_signal),
+    "dtw-vbank": Method(_bank_votes),
+    "dtw-self-min": Method(_bank_votes),
+    "dtw-self-kl": Method(_bank_votes),
+}
+METHODS = tuple(METHOD_TABLE)
+# the warping methods analyze a single lead and apply only to VT alarms
+DTW_METHODS = tuple(m for m, spec in METHOD_TABLE.items() if spec.vt_evidence is not _spectral_votes)
+
+
+def check_vtach(ctx: AlarmContext) -> list[ChannelEvidence]:
+    """The VT evidence of ``ctx.method``: channel votes fed by its beat
+    labeller (an ECG channel with a fast ventricular run, or a pressure
+    channel with a collapsed pulse, votes for the alarm), or the
+    nearest-neighbour match for dtw-full. No vote at all cannot be
+    judged."""
+    votes = METHOD_TABLE[ctx.method].vt_evidence(ctx)
+    if not votes:
+        raise CannotDecide("vtach_no_votes")
+    return votes
+
+
+CHECKS: dict[Arrhythmia, Callable[[AlarmContext], list[ChannelEvidence]]] = {
+    Arrhythmia.ASYSTOLE: check_asystole,
+    Arrhythmia.BRADYCARDIA: check_bradycardia,
+    Arrhythmia.TACHYCARDIA: check_tachycardia,
+    Arrhythmia.VFIB: check_vfib,
+    Arrhythmia.VTACH: check_vtach,
+}
+
+
+def _analysis_window(record: Record, config: Thresholds) -> tuple[int, int]:
     end = record.alarm.alarm_index
     start = max(0, end - int(round(config.analysis_window_s * record.sample_rate)))
     return start, end
@@ -437,37 +527,10 @@ def detect_annotations(record: Record) -> list[BeatAnnotation | None]:
     return annotations
 
 
-def _gate_evidence(
-    record: Record,
-    annotations: list[BeatAnnotation | None],
-    quality: QualityReport,
-    window: tuple[int, int],
-    per_channel: list[bool],
-) -> list[ChannelEvidence]:
-    out = []
-    fs = record.sample_rate
-    for i, ch in enumerate(record.channels):
-        witnesses: dict[str, float] = {"validity": quality.validity[i]}
-        ann = annotations[i]
-        if ann is not None:
-            beats_in = ann.within(*window)
-            witnesses["beats"] = float(beats_in.count)
-            if beats_in.count >= 2:
-                rr = np.diff(beats_in.indices) / fs
-                witnesses["rr_cv"] = float(np.std(rr) / np.mean(rr))
-        out.append(ChannelEvidence(ch.name, "regular_activity", per_channel[i], witnesses))
-    return out
-
-
-def _fail_safe(evidence: list[ChannelEvidence], method: str, note: str, **witnesses: float) -> Verdict:
-    evidence = evidence + [ChannelEvidence("", note, True, dict(witnesses))]
-    return Verdict(is_true_alarm=True, gate_fired=False, evidence=evidence, method=method)
-
-
 def classify_alarm(
     record: Record,
     method: str = "improved",
-    config: TestConfig | None = None,
+    config: Thresholds | None = None,
     banks: BankSet | None = None,
     corpus: TrainingCorpus | None = None,
     annotations: list[BeatAnnotation | None] | None = None,
@@ -478,15 +541,18 @@ def classify_alarm(
 
     Validity screening and the regular-activity gate always run; the
     gate dismissing the alarm overrides everything else. Otherwise the
-    record's arrhythmia tag picks the test. The DTW methods apply only
-    to ventricular tachycardia alarms and analyze a single lead.
+    record's arrhythmia tag picks the check from :data:`CHECKS`, and
+    the method's ``combine`` turns the check's evidence into the
+    decision. A check that cannot decide leaves the alarm true. The
+    DTW methods apply only to ventricular tachycardia alarms and
+    analyze a single lead.
 
     ``annotations`` replaces the built-in detectors (entries may be
     None for channels without beats); ``banks`` supplies beat banks
     for the bank methods (the self bank is built from the record
     itself when absent); ``corpus`` is required for dtw-full.
     """
-    if method not in METHODS:
+    if method not in METHOD_TABLE:
         raise UnsupportedMethod(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
     arrhythmia = record.alarm.arrhythmia
     if arrhythmia is None:
@@ -494,120 +560,21 @@ def classify_alarm(
     if method in DTW_METHODS and arrhythmia is not Arrhythmia.VTACH:
         raise UnsupportedMethod(f"{method} is defined only for ventricular tachycardia alarms")
 
-    config = config or TestConfig()
+    config = config or Thresholds()
     window = _analysis_window(record, config)
     quality = assess_quality(record, window)
     if annotations is None:
         annotations = detect_annotations(record)
 
-    per_channel, gate = regular_activity(record, annotations, quality, window, config)
-    evidence = _gate_evidence(record, annotations, quality, window, per_channel)
+    evidence, gate = regular_activity(record, annotations, quality, window, config)
     if gate:
         return Verdict(is_true_alarm=False, gate_fired=True, evidence=evidence, method=method)
 
-    fs = record.sample_rate
-
-    if arrhythmia is Arrhythmia.ASYSTOLE:
-        candidates = [i for i in range(record.n_channels) if annotations[i] is not None]
-        best = most_reliable_channel(record, quality, candidates)
-        if best is None:
-            return _fail_safe(evidence, method, "asystole_no_channel")
-        gap = _longest_gap_samples(annotations[best].indices, window)
-        fired = gap >= config.asystole_gap_s * fs
-        evidence.append(
-            ChannelEvidence(record.channels[best].name, "asystole_gap", fired, {"longest_gap_s": gap / fs})
-        )
-        return Verdict(fired, False, evidence, method)
-
-    if arrhythmia is Arrhythmia.BRADYCARDIA:
-        fired, name, witnesses = _rate_extreme(
-            record, annotations, quality, window, config, config.brady_beats, pick_min=True
-        )
-        evidence.append(ChannelEvidence(name, "bradycardia_hr", fired, witnesses))
-        return Verdict(fired, False, evidence, method)
-
-    if arrhythmia is Arrhythmia.TACHYCARDIA:
-        fired, name, witnesses = _rate_extreme(
-            record, annotations, quality, window, config, config.tachy_beats, pick_min=False
-        )
-        evidence.append(ChannelEvidence(name, "tachycardia_hr", fired, witnesses))
-        return Verdict(fired, False, evidence, method)
-
-    if arrhythmia is Arrhythmia.VFIB:
-        ecg = record.channels_of_kind(ChannelKind.ECG)
-        best = most_reliable_channel(record, quality, ecg)
-        if best is None:
-            return _fail_safe(evidence, method, "vfib_no_ecg")
-        fired, witnesses = _vfib_detail(record.samples[best, window[0] : window[1]], fs, config)
-        evidence.append(ChannelEvidence(record.channels[best].name, "vfib_dominance", fired, witnesses))
-        return Verdict(fired, False, evidence, method)
-
-    # ventricular tachycardia
-    if method in ("baseline", "improved"):
-        labelled: list[BeatAnnotation | None] = list(annotations)
-        for i in record.channels_of_kind(ChannelKind.ECG):
-            ann = annotations[i]
-            if ann is None:
-                continue
-            beats_in = ann.within(*window)
-            if beats_in.count < 3:
-                labelled[i] = None  # too few beats to segment; channel abstains
-                continue
-            labelled[i] = spectral_vt_labels(record, beats_in, config)
-        votes = _vtach_votes(record, labelled, quality, window, config)
-        evidence.extend(votes)
-        if not votes:
-            return _fail_safe(evidence, method, "vtach_no_votes")
-        positives = [v for v in votes if v.outcome]
-        if method == "improved":
-            decision = bool(positives)
-        else:
-            decision = bool(positives) and len(positives) == len(votes)
-        return Verdict(decision, False, evidence, method)
-
-    if method == "dtw-full":
-        if corpus is None:
-            raise EmptyCorpus("dtw-full needs a training corpus")
-        inner = classify_full_signal(record, corpus, warp, lead=lead)
-        evidence.extend(inner.evidence)
-        return Verdict(inner.is_true_alarm, False, evidence, method)
-
-    # bank methods analyze a single lead
+    ctx = AlarmContext(record, annotations, quality, window, config, method, banks, corpus, warp, lead)
     try:
-        lead_idx = record.channel_index(lead)
-    except MissingLead:
-        ecg = record.channels_of_kind(ChannelKind.ECG)
-        if not ecg:
-            return _fail_safe(evidence, method, "vtach_no_ecg")
-        lead_idx = ecg[0]
-    ann = annotations[lead_idx]
-    if ann is None:
-        return _fail_safe(evidence, method, "vtach_no_annotations")
-
-    bank_method = method.removeprefix("dtw-")
-    bank_set = banks or BankSet()
-    if bank_method in ("self-min", "self-kl") and (bank_set.self_bank is None or bank_set.stats is None):
-        try:
-            self_bank = extract_self_bank(record, ann, exclude_s=config.analysis_window_s)
-            bank_set = BankSet(
-                ventricular=bank_set.ventricular,
-                standard=bank_set.standard,
-                self_bank=self_bank,
-                stats=bank_novelty_stats(self_bank, warp),
-            )
-        except InsufficientCleanBeats as exc:
-            return _fail_safe(evidence, method, "self_bank_failed", clean_beats_found=float(exc.found))
-
-    beats_in = ann.within(*window)
-    try:
-        labelled_ann = vt_labels_from_bank(record, beats_in, bank_method, bank_set, warp)
-    except TooFewBeats as exc:
-        return _fail_safe(evidence, method, "vtach_too_few_beats", beats=float(beats_in.count))
-
-    labelled = [None] * record.n_channels
-    labelled[lead_idx] = labelled_ann
-    votes = _vtach_votes(record, labelled, quality, window, config, channels=[lead_idx], include_abp=False)
-    evidence.extend(votes)
-    if not votes:
-        return _fail_safe(evidence, method, "vtach_no_votes")
-    return Verdict(any(v.outcome for v in votes), False, evidence, method)
+        found = CHECKS[arrhythmia](ctx)
+    except CannotDecide as exc:
+        note = ChannelEvidence("", exc.note, True, exc.witnesses)
+        return Verdict(is_true_alarm=True, gate_fired=False, evidence=evidence + [note], method=method)
+    decision = METHOD_TABLE[method].combine(e.outcome for e in found)
+    return Verdict(is_true_alarm=decision, gate_fired=False, evidence=evidence + found, method=method)

@@ -16,13 +16,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
-from .alarm_logic import DTW_METHODS, METHODS, TestConfig, classify_alarm, detect_annotations
-from .beat_banks import BankSet, bank_novelty_stats, extract_self_bank, load_bank_dir, save_bank
+from .alarm_logic import DTW_METHODS, METHODS, Thresholds, analysis_lead, classify_alarm, detect_annotations
+from .beat_banks import bank_novelty_stats, extract_self_bank, load_bank_dir, save_bank
 from .beats import import_annotations
-from .dtw import WarpParams, corpus_from_records, load_corpus_cache, save_corpus_cache
-from .errors import AlarmSentinelError, InsufficientCleanBeats
+from .dtw import TrainingCorpus, WarpParams, corpus_from_records, load_corpus_cache, save_corpus_cache
+from .errors import AlarmSentinelError, EmptyCorpus, InsufficientCleanBeats
 from .evaluation import per_arrhythmia_report, train_test_split
-from .record_io import Arrhythmia, ChannelKind, load_record, load_manifest
+from .record_io import Arrhythmia, load_record, load_manifest
 from .synthkit import generate_suite
 
 
@@ -31,10 +31,10 @@ def _fail(message: str, code: int = 2) -> int:
     return code
 
 
-def _config_from(args) -> TestConfig:
+def _config_from(args) -> Thresholds:
     if getattr(args, "config", None):
-        return TestConfig.from_file(args.config)
-    return TestConfig()
+        return Thresholds.from_file(args.config)
+    return Thresholds()
 
 
 def _warp_from(args) -> WarpParams | None:
@@ -65,6 +65,21 @@ def _resolve_workers(requested: int | None) -> int:
     return max(1, workers)
 
 
+def _corpus_for(args, train) -> TrainingCorpus:
+    """The dtw-full corpus: the ``--corpus-cache`` file, else built from
+    the training manifest rows; written to ``--save-corpus-cache``."""
+    if args.corpus_cache:
+        corpus = load_corpus_cache(args.corpus_cache, lead=args.lead)
+    else:
+        labelled = [(load_record(e.record), e.truth) for e in train]
+        corpus = corpus_from_records(labelled, lead=args.lead, skip_errors=True)
+    if len(corpus) == 0:
+        raise EmptyCorpus("training corpus is empty")
+    if args.save_corpus_cache:
+        save_corpus_cache(corpus, args.save_corpus_cache)
+    return corpus
+
+
 def cmd_classify(args) -> int:
     config = _config_from(args)
     banks = load_bank_dir(args.bank_dir) if args.bank_dir else None
@@ -72,24 +87,22 @@ def cmd_classify(args) -> int:
         return _fail("--method dtw-vbank requires --bank-dir")
     corpus = None
     if args.method == "dtw-full":
-        if args.corpus_cache:
-            corpus = load_corpus_cache(args.corpus_cache, lead=args.lead)
-        elif args.train_manifest:
-            manifest = load_manifest(args.train_manifest)
-            labelled = []
+        train = []
+        if not args.corpus_cache:
+            if not args.train_manifest:
+                return _fail("--method dtw-full requires --corpus-cache or --train-manifest")
             # the corpus cache stores no class column, so keep the corpus
-            # VT-only here just like evaluate does
-            for entry in manifest:
-                if entry.arrhythmia is not Arrhythmia.VTACH:
-                    continue
-                if entry.truth is None:
-                    return _fail(f"training manifest row without a label: {entry.record}")
-                labelled.append((load_record(entry.record), entry.truth))
-            corpus = corpus_from_records(labelled, lead=args.lead, skip_errors=True)
-            if args.save_corpus_cache:
-                save_corpus_cache(corpus, args.save_corpus_cache)
-        else:
-            return _fail("--method dtw-full requires --corpus-cache or --train-manifest")
+            # VT-only here just like evaluate does; the record under test
+            # must not be its own neighbour
+            query = Path(args.record).resolve()
+            train = [
+                e for e in load_manifest(args.train_manifest)
+                if e.arrhythmia is Arrhythmia.VTACH and Path(e.record).resolve() != query
+            ]
+            unlabelled = [e.record for e in train if e.truth is None]
+            if unlabelled:
+                return _fail(f"training manifest row without a label: {unlabelled[0]}")
+        corpus = _corpus_for(args, train)
 
     record = load_record(args.record)
     annotations = _annotations_for(record, args.annotations)
@@ -111,25 +124,27 @@ def _metric_cell(value: float | None) -> str:
     return "n/a" if value is None else f"{value:.3f}"
 
 
+_METRIC_COLUMNS = ("sensitivity", "specificity", "ppv", "npv", "f1", "challenge_score")
+
+
+def _report_rows(report):
+    """``(class name, counts, metric cells)`` per class, then overall."""
+    for arrhythmia, row in list(report.per_arrhythmia.items()) + [(None, report.overall)]:
+        name = arrhythmia.value if arrhythmia is not None else "overall"
+        yield name, row.counts, [getattr(row, column) for column in _METRIC_COLUMNS]
+
+
 def _print_summary(report, n_records: int, n_failed: int, method: str) -> None:
     print(f"method {method}: {n_records} records, {n_failed} failed")
     header = f"{'class':<26}{'tp':>4}{'tn':>4}{'fp':>4}{'fn':>4}   sens   spec    ppv    npv     f1  score"
     print(header)
-    rows = list(report.per_arrhythmia.items()) + [(None, report.overall)]
-    for arrhythmia, row in rows:
-        name = arrhythmia.value if arrhythmia is not None else "overall"
-        c = row.counts
-        cells = [row.sensitivity, row.specificity, row.ppv, row.npv, row.f1, row.challenge_score]
+    for name, c, cells in _report_rows(report):
         print(f"{name:<26}{c.tp:>4}{c.tn:>4}{c.fp:>4}{c.fn:>4} " + " ".join(f"{_metric_cell(v):>6}" for v in cells))
 
 
 def _report_csv(report) -> str:
-    lines = ["class,tp,tn,fp,fn,sensitivity,specificity,ppv,npv,f1,challenge_score"]
-    rows = list(report.per_arrhythmia.items()) + [(None, report.overall)]
-    for arrhythmia, row in rows:
-        name = arrhythmia.value if arrhythmia is not None else "overall"
-        c = row.counts
-        cells = [row.sensitivity, row.specificity, row.ppv, row.npv, row.f1, row.challenge_score]
+    lines = ["class,tp,tn,fp,fn," + ",".join(_METRIC_COLUMNS)]
+    for name, c, cells in _report_rows(report):
         text = ",".join("" if v is None else f"{v:.6f}" for v in cells)
         lines.append(f"{name},{c.tp},{c.tn},{c.fp},{c.fn},{text}")
     return "\n".join(lines) + "\n"
@@ -164,21 +179,18 @@ def cmd_evaluate(args) -> int:
         if not test:
             return _fail("train/test split left no test records")
         if args.method == "dtw-full":
-            if args.corpus_cache:
-                corpus = load_corpus_cache(args.corpus_cache, lead=args.lead)
-            else:
-                labelled = [(load_record(e.record), e.truth) for e in train]
-                corpus = corpus_from_records(labelled, lead=args.lead, skip_errors=True)
-            if len(corpus) == 0:
-                return _fail("training corpus is empty")
-            if args.save_corpus_cache:
-                save_corpus_cache(corpus, args.save_corpus_cache)
+            corpus = _corpus_for(args, train)
         split_info = {"seed": None if args.split else args.split_seed, "train": len(train), "test": len(test)}
         rows = test
 
     warp = _warp_from(args)
 
     def adjudicate(entry):
+        row = {
+            "record": entry.record,
+            "arrhythmia": entry.arrhythmia.value,
+            "truth": "true_alarm" if entry.truth else "false_alarm",
+        }
         started = time.perf_counter()
         try:
             record = load_record(entry.record)
@@ -188,15 +200,10 @@ def cmd_evaluate(args) -> int:
                 corpus=corpus, annotations=annotations, warp=warp, lead=args.lead,
             )
         except AlarmSentinelError as exc:
-            return {"record": entry.record, "arrhythmia": entry.arrhythmia.value, "error": str(exc)}
+            # a record that cannot be adjudicated keeps its alarm
+            return {**row, "decision": "true_alarm", "error": str(exc)}
         latency_ms = (time.perf_counter() - started) * 1000.0
-        return {
-            "record": entry.record,
-            "arrhythmia": entry.arrhythmia.value,
-            "truth": "true_alarm" if entry.truth else "false_alarm",
-            "latency_ms": latency_ms,
-            **verdict.to_dict(),
-        }
+        return {**row, "latency_ms": latency_ms, **verdict.to_dict()}
 
     workers = _resolve_workers(args.workers)
     if workers > 1:
@@ -214,7 +221,7 @@ def cmd_evaluate(args) -> int:
 
     triples = [
         (Arrhythmia(r["arrhythmia"]), r["decision"] == "true_alarm", r["truth"] == "true_alarm")
-        for r in ok
+        for r in results
     ]
     report = per_arrhythmia_report(triples)
     latencies = [r["latency_ms"] for r in ok]
@@ -241,13 +248,9 @@ def cmd_bank(args) -> int:
     if args.bank_cmd == "build-self":
         record = load_record(args.record)
         annotations = _annotations_for(record, args.annotations)
-        try:
-            lead_idx = record.channel_index(args.lead)
-        except AlarmSentinelError:
-            ecg = record.channels_of_kind(ChannelKind.ECG)
-            if not ecg:
-                return _fail(f"record {record.name} has no ECG channel")
-            lead_idx = ecg[0]
+        lead_idx = analysis_lead(record, args.lead)
+        if lead_idx is None:
+            return _fail(f"record {record.name} has no ECG channel")
         annotation = annotations[lead_idx]
         if annotation is None:
             return _fail(f"no beats found on channel {args.lead}")

@@ -206,29 +206,20 @@ def corpus_from_records(
     return TrainingCorpus(entries)
 
 
-def classify_full_signal(record: Record, corpus: TrainingCorpus, params: WarpParams | None = None, lead: str = "II"):
-    """Adjudicate an alarm by its nearest labelled pre-alarm signal.
+def classify_full_signal(record: Record, corpus: TrainingCorpus, params: WarpParams | None = None, lead: str = "II") -> tuple[bool, int, float]:
+    """Label, index and distance of the nearest labelled pre-alarm signal.
 
-    Returns a Verdict; the regular-activity gate is not applied here,
-    callers wanting the gated pipeline go through classify_alarm.
+    Entries for the record's arrhythmia on the lead are searched, or
+    every entry on the lead when none matches the arrhythmia. The
+    regular-activity gate is not applied here; the gated pipeline is
+    ``alarm_logic.classify_alarm`` with method dtw-full.
     """
-    from .alarm_logic import ChannelEvidence, Verdict  # deferred: avoids an import cycle
-
     params = params or WarpParams(FULL_SIGNAL_RADIUS)
     sequence = extract_alarm_lead(record, lead=lead)
     pool = corpus.subset(lead=lead, arrhythmia=record.alarm.arrhythmia)
     if len(pool) == 0:
         pool = corpus.subset(lead=lead)
-    label, index, distance = _nn1_search(sequence, pool, params)
-    evidence = [
-        ChannelEvidence(
-            channel=lead,
-            test="nearest_neighbor",
-            outcome=label,
-            witnesses={"distance": distance, "neighbor": float(index)},
-        )
-    ]
-    return Verdict(is_true_alarm=label, gate_fired=False, evidence=evidence, method="dtw-full")
+    return _nn1_search(sequence, pool, params)
 
 
 _MAGIC_LABELS = (0, 1)

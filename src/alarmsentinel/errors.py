@@ -93,6 +93,19 @@ class InsufficientCleanBeats(AlarmSentinelError):
         self.found = found
 
 
+class CannotDecide(AlarmSentinelError):
+    """An arrhythmia check cannot be evaluated on this record.
+
+    Carries ``note``, the test name of the fail-safe evidence, and
+    ``witnesses``. The adjudication turns it into a true alarm.
+    """
+
+    def __init__(self, note: str, **witnesses: float):
+        super().__init__(note)
+        self.note = note
+        self.witnesses = witnesses
+
+
 class BankTooSmall(AlarmSentinelError):
     """Beat bank has too few members for the statistic."""
 

@@ -1,29 +1,28 @@
 import numpy as np
 import pytest
 
-# The library's own names collide with pytest collection (TestConfig, test_*),
-# so the arrhythmia checks come in under aliases.
-from alarmsentinel.alarm_logic import TestConfig as AlarmConfig
 from alarmsentinel.alarm_logic import (
-    Verdict,
+    AlarmContext,
+    Thresholds,
+    _vtach_votes,
+    check_asystole,
+    check_bradycardia,
+    check_tachycardia,
+    check_vfib,
+    check_vtach,
     classify_alarm,
     detect_annotations,
     most_reliable_channel,
     regular_activity,
     spectral_vt_labels,
 )
-from alarmsentinel.alarm_logic import test_asystole as asystole_check
-from alarmsentinel.alarm_logic import test_bradycardia as bradycardia_check
-from alarmsentinel.alarm_logic import test_tachycardia as tachycardia_check
-from alarmsentinel.alarm_logic import test_vfib as vfib_check
-from alarmsentinel.alarm_logic import test_vtach as vtach_check
 from alarmsentinel.beats import BeatAnnotation, BeatLabel, detect_qrs
 from alarmsentinel.dtw import corpus_from_records
 from alarmsentinel.errors import (
+    CannotDecide,
     EmptyCorpus,
     UnknownArrhythmia,
     UnsupportedMethod,
-    WindowTooShort,
 )
 from alarmsentinel.record_io import AlarmMeta, Arrhythmia, ChannelMeta, Record, channel_kind
 from alarmsentinel.signal_quality import (
@@ -53,20 +52,41 @@ def ann(indices, channel=0, labels=None):
     return BeatAnnotation(channel, np.asarray(indices, dtype=np.int64), labels)
 
 
+def context(record, annotations, quality=None, window=(0, 4000)):
+    return AlarmContext(record, annotations, quality or clean_quality(record), window)
+
+
+def fired(evidence):
+    (only,) = evidence
+    return only.outcome
+
+
+def cannot_decide(check, ctx):
+    """The note a check raises when it cannot be evaluated."""
+    with pytest.raises(CannotDecide) as exc:
+        check(ctx)
+    return exc.value.note
+
+
+def gate_outcomes(record, annotations, quality):
+    evidence, gate = regular_activity(record, annotations, quality)
+    return [e.outcome for e in evidence], gate
+
+
 class TestConfigHandling:
     def test_update_casts_to_field_types(self):
-        cfg = AlarmConfig().update({"tachy_beats": "20", "vt_abp_std": "5.5"})
+        cfg = Thresholds().update({"tachy_beats": "20", "vt_abp_std": "5.5"})
         assert cfg.tachy_beats == 20 and isinstance(cfg.tachy_beats, int)
         assert cfg.vt_abp_std == 5.5
 
     def test_update_rejects_unknown_key(self):
         with pytest.raises(ValueError, match="unknown config key"):
-            AlarmConfig().update({"asystole_gap": 2.0})
+            Thresholds().update({"asystole_gap": 2.0})
 
     def test_from_file(self, tmp_path):
         p = tmp_path / "thresholds.cfg"
         p.write_text("# comment\nbrady_hr = 50\n\nvf_concentration = 0.7  # inline\n")
-        cfg = AlarmConfig.from_file(p)
+        cfg = Thresholds.from_file(p)
         assert cfg.brady_hr == 50.0
         assert cfg.vf_concentration == 0.7
         assert cfg.tachy_hr == 140.0  # untouched default
@@ -75,7 +95,7 @@ class TestConfigHandling:
         p = tmp_path / "bad.cfg"
         p.write_text("brady_hr 50\n")
         with pytest.raises(ValueError, match="expected 'key = value'"):
-            AlarmConfig.from_file(p)
+            Thresholds.from_file(p)
 
 
 class TestMostReliableChannel:
@@ -106,73 +126,82 @@ class TestRegularActivity:
 
     def test_steady_rhythm_is_regular(self):
         rec, anns, q = self.setup_case(np.arange(100, 4000, 200))
-        per_channel, gate = regular_activity(rec, anns, q)
+        per_channel, gate = gate_outcomes(rec, anns, q)
         assert per_channel == [True]
         assert gate is True
 
     def test_too_few_beats(self):
         rec, anns, q = self.setup_case([100, 300, 500, 700])
-        assert regular_activity(rec, anns, q) == ([False], False)
+        assert gate_outcomes(rec, anns, q) == ([False], False)
 
     def test_rr_bounds_are_inclusive(self):
         # 0.43 s and 1.5 s are exact sample counts at 200 Hz
         fast = np.arange(0, 4000, 86)
         rec, anns, q = self.setup_case(fast, fs=200.0)
-        assert regular_activity(rec, anns, q)[1] is True
+        assert gate_outcomes(rec, anns, q)[1] is True
         slow = np.arange(0, 4000, 300)
         rec, anns, q = self.setup_case(slow, fs=200.0)
-        assert regular_activity(rec, anns, q)[1] is True
+        assert gate_outcomes(rec, anns, q)[1] is True
 
     def test_rr_outside_bounds(self):
         short = np.arange(0, 4000, 85)  # 0.425 s at 200 Hz
         rec, anns, q = self.setup_case(short, fs=200.0)
-        assert regular_activity(rec, anns, q)[1] is False
+        assert gate_outcomes(rec, anns, q)[1] is False
         long = np.arange(0, 4000, 301)
         rec, anns, q = self.setup_case(long, fs=200.0)
-        assert regular_activity(rec, anns, q)[1] is False
+        assert gate_outcomes(rec, anns, q)[1] is False
 
     def test_high_rr_spread(self):
         idx = np.cumsum([100] + [125, 275] * 8)  # alternating 0.5 s / 1.1 s
         rec, anns, q = self.setup_case(idx)
-        assert regular_activity(rec, anns, q)[1] is False
+        assert gate_outcomes(rec, anns, q)[1] is False
 
     def test_any_invalid_sample_disqualifies(self):
         idx = np.arange(100, 4000, 200)
         bad = [InvalidInterval(500, 510, InvalidReason.FLAT_LINE)]
         rec, anns, q = self.setup_case(idx, invalid=bad)
-        assert regular_activity(rec, anns, q)[1] is False
+        assert gate_outcomes(rec, anns, q)[1] is False
 
     def test_missing_annotation_is_not_regular(self):
         rec = make_record()
-        assert regular_activity(rec, [None], clean_quality(rec)) == ([False], False)
+        assert gate_outcomes(rec, [None], clean_quality(rec)) == ([False], False)
 
     def test_gate_is_any_channel(self):
         rec = make_record(("II", "ABP"))
         q = clean_quality(rec)
         anns = [None, ann(np.arange(100, 4000, 200), channel=1)]
-        per_channel, gate = regular_activity(rec, anns, q)
+        per_channel, gate = gate_outcomes(rec, anns, q)
         assert per_channel == [False, True]
         assert gate is True
 
 
+def asystole_fires(annotation, window):
+    rec = make_record(arrhythmia=Arrhythmia.ASYSTOLE)
+    return fired(check_asystole(context(rec, [annotation], window=window)))
+
+
 class TestAsystole:
     def test_empty_window_fires(self):
-        assert asystole_check(ann([]), (0, 1000), 250.0) is True
+        assert asystole_fires(ann([]), (0, 1000)) is True
 
     def test_gap_threshold_is_inclusive(self):
         # interior gap of exactly 3 s (750 samples at 250 Hz)
         fires = ann([5, 756, 1500, 1900])
-        assert asystole_check(fires, (0, 2000), 250.0) is True
+        assert asystole_fires(fires, (0, 2000)) is True
         holds = ann([5, 755, 1499, 1900])
-        assert asystole_check(holds, (0, 2000), 250.0) is False
+        assert asystole_fires(holds, (0, 2000)) is False
 
     def test_leading_and_trailing_spans_count(self):
-        assert asystole_check(ann([900, 1000]), (0, 2000), 250.0) is True  # 900 leading
-        assert asystole_check(ann([100, 900]), (0, 2000), 250.0) is True  # 1099 trailing
+        assert asystole_fires(ann([900, 1000]), (0, 2000)) is True  # 900 leading
+        assert asystole_fires(ann([100, 900]), (0, 2000)) is True  # 1099 trailing
 
     def test_beats_outside_window_are_ignored(self):
         a = ann([5, 755, 1499, 1900, 5000])
-        assert asystole_check(a, (0, 2000), 250.0) is False
+        assert asystole_fires(a, (0, 2000)) is False
+
+    def test_no_annotated_channel_cannot_decide(self):
+        rec = make_record(arrhythmia=Arrhythmia.ASYSTOLE)
+        assert cannot_decide(check_asystole, context(rec, [None])) == "asystole_no_channel"
 
 
 class TestRateExtremes:
@@ -180,36 +209,36 @@ class TestRateExtremes:
         rec = make_record(arrhythmia=Arrhythmia.BRADYCARDIA)
         q = clean_quality(rec)
         at_45 = [ann([0, 333, 666, 1000])]  # 4 beats over 4.0 s -> exactly 45 bpm
-        assert bradycardia_check(rec, at_45, q, window=(0, 4000)) is False
+        assert fired(check_bradycardia(context(rec, at_45, q))) is False
         under = [ann([0, 333, 666, 1001])]
-        assert bradycardia_check(rec, under, q, window=(0, 4000)) is True
+        assert fired(check_bradycardia(context(rec, under, q))) is True
 
     def test_brady_finds_slow_stretch_in_fast_rhythm(self):
         rec = make_record(arrhythmia=Arrhythmia.BRADYCARDIA)
         idx = [0, 100, 200, 1300, 1400, 1500, 1600, 1700]
-        assert bradycardia_check(rec, [ann(idx)], clean_quality(rec), window=(0, 4000)) is True
+        assert fired(check_bradycardia(context(rec, [ann(idx)]))) is True
 
     def test_too_few_beats_fails_safe(self):
         rec = make_record(arrhythmia=Arrhythmia.BRADYCARDIA)
-        assert bradycardia_check(rec, [ann([0, 300, 600])], clean_quality(rec), window=(0, 4000)) is True
-        assert bradycardia_check(rec, [None], clean_quality(rec), window=(0, 4000)) is True
+        assert fired(check_bradycardia(context(rec, [ann([0, 300, 600])]))) is True
+        assert cannot_decide(check_bradycardia, context(rec, [None])) == "bradycardia_hr"
 
     def test_tachy_rate_rule(self):
         rec = make_record(arrhythmia=Arrhythmia.TACHYCARDIA)
         q = clean_quality(rec)
         fast = [ann(np.arange(0, 1700, 100))]  # 17 beats at 150 bpm
-        assert tachycardia_check(rec, fast, q, window=(0, 4000)) is True
+        assert fired(check_tachycardia(context(rec, fast, q))) is True
         slower = [ann(np.arange(0, 1870, 110))]  # 136 bpm
-        assert tachycardia_check(rec, slower, q, window=(0, 4000)) is False
+        assert fired(check_tachycardia(context(rec, slower, q))) is False
         few = [ann(np.arange(0, 1600, 100))]  # 16 beats
-        assert tachycardia_check(rec, few, q, window=(0, 4000)) is True
+        assert fired(check_tachycardia(context(rec, few, q))) is True
 
     def test_rate_reads_most_reliable_channel(self):
         rec = make_record(("II", "ABP"), arrhythmia=Arrhythmia.BRADYCARDIA)
         q = clean_quality(rec, validity=[0.5, 1.0])
         anns = [ann([0, 500, 1000, 1500]), ann(np.arange(0, 4000, 200), channel=1)]
         # lead II alone would fire at 30 bpm; the cleaner pressure channel wins
-        assert bradycardia_check(rec, anns, q, window=(0, 4000)) is False
+        assert fired(check_bradycardia(context(rec, anns, q))) is False
 
 
 class TestVfib:
@@ -219,77 +248,83 @@ class TestVfib:
         t = np.arange(int(seconds * self.fs)) / self.fs
         return amp * np.sin(2 * np.pi * freq * t)
 
+    def context(self, samples):
+        rec = make_record(n=len(samples), arrhythmia=Arrhythmia.VFIB)
+        rec.samples[0] = samples
+        return context(rec, [None], window=(0, len(samples)))
+
+    def fires(self, samples):
+        return fired(check_vfib(self.context(samples)))
+
     def test_sustained_low_frequency_fires(self):
-        assert vfib_check(self.tone(5.0), self.fs) is True
+        assert self.fires(self.tone(5.0)) is True
 
     def test_high_dominant_frequency_does_not(self):
-        assert vfib_check(self.tone(10.0), self.fs) is False
+        assert self.fires(self.tone(10.0)) is False
 
     def test_burst_inside_other_activity(self):
         x = self.tone(15.0)
         t = np.arange(len(x)) / self.fs
         burst = (t >= 7.0) & (t < 12.0)
         x[burst] += 2.0 * np.sin(2 * np.pi * 5.0 * t[burst])
-        assert vfib_check(x, self.fs) is True
+        assert self.fires(x) is True
 
     def test_split_power_is_not_concentrated(self):
         x = self.tone(5.0) + self.tone(15.0)
-        assert vfib_check(x, self.fs) is False
+        assert self.fires(x) is False
 
     def test_gap_blocks_are_skipped(self):
         x = self.tone(5.0)
         x[:500] = np.nan
-        assert vfib_check(x, self.fs) is True
-        assert vfib_check(np.full(4000, np.nan), self.fs) is False
+        assert self.fires(x) is True
+        assert self.fires(np.full(4000, np.nan)) is False
 
     def test_window_too_short(self):
-        with pytest.raises(WindowTooShort):
-            vfib_check(self.tone(5.0, seconds=2.0), self.fs)
+        ctx = self.context(self.tone(5.0, seconds=2.0))
+        assert cannot_decide(check_vfib, ctx) == "vfib_window_too_short"
 
 
 class TestVtach:
-    def labelled(self, indices, pattern):
+    def run_vote(self, indices, pattern):
+        """The ECG vote on beats carrying the given N/V labels."""
         labels = [BeatLabel.VENTRICULAR if c == "V" else BeatLabel.NORMAL for c in pattern]
-        return ann(indices, labels=labels)
+        a = ann(indices, labels=labels)
+        rec = make_record()
+        return fired(_vtach_votes(context(rec, [a]), [a], include_abp=True))
 
     def test_fast_run_fires(self):
-        rec = make_record()
         idx = np.arange(0, 875, 125)  # RR 0.5 s -> 4-beat windows at 120 bpm
-        a = self.labelled(idx, "NVVVVNN")
-        assert vtach_check(rec, [a], clean_quality(rec), window=(0, 4000)) is True
+        assert self.run_vote(idx, "NVVVVNN") is True
 
     def test_short_run_does_not(self):
-        rec = make_record()
-        a = self.labelled(np.arange(0, 875, 125), "NVVVNNN")
-        assert vtach_check(rec, [a], clean_quality(rec), window=(0, 4000)) is False
+        assert self.run_vote(np.arange(0, 875, 125), "NVVVNNN") is False
 
     def test_slow_run_does_not(self):
-        rec = make_record()
         idx = np.arange(0, 1575, 225)  # RR 0.9 s -> 66.7 bpm
-        a = self.labelled(idx, "VVVVVVV")
-        assert vtach_check(rec, [a], clean_quality(rec), window=(0, 4000)) is False
+        assert self.run_vote(idx, "VVVVVVV") is False
 
     def test_unlabeled_ecg_abstains(self):
+        # two beats are too few to label, and no other channel votes
         rec = make_record()
-        a = ann(np.arange(0, 875, 125))
-        assert vtach_check(rec, [a], clean_quality(rec), window=(0, 4000)) is False
+        assert cannot_decide(check_vtach, context(rec, [ann([100, 400])])) == "vtach_no_votes"
 
     def test_collapsed_pressure_fires(self):
         rec = make_record(("ABP",))
         rec.samples[0] = 80.0  # std 0 < 6
-        assert vtach_check(rec, [None], clean_quality(rec), window=(0, 4000)) is True
+        assert fired(check_vtach(context(rec, [None]))) is True
 
     def test_pulsatile_pressure_does_not(self):
         rec = make_record(("ABP",))
         t = np.arange(4000) / 250.0
         rec.samples[0] = 80.0 + 20.0 * np.sin(2 * np.pi * 1.2 * t)
-        assert vtach_check(rec, [None], clean_quality(rec), window=(0, 4000)) is False
+        assert fired(check_vtach(context(rec, [None]))) is False
 
     def test_pressure_with_gaps_abstains(self):
+        # the only channel abstains, so the check cannot decide
         rec = make_record(("ABP",))
         rec.samples[0] = 80.0
         rec.samples[0, 100] = np.nan
-        assert vtach_check(rec, [None], clean_quality(rec), window=(0, 4000)) is False
+        assert cannot_decide(check_vtach, context(rec, [None])) == "vtach_no_votes"
 
 
 class TestSpectralVtLabelsIntegration:
@@ -421,6 +456,15 @@ class TestClassifyAlarm:
         verdict = classify_alarm(pressure_only, "improved")
         assert verdict.is_true_alarm is True
         assert any(e.test == "vfib_no_ecg" for e in verdict.evidence)
+
+    def test_short_vfib_window_fails_safe(self):
+        rec, _ = generate(SynthSpec(name="vf", arrhythmia=Arrhythmia.VFIB, event=False, seed=4))
+        rec.alarm = AlarmMeta(Arrhythmia.VFIB, False, int(2.5 * rec.sample_rate))
+        verdict = classify_alarm(rec, "improved")
+        assert verdict.is_true_alarm is True
+        assert verdict.evidence[-1].to_dict() == {
+            "channel": "", "test": "vfib_window_too_short", "outcome": True, "witnesses": {"window_s": 2.5},
+        }
 
     def test_verdict_serialization(self, sinus_record):
         verdict = classify_alarm(sinus_record, "improved")

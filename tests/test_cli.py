@@ -3,7 +3,7 @@ import json
 import pytest
 
 from alarmsentinel.cli import main
-from alarmsentinel.record_io import Arrhythmia, load_manifest
+from alarmsentinel.record_io import AlarmMeta, Arrhythmia, load_manifest
 from alarmsentinel.synthkit import SynthSpec, generate, surrogate_banks
 from alarmsentinel.beat_banks import save_bank
 from alarmsentinel.record_io import write_record
@@ -93,9 +93,19 @@ class TestClassifyCommand:
         assert rc in (0, 1)
         assert cache.exists()
         first = json.loads(capsys.readouterr().out)
+        (nearest,) = [e for e in first["evidence"] if e["test"] == "nearest_neighbor"]
+        assert nearest["witnesses"]["distance"] > 0.0  # the record is not its own neighbour
         rc2 = main(["classify", record, "--method", "dtw-full", "--corpus-cache", str(cache)])
         assert rc2 == rc
         assert json.loads(capsys.readouterr().out) == first
+
+    def test_short_vfib_window_fails_safe(self, tmp_path, capsys):
+        rec, _ = generate(SynthSpec(name="vfshort", arrhythmia=Arrhythmia.VFIB, event=False, seed=4))
+        rec.alarm = AlarmMeta(Arrhythmia.VFIB, False, int(2.5 * rec.sample_rate))
+        header = write_record(rec, tmp_path)
+        assert main(["classify", str(header)]) == 1
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["evidence"][-1]["test"] == "vfib_window_too_short"
 
     def test_annotation_override_changes_the_verdict(self, small_suite, tmp_path, capsys):
         record = entry_for(small_suite[1], truth=True, arrhythmia=Arrhythmia.ASYSTOLE)
@@ -126,6 +136,22 @@ class TestEvaluateCommand:
         assert a["split"] is None
         assert len(a["records"]) == 10
         assert a["metrics"]["overall"]["counts"]["tp"] + a["metrics"]["overall"]["counts"]["fn"] == 5
+
+    def test_unreadable_record_counts_as_true_alarm(self, small_suite, tmp_path, capsys):
+        corrupt = tmp_path / "corrupt.hea"
+        corrupt.write_text("not a header\n")
+        manifest = small_suite[0] / "manifest_corrupt.csv"
+        manifest.write_text(small_suite[1].read_text().rstrip("\n") + f"\n{corrupt},vtach,false\n")
+        clean, out = tmp_path / "clean.json", tmp_path / "r.json"
+        assert main(["evaluate", "--manifest", str(small_suite[1]), "--out", str(clean)]) == 0
+        assert main(["evaluate", "--manifest", str(manifest), "--out", str(out)]) == 0
+        assert "corrupt.hea" in capsys.readouterr().err
+        payload = json.loads(out.read_text())
+        (row,) = [r for r in payload["records"] if "error" in r]
+        assert row["decision"] == "true_alarm" and row["truth"] == "false_alarm"
+        before = json.loads(clean.read_text())["metrics"]["overall"]["counts"]
+        after = payload["metrics"]["overall"]["counts"]
+        assert after == {**before, "fp": before["fp"] + 1}
 
     def test_csv_output(self, small_suite, tmp_path):
         out = tmp_path / "r.json"
