@@ -223,6 +223,25 @@ class TestBeatClassifiers:
 
 
 class TestVtLabelsFromBank:
+    # every beat's label from each bank method on the seed-91 VT record
+    EXPECTED = {
+        "vbank": (
+            "NNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNN"
+            "NNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNN"
+            "NNNNNNNNNNNNNNNNNNNNNNNNVVVVVVNNNNNNNNNNN"
+        ),
+        "self-min": (
+            "VNNNNNNNNNNNNNVNNNNVNNNVNVVNVNNNNNNNNVNNNNNVVNNNNNVNNNNVNVNN"
+            "NVNNNNNNVVNVVNNNVNNNNNNNNNVVNNNNVNNNNNNVNVNNNNNNNNNVVNNVNNNN"
+            "NNNNNNNNNNNNNNNNNNVNNNNNVVVVVVVVNNNNNNNVN"
+        ),
+        "self-kl": (
+            "NNNNNNNNNNNNNNVNNNNNNNNNNVVNNNNNNNNNNVNNVNNVVNNNNNVNNVNNNNNN"
+            "NNNNNNNVVVNNVNNVNVVNNNVNNNVVNNNNVNNNNNNVNNNNVNNNNNVNVNNNNVNN"
+            "NNNNNVNNNNNNNNNNNNNNNNNVVVVVVVVVNVNVNVNVN"
+        ),
+    }
+
     def test_methods_label_the_run(self, vt_true_record, banks):
         rec, truth = vt_true_record
         ann = detect_qrs(rec.samples[0], rec.sample_rate)
@@ -237,6 +256,7 @@ class TestVtLabelsFromBank:
         for method in ("vbank", "self-min", "self-kl"):
             labelled = vt_labels_from_bank(rec, ann, method, bank_set)
             assert labelled.labels is not None
+            assert "".join(label.value for label in labelled.labels) == self.EXPECTED[method]
             hits = 0
             for t in run:
                 for idx, label in zip(labelled.indices, labelled.labels):
