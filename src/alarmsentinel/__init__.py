@@ -59,7 +59,7 @@ from .dtw import (
     dtw_distance,
     extract_alarm_lead,
     load_corpus_cache,
-    nn1_label,
+    nearest_neighbor,
     save_corpus_cache,
     znormalize,
 )

@@ -15,6 +15,7 @@ negatives are the dangerous direction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from itertools import groupby
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
@@ -23,29 +24,41 @@ import numpy as np
 from scipy.signal import periodogram
 
 from .beats import (
+    BEAT_MIN_S,
     BeatAnnotation,
     BeatLabel,
     beat_segments,
+    beat_slices,
     classify_beat_spectral,
     detect_pulses,
     detect_qrs,
     window_heart_rate,
 )
-from .beat_banks import BankSet, bank_novelty_stats, extract_self_bank, vt_labels_from_bank
-from .dtw import TrainingCorpus, WarpParams, classify_full_signal
+from .beat_banks import (
+    BankSet,
+    BeatClassifier,
+    bank_novelty_stats,
+    classify_beat_self_kl,
+    classify_beat_self_min,
+    classify_beat_vbank,
+    extract_self_bank,
+    vt_labels_from_bank,
+)
+from .dtw import TrainingCorpus, classify_full_signal
 from .errors import (
     CannotDecide,
     EmptyCorpus,
     InsufficientCleanBeats,
+    InsufficientData,
+    InvalidConfig,
     MissingLead,
     TooFewBeats,
     UnknownArrhythmia,
     UnsupportedMethod,
     WindowTooShort,
-    ZeroVariance,
 )
 from .record_io import Arrhythmia, ChannelKind, Record
-from .signal_quality import QualityReport, assess_quality
+from .signal_quality import QualityReport, assess_quality, channel_validity
 
 
 @dataclass
@@ -70,14 +83,23 @@ class Thresholds:
     rr_max_s: float = 1.5
     min_regular_beats: int = 5
 
+    def __post_init__(self):
+        for name in ("brady_beats", "tachy_beats", "vt_beats"):
+            if getattr(self, name) < 2:
+                raise InvalidConfig(f"{name} must be at least 2 (a rate window spans two beats or more)")
+
     def update(self, overrides: dict) -> "Thresholds":
-        names = {f.name: f.type for f in fields(self)}
+        """A copy with ``overrides`` cast to the field types."""
+        names = {f.name for f in fields(self)}
+        cast = {}
         for key, value in overrides.items():
             if key not in names:
-                raise ValueError(f"unknown config key {key!r}")
-            current = getattr(self, key)
-            setattr(self, key, type(current)(value))
-        return self
+                raise InvalidConfig(f"unknown config key {key!r}")
+            try:
+                cast[key] = type(getattr(self, key))(value)
+            except (TypeError, ValueError):
+                raise InvalidConfig(f"config key {key!r}: {value!r} is not a number of the right type") from None
+        return replace(self, **cast)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Thresholds":
@@ -88,7 +110,7 @@ class Thresholds:
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"config line {line_no}: expected 'key = value'")
+                raise InvalidConfig(f"config line {line_no}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
             overrides[key] = value
         return cls().update(overrides)
@@ -140,7 +162,6 @@ class AlarmContext:
     method: str = "improved"
     banks: BankSet | None = None
     corpus: TrainingCorpus | None = None
-    warp: WarpParams | None = None
     lead: str = "II"
 
 
@@ -181,14 +202,6 @@ def analysis_lead(record: Record, lead: str) -> int | None:
         return ecg[0] if ecg else None
 
 
-def _invalid_overlap(quality: QualityReport, channel: int, window: tuple[int, int]) -> int:
-    start, end = window
-    return sum(
-        max(0, min(iv.end, end) - max(iv.start, start))
-        for iv in quality.invalid[channel]
-    )
-
-
 def regular_activity(
     record: Record,
     annotations: list[BeatAnnotation | None],
@@ -221,7 +234,7 @@ def regular_activity(
                 witnesses["rr_cv"] = cv
                 regular = (
                     beats_in.count >= config.min_regular_beats
-                    and _invalid_overlap(quality, i, window) == 0
+                    and channel_validity(quality.invalid[i], *window) == 1.0
                     and cv <= config.rr_cv_max
                     and float(rr.min()) >= config.rr_min_s
                     and float(rr.max()) <= config.rr_max_s
@@ -391,22 +404,11 @@ def _vtach_votes(
 
 def spectral_vt_labels(record: Record, annotation: BeatAnnotation) -> BeatAnnotation:
     """Label each beat Normal/Ventricular from its slice's band power."""
-    segments = beat_segments(annotation)
     fs = record.sample_rate
-    samples = record.samples[annotation.channel]
-    min_len = int(round(0.2 * fs))
-    labels: list[BeatLabel] = []
-    for seg in segments:
-        s = max(0, seg.start)
-        e = min(record.n_samples, seg.end)
-        slice_ = samples[s:e]
-        if e - s < min_len or np.isnan(slice_).any():
-            labels.append(BeatLabel.UNKNOWN)
-            continue
-        try:
-            labels.append(classify_beat_spectral(slice_, fs))
-        except ZeroVariance:
-            labels.append(BeatLabel.UNKNOWN)
+    segments = beat_segments(annotation)
+    # no upper length bound: a clamped slice is never longer than the record
+    slices = beat_slices(record.samples[annotation.channel], segments, int(round(BEAT_MIN_S * fs)), record.n_samples)
+    labels = [BeatLabel.UNKNOWN if slice_ is None else classify_beat_spectral(slice_, fs) for _, _, slice_ in slices]
     return BeatAnnotation(annotation.channel, annotation.indices.copy(), labels)
 
 
@@ -422,11 +424,16 @@ def _spectral_votes(ctx: AlarmContext) -> list[ChannelEvidence]:
     return _vtach_votes(ctx, labelled, include_abp=True)
 
 
-def _bank_votes(ctx: AlarmContext) -> list[ChannelEvidence]:
-    """Beat-bank labels on the single analysis lead; pressure does not vote.
+def _bank_votes(
+    classifier: Callable[[BankSet], BeatClassifier],
+    ctx: AlarmContext,
+    self_bank: bool,
+) -> list[ChannelEvidence]:
+    """Labels from ``classifier`` on the single analysis lead; pressure
+    does not vote.
 
-    The self methods build the patient's bank from the pre-alarm beats
-    when ``ctx.banks`` carries none.
+    With ``self_bank``, the patient's bank is built from the pre-alarm
+    beats when ``ctx.banks`` carries none.
     """
     record = ctx.record
     lead = analysis_lead(record, ctx.lead)
@@ -436,18 +443,17 @@ def _bank_votes(ctx: AlarmContext) -> list[ChannelEvidence]:
     if ann is None:
         raise CannotDecide("vtach_no_annotations")
 
-    bank_method = ctx.method.removeprefix("dtw-")
     banks = ctx.banks or BankSet()
-    if bank_method in ("self-min", "self-kl") and (banks.self_bank is None or banks.stats is None):
+    if self_bank and (banks.self_bank is None or banks.stats is None):
         try:
-            self_bank = extract_self_bank(record, ann, exclude_s=ctx.config.analysis_window_s)
+            patient = extract_self_bank(record, ann, exclude_s=ctx.config.analysis_window_s)
         except InsufficientCleanBeats as exc:
             raise CannotDecide("self_bank_failed", clean_beats_found=float(exc.found)) from None
-        banks = replace(banks, self_bank=self_bank, stats=bank_novelty_stats(self_bank, ctx.warp))
+        banks = replace(banks, self_bank=patient, stats=bank_novelty_stats(patient))
 
     beats_in = ann.within(*ctx.window)
     try:
-        labels = vt_labels_from_bank(record, beats_in, bank_method, banks, ctx.warp)
+        labels = vt_labels_from_bank(record, beats_in, classifier, banks)
     except TooFewBeats:
         raise CannotDecide("vtach_too_few_beats", beats=float(beats_in.count)) from None
     labelled: list[BeatAnnotation | None] = [None] * record.n_channels
@@ -459,13 +465,15 @@ def _nearest_signal(ctx: AlarmContext) -> list[ChannelEvidence]:
     """The label of the nearest labelled pre-alarm signal on the lead."""
     if ctx.corpus is None:
         raise EmptyCorpus("dtw-full needs a training corpus")
-    label, index, distance = classify_full_signal(ctx.record, ctx.corpus, ctx.warp, lead=ctx.lead)
+    label, index, distance = classify_full_signal(ctx.record, ctx.corpus, lead=ctx.lead)
     return [ChannelEvidence(ctx.lead, "nearest_neighbor", label, {"distance": distance, "neighbor": float(index)})]
 
 
 class Method(NamedTuple):
-    """What sets a method apart: the evidence it gathers for a VT alarm,
-    and how the outcomes of a check's evidence combine into the verdict."""
+    """What sets a method apart: the evidence it gathers for a VT alarm
+    (for a bank method, its beat classifier and whether the patient's
+    own bank is built), and how the outcomes of a check's evidence
+    combine into the verdict."""
 
     vt_evidence: Callable[[AlarmContext], list[ChannelEvidence]]
     combine: Callable[[Iterable[bool]], bool] = any
@@ -475,9 +483,9 @@ METHOD_TABLE: dict[str, Method] = {
     "baseline": Method(_spectral_votes, all),
     "improved": Method(_spectral_votes),
     "dtw-full": Method(_nearest_signal),
-    "dtw-vbank": Method(_bank_votes),
-    "dtw-self-min": Method(_bank_votes),
-    "dtw-self-kl": Method(_bank_votes),
+    "dtw-vbank": Method(partial(_bank_votes, classify_beat_vbank, self_bank=False)),
+    "dtw-self-min": Method(partial(_bank_votes, classify_beat_self_min, self_bank=True)),
+    "dtw-self-kl": Method(partial(_bank_votes, classify_beat_self_kl, self_bank=True)),
 }
 METHODS = tuple(METHOD_TABLE)
 # the warping methods analyze a single lead and apply only to VT alarms
@@ -534,7 +542,6 @@ def classify_alarm(
     banks: BankSet | None = None,
     corpus: TrainingCorpus | None = None,
     annotations: list[BeatAnnotation | None] | None = None,
-    warp: WarpParams | None = None,
     lead: str = "II",
 ) -> Verdict:
     """Adjudicate one alarm record end to end.
@@ -562,6 +569,8 @@ def classify_alarm(
 
     config = config or Thresholds()
     window = _analysis_window(record, config)
+    if window[0] >= window[1]:
+        raise InsufficientData(f"record {record.name!r} has no samples in its analysis window {window}")
     quality = assess_quality(record, window)
     if annotations is None:
         annotations = detect_annotations(record)
@@ -570,7 +579,7 @@ def classify_alarm(
     if gate:
         return Verdict(is_true_alarm=False, gate_fired=True, evidence=evidence, method=method)
 
-    ctx = AlarmContext(record, annotations, quality, window, config, method, banks, corpus, warp, lead)
+    ctx = AlarmContext(record, annotations, quality, window, config, method, banks, corpus, lead)
     try:
         found = CHECKS[arrhythmia](ctx)
     except CannotDecide as exc:

@@ -5,17 +5,20 @@ same banded DTW distance at the beat level (1 s radius): nearest
 neighbour against curated ventricular/standard banks, and two
 novelty rules that compare a beat against 20 of the patient's own
 pre-alarm beats (minimum-distance threshold, and KL divergence
-between distance histograms).
+between distance histograms). Each is a :data:`BeatClassifier`
+factory: bound to a :class:`BankSet`, it checks that the banks it
+reads are there and returns the per-beat labeller.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .beats import BeatAnnotation, BeatLabel, beat_segments
+from .beats import BeatAnnotation, BeatLabel, beat_segments, beat_slices
 from .dtw import BEAT_RADIUS, WarpParams, dtw_distance, znormalize
 from .errors import (
     BankTooSmall,
@@ -88,10 +91,10 @@ def _at_bank_rate(record: Record) -> tuple[Record, int]:
     )
 
 
-def _beat_distance(a: np.ndarray, b: np.ndarray, params: WarpParams) -> float:
+def _beat_distance(a: np.ndarray, b: np.ndarray) -> float:
     # beats of very different lengths would make the band infeasible;
     # widen it just enough so every pair stays comparable
-    radius = max(params.radius, abs(len(a) - len(b)))
+    radius = max(BEAT_RADIUS, abs(len(a) - len(b)))
     return dtw_distance(a, b, WarpParams(radius))
 
 
@@ -137,13 +140,9 @@ def extract_self_bank(
             in_section = idx[(idx >= sec_start) & (idx < sec_end)]
             if len(in_section) >= 3:
                 segments = beat_segments(BeatAnnotation(ch, in_section))
-                for seg in reversed(segments[1:-1]):  # interior beats, newest first
-                    s = max(seg.start, 0)
-                    e = min(seg.end, rec.n_samples)
-                    if not BEAT_MIN_SAMPLES <= e - s <= BEAT_MAX_SAMPLES:
-                        continue
-                    slice_ = samples[s:e]
-                    if np.isnan(slice_).any():
+                interior = reversed(segments[1:-1])  # newest first
+                for s, e, slice_ in beat_slices(samples, interior, BEAT_MIN_SAMPLES, BEAT_MAX_SAMPLES):
+                    if slice_ is None:
                         continue
                     try:
                         beats.append(znormalize(slice_))
@@ -162,7 +161,7 @@ def extract_self_bank(
     return BeatBank(BankKind.SELF, beats, provenance)
 
 
-def bank_novelty_stats(bank: BeatBank, params: WarpParams | None = None) -> NoveltyStats:
+def bank_novelty_stats(bank: BeatBank) -> NoveltyStats:
     """Pairwise-distance statistics used by both novelty rules.
 
     The KL baselines are leave-one-out: for each bank beat, a
@@ -170,7 +169,6 @@ def bank_novelty_stats(bank: BeatBank, params: WarpParams | None = None) -> Nove
     histogram of the remaining pairs, giving the spread of KL values a
     genuinely normal beat produces.
     """
-    params = params or WarpParams(BEAT_RADIUS)
     n = len(bank)
     if n < 3:
         raise BankTooSmall(f"novelty statistics need at least 3 beats, have {n}")
@@ -178,7 +176,7 @@ def bank_novelty_stats(bank: BeatBank, params: WarpParams | None = None) -> Nove
     dist = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            dist[i, j] = dist[j, i] = _beat_distance(bank.beats[i], bank.beats[j], params)
+            dist[i, j] = dist[j, i] = _beat_distance(bank.beats[i], bank.beats[j])
 
     iu, ju = np.triu_indices(n, k=1)
     reference = dist[iu, ju]
@@ -246,107 +244,86 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.sum(terms))
 
 
-def classify_beat_vbank(
-    beat: np.ndarray,
-    ventricular: BeatBank,
-    standard: BeatBank,
-    params: WarpParams | None = None,
-) -> BeatLabel:
-    """Label of the nearest beat across both banks; ties go ventricular."""
-    params = params or WarpParams(BEAT_RADIUS)
-    if len(ventricular) == 0 or len(standard) == 0:
+BeatClassifier = Callable[[np.ndarray], BeatLabel]
+
+
+def _bank_distances(beat: np.ndarray, members: list[np.ndarray]) -> np.ndarray:
+    b = znormalize(beat)
+    return np.array([_beat_distance(b, member) for member in members])
+
+
+def classify_beat_vbank(banks: BankSet) -> BeatClassifier:
+    """Label of the nearest beat across the ventricular and standard
+    banks; ties go ventricular."""
+    if not banks.ventricular or not banks.standard:
         raise EmptyBank("vbank classification needs both banks populated")
-    b = znormalize(beat)
-    best = np.inf
-    label = BeatLabel.NORMAL
-    for bank, bank_label in ((ventricular, BeatLabel.VENTRICULAR), (standard, BeatLabel.NORMAL)):
-        for member in bank.beats:
-            d = _beat_distance(b, member, params)
-            if d < best:
-                best = d
-                label = bank_label
-    return label
+    members = banks.ventricular.beats + banks.standard.beats
+    n_ventricular = len(banks.ventricular)
+
+    def classify(beat: np.ndarray) -> BeatLabel:
+        # argmin takes the first minimum, and the ventricular beats come first
+        nearest = int(np.argmin(_bank_distances(beat, members)))
+        return BeatLabel.VENTRICULAR if nearest < n_ventricular else BeatLabel.NORMAL
+
+    return classify
 
 
-def _bank_distances(beat: np.ndarray, bank: BeatBank, params: WarpParams) -> np.ndarray:
-    b = znormalize(beat)
-    return np.array([_beat_distance(b, member, params) for member in bank.beats])
+def _patient_bank(banks: BankSet) -> tuple[BeatBank, NoveltyStats]:
+    if not banks.self_bank or banks.stats is None:
+        raise EmptyBank("self-bank classification needs the patient bank and its statistics")
+    return banks.self_bank, banks.stats
 
 
-def classify_beat_self_min(
-    beat: np.ndarray,
-    bank: BeatBank,
-    stats: NoveltyStats,
-    params: WarpParams | None = None,
-) -> BeatLabel:
-    """Ventricular iff the minimum distance to the bank exceeds mu + sigma."""
-    params = params or WarpParams(BEAT_RADIUS)
-    if len(bank) == 0:
-        raise EmptyBank("self-bank classification needs a populated bank")
-    d_min = float(np.min(_bank_distances(beat, bank, params)))
-    return BeatLabel.VENTRICULAR if d_min > stats.mu_min + stats.sigma_min else BeatLabel.NORMAL
+def classify_beat_self_min(banks: BankSet) -> BeatClassifier:
+    """Ventricular iff the minimum distance to the patient bank exceeds
+    mu + sigma."""
+    bank, stats = _patient_bank(banks)
+
+    def classify(beat: np.ndarray) -> BeatLabel:
+        d_min = float(np.min(_bank_distances(beat, bank.beats)))
+        return BeatLabel.VENTRICULAR if d_min > stats.mu_min + stats.sigma_min else BeatLabel.NORMAL
+
+    return classify
 
 
-def classify_beat_self_kl(
-    beat: np.ndarray,
-    bank: BeatBank,
-    stats: NoveltyStats,
-    params: WarpParams | None = None,
-) -> BeatLabel:
-    """Ventricular iff the beat's distance histogram diverges from the bank's."""
-    params = params or WarpParams(BEAT_RADIUS)
-    if len(bank) == 0:
-        raise EmptyBank("self-bank classification needs a populated bank")
-    distances = _bank_distances(beat, bank, params)
-    p = _histogram(distances, stats.bin_edges)
+def classify_beat_self_kl(banks: BankSet) -> BeatClassifier:
+    """Ventricular iff the beat's distance histogram diverges from the
+    patient bank's."""
+    bank, stats = _patient_bank(banks)
     q = smooth_distribution(_histogram(stats.reference_distances, stats.bin_edges))
-    kl = kl_divergence(p, q)
-    return BeatLabel.VENTRICULAR if kl > stats.mu_kl + stats.sigma_kl else BeatLabel.NORMAL
+
+    def classify(beat: np.ndarray) -> BeatLabel:
+        p = _histogram(_bank_distances(beat, bank.beats), stats.bin_edges)
+        kl = kl_divergence(p, q)
+        return BeatLabel.VENTRICULAR if kl > stats.mu_kl + stats.sigma_kl else BeatLabel.NORMAL
+
+    return classify
 
 
 def vt_labels_from_bank(
     record: Record,
     annotation: BeatAnnotation,
-    method: str,
+    classifier: Callable[[BankSet], BeatClassifier],
     banks: BankSet,
-    params: WarpParams | None = None,
 ) -> BeatAnnotation:
-    """Label every annotated beat with the chosen bank classifier.
+    """Label every annotated beat with ``classifier`` bound to ``banks``.
 
-    ``method`` is one of ``vbank``, ``self-min``, ``self-kl``. Beats
-    whose slice cannot be compared (flat, out of length bounds, or
-    containing gaps) come back Unknown rather than aborting the rest.
+    ``classifier`` is :func:`classify_beat_vbank`,
+    :func:`classify_beat_self_min` or :func:`classify_beat_self_kl`.
+    Beats whose slice cannot be compared (flat, out of length bounds,
+    or containing gaps) come back Unknown rather than aborting the
+    rest.
     """
-    params = params or WarpParams(BEAT_RADIUS)
     rec, factor = _at_bank_rate(record)
     if annotation.count < 3:
         raise TooFewBeats(f"beat labelling needs at least 3 beats, have {annotation.count}")
-    idx = annotation.indices // factor
-    samples = rec.samples[annotation.channel]
-    segments = beat_segments(BeatAnnotation(annotation.channel, idx))
-
-    if method == "vbank":
-        if banks.ventricular is None or banks.standard is None:
-            raise EmptyBank("vbank method needs ventricular and standard banks")
-        classify = lambda b: classify_beat_vbank(b, banks.ventricular, banks.standard, params)
-    elif method in ("self-min", "self-kl"):
-        if banks.self_bank is None or banks.stats is None:
-            raise EmptyBank("self methods need the patient bank and its statistics")
-        fn = classify_beat_self_min if method == "self-min" else classify_beat_self_kl
-        classify = lambda b: fn(b, banks.self_bank, banks.stats, params)
-    else:
-        raise ValueError(f"unknown bank method {method!r}")
+    segments = beat_segments(BeatAnnotation(annotation.channel, annotation.indices // factor))
+    classify = classifier(banks)
 
     labels: list[BeatLabel] = []
-    for seg in segments:
-        s = max(seg.start, 0)
-        e = min(seg.end, rec.n_samples)
-        slice_ = samples[s:e]
-        if not BEAT_MIN_SAMPLES <= e - s <= BEAT_MAX_SAMPLES or np.isnan(slice_).any():
-            labels.append(BeatLabel.UNKNOWN)
-            continue
+    for _, _, slice_ in beat_slices(rec.samples[annotation.channel], segments, BEAT_MIN_SAMPLES, BEAT_MAX_SAMPLES):
         try:
-            labels.append(classify(slice_))
+            labels.append(BeatLabel.UNKNOWN if slice_ is None else classify(slice_))
         except ZeroVariance:
             labels.append(BeatLabel.UNKNOWN)
     return BeatAnnotation(annotation.channel, annotation.indices.copy(), labels)

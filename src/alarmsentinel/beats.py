@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 from scipy.signal import butter, filtfilt, find_peaks, periodogram
@@ -214,6 +215,28 @@ def beat_segments(annotation: BeatAnnotation) -> list[BeatSegment]:
         end = int(idx[i]) + int(round(2.0 * next_gap / 3.0))
         segments.append(BeatSegment(int(idx[i]), start, end))
     return segments
+
+
+def beat_slices(
+    samples: np.ndarray,
+    segments: Iterable[BeatSegment],
+    min_len: int,
+    max_len: int,
+) -> Iterator[tuple[int, int, np.ndarray | None]]:
+    """Each segment clamped to ``samples`` as ``(start, end, slice)``.
+
+    The slice is None when the clamped length falls outside
+    ``[min_len, max_len]`` or the slice contains a gap (NaN): such a
+    beat cannot be compared.
+    """
+    for seg in segments:
+        start = max(seg.start, 0)
+        end = min(seg.end, len(samples))
+        slice_ = samples[start:end]
+        if not min_len <= end - start <= max_len or np.isnan(slice_).any():
+            yield start, end, None
+        else:
+            yield start, end, slice_
 
 
 def classify_beat_spectral(beat: np.ndarray, fs: float) -> BeatLabel:

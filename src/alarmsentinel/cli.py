@@ -19,7 +19,7 @@ from pathlib import Path
 from .alarm_logic import DTW_METHODS, METHODS, Thresholds, analysis_lead, classify_alarm, detect_annotations
 from .beat_banks import bank_novelty_stats, extract_self_bank, load_bank_dir, save_bank
 from .beats import import_annotations
-from .dtw import TrainingCorpus, WarpParams, corpus_from_records, load_corpus_cache, save_corpus_cache
+from .dtw import TrainingCorpus, corpus_from_records, load_corpus_cache, save_corpus_cache
 from .errors import AlarmSentinelError, EmptyCorpus, InsufficientCleanBeats
 from .evaluation import per_arrhythmia_report, train_test_split
 from .record_io import Arrhythmia, load_record, load_manifest
@@ -35,11 +35,6 @@ def _config_from(args) -> Thresholds:
     if getattr(args, "config", None):
         return Thresholds.from_file(args.config)
     return Thresholds()
-
-
-def _warp_from(args) -> WarpParams | None:
-    radius = getattr(args, "radius", None)
-    return WarpParams(radius) if radius is not None else None
 
 
 def _annotations_for(record, directory: str | None):
@@ -113,7 +108,6 @@ def cmd_classify(args) -> int:
         banks=banks,
         corpus=corpus,
         annotations=annotations,
-        warp=_warp_from(args),
         lead=args.lead,
     )
     print(json.dumps(verdict.to_dict(), indent=2))
@@ -183,8 +177,6 @@ def cmd_evaluate(args) -> int:
         split_info = {"seed": None if args.split else args.split_seed, "train": len(train), "test": len(test)}
         rows = test
 
-    warp = _warp_from(args)
-
     def adjudicate(entry):
         row = {
             "record": entry.record,
@@ -197,7 +189,7 @@ def cmd_evaluate(args) -> int:
             annotations = _annotations_for(record, args.annotations)
             verdict = classify_alarm(
                 record, method=args.method, config=config, banks=banks,
-                corpus=corpus, annotations=annotations, warp=warp, lead=args.lead,
+                corpus=corpus, annotations=annotations, lead=args.lead,
             )
         except AlarmSentinelError as exc:
             # a record that cannot be adjudicated keeps its alarm
@@ -296,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--corpus-cache", help="binary corpus cache for dtw-full")
         p.add_argument("--save-corpus-cache", help="write the built corpus cache here")
         p.add_argument("--lead", default="II", help="lead for single-lead DTW methods")
-        p.add_argument("--radius", type=int, help="warping band radius in samples")
 
     c = sub.add_parser("classify", help="adjudicate one record")
     c.add_argument("record", help="path to the record header")

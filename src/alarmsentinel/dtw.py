@@ -145,13 +145,9 @@ class TrainingCorpus:
         return TrainingCorpus(kept)
 
 
-def nn1_label(sequence: np.ndarray, corpus: TrainingCorpus, params: WarpParams) -> bool:
-    """Label of the nearest corpus entry; ties go to the earliest entry."""
-    label, _, _ = _nn1_search(sequence, corpus, params)
-    return label
-
-
-def _nn1_search(sequence: np.ndarray, corpus: TrainingCorpus, params: WarpParams) -> tuple[bool, int, float]:
+def nearest_neighbor(sequence: np.ndarray, corpus: TrainingCorpus, params: WarpParams) -> tuple[bool, int, float]:
+    """Label, index and distance of the nearest corpus entry; ties go to
+    the earliest entry."""
     if len(corpus) == 0:
         raise EmptyCorpus("nearest-neighbour search over an empty corpus")
     best_d = math.inf
@@ -206,7 +202,7 @@ def corpus_from_records(
     return TrainingCorpus(entries)
 
 
-def classify_full_signal(record: Record, corpus: TrainingCorpus, params: WarpParams | None = None, lead: str = "II") -> tuple[bool, int, float]:
+def classify_full_signal(record: Record, corpus: TrainingCorpus, lead: str = "II") -> tuple[bool, int, float]:
     """Label, index and distance of the nearest labelled pre-alarm signal.
 
     Entries for the record's arrhythmia on the lead are searched, or
@@ -214,12 +210,11 @@ def classify_full_signal(record: Record, corpus: TrainingCorpus, params: WarpPar
     regular-activity gate is not applied here; the gated pipeline is
     ``alarm_logic.classify_alarm`` with method dtw-full.
     """
-    params = params or WarpParams(FULL_SIGNAL_RADIUS)
     sequence = extract_alarm_lead(record, lead=lead)
     pool = corpus.subset(lead=lead, arrhythmia=record.alarm.arrhythmia)
     if len(pool) == 0:
         pool = corpus.subset(lead=lead)
-    return _nn1_search(sequence, pool, params)
+    return nearest_neighbor(sequence, pool, WarpParams(FULL_SIGNAL_RADIUS))
 
 
 _MAGIC_LABELS = (0, 1)

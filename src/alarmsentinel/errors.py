@@ -134,5 +134,9 @@ class UnsupportedMethod(AlarmSentinelError):
     """Classification method not defined for this alarm type."""
 
 
+class InvalidConfig(AlarmSentinelError, ValueError):
+    """Threshold configuration line, key or value is not acceptable."""
+
+
 class InvalidSpec(AlarmSentinelError):
     """Synthesis parameters are contradictory or out of range."""

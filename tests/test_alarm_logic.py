@@ -21,6 +21,8 @@ from alarmsentinel.dtw import corpus_from_records
 from alarmsentinel.errors import (
     CannotDecide,
     EmptyCorpus,
+    InsufficientData,
+    InvalidConfig,
     UnknownArrhythmia,
     UnsupportedMethod,
 )
@@ -96,6 +98,23 @@ class TestConfigHandling:
         p.write_text("brady_hr 50\n")
         with pytest.raises(ValueError, match="expected 'key = value'"):
             Thresholds.from_file(p)
+
+    def test_non_numeric_value_rejected(self):
+        with pytest.raises(InvalidConfig, match="brady_hr"):
+            Thresholds().update({"brady_hr": "slow"})
+        with pytest.raises(InvalidConfig, match="vt_beats"):
+            Thresholds().update({"vt_beats": "4.5"})
+
+    def test_rate_windows_need_two_beats(self, tmp_path):
+        with pytest.raises(InvalidConfig, match="brady_beats"):
+            Thresholds(brady_beats=1)
+        with pytest.raises(InvalidConfig, match="tachy_beats"):
+            Thresholds().update({"tachy_beats": "1"})
+        p = tmp_path / "one_beat.cfg"
+        p.write_text("vt_beats = 0\n")
+        with pytest.raises(InvalidConfig, match="vt_beats"):
+            Thresholds.from_file(p)
+        assert Thresholds(brady_beats=2).brady_beats == 2
 
 
 class TestMostReliableChannel:
@@ -434,6 +453,12 @@ class TestClassifyAlarm:
         rec, _ = generate(spec)
         rec.alarm = AlarmMeta(None, True, rec.n_samples)
         with pytest.raises(UnknownArrhythmia):
+            classify_alarm(rec, "improved")
+
+    def test_empty_analysis_window_rejected(self):
+        rec = make_record(arrhythmia=Arrhythmia.BRADYCARDIA)
+        rec.alarm = AlarmMeta(Arrhythmia.BRADYCARDIA, True, 0)
+        with pytest.raises(InsufficientData, match="analysis window"):
             classify_alarm(rec, "improved")
 
     def test_dtw_full_needs_corpus(self, vt_suite):

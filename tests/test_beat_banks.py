@@ -21,7 +21,7 @@ from alarmsentinel.beat_banks import (
     vt_labels_from_bank,
 )
 from alarmsentinel.beats import BeatLabel, detect_qrs
-from alarmsentinel.dtw import WarpParams, znormalize
+from alarmsentinel.dtw import znormalize
 from alarmsentinel.errors import (
     BankTooSmall,
     DimensionMismatch,
@@ -167,33 +167,32 @@ class TestBeatClassifiers:
 
     def test_vbank_separates_morphologies(self):
         vbank, sbank = self.banks()
-        assert classify_beat_vbank(template_beat("wide", seed=99), vbank, sbank) is BeatLabel.VENTRICULAR
-        assert classify_beat_vbank(template_beat("narrow", seed=99), vbank, sbank) is BeatLabel.NORMAL
+        classify = classify_beat_vbank(BankSet(vbank, sbank))
+        assert classify(template_beat("wide", seed=99)) is BeatLabel.VENTRICULAR
+        assert classify(template_beat("narrow", seed=99)) is BeatLabel.NORMAL
 
     def test_vbank_tie_is_ventricular(self):
         beat = template_beat("narrow")
         vbank = BeatBank(BankKind.VENTRICULAR, [beat.copy()])
         sbank = BeatBank(BankKind.STANDARD, [beat.copy()])
-        assert classify_beat_vbank(beat, vbank, sbank) is BeatLabel.VENTRICULAR
+        assert classify_beat_vbank(BankSet(vbank, sbank))(beat) is BeatLabel.VENTRICULAR
 
     def test_vbank_requires_both_banks(self):
         vbank, _ = self.banks()
         with pytest.raises(EmptyBank):
-            classify_beat_vbank(template_beat(), vbank, BeatBank(BankKind.STANDARD))
+            classify_beat_vbank(BankSet(vbank, BeatBank(BankKind.STANDARD)))
 
-    def flag_counts(self, classify):
+    def flag_counts(self, classifier):
         # The mu + sigma thresholds intentionally flag a small tail of honest
         # beats, so single draws prove nothing; count over a fixed cohort.
         bank = noisy_bank("narrow")
-        stats = bank_novelty_stats(bank)
+        label = classifier(BankSet(self_bank=bank, stats=bank_novelty_stats(bank)))
         narrow = sum(
-            classify(template_beat("narrow", noise=0.02, seed=100 + s), bank, stats)
-            is BeatLabel.VENTRICULAR
+            label(template_beat("narrow", noise=0.02, seed=100 + s)) is BeatLabel.VENTRICULAR
             for s in range(30)
         )
         wide = sum(
-            classify(template_beat("wide", noise=0.02, seed=100 + s), bank, stats)
-            is BeatLabel.VENTRICULAR
+            label(template_beat("wide", noise=0.02, seed=100 + s)) is BeatLabel.VENTRICULAR
             for s in range(30)
         )
         return narrow, wide
@@ -213,8 +212,9 @@ class TestBeatClassifiers:
         bank = BeatBank(BankKind.SELF, [member.copy() for _ in range(20)])
         stats = bank_novelty_stats(bank)  # mu = sigma = 0
         assert stats.mu_min == 0.0 and stats.sigma_min == 0.0
-        assert classify_beat_self_min(raw, bank, stats) is BeatLabel.NORMAL
-        assert classify_beat_self_min(template_beat("wide"), bank, stats) is BeatLabel.VENTRICULAR
+        classify = classify_beat_self_min(BankSet(self_bank=bank, stats=stats))
+        assert classify(raw) is BeatLabel.NORMAL
+        assert classify(template_beat("wide")) is BeatLabel.VENTRICULAR
 
     def test_self_kl_flags_novel_shape(self):
         narrow, wide = self.flag_counts(classify_beat_self_kl)
@@ -253,8 +253,13 @@ class TestVtLabelsFromBank:
             stats=bank_novelty_stats(self_bank),
         )
         run = [t for t, l in zip(truth.beat_times, truth.beat_labels) if l is BeatLabel.VENTRICULAR]
-        for method in ("vbank", "self-min", "self-kl"):
-            labelled = vt_labels_from_bank(rec, ann, method, bank_set)
+        classifiers = {
+            "vbank": classify_beat_vbank,
+            "self-min": classify_beat_self_min,
+            "self-kl": classify_beat_self_kl,
+        }
+        for method, classifier in classifiers.items():
+            labelled = vt_labels_from_bank(rec, ann, classifier, bank_set)
             assert labelled.labels is not None
             assert "".join(label.value for label in labelled.labels) == self.EXPECTED[method]
             hits = 0
@@ -266,17 +271,11 @@ class TestVtLabelsFromBank:
             # enough of the run must be flagged to trip the consecutive-V rule
             assert hits >= 4, method
 
-    def test_unknown_method(self, vt_true_record, banks):
-        rec, _ = vt_true_record
-        ann = detect_qrs(rec.samples[0], rec.sample_rate)
-        with pytest.raises(ValueError):
-            vt_labels_from_bank(rec, ann, "who-knows", BankSet(banks.ventricular, banks.standard))
-
     def test_vbank_needs_banks(self, vt_true_record):
         rec, _ = vt_true_record
         ann = detect_qrs(rec.samples[0], rec.sample_rate)
         with pytest.raises(EmptyBank):
-            vt_labels_from_bank(rec, ann, "vbank", BankSet())
+            vt_labels_from_bank(rec, ann, classify_beat_vbank, BankSet())
 
 
 class TestBeatFiles:

@@ -107,6 +107,19 @@ class TestClassifyCommand:
         verdict = json.loads(capsys.readouterr().out)
         assert verdict["evidence"][-1]["test"] == "vfib_window_too_short"
 
+    @pytest.mark.parametrize(
+        "line", ["brady_hr 50", "brady_hr = slow", "brady_rate = 50", "brady_beats = 1"]
+    )
+    def test_bad_config_exits_two(self, small_suite, tmp_path, capsys, line):
+        # exit 1 would read as "true alarm"
+        record = entry_for(small_suite[1], truth=True, arrhythmia=Arrhythmia.BRADYCARDIA)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["classify", record, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
     def test_annotation_override_changes_the_verdict(self, small_suite, tmp_path, capsys):
         record = entry_for(small_suite[1], truth=True, arrhythmia=Arrhythmia.ASYSTOLE)
         name = record.rsplit("/", 1)[-1].removesuffix(".hea")

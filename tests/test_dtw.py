@@ -13,7 +13,7 @@ from alarmsentinel.dtw import (
     dtw_distance,
     extract_alarm_lead,
     load_corpus_cache,
-    nn1_label,
+    nearest_neighbor,
     save_corpus_cache,
     znormalize,
 )
@@ -143,16 +143,19 @@ class TestNearestNeighbour:
         ])
 
     def test_nearest_label(self):
-        assert nn1_label(np.array([0.9, 1.0, 1.1]), self.corpus(), WarpParams(3)) is True
-        assert nn1_label(np.array([0.1, 0.0, 0.0]), self.corpus(), WarpParams(3)) is False
+        label, index, distance = nearest_neighbor(np.array([0.9, 1.0, 1.1]), self.corpus(), WarpParams(3))
+        assert (label, index) == (True, 1)
+        assert distance == pytest.approx(np.sqrt(0.02), abs=1e-12)
+        label, index, _ = nearest_neighbor(np.array([0.1, 0.0, 0.0]), self.corpus(), WarpParams(3))
+        assert (label, index) == (False, 0)
 
     def test_tie_goes_to_earliest_entry(self):
         # equidistant to entries 0 and 2 with opposite labels
-        assert nn1_label(np.array([0.0, 0.0, 0.0]), self.corpus(), WarpParams(3)) is False
+        assert nearest_neighbor(np.array([0.0, 0.0, 0.0]), self.corpus(), WarpParams(3)) == (False, 0, 0.0)
 
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
-            nn1_label(np.array([1.0]), TrainingCorpus(), WarpParams(1))
+            nearest_neighbor(np.array([1.0]), TrainingCorpus(), WarpParams(1))
 
 
 class TestExtractAlarmLead:
