@@ -107,5 +107,3 @@ from .signal_quality import (
 from .synthkit import GroundTruth, SynthSpec, generate, generate_suite, suite_specs, surrogate_banks
 
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

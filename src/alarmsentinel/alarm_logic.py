@@ -56,6 +56,7 @@ from .errors import (
     UnknownArrhythmia,
     UnsupportedMethod,
     WindowTooShort,
+    ZeroVariance,
 )
 from .record_io import Arrhythmia, ChannelKind, Record
 from .signal_quality import QualityReport, assess_quality, channel_validity
@@ -381,13 +382,17 @@ def _vtach_votes(
 ) -> list[ChannelEvidence]:
     """One vote per labelled ECG channel (a fast ventricular run) and,
     with ``include_abp``, per gap-free pressure channel (a collapsed
-    pulse). Unlabelled ECG channels abstain."""
+    pulse). Unlabelled ECG channels, and those whose beats in the
+    window are all Unknown, abstain."""
     record, (start, end) = ctx.record, ctx.window
     votes: list[ChannelEvidence] = []
     for i, ch in enumerate(record.channels):
         ann = labelled[i]
         if ch.kind is ChannelKind.ECG and ann is not None and ann.labels is not None:
-            positive, run, hr = _ventricular_run_hr(ann.within(start, end), record.sample_rate, ctx.config)
+            beats_in = ann.within(start, end)
+            if all(label is BeatLabel.UNKNOWN for label in beats_in.labels):
+                continue  # no beat could be compared
+            positive, run, hr = _ventricular_run_hr(beats_in, record.sample_rate, ctx.config)
             votes.append(
                 ChannelEvidence(ch.name, "vtach_ecg", positive, {"ventricular_run": run, "run_hr": hr})
             )
@@ -465,7 +470,10 @@ def _nearest_signal(ctx: AlarmContext) -> list[ChannelEvidence]:
     """The label of the nearest labelled pre-alarm signal on the lead."""
     if ctx.corpus is None:
         raise EmptyCorpus("dtw-full needs a training corpus")
-    label, index, distance = classify_full_signal(ctx.record, ctx.corpus, lead=ctx.lead)
+    try:
+        label, index, distance = classify_full_signal(ctx.record, ctx.corpus, lead=ctx.lead)
+    except (MissingLead, InsufficientData, ZeroVariance):  # no lead, too short, all missing or flat
+        raise CannotDecide("dtw_full_no_signal") from None
     return [ChannelEvidence(ctx.lead, "nearest_neighbor", label, {"distance": distance, "neighbor": float(index)})]
 
 

@@ -53,11 +53,7 @@ def _annotations_for(record, directory: str | None):
 
 
 def _resolve_workers(requested: int | None) -> int:
-    workers = requested if requested else min(8, os.cpu_count() or 1)
-    cap = os.environ.get("ALARM_SENTINEL_THREADS")
-    if cap:
-        workers = min(workers, max(1, int(cap)))
-    return max(1, workers)
+    return max(1, requested or min(8, os.cpu_count() or 1))
 
 
 def _corpus_for(args, train) -> TrainingCorpus:
@@ -302,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--csv", help="also write a per-class metrics CSV")
     e.add_argument("--split", help="manifest listing the training records (DTW methods)")
     e.add_argument("--split-seed", type=int, default=2015, help="seed for the 2:1 train/test split")
-    e.add_argument("--workers", type=int, help="worker threads (capped by ALARM_SENTINEL_THREADS)")
+    e.add_argument("--workers", type=int, help="worker threads")
     e.add_argument("--assert-latency-ms", type=float, help="fail if any record takes longer")
     e.set_defaults(fn=cmd_evaluate)
 

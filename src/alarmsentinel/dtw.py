@@ -3,8 +3,9 @@
 Distances use squared local cost accumulated under a fixed band
 (|i - j| <= radius) with the square root taken at the end, so radius 0
 on equal-length inputs degenerates to plain Euclidean distance. The
-inner loop is compiled with numba when available; memory stays
-O(band), never O(n * m).
+dynamic programme sweeps the anti-diagonals i + j = t in numpy, one
+vector expression per diagonal; memory stays O(n) per diagonal, never
+O(n * m).
 """
 from __future__ import annotations
 
@@ -27,14 +28,6 @@ from .errors import (
 )
 from .record_io import Arrhythmia, Record, pre_alarm_window, resample_half
 
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    def njit(*args, **kwargs):
-        def wrap(func):
-            return func
-        return wrap
-
 MATCH_RATE_HZ = 125.0
 MATCH_SECONDS = 10.0
 FULL_SIGNAL_RADIUS = 250  # 2 s at 125 Hz
@@ -48,41 +41,28 @@ class WarpParams:
     radius: int = FULL_SIGNAL_RADIUS
 
 
-@njit(cache=True)
-def _dtw_core(a: np.ndarray, b: np.ndarray, radius: int) -> float:  # pragma: no cover - exercised via dtw_distance
-    n = len(a)
-    m = len(b)
-    width = 2 * radius + 1
-    inf = np.inf
-    prev = np.full(width, inf)
-    cur = np.full(width, inf)
-    for i in range(n):
-        lo = i - radius
-        if lo < 0:
-            lo = 0
-        hi = i + radius
-        if hi > m - 1:
-            hi = m - 1
-        for j in range(lo, hi + 1):
-            k = j - i + radius
-            d = a[i] - b[j]
-            d = d * d
-            if i == 0 and j == 0:
-                cur[k] = d
-                continue
-            best = inf
-            if k + 1 < width and prev[k + 1] < best:  # from (i-1, j)
-                best = prev[k + 1]
-            if prev[k] < best:  # from (i-1, j-1)
-                best = prev[k]
-            if k - 1 >= 0 and cur[k - 1] < best:  # from (i, j-1)
-                best = cur[k - 1]
-            cur[k] = d + best
-        tmp = prev
-        prev = cur
-        cur = tmp
-        cur[:] = inf
-    return prev[m - 1 - (n - 1) + radius]
+def _dtw_core(a: np.ndarray, b: np.ndarray, radius: int) -> float:
+    """Squared banded DTW cost, swept over the anti-diagonals i + j = t.
+
+    Slot k of a diagonal holds cell (k - 1, t - k + 1); slot 0 stands
+    for the virtual cell (-1, -1), which is 0 before the first diagonal
+    and infinite after it. Cells outside the band or the matrix stay
+    infinite.
+    """
+    n, m = len(a), len(b)
+    b_rev = b[::-1]  # b[t - i] for i = lo..hi is a forward slice of b_rev
+    before = np.full(n + 1, np.inf)  # diagonal t - 2
+    before[0] = 0.0
+    last = np.full(n + 1, np.inf)  # diagonal t - 1
+    for t in range(n + m - 1):
+        lo = max(0, t - m + 1, (t - radius + 1) // 2)
+        hi = min(n - 1, t, (t + radius) // 2)
+        d = a[lo:hi + 1] - b_rev[m - 1 - t + lo:m - t + hi]
+        up, left, diag = last[lo:hi + 1], last[lo + 1:hi + 2], before[lo:hi + 1]
+        cur = np.full(n + 1, np.inf)
+        cur[lo + 1:hi + 2] = d * d + np.minimum(np.minimum(up, left), diag)
+        before, last = last, cur
+    return float(last[n])
 
 
 def znormalize(values: np.ndarray) -> np.ndarray:
@@ -115,8 +95,7 @@ def dtw_distance(a: np.ndarray, b: np.ndarray, params: WarpParams) -> float:
         raise BandInfeasible(
             f"length difference {abs(len(a) - len(b))} exceeds radius {params.radius}"
         )
-    radius = min(params.radius, max(len(a), len(b)))
-    return math.sqrt(_dtw_core(a, b, radius))
+    return math.sqrt(_dtw_core(a, b, params.radius))
 
 
 @dataclass
@@ -270,6 +249,8 @@ def load_corpus_cache(
         if end > len(raw):
             fail(f"truncated samples at entry {i}")
         values = np.frombuffer(raw[offset:end], dtype="<f8").copy()
+        if not np.isfinite(values).all():
+            fail(f"non-finite sample at entry {i}")
         offset = end
         entries.append(CorpusEntry(values, bool(label), lead, arrhythmia))
     if offset != len(raw):

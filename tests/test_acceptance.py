@@ -61,7 +61,6 @@ def _dp_reference(a: np.ndarray, b: np.ndarray, radius: int) -> float:
 
 def test_acceptance_1_dtw_oracle_equivalence():
     rng = np.random.default_rng(20151)
-    dtw_distance(np.zeros(4), np.zeros(4), WarpParams(0))  # warm any JIT before the clock
     started = time.perf_counter()
     ok = True
     for k in range(1000):

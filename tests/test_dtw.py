@@ -70,15 +70,19 @@ class TestDtwDistance:
             )
 
     def test_matches_oracle(self):
+        # same float operations as the oracle, so the distances are equal, not close
         rng = np.random.default_rng(42)
-        for _ in range(120):
-            n, m = rng.integers(1, 33), rng.integers(1, 33)
+        pairs = []
+        for _ in range(120):  # short: the band often covers the whole matrix
+            n, m = int(rng.integers(1, 33)), int(rng.integers(1, 33))
+            pairs.append((n, m, max(abs(n - m), int(rng.integers(0, 33)))))
+        for _ in range(30):  # long and unequal: the band cuts the matrix
+            n, m = int(rng.integers(40, 151)), int(rng.integers(40, 151))
+            pairs.append((n, m, abs(n - m) + int(rng.integers(0, 9))))
+        for n, m, radius in pairs:
             a = rng.uniform(-1, 1, n)
             b = rng.uniform(-1, 1, m)
-            radius = max(abs(n - m), int(rng.integers(0, 33)))
-            assert dtw_distance(a, b, WarpParams(radius)) == pytest.approx(
-                dtw_oracle(a, b, radius), abs=1e-9
-            )
+            assert dtw_distance(a, b, WarpParams(radius)) == dtw_oracle(a, b, radius)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptySequence):
@@ -249,3 +253,11 @@ class TestCorpusCache:
         path.write_bytes(bytes(raw))
         with pytest.raises(IoFailure):
             load_corpus_cache(path)
+
+    def test_non_finite_rejected(self, tmp_path):
+        # a NaN sample makes the entry's distance NaN, which loses every comparison in nearest_neighbor
+        for bad in (np.nan, np.inf, -np.inf):
+            entries = [CorpusEntry(np.array([1.0, 0.0, -1.0]), False), CorpusEntry(np.array([0.5, bad, -0.5]), True)]
+            path = save_corpus_cache(TrainingCorpus(entries), tmp_path / "c.bin")
+            with pytest.raises(IoFailure, match="non-finite"):
+                load_corpus_cache(path)

@@ -5,8 +5,9 @@ The cases cover what the benchmark references do not: ``baseline`` and
 missing-data burst keeps away from the regular-activity gate, and every
 fail-safe note, reached by record surgery (dropped channels, an early
 ``alarm_index``, NaN bursts, noisy records) and the surrogate beat banks.
-The bank-method fail-safes fire before any beat pair is warped, so the
-whole lock stays cheap; one dtw-full case warps a single pair.
+The bank-method and dtw-full fail-safes fire before any beat pair or
+signal pair is warped, so the whole lock stays cheap; one dtw-full case
+warps a single pair.
 
 A verdict is compared whole: decision, ``gate_fired``, method, and every
 evidence entry with its witnesses rounded to 12 significant digits.
@@ -20,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from alarmsentinel.alarm_logic import classify_alarm
+from alarmsentinel.alarm_logic import classify_alarm, detect_annotations
+from alarmsentinel.beats import BeatAnnotation
 from alarmsentinel.dtw import corpus_from_records
 from alarmsentinel.record_io import Arrhythmia, Record
 from alarmsentinel.synthkit import SynthSpec, generate, suite_specs, surrogate_banks
@@ -121,6 +123,20 @@ def _cases():
     cases["vtach_too_few_beats/dtw-vbank"] = (
         lambda: _early(_record(A.VTACH, True, 548), 1.0), "dtw-vbank", {"banks": banks}
     )
+    # lead II cut to three beats 5 s apart: every slice is too long, so every label is Unknown
+    sparse = _record(A.VTACH, True, 91)
+    annotations = detect_annotations(sparse)
+    annotations[0] = BeatAnnotation(0, sparse.alarm.alarm_index - np.array([14, 9, 4]) * int(sparse.sample_rate))
+    cases["vtach_no_votes/unknown-beats/dtw-vbank"] = (
+        lambda: sparse, "dtw-vbank", {"banks": banks, "annotations": annotations}
+    )
+    corpus = corpus_from_records([(_record(A.VTACH, False, 551), False)])
+    cases["dtw_full_no_signal/no-lead"] = (
+        lambda: _burst(_keep(_record(A.VTACH, True, 552), ("V", "ABP", "PLETH"))), "dtw-full", {"corpus": corpus}
+    )
+    cases["dtw_full_no_signal/early"] = (
+        lambda: _burst(_early(_record(A.VTACH, True, 553), 8.0)), "dtw-full", {"corpus": corpus}
+    )
 
     # the gate dismisses a false VT alarm before any DTW method runs
     for method in ("dtw-full", "dtw-vbank", "dtw-self-min", "dtw-self-kl"):
@@ -130,7 +146,7 @@ def _cases():
     cases["nearest/dtw-full"] = (
         lambda: _record(A.VTACH, True, 550),
         "dtw-full",
-        {"corpus": corpus_from_records([(_record(A.VTACH, False, 551), False)])},
+        {"corpus": corpus},
     )
     return cases
 
