@@ -6,8 +6,10 @@ missing-data burst keeps away from the regular-activity gate, and every
 fail-safe note, reached by record surgery (dropped channels, an early
 ``alarm_index``, NaN bursts, noisy records) and the surrogate beat banks.
 The bank-method and dtw-full fail-safes fire before any beat pair or
-signal pair is warped, so the whole lock stays cheap; one dtw-full case
-warps a single pair.
+signal pair is warped. The ``warped`` cases label every beat of one true
+and one false VT record with each bank method, and two dtw-full cases
+search a corpus, one of them with an exact duplicate of the nearest
+entry under the opposite label, which pins the earliest-entry tie rule.
 
 A verdict is compared whole: decision, ``gate_fired``, method, and every
 evidence entry with its witnesses rounded to 12 significant digits.
@@ -148,6 +150,16 @@ def _cases():
         "dtw-full",
         {"corpus": corpus},
     )
+
+    # every beat warped against a bank: a burst keeps the gate off the false alarm
+    for truth, seed in ((True, 560), (False, 561)):
+        label = "true" if truth else "false"
+        for method, kwargs in (("dtw-vbank", {"banks": banks}), ("dtw-self-min", {}), ("dtw-self-kl", {})):
+            cases[f"warped/{method}/{label}"] = (lambda t=truth, s=seed: _burst(_record(A.VTACH, t, s)), method, kwargs)
+    # the nearest entry and its exact duplicate carry opposite labels: the earliest entry wins
+    tied = corpus_from_records([(_record(A.VTACH, True, 554), True), (_record(A.VTACH, False, 551), False)])
+    tied.entries.append(replace(tied.entries[0], values=tied.entries[0].values.copy(), is_true_alarm=False))
+    cases["nearest/dtw-full/tie"] = (lambda: _record(A.VTACH, True, 550), "dtw-full", {"corpus": tied})
     return cases
 
 
