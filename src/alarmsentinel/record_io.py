@@ -338,6 +338,11 @@ def resample_half(record: Record) -> Record:
     return Record(record.name, new_rate, list(record.channels), out, alarm)
 
 
+def single_channel(record: Record, index: int) -> Record:
+    """The record cut down to channel ``index``; the samples are shared."""
+    return Record(record.name, record.sample_rate, [record.channels[index]], record.samples[index][np.newaxis], record.alarm)
+
+
 def pre_alarm_window(record: Record, seconds: float) -> Record:
     """Cut the ``seconds`` of signal ending at the alarm position."""
     n_win = int(round(seconds * record.sample_rate))

@@ -11,6 +11,7 @@ from alarmsentinel.dtw import (
     WarpParams,
     corpus_from_records,
     dtw_distance,
+    dtw_distances,
     extract_alarm_lead,
     load_corpus_cache,
     nearest_neighbor,
@@ -124,6 +125,68 @@ class TestDtwDistance:
         distances = [dtw_distance(a, b, WarpParams(r)) for r in (0, 2, 5, n)]
         for tighter, looser in zip(distances, distances[1:]):
             assert looser <= tighter + 1e-12
+
+
+class TestDtwDistances:
+    def ragged(self, rng, count):
+        """Pairs of lengths 1-150 with radii |n - m| to |n - m| + 8, some of them radius 0."""
+        a, b, radii = [], [], []
+        for k in range(count):
+            n = int(rng.integers(1, 151))
+            m = n if k % 5 == 0 else int(rng.integers(1, 151))
+            a.append(rng.uniform(-1, 1, n))
+            b.append(rng.uniform(-1, 1, m))
+            radii.append(0 if k % 5 == 0 else abs(n - m) + int(rng.integers(0, 9)))
+        return a, b, radii
+
+    def test_ragged_batch_matches_oracle(self):
+        rng = np.random.default_rng(7)
+        for count in (1, 2, 40):
+            a, b, radii = self.ragged(rng, count)
+            got = dtw_distances(a, b, radii)
+            assert got.shape == (count,)
+            assert list(got) == [dtw_oracle(x, y, r) for x, y, r in zip(a, b, radii)]
+
+    def test_single_pair_batches_match_oracle(self):
+        rng = np.random.default_rng(8)
+        for x, y, r in zip(*self.ragged(rng, 10)):
+            assert dtw_distances([x], [y], [r])[0] == dtw_oracle(x, y, r)
+
+    def test_permuted_batch_permutes_the_result(self):
+        rng = np.random.default_rng(9)
+        a, b, radii = self.ragged(rng, 30)
+        order = rng.permutation(30)
+        got = dtw_distances([a[k] for k in order], [b[k] for k in order], [radii[k] for k in order])
+        assert np.array_equal(got, dtw_distances(a, b, radii)[order])
+
+    def test_one_radius_for_all(self):
+        rng = np.random.default_rng(10)
+        a = [rng.uniform(-1, 1, 20) for _ in range(4)]
+        b = [rng.uniform(-1, 1, 23) for _ in range(4)]
+        assert np.array_equal(dtw_distances(a, b, 5), dtw_distances(a, b, [5] * 4))
+
+    def test_empty_batch(self):
+        assert dtw_distances([], [], []).shape == (0,)
+
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    def test_bad_pair_anywhere_raises(self, position):
+        def batch(bad_a, bad_b, bad_radius):
+            a, b, radii = [np.ones(5)] * 5, [np.ones(6)] * 5, [3] * 5
+            a[position], b[position], radii[position] = bad_a, bad_b, bad_radius
+            return a, b, radii
+
+        with pytest.raises(EmptySequence):
+            dtw_distances(*batch(np.array([]), np.ones(3), 5))
+        with pytest.raises(EmptySequence):
+            dtw_distances(*batch(np.ones(3), np.array([]), 5))
+        with pytest.raises(BandInfeasible, match="length difference 7 exceeds radius 2"):
+            dtw_distances(*batch(np.zeros(10), np.zeros(3), 2))
+        with pytest.raises(ValueError, match="non-negative"):
+            dtw_distances(*batch(np.zeros(3), np.zeros(3), -1))
+
+    def test_counts_must_match(self):
+        with pytest.raises(ValueError):
+            dtw_distances([np.ones(3)] * 2, [np.ones(3)], 1)
 
 
 class TestZnormalize:
@@ -255,9 +318,18 @@ class TestCorpusCache:
             load_corpus_cache(path)
 
     def test_non_finite_rejected(self, tmp_path):
-        # a NaN sample makes the entry's distance NaN, which loses every comparison in nearest_neighbor
+        # a NaN sample makes the entry's distance NaN, which np.argmin in nearest_neighbor would pick
         for bad in (np.nan, np.inf, -np.inf):
             entries = [CorpusEntry(np.array([1.0, 0.0, -1.0]), False), CorpusEntry(np.array([0.5, bad, -0.5]), True)]
             path = save_corpus_cache(TrainingCorpus(entries), tmp_path / "c.bin")
             with pytest.raises(IoFailure, match="non-finite"):
+                load_corpus_cache(path)
+
+    def test_wrong_length_rejected(self, tmp_path):
+        # a short entry made dtw-full raise BandInfeasible, an empty one EmptySequence
+        window = np.linspace(-1.0, 1.0, 1250)
+        for length in (0, 10):
+            entries = [CorpusEntry(window, False), CorpusEntry(np.linspace(-1.0, 1.0, length), True)]
+            path = save_corpus_cache(TrainingCorpus(entries), tmp_path / "c.bin")
+            with pytest.raises(IoFailure, match=f"entry 1 has {length} samples"):
                 load_corpus_cache(path)
