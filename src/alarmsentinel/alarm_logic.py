@@ -37,6 +37,7 @@ from .beats import (
 from .beat_banks import (
     BankSet,
     BeatClassifier,
+    bank_lead,
     bank_novelty_stats,
     classify_beat_self_kl,
     classify_beat_self_min,
@@ -430,7 +431,7 @@ def _spectral_votes(ctx: AlarmContext) -> list[ChannelEvidence]:
 
 
 def _bank_votes(
-    classifier: Callable[[BankSet], BeatClassifier],
+    classifier: BeatClassifier,
     ctx: AlarmContext,
     self_bank: bool,
 ) -> list[ChannelEvidence]:
@@ -438,7 +439,8 @@ def _bank_votes(
     does not vote.
 
     With ``self_bank``, the patient's bank is built from the pre-alarm
-    beats when ``ctx.banks`` carries none.
+    beats when ``ctx.banks`` carries none. The lead is brought to the
+    bank rate once, for the bank and the labels alike.
     """
     record = ctx.record
     lead = analysis_lead(record, ctx.lead)
@@ -448,17 +450,18 @@ def _bank_votes(
     if ann is None:
         raise CannotDecide("vtach_no_annotations")
 
+    at_bank_rate = bank_lead(record, lead)
     banks = ctx.banks or BankSet()
     if self_bank and (banks.self_bank is None or banks.stats is None):
         try:
-            patient = extract_self_bank(record, ann, exclude_s=ctx.config.analysis_window_s)
+            patient = extract_self_bank(at_bank_rate, ann, exclude_s=ctx.config.analysis_window_s)
         except InsufficientCleanBeats as exc:
             raise CannotDecide("self_bank_failed", clean_beats_found=float(exc.found)) from None
         banks = replace(banks, self_bank=patient, stats=bank_novelty_stats(patient))
 
     beats_in = ann.within(*ctx.window)
     try:
-        labels = vt_labels_from_bank(record, beats_in, classifier, banks)
+        labels = vt_labels_from_bank(at_bank_rate, beats_in, classifier, banks)
     except TooFewBeats:
         raise CannotDecide("vtach_too_few_beats", beats=float(beats_in.count)) from None
     labelled: list[BeatAnnotation | None] = [None] * record.n_channels

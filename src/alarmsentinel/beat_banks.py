@@ -5,20 +5,24 @@ same banded DTW distance at the beat level (1 s radius): nearest
 neighbour against curated ventricular/standard banks, and two
 novelty rules that compare a beat against 20 of the patient's own
 pre-alarm beats (minimum-distance threshold, and KL divergence
-between distance histograms). Each is a :data:`BeatClassifier`
-factory: bound to a :class:`BankSet`, it checks that the banks it
-reads are there and returns the per-beat labeller.
+between distance histograms). Each is a :data:`BeatClassifier`:
+bound to a :class:`BankSet`, it checks that the banks it reads are
+there and returns a :class:`BeatRule`, the bank members to warp
+against and a rule that labels a beat from its row of distances to
+them. :func:`vt_labels_from_bank` warps all of a record's comparable
+beats against the members in one DTW call and applies the rule row by
+row.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .beats import BeatAnnotation, BeatLabel, beat_segments, beat_slices
+from .beats import BeatAnnotation, BeatLabel, BeatSegment, beat_segments, beat_slices
 from .dtw import BEAT_RADIUS, dtw_distances, znormalize
 # unused here: kept because perfbench/spans.py wraps beat_banks.dtw_distance,
 # and its tracer test fails when a wrap point is missing
@@ -83,16 +87,31 @@ class BankSet:
     stats: NoveltyStats | None = None
 
 
-def _at_bank_rate(record: Record, channel: int) -> tuple[Record, int]:
-    """One channel of the record at the bank rate, plus the index scale factor.
+class BankLead(NamedTuple):
+    """One channel of a record at the bank rate."""
+
+    record: Record  # that channel alone, at BANK_RATE_HZ
+    channel: int  # its index in the source record
+    factor: int  # source rate over bank rate: source sample indices divide by it
+
+
+def bank_lead(record: Record | BankLead, channel: int) -> BankLead:
+    """One channel of the record at the bank rate.
 
     Only that channel is filtered, but over the whole record, so its
-    samples match those of a resample of every channel.
+    samples match those of a resample of every channel. A
+    :class:`BankLead` of that channel passes through unchanged, so a
+    caller that builds a self bank and then labels beats resamples
+    once.
     """
+    if isinstance(record, BankLead):
+        if record.channel != channel:
+            raise ValueError(f"bank lead is channel {record.channel}, beats are on channel {channel}")
+        return record
     if record.sample_rate == BANK_RATE_HZ:
-        return single_channel(record, channel), 1
+        return BankLead(single_channel(record, channel), channel, 1)
     if record.sample_rate == 2 * BANK_RATE_HZ:
-        return resample_half(single_channel(record, channel)), 2
+        return BankLead(resample_half(single_channel(record, channel)), channel, 2)
     raise UnsupportedRate(
         f"beat banks run at {BANK_RATE_HZ:g} Hz, record is {record.sample_rate:g} Hz"
     )
@@ -105,8 +124,24 @@ def _beat_distances(a: list[np.ndarray], b: list[np.ndarray]) -> np.ndarray:
     return dtw_distances(a, b, np.maximum(BEAT_RADIUS, gaps))
 
 
+def _comparable_beats(
+    samples: np.ndarray, segments: Iterable[BeatSegment]
+) -> Iterator[tuple[int, int, int, np.ndarray]]:
+    """``(position, start, end, z-normalized slice)`` of each segment
+    whose slice can be compared: :func:`beat_slices` keeps it and it is
+    not flat."""
+    for pos, (start, end, slice_) in enumerate(beat_slices(samples, segments, BEAT_MIN_SAMPLES, BEAT_MAX_SAMPLES)):
+        if slice_ is None:
+            continue
+        try:
+            beat = znormalize(slice_)
+        except ZeroVariance:
+            continue
+        yield pos, start, end, beat
+
+
 def extract_self_bank(
-    record: Record,
+    record: Record | BankLead,
     annotation: BeatAnnotation,
     thresholds: CleanThresholds | None = None,
     size: int = SELF_BANK_SIZE,
@@ -119,7 +154,8 @@ def extract_self_bank(
     event being adjudicated, and banked beats must never be the beats
     under test). A section contributes its interior beats only when
     its clean-signal metrics pass, so every banked beat comes from
-    trustworthy signal.
+    trustworthy signal. ``record`` may be the lead already at the bank
+    rate (:func:`bank_lead`).
 
     Raises
     ------
@@ -127,7 +163,7 @@ def extract_self_bank(
         Fewer than ``size`` beats survived; carries the count found.
     """
     ch = annotation.channel
-    rec, factor = _at_bank_rate(record, ch)
+    rec, _, factor = bank_lead(record, ch)
     section = int(SECTION_S * BANK_RATE_HZ)
     idx = annotation.indices // factor
     samples = rec.samples[0]
@@ -148,13 +184,8 @@ def extract_self_bank(
             if len(in_section) >= 3:
                 segments = beat_segments(BeatAnnotation(ch, in_section))
                 interior = reversed(segments[1:-1])  # newest first
-                for s, e, slice_ in beat_slices(samples, interior, BEAT_MIN_SAMPLES, BEAT_MAX_SAMPLES):
-                    if slice_ is None:
-                        continue
-                    try:
-                        beats.append(znormalize(slice_))
-                    except ZeroVariance:
-                        continue
+                for _, s, e, beat in _comparable_beats(samples, interior):
+                    beats.append(beat)
                     provenance.append((rec.name, s, e))
                     if len(beats) == size:
                         break
@@ -248,27 +279,30 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.sum(terms))
 
 
-BeatClassifier = Callable[[np.ndarray], BeatLabel]
+class BeatRule(NamedTuple):
+    """A beat classifier bound to its banks: the bank beats every window
+    beat is warped against, and a beat's label from its row of
+    distances to them, in that order."""
+
+    members: list[np.ndarray]
+    label: Callable[[np.ndarray], BeatLabel]
 
 
-def _bank_distances(beat: np.ndarray, members: list[np.ndarray]) -> np.ndarray:
-    return _beat_distances([znormalize(beat)] * len(members), members)
+BeatClassifier = Callable[[BankSet], BeatRule]
 
 
-def classify_beat_vbank(banks: BankSet) -> BeatClassifier:
+def classify_beat_vbank(banks: BankSet) -> BeatRule:
     """Label of the nearest beat across the ventricular and standard
     banks; ties go ventricular."""
     if not banks.ventricular or not banks.standard:
         raise EmptyBank("vbank classification needs both banks populated")
-    members = banks.ventricular.beats + banks.standard.beats
     n_ventricular = len(banks.ventricular)
 
-    def classify(beat: np.ndarray) -> BeatLabel:
+    def label(row: np.ndarray) -> BeatLabel:
         # argmin takes the first minimum, and the ventricular beats come first
-        nearest = int(np.argmin(_bank_distances(beat, members)))
-        return BeatLabel.VENTRICULAR if nearest < n_ventricular else BeatLabel.NORMAL
+        return BeatLabel.VENTRICULAR if int(np.argmin(row)) < n_ventricular else BeatLabel.NORMAL
 
-    return classify
+    return BeatRule(banks.ventricular.beats + banks.standard.beats, label)
 
 
 def _patient_bank(banks: BankSet) -> tuple[BeatBank, NoveltyStats]:
@@ -277,58 +311,63 @@ def _patient_bank(banks: BankSet) -> tuple[BeatBank, NoveltyStats]:
     return banks.self_bank, banks.stats
 
 
-def classify_beat_self_min(banks: BankSet) -> BeatClassifier:
+def classify_beat_self_min(banks: BankSet) -> BeatRule:
     """Ventricular iff the minimum distance to the patient bank exceeds
     mu + sigma."""
     bank, stats = _patient_bank(banks)
 
-    def classify(beat: np.ndarray) -> BeatLabel:
-        d_min = float(np.min(_bank_distances(beat, bank.beats)))
-        return BeatLabel.VENTRICULAR if d_min > stats.mu_min + stats.sigma_min else BeatLabel.NORMAL
+    def label(row: np.ndarray) -> BeatLabel:
+        return BeatLabel.VENTRICULAR if float(np.min(row)) > stats.mu_min + stats.sigma_min else BeatLabel.NORMAL
 
-    return classify
+    return BeatRule(bank.beats, label)
 
 
-def classify_beat_self_kl(banks: BankSet) -> BeatClassifier:
+def classify_beat_self_kl(banks: BankSet) -> BeatRule:
     """Ventricular iff the beat's distance histogram diverges from the
     patient bank's."""
     bank, stats = _patient_bank(banks)
     q = smooth_distribution(_histogram(stats.reference_distances, stats.bin_edges))
 
-    def classify(beat: np.ndarray) -> BeatLabel:
-        p = _histogram(_bank_distances(beat, bank.beats), stats.bin_edges)
-        kl = kl_divergence(p, q)
+    def label(row: np.ndarray) -> BeatLabel:
+        kl = kl_divergence(_histogram(row, stats.bin_edges), q)
         return BeatLabel.VENTRICULAR if kl > stats.mu_kl + stats.sigma_kl else BeatLabel.NORMAL
 
-    return classify
+    return BeatRule(bank.beats, label)
+
+
+def _distance_rows(beats: list[np.ndarray], members: list[np.ndarray]) -> np.ndarray:
+    """Distances of every beat to every member, one row per beat, from
+    one DTW call."""
+    pairs = _beat_distances([x for x in beats for _ in members], members * len(beats))
+    return pairs.reshape(len(beats), len(members))
 
 
 def vt_labels_from_bank(
-    record: Record,
+    record: Record | BankLead,
     annotation: BeatAnnotation,
-    classifier: Callable[[BankSet], BeatClassifier],
+    classifier: BeatClassifier,
     banks: BankSet,
 ) -> BeatAnnotation:
     """Label every annotated beat with ``classifier`` bound to ``banks``.
 
     ``classifier`` is :func:`classify_beat_vbank`,
-    :func:`classify_beat_self_min` or :func:`classify_beat_self_kl`.
-    Beats whose slice cannot be compared (flat, out of length bounds,
-    or containing gaps) come back Unknown rather than aborting the
-    rest.
+    :func:`classify_beat_self_min` or :func:`classify_beat_self_kl`;
+    ``record`` may be the lead already at the bank rate
+    (:func:`bank_lead`). Beats whose slice cannot be compared (flat,
+    out of length bounds, or containing gaps) come back Unknown; the
+    others are warped against the bank members in one batch.
     """
-    rec, factor = _at_bank_rate(record, annotation.channel)
+    rec, _, factor = bank_lead(record, annotation.channel)
     if annotation.count < 3:
         raise TooFewBeats(f"beat labelling needs at least 3 beats, have {annotation.count}")
     segments = beat_segments(BeatAnnotation(annotation.channel, annotation.indices // factor))
-    classify = classifier(banks)
+    rule = classifier(banks)
 
-    labels: list[BeatLabel] = []
-    for _, _, slice_ in beat_slices(rec.samples[0], segments, BEAT_MIN_SAMPLES, BEAT_MAX_SAMPLES):
-        try:
-            labels.append(BeatLabel.UNKNOWN if slice_ is None else classify(slice_))
-        except ZeroVariance:
-            labels.append(BeatLabel.UNKNOWN)
+    labels = [BeatLabel.UNKNOWN] * len(segments)
+    comparable = list(_comparable_beats(rec.samples[0], segments))
+    rows = _distance_rows([beat for *_, beat in comparable], rule.members)
+    for (pos, *_), row in zip(comparable, rows):
+        labels[pos] = rule.label(row)
     return BeatAnnotation(annotation.channel, annotation.indices.copy(), labels)
 
 

@@ -7,9 +7,14 @@ dynamic programme sweeps the anti-diagonals i + j = t in numpy, one
 vector expression per diagonal for a whole batch of pairs: the pairs
 lie along the last, contiguous axis, each zero-padded to the longest
 pair, and each distance is read off the diagonal its own last cell
-lies on. Memory stays O(K * n) per diagonal for K pairs of up to n
-samples, never O(K * n * m). :func:`dtw_distances` is the one entry
-point; :func:`dtw_distance` is its one-pair form.
+lies on. Three diagonal buffers of O(K * n) for K pairs of up to n
+samples rotate, and each diagonal is computed in place, so nothing is
+allocated per diagonal. Of a reused buffer only the slot just below
+the band is reset to infinity: the band edges only move up, so no
+other stale slot is read again. The buffers belong to one call,
+because adjudications may run on several threads.
+:func:`dtw_distances` is the one entry point; :func:`dtw_distance` is
+its one-pair form.
 """
 from __future__ import annotations
 
@@ -55,6 +60,17 @@ def _dtw_core(a: np.ndarray, b: np.ndarray, n: np.ndarray, m: np.ndarray, radii:
     band is set to infinity. Padded cells hold junk, but no cell of a
     pair depends on a cell past its own last row or column. Pair k ends
     at slot n_k of diagonal n_k + m_k - 2.
+
+    Three diagonal buffers rotate, and the arithmetic runs in place in
+    scratch rows, so a diagonal allocates no array (a batch of mixed
+    radii still builds its band mask). A buffer comes back
+    holding diagonal t - 3. Diagonal t writes slots lo + 1 .. hi + 1
+    and resets slot lo, the cell just outside the band, which diagonal
+    t + 1 reads. Both band edges only move up as t grows, so the stale
+    slots left below lo are never read again, and slot hi + 2, which
+    diagonal t + 1 may also read, was never written: earlier diagonals
+    reached at most slot hi + 1. The buffers belong to one call,
+    because adjudications may run on several threads at once.
     """
     n_max, k = a.shape
     m_max = b.shape[0]
@@ -70,20 +86,26 @@ def _dtw_core(a: np.ndarray, b: np.ndarray, n: np.ndarray, m: np.ndarray, radii:
     before = np.full((n_max + 1, k), np.inf)  # diagonal t - 2
     before[0] = 0.0
     last = np.full((n_max + 1, k), np.inf)  # diagonal t - 1
+    cur = np.full((n_max + 1, k), np.inf)  # diagonal t, once written
+    cost = np.empty((n_max, k))
+    step = np.empty((n_max, k))
     for t in range(int(ends.max()) + 1):
         lo = max(0, t - m_max + 1, (t - radius + 1) // 2)
         hi = min(n_max - 1, t, (t + radius) // 2)
-        d = a[lo:hi + 1] - b_rev[m_max - 1 - t + lo:m_max - t + hi]
-        up, left, diag = last[lo:hi + 1], last[lo + 1:hi + 2], before[lo:hi + 1]
-        cells = d * d + np.minimum(np.minimum(up, left), diag)
+        d, prior = cost[:hi + 1 - lo], step[:hi + 1 - lo]
+        np.subtract(a[lo:hi + 1], b_rev[m_max - 1 - t + lo:m_max - t + hi], out=d)
+        np.multiply(d, d, out=d)
+        np.minimum(last[lo:hi + 1], last[lo + 1:hi + 2], out=prior)
+        np.minimum(prior, before[lo:hi + 1], out=prior)
+        cur[lo] = np.inf
+        cells = cur[lo + 1:hi + 2]
+        np.add(d, prior, out=cells)
         if narrower is not None:
             cells[np.abs(twice_i[lo:hi + 1] - t)[:, None] > narrower] = np.inf
-        cur = np.full((n_max + 1, k), np.inf)
-        cur[lo + 1:hi + 2] = cells
         ended = finish.get(t)
         if ended:
             out[ended] = cur[n[ended], ended]
-        before, last = last, cur
+        before, last, cur = last, cur, before
     return out
 
 

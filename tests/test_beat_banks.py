@@ -7,6 +7,8 @@ from alarmsentinel.beat_banks import (
     BankKind,
     BankSet,
     BeatBank,
+    _distance_rows,
+    bank_lead,
     bank_novelty_stats,
     classify_beat_self_kl,
     classify_beat_self_min,
@@ -20,7 +22,7 @@ from alarmsentinel.beat_banks import (
     smooth_distribution,
     vt_labels_from_bank,
 )
-from alarmsentinel.beats import BeatLabel, detect_qrs
+from alarmsentinel.beats import BeatAnnotation, BeatLabel, detect_qrs
 from alarmsentinel.dtw import znormalize
 from alarmsentinel.errors import (
     BankTooSmall,
@@ -81,6 +83,17 @@ class TestSelfBankExtraction:
         starts = [s for _, s, _ in bank.provenance]
         # within the scan the first banked beat is the most recent one
         assert starts[0] == max(starts)
+
+    def test_lead_at_bank_rate_gives_the_same_bank(self, vt_true_record):
+        rec, _ = vt_true_record
+        ann = detect_qrs(rec.samples[0], rec.sample_rate)
+        lead = bank_lead(rec, ann.channel)
+        assert bank_lead(lead, ann.channel) is lead
+        from_lead, from_record = extract_self_bank(lead, ann), extract_self_bank(rec, ann)
+        assert from_lead.provenance == from_record.provenance
+        assert all(np.array_equal(x, y) for x, y in zip(from_lead.beats, from_record.beats))
+        with pytest.raises(ValueError):
+            bank_lead(lead, ann.channel + 1)
 
     def test_noisy_record_fails_with_count(self):
         spec = SynthSpec(name="noisy", arrhythmia=Arrhythmia.VTACH, event=False, noise_mv=3.0, seed=5)
@@ -157,6 +170,12 @@ class TestSmoothing:
         assert np.allclose(q, 0.25)
 
 
+def label_beat(rule, beat):
+    """``rule``'s label for one beat, from its normalized form's row of
+    distances to the members, as vt_labels_from_bank computes it."""
+    return rule.label(_distance_rows([znormalize(beat)], rule.members)[0])
+
+
 class TestBeatClassifiers:
     def banks(self):
         vbank = noisy_bank("wide")
@@ -167,15 +186,15 @@ class TestBeatClassifiers:
 
     def test_vbank_separates_morphologies(self):
         vbank, sbank = self.banks()
-        classify = classify_beat_vbank(BankSet(vbank, sbank))
-        assert classify(template_beat("wide", seed=99)) is BeatLabel.VENTRICULAR
-        assert classify(template_beat("narrow", seed=99)) is BeatLabel.NORMAL
+        rule = classify_beat_vbank(BankSet(vbank, sbank))
+        assert label_beat(rule, template_beat("wide", seed=99)) is BeatLabel.VENTRICULAR
+        assert label_beat(rule, template_beat("narrow", seed=99)) is BeatLabel.NORMAL
 
     def test_vbank_tie_is_ventricular(self):
         beat = template_beat("narrow")
         vbank = BeatBank(BankKind.VENTRICULAR, [beat.copy()])
         sbank = BeatBank(BankKind.STANDARD, [beat.copy()])
-        assert classify_beat_vbank(BankSet(vbank, sbank))(beat) is BeatLabel.VENTRICULAR
+        assert label_beat(classify_beat_vbank(BankSet(vbank, sbank)), beat) is BeatLabel.VENTRICULAR
 
     def test_vbank_requires_both_banks(self):
         vbank, _ = self.banks()
@@ -186,13 +205,13 @@ class TestBeatClassifiers:
         # The mu + sigma thresholds intentionally flag a small tail of honest
         # beats, so single draws prove nothing; count over a fixed cohort.
         bank = noisy_bank("narrow")
-        label = classifier(BankSet(self_bank=bank, stats=bank_novelty_stats(bank)))
+        rule = classifier(BankSet(self_bank=bank, stats=bank_novelty_stats(bank)))
         narrow = sum(
-            label(template_beat("narrow", noise=0.02, seed=100 + s)) is BeatLabel.VENTRICULAR
+            label_beat(rule, template_beat("narrow", noise=0.02, seed=100 + s)) is BeatLabel.VENTRICULAR
             for s in range(30)
         )
         wide = sum(
-            label(template_beat("wide", noise=0.02, seed=100 + s)) is BeatLabel.VENTRICULAR
+            label_beat(rule, template_beat("wide", noise=0.02, seed=100 + s)) is BeatLabel.VENTRICULAR
             for s in range(30)
         )
         return narrow, wide
@@ -203,8 +222,8 @@ class TestBeatClassifiers:
         assert narrow <= 9
 
     def test_self_min_threshold_is_strict(self):
-        # The classifier normalizes its query, so store the normalized form in
-        # the bank and hand over the raw beat: the distance is then exactly 0,
+        # Labelling normalizes its query, so store the normalized form in the
+        # bank and hand over the raw beat: the distance is then exactly 0,
         # which must not exceed mu + sigma = 0.
         rel = np.arange(int(0.65 * 125)) / 125.0
         raw = narrow_template(rel)
@@ -212,9 +231,9 @@ class TestBeatClassifiers:
         bank = BeatBank(BankKind.SELF, [member.copy() for _ in range(20)])
         stats = bank_novelty_stats(bank)  # mu = sigma = 0
         assert stats.mu_min == 0.0 and stats.sigma_min == 0.0
-        classify = classify_beat_self_min(BankSet(self_bank=bank, stats=stats))
-        assert classify(raw) is BeatLabel.NORMAL
-        assert classify(template_beat("wide")) is BeatLabel.VENTRICULAR
+        rule = classify_beat_self_min(BankSet(self_bank=bank, stats=stats))
+        assert label_beat(rule, raw) is BeatLabel.NORMAL
+        assert label_beat(rule, template_beat("wide")) is BeatLabel.VENTRICULAR
 
     def test_self_kl_flags_novel_shape(self):
         narrow, wide = self.flag_counts(classify_beat_self_kl)
@@ -270,6 +289,31 @@ class TestVtLabelsFromBank:
                         break
             # enough of the run must be flagged to trip the consecutive-V rule
             assert hits >= 4, method
+
+    def test_uncomparable_beats_keep_their_place(self, vt_true_record, banks):
+        # Beats come about 94 samples apart at the bank rate. Dropping the
+        # three beats after beats 60 and 100 stretches each of those two
+        # slices to about 282 samples, past BEAT_MAX_SAMPLES, while the beat
+        # after each gap gets a longer slice that can still be compared.
+        rec, _ = vt_true_record
+        ann = detect_qrs(rec.samples[0], rec.sample_rate)
+        self_bank = extract_self_bank(rec, ann)
+        bank_set = BankSet(banks.ventricular, banks.standard, self_bank, bank_novelty_stats(self_bank))
+        classifiers = {
+            "vbank": classify_beat_vbank,
+            "self-min": classify_beat_self_min,
+            "self-kl": classify_beat_self_kl,
+        }
+        kept = np.delete(np.arange(ann.count), [61, 62, 63, 101, 102, 103])
+        thinned = BeatAnnotation(ann.channel, ann.indices[kept])
+        reshaped = {60, 64, 100, 104}  # the beats either side of each gap
+        for method, classifier in classifiers.items():
+            labels = vt_labels_from_bank(rec, thinned, classifier, bank_set).labels
+            unknown = [int(kept[pos]) for pos, label in enumerate(labels) if label is BeatLabel.UNKNOWN]
+            assert unknown == [60, 100], method
+            for pos, beat in enumerate(kept):
+                if beat not in reshaped:
+                    assert labels[pos].value == self.EXPECTED[method][beat], (method, beat)
 
     def test_vbank_needs_banks(self, vt_true_record):
         rec, _ = vt_true_record

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -187,6 +189,23 @@ class TestDtwDistances:
     def test_counts_must_match(self):
         with pytest.raises(ValueError):
             dtw_distances([np.ones(3)] * 2, [np.ones(3)], 1)
+
+    def test_concurrent_calls_keep_their_own_buffers(self):
+        # evaluate --workers adjudicates on threads, and numpy releases the
+        # GIL inside each diagonal's arithmetic, so sweeps interleave; more
+        # threads than cores and a short switch interval make that likely
+        rng = np.random.default_rng(11)
+        batches = [self.ragged(rng, 40) for _ in range(4)]
+        expected = [[dtw_oracle(x, y, r) for x, y, r in zip(*batch)] for batch in batches]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                for _ in range(3):
+                    futures = [pool.submit(dtw_distances, *batch) for batch in batches]
+                    assert [list(f.result(timeout=60)) for f in futures] == expected
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestZnormalize:
