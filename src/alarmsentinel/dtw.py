@@ -11,10 +11,8 @@ lies on. Three diagonal buffers of O(K * n) for K pairs of up to n
 samples rotate, and each diagonal is computed in place, so nothing is
 allocated per diagonal. Of a reused buffer only the slot just below
 the band is reset to infinity: the band edges only move up, so no
-other stale slot is read again. The buffers belong to one call,
-because adjudications may run on several threads.
-:func:`dtw_distances` is the one entry point; :func:`dtw_distance` is
-its one-pair form.
+other stale slot is read again. :func:`dtw_distances` is the one
+entry point; :func:`dtw_distance` is its one-pair form.
 """
 from __future__ import annotations
 
