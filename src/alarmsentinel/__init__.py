@@ -49,6 +49,7 @@ from .beats import (
     detect_pulses,
     detect_qrs,
     import_annotations,
+    spectral_labels,
     window_heart_rate,
 )
 from .dtw import (

@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import periodogram
 
 from .beats import (
@@ -29,11 +30,14 @@ from .beats import (
     BeatLabel,
     beat_segments,
     beat_slices,
-    classify_beat_spectral,
     detect_pulses,
     detect_qrs,
+    spectral_labels,
     window_heart_rate,
 )
+# unused here: kept because perfbench/spans.py wraps alarm_logic.classify_beat_spectral,
+# and its tracer test fails when a wrap point is missing
+from .beats import classify_beat_spectral  # noqa: F401
 from .beat_banks import (
     BankSet,
     BeatClassifier,
@@ -305,31 +309,42 @@ def check_tachycardia(ctx: AlarmContext) -> list[ChannelEvidence]:
     return _rate_check(ctx, "tachycardia_hr", ctx.config.tachy_beats, pick_min=False)
 
 
+def _vf_windows(windows: np.ndarray, fs: float, config: Thresholds) -> np.ndarray:
+    """Which gap-free windows show one dominant 2-8 Hz oscillation, from
+    one batched spectrum call."""
+    f, psd = periodogram(windows, fs=fs, detrend="constant", nfft=max(1024, windows.shape[1]), axis=-1)
+    band = (f >= 0.5) & (f <= 30.0)
+    f_band = f[band]
+    # contiguous rows sum in the same order as a single window's spectrum
+    p_band = np.ascontiguousarray(psd[:, band])
+    total = p_band.sum(axis=1)
+    f_dom = f_band[np.argmax(p_band, axis=1)]
+    # the bins within 1 Hz of the peak are one contiguous run per row
+    lo = np.searchsorted(f_band, np.maximum(0.5, f_dom - 1.0), side="left")
+    width = np.searchsorted(f_band, f_dom + 1.0, side="right") - lo
+    around = np.empty(len(p_band))
+    for w in np.unique(width):
+        rows = np.flatnonzero(width == w)
+        around[rows] = p_band[rows[:, None], lo[rows, None] + np.arange(w)].sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        concentrated = around / total
+    return (
+        (total > 0.0)
+        & (config.vf_dominant_lo_hz <= f_dom)
+        & (f_dom <= config.vf_dominant_hi_hz)
+        & (concentrated >= config.vf_concentration)
+    )
+
+
 def _vfib_detail(samples: np.ndarray, fs: float, config: Thresholds) -> tuple[bool, dict]:
-    n = len(samples)
     win = int(round(2.0 * fs))
     hop = int(round(0.5 * fs))
-    qualifying: list[bool] = []
-    for s in range(0, n - win + 1, hop):
-        block = samples[s : s + win]
-        if np.isnan(block).any():
-            qualifying.append(False)
-            continue
-        f, psd = periodogram(block, fs=fs, detrend="constant", nfft=max(1024, win))
-        band = (f >= 0.5) & (f <= 30.0)
-        total = float(psd[band].sum())
-        if total <= 0.0:
-            qualifying.append(False)
-            continue
-        f_band = f[band]
-        p_band = psd[band]
-        f_dom = float(f_band[np.argmax(p_band)])
-        around = (f_band >= max(0.5, f_dom - 1.0)) & (f_band <= f_dom + 1.0)
-        concentrated = float(p_band[around].sum()) / total
-        qualifying.append(
-            config.vf_dominant_lo_hz <= f_dom <= config.vf_dominant_hi_hz
-            and concentrated >= config.vf_concentration
-        )
+    qualifying = np.zeros(len(range(0, len(samples) - win + 1, hop)), dtype=bool)
+    if len(qualifying):
+        windows = sliding_window_view(samples, win)[::hop]
+        whole = np.flatnonzero(~np.isnan(windows).any(axis=1))
+        if len(whole):
+            qualifying[whole] = _vf_windows(windows[whole], fs, config)
     best_span = 0.0
     run = 0
     for q in qualifying:
@@ -409,12 +424,15 @@ def _vtach_votes(
 
 
 def spectral_vt_labels(record: Record, annotation: BeatAnnotation) -> BeatAnnotation:
-    """Label each beat Normal/Ventricular from its slice's band power."""
+    """Label each beat Normal/Ventricular from its slice's band power;
+    a beat without a usable slice is Unknown."""
     fs = record.sample_rate
     segments = beat_segments(annotation)
+    channel = record.samples[annotation.channel]
     # no upper length bound: a clamped slice is never longer than the record
-    slices = beat_slices(record.samples[annotation.channel], segments, int(round(BEAT_MIN_S * fs)), record.n_samples)
-    labels = [BeatLabel.UNKNOWN if slice_ is None else classify_beat_spectral(slice_, fs) for _, _, slice_ in slices]
+    slices = [slice_ for _, _, slice_ in beat_slices(channel, segments, int(round(BEAT_MIN_S * fs)), record.n_samples)]
+    found = iter(spectral_labels([x for x in slices if x is not None], fs))
+    labels = [BeatLabel.UNKNOWN if x is None else next(found) for x in slices]
     return BeatAnnotation(annotation.channel, annotation.indices.copy(), labels)
 
 

@@ -11,10 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.signal import butter, filtfilt, find_peaks, periodogram
+from scipy.fft import rfft, rfftfreq
+from scipy.signal import filtfilt, find_peaks
 
 from .errors import (
     IndexOutOfBounds,
@@ -23,7 +24,7 @@ from .errors import (
     TooFewBeats,
     WindowTooShort,
 )
-from .record_io import Record
+from .record_io import Record, butter_filter
 
 MIN_DETECT_S = 2.0
 QRS_BAND_HZ = (5.0, 15.0)
@@ -75,8 +76,7 @@ def detect_qrs(samples: np.ndarray, fs: float, channel: int = 0) -> BeatAnnotati
     noise + 0.25 * (signal - noise), with a 200 ms refractory spacing.
     """
     x = _prepare(samples, fs)
-    nyq = fs / 2.0
-    b, a = butter(2, [QRS_BAND_HZ[0] / nyq, QRS_BAND_HZ[1] / nyq], btype="band")
+    b, a = butter_filter(2, QRS_BAND_HZ, "band", fs)
     filt = filtfilt(b, a, x)
     w = int(round(QRS_INTEGRATE_S * fs))
     energy = np.convolve(np.gradient(filt) ** 2, np.ones(w) / w, mode="same")
@@ -106,8 +106,7 @@ def detect_qrs(samples: np.ndarray, fs: float, channel: int = 0) -> BeatAnnotati
 def detect_pulses(samples: np.ndarray, fs: float, channel: int = 0) -> BeatAnnotation:
     """Detect pulse onsets (steep upstrokes) in ABP or PPG."""
     x = _prepare(samples, fs)
-    nyq = fs / 2.0
-    b, a = butter(2, PULSE_LOWPASS_HZ / nyq, btype="low")
+    b, a = butter_filter(2, PULSE_LOWPASS_HZ, "low", fs)
     slope = np.gradient(filtfilt(b, a, x)) * fs
     positive = slope[slope > 0]
     threshold = 0.4 * np.percentile(positive, 90) if len(positive) else 0.0
@@ -239,8 +238,8 @@ def beat_slices(
             yield start, end, slice_
 
 
-def classify_beat_spectral(beat: np.ndarray, fs: float) -> BeatLabel:
-    """Label one beat slice Normal or Ventricular by band power.
+def spectral_labels(slices: Sequence[np.ndarray], fs: float) -> list[BeatLabel]:
+    """Label beat slices Normal or Ventricular by band power.
 
     Wide ventricular complexes concentrate energy at low frequency
     (a 120+ ms hump lives under ~4 Hz), while a narrow QRS resonates
@@ -248,11 +247,40 @@ def classify_beat_spectral(beat: np.ndarray, fs: float) -> BeatLabel:
     beat is ventricular when the 0.5-8 Hz band outpowers the
     8-30 Hz band. Scale-invariant: amplitude cancels in the
     comparison.
+
+    Each slice loses its own mean and is zero-padded to its own
+    ``nfft = max(1024, len)``; the slices sharing an ``nfft`` go
+    through one real FFT, so a long beat never changes the frequency
+    grid of the others. The periodogram's density scale is the same
+    on both sides of the comparison and is left out.
+    """
+    labels = [BeatLabel.NORMAL] * len(slices)
+    nffts = np.array([max(1024, len(x)) for x in slices], dtype=np.int64)
+    for nfft in np.unique(nffts):
+        rows = np.flatnonzero(nffts == nfft)
+        padded = np.zeros((len(rows), nfft))
+        for row, i in enumerate(rows):
+            x = np.asarray(slices[i], dtype=np.float64)
+            padded[row, : len(x)] = x - x.mean()
+        spectrum = rfft(padded, axis=-1)
+        power = spectrum.real**2 + spectrum.imag**2
+        f = rfftfreq(nfft, 1 / fs)
+        low = power[:, (f >= 0.5) & (f <= VT_SPLIT_HZ)].sum(axis=1)
+        high = power[:, (f > VT_SPLIT_HZ) & (f <= 30.0)].sum(axis=1)
+        for i in rows[low > high]:
+            labels[i] = BeatLabel.VENTRICULAR
+    return labels
+
+
+def classify_beat_spectral(beat: np.ndarray, fs: float) -> BeatLabel:
+    """Label one beat slice by band power, as :func:`spectral_labels` does.
+
+    Raises
+    ------
+    WindowTooShort
+        If the slice is shorter than 0.2 s.
     """
     x = np.asarray(beat, dtype=np.float64)
     if len(x) < int(round(BEAT_MIN_S * fs)):
         raise WindowTooShort(f"beat slice of {len(x)} samples too short at {fs} Hz")
-    f, psd = periodogram(x, fs=fs, detrend="constant", nfft=max(1024, len(x)))
-    low = psd[(f >= 0.5) & (f <= VT_SPLIT_HZ)].sum()
-    high = psd[(f > VT_SPLIT_HZ) & (f <= 30.0)].sum()
-    return BeatLabel.VENTRICULAR if low > high else BeatLabel.NORMAL
+    return spectral_labels([x], fs)[0]

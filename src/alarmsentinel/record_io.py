@@ -12,6 +12,7 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -307,6 +308,19 @@ def _fmt_rate(x: float) -> str:
     return str(int(x)) if float(x).is_integer() else repr(float(x))
 
 
+@cache
+def butter_filter(order: int, edges_hz: float | tuple[float, float], btype: str, fs: float) -> tuple[np.ndarray, np.ndarray]:
+    """Butterworth ``(b, a)`` for ``filtfilt``, designed once per rate.
+
+    The coefficients depend only on the arguments, so every caller on
+    every thread shares one read-only pair.
+    """
+    b, a = butter(order, np.asarray(edges_hz, dtype=np.float64) / (fs / 2.0), btype=btype)
+    b.setflags(write=False)
+    a.setflags(write=False)
+    return b, a
+
+
 def resample_half(record: Record) -> Record:
     """Halve the sampling rate: 50 Hz low-pass, then keep even samples.
 
@@ -319,8 +333,7 @@ def resample_half(record: Record) -> Record:
     new_rate = rate / 2.0
     if new_rate <= 50.0:
         raise UnsupportedRate(f"rate {rate} too low for a 50 Hz anti-alias filter")
-    nyq = rate / 2.0
-    b, a = butter(4, 50.0 / nyq, btype="low")
+    b, a = butter_filter(4, 50.0, "low", rate)
     out = np.empty((record.n_channels, math.ceil(record.n_samples / 2)), dtype=np.float64)
     for i in range(record.n_channels):
         x = record.samples[i]

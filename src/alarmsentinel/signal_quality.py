@@ -4,6 +4,10 @@ Two layers: hard validity rules that flag physically impossible or
 unusable stretches per channel (missing data, out-of-range values,
 flat lines, broadband noise), and softer spectral/statistical metrics
 that decide whether an ECG window is clean enough to harvest beats.
+
+The hard rules are array-at-a-time: every flat-line window is judged
+from running sums in one pass, and the gap-free 2 s noise blocks of a
+channel are screened in one batched spectrum call.
 """
 from __future__ import annotations
 
@@ -87,16 +91,15 @@ def _flat_spans(x: np.ndarray, fs: float) -> list[tuple[int, int]]:
     starts = np.arange(0, n - w + 1, hop)
     if starts[-1] != n - w:
         starts = np.append(starts, n - w)
-    flat = np.zeros(n, dtype=bool)
-    for s in starts:
-        e = s + w
-        if cn[e] - cn[s]:  # missing-data rule owns windows with gaps
-            continue
-        mean = (c1[e] - c1[s]) / w
-        var = max((c2[e] - c2[s]) / w - mean * mean, 0.0)
-        if var < FLAT_VARIANCE_FLOOR:
-            flat[s:e] = True
-    return _mask_to_spans(flat)
+    ends = starts + w
+    mean = (c1[ends] - c1[starts]) / w
+    var = np.maximum((c2[ends] - c2[starts]) / w - mean * mean, 0.0)
+    # the missing-data rule owns windows with gaps
+    flat = (var < FLAT_VARIANCE_FLOOR) & (cn[ends] == cn[starts])
+    cover = np.zeros(n + 1, dtype=np.int64)  # +1 where a flat window opens, -1 where it closes
+    cover[starts[flat]] += 1
+    cover[ends[flat]] -= 1
+    return _mask_to_spans(np.cumsum(cover[:n]) > 0)
 
 
 def _noise_spans(x: np.ndarray, fs: float) -> list[tuple[int, int]]:
@@ -104,18 +107,17 @@ def _noise_spans(x: np.ndarray, fs: float) -> list[tuple[int, int]]:
     w = int(round(NOISE_WINDOW_S * fs))
     if w < 8 or n < w:
         return []
-    noisy = np.zeros(n, dtype=bool)
-    for s in range(0, n - w + 1, w):
-        block = x[s : s + w]
-        if np.isnan(block).any():
-            continue
-        f, psd = periodogram(block, fs=fs, detrend="constant")
-        total = psd[f > 0].sum()
-        if total <= 0:
-            continue
-        if psd[f > NOISE_EDGE_HZ].sum() / total > NOISE_FRACTION_MAX:
-            noisy[s : s + w] = True
-    return _mask_to_spans(noisy)
+    blocks = x[: n - n % w].reshape(-1, w)  # a trailing partial block is not screened
+    whole = np.flatnonzero(~np.isnan(blocks).any(axis=1))
+    noisy = np.zeros(len(blocks), dtype=bool)
+    if len(whole):
+        f, psd = periodogram(blocks[whole], fs=fs, detrend="constant", axis=-1)
+        # contiguous rows sum in the same order as a single block's spectrum
+        total = np.ascontiguousarray(psd[:, f > 0]).sum(axis=1)
+        high = np.ascontiguousarray(psd[:, f > NOISE_EDGE_HZ]).sum(axis=1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            noisy[whole] = (total > 0) & (high / total > NOISE_FRACTION_MAX)
+    return _mask_to_spans(np.repeat(noisy, w))
 
 
 def detect_invalid_segments(samples: np.ndarray, kind: ChannelKind, fs: float) -> list[InvalidInterval]:

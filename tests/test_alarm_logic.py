@@ -1,9 +1,17 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.signal import periodogram
 
+from alarmsentinel import alarm_logic
 from alarmsentinel.alarm_logic import (
     AlarmContext,
     Thresholds,
+    _vf_windows,
+    _vfib_detail,
     _vtach_votes,
     check_asystole,
     check_bradycardia,
@@ -301,6 +309,107 @@ class TestVfib:
     def test_window_too_short(self):
         ctx = self.context(self.tone(5.0, seconds=2.0))
         assert cannot_decide(check_vfib, ctx) == "vfib_window_too_short"
+
+
+def vfib_detail_loop(samples, fs, config):
+    """The window-by-window VF rule the batched one replaces, kept as an
+    oracle; also returns each window's flag."""
+    n = len(samples)
+    win = int(round(2.0 * fs))
+    hop = int(round(0.5 * fs))
+    qualifying = []
+    for s in range(0, n - win + 1, hop):
+        block = samples[s : s + win]
+        if np.isnan(block).any():
+            qualifying.append(False)
+            continue
+        f, psd = periodogram(block, fs=fs, detrend="constant", nfft=max(1024, win))
+        band = (f >= 0.5) & (f <= 30.0)
+        total = float(psd[band].sum())
+        if total <= 0.0:
+            qualifying.append(False)
+            continue
+        f_band = f[band]
+        p_band = psd[band]
+        f_dom = float(f_band[np.argmax(p_band)])
+        around = (f_band >= max(0.5, f_dom - 1.0)) & (f_band <= f_dom + 1.0)
+        concentrated = float(p_band[around].sum()) / total
+        qualifying.append(
+            config.vf_dominant_lo_hz <= f_dom <= config.vf_dominant_hi_hz
+            and concentrated >= config.vf_concentration
+        )
+    best_span = 0.0
+    run = 0
+    for q in qualifying:
+        run = run + 1 if q else 0
+        if run:
+            best_span = max(best_span, (run - 1) * (hop / fs) + (win / fs))
+    return best_span >= config.vf_min_duration_s, {"sustained_s": best_span}, qualifying
+
+
+@st.composite
+def vf_signals(draw):
+    """An ECG stretch pieced together from tones around the 2-8 Hz band,
+    white noise, flat stretches and gaps."""
+    fs = draw(st.sampled_from([125.0, 250.0]))
+    pieces = draw(st.lists(
+        st.tuples(
+            st.sampled_from(["tone", "tone", "noise", "flat", "gap"]),
+            st.integers(1, 1500),
+            st.floats(0.5, 20.0),
+            st.floats(1e-3, 5.0),
+        ),
+        min_size=1, max_size=6,
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = []
+    for kind, n, freq, amp in pieces:
+        if kind == "tone":
+            parts.append(amp * np.sin(2 * np.pi * freq * np.arange(n) / fs) + rng.normal(0.0, 0.05 * amp, n))
+        elif kind == "noise":
+            parts.append(rng.normal(0.0, amp, n))
+        elif kind == "flat":
+            parts.append(np.full(n, amp))
+        else:
+            parts.append(np.full(n, np.nan))
+    return np.concatenate(parts), fs
+
+
+def gap_in_every_window(fs=250.0):
+    x = 2.0 * np.sin(2 * np.pi * 5.0 * np.arange(4000) / fs)
+    x[::400] = np.nan
+    return x, fs
+
+
+class TestVfibMatchesTheLoop:
+    @given(vf_signals())
+    @example(gap_in_every_window())
+    @example((np.full(3000, np.nan), 250.0))
+    @example((np.ones(499), 250.0))
+    @settings(max_examples=150, deadline=None)
+    def test_vfib_detail(self, signal):
+        x, fs = signal
+        config = Thresholds()
+        with mock.patch.object(alarm_logic, "periodogram", wraps=periodogram) as spectrum:
+            got = _vfib_detail(x, fs, config)
+        fired_, witnesses, flags = vfib_detail_loop(x, fs, config)
+        assert got == (fired_, witnesses)
+        # one spectrum call per channel, and a window with a gap never reaches it
+        assert spectrum.call_count <= 1
+        for call in spectrum.call_args_list:
+            assert not np.isnan(call.args[0]).any()
+        win, hop = int(round(2.0 * fs)), int(round(0.5 * fs))
+        windows = [x[s : s + win] for s in range(0, len(x) - win + 1, hop)]
+        whole = [i for i, w in enumerate(windows) if not np.isnan(w).any()]
+        if whole:
+            batched = _vf_windows(np.array([windows[i] for i in whole]), fs, config)
+            assert batched.tolist() == [flags[i] for i in whole]
+
+    def test_examples_reach_a_sustained_run(self):
+        x, fs = gap_in_every_window()
+        x = np.nan_to_num(x, nan=0.0)
+        assert _vfib_detail(x, fs, Thresholds()) == vfib_detail_loop(x, fs, Thresholds())[:2]
+        assert _vfib_detail(x, fs, Thresholds())[0] is True
 
 
 class TestVtach:

@@ -1,9 +1,18 @@
+import os
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.signal import butter, periodogram
 
 from alarmsentinel.beats import (
+    PULSE_LOWPASS_HZ,
+    QRS_BAND_HZ,
+    VT_SPLIT_HZ,
     BeatAnnotation,
     BeatLabel,
     beat_segments,
@@ -11,6 +20,7 @@ from alarmsentinel.beats import (
     detect_pulses,
     detect_qrs,
     import_annotations,
+    spectral_labels,
     window_heart_rate,
 )
 from alarmsentinel.errors import (
@@ -19,7 +29,7 @@ from alarmsentinel.errors import (
     TooFewBeats,
     WindowTooShort,
 )
-from alarmsentinel.record_io import Arrhythmia, channel_kind
+from alarmsentinel.record_io import Arrhythmia, butter_filter, channel_kind
 from alarmsentinel.synthkit import SynthSpec, generate, narrow_template, wide_template
 
 
@@ -202,6 +212,107 @@ class TestSpectralBeatLabel:
         beat = wide_template(rel)
         assert classify_beat_spectral(beat * 1e-3, fs) is BeatLabel.VENTRICULAR
         assert classify_beat_spectral(beat * 1e3, fs) is BeatLabel.VENTRICULAR
+
+
+def periodogram_label(beat, fs):
+    """The one-periodogram-per-beat rule the batched labels replace,
+    kept as an oracle."""
+    f, psd = periodogram(beat, fs=fs, detrend="constant", nfft=max(1024, len(beat)))
+    low = psd[(f >= 0.5) & (f <= VT_SPLIT_HZ)].sum()
+    high = psd[(f > VT_SPLIT_HZ) & (f <= 30.0)].sum()
+    return BeatLabel.VENTRICULAR if low > high else BeatLabel.NORMAL
+
+
+def tone(freq, n, fs=250.0):
+    return np.sin(2 * np.pi * freq * np.arange(n) / fs)
+
+
+@st.composite
+def beat_batches(draw):
+    """Beats of mixed length built from a few tones near the 8 Hz split
+    and some noise; sometimes one of them is longer than 1024 samples."""
+    fs = draw(st.sampled_from([125.0, 250.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lengths = draw(st.lists(st.integers(int(0.2 * fs), 300), min_size=1, max_size=12))
+    if draw(st.booleans()):
+        lengths.insert(draw(st.integers(0, len(lengths))), draw(st.integers(1025, 1600)))
+    beats = []
+    for n in lengths:
+        freqs = draw(st.lists(st.floats(0.5, 30.0), min_size=1, max_size=3))
+        beat = sum(tone(f, n, fs) * rng.uniform(0.1, 2.0) for f in freqs)
+        beats.append(beat + rng.normal(0.0, draw(st.floats(0.0, 1.0)), n) + rng.normal())
+    return beats, fs
+
+
+class TestSpectralLabelsMatchTheLoop:
+    # a short 8.3 Hz beat reads Normal on its own 1024-point grid but
+    # Ventricular on the grid of the 1200-sample beat beside it
+    @given(beat_batches())
+    @example(([tone(8.3, 60), tone(3.0, 1200)], 250.0))
+    @settings(max_examples=150, deadline=None)
+    def test_labels(self, batch):
+        beats, fs = batch
+        assert spectral_labels(beats, fs) == [periodogram_label(b, fs) for b in beats]
+
+    def test_grid_example_is_sensitive(self):
+        short = tone(8.3, 60)
+        f, psd = periodogram(short, fs=250.0, detrend="constant", nfft=1200)
+        low = psd[(f >= 0.5) & (f <= VT_SPLIT_HZ)].sum()
+        high = psd[(f > VT_SPLIT_HZ) & (f <= 30.0)].sum()
+        assert periodogram_label(short, 250.0) is BeatLabel.NORMAL and low > high
+
+    def test_empty_batch(self):
+        assert spectral_labels([], 250.0) == []
+
+    def test_one_beat_form(self):
+        fs = 250.0
+        rel = np.arange(int(0.65 * fs)) / fs
+        beats = [narrow_template(rel), wide_template(rel)]
+        assert [classify_beat_spectral(b, fs) for b in beats] == spectral_labels(beats, fs)
+
+
+class TestFiltersDesignedOnce:
+    @pytest.mark.parametrize("fs", [250.0, 125.0])
+    def test_coefficients_equal_a_fresh_design(self, fs):
+        nyq = fs / 2.0
+        designs = [
+            (butter_filter(2, QRS_BAND_HZ, "band", fs), butter(2, [QRS_BAND_HZ[0] / nyq, QRS_BAND_HZ[1] / nyq], btype="band")),
+            (butter_filter(2, PULSE_LOWPASS_HZ, "low", fs), butter(2, PULSE_LOWPASS_HZ / nyq, btype="low")),
+        ]
+        if fs == 250.0:  # the resampler's anti-alias filter
+            designs.append((butter_filter(4, 50.0, "low", fs), butter(4, 50.0 / nyq, btype="low")))
+        for (b, a), (b_fresh, a_fresh) in designs:
+            assert np.array_equal(b, b_fresh) and np.array_equal(a, a_fresh)
+
+    def test_shared_and_read_only(self):
+        b, a = butter_filter(2, QRS_BAND_HZ, "band", 250.0)
+        assert butter_filter(2, QRS_BAND_HZ, "band", 250.0)[0] is b
+        for coefficients in (b, a):
+            assert not coefficients.flags.writeable
+            with pytest.raises(ValueError):
+                coefficients[0] = 0.0
+
+    def test_threads_match_one_thread(self, beat_record):
+        rec, _ = beat_record
+        alone = detect_qrs(rec.samples[0], rec.sample_rate).indices
+        workers = 2 * (os.cpu_count() or 2)  # more threads than cores
+        start = threading.Barrier(workers, timeout=30)
+
+        def detect(_):
+            start.wait()
+            return detect_qrs(rec.samples[0], rec.sample_rate).indices
+
+        butter_filter.cache_clear()  # every thread races to design the filter
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(workers) as pool:
+                futures = [pool.submit(detect, i) for i in range(workers)]
+                together = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for indices in together:
+            assert np.array_equal(indices, alone)
 
 
 class TestWithin:

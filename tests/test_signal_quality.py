@@ -1,11 +1,20 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.signal import periodogram
 
+from alarmsentinel import signal_quality
 from alarmsentinel.errors import WindowTooShort, ZeroDenominator, ZeroVariance
 from alarmsentinel.record_io import ChannelKind
 from alarmsentinel.signal_quality import (
+    FLAT_VARIANCE_FLOOR,
+    FLAT_WINDOW_S,
+    NOISE_EDGE_HZ,
+    NOISE_FRACTION_MAX,
+    NOISE_WINDOW_S,
     CleanMetrics,
     CleanThresholds,
     InvalidInterval,
@@ -19,6 +28,7 @@ from alarmsentinel.signal_quality import (
     merge_intervals,
     welch_psd,
 )
+from alarmsentinel.signal_quality import _flat_spans, _mask_to_spans, _noise_spans
 
 FS = 250.0
 
@@ -209,3 +219,115 @@ class TestValidity:
         report = assess_quality(sinus_record)
         assert all(v == 1.0 for v in report.validity)
         assert all(not ivs for ivs in report.invalid)
+
+
+# The window-by-window rules the array versions replace, kept as oracles.
+def flat_spans_loop(x, fs):
+    n = len(x)
+    w = int(round(FLAT_WINDOW_S * fs))
+    if w < 2 or n < w:
+        return []
+    centred = x - np.nanmean(x)
+    filled = np.nan_to_num(centred, nan=0.0)
+    c1 = np.concatenate(([0.0], np.cumsum(filled)))
+    c2 = np.concatenate(([0.0], np.cumsum(filled * filled)))
+    cn = np.concatenate(([0], np.cumsum(np.isnan(x).astype(np.int64))))
+    hop = max(1, w // 8)
+    starts = np.arange(0, n - w + 1, hop)
+    if starts[-1] != n - w:
+        starts = np.append(starts, n - w)
+    flat = np.zeros(n, dtype=bool)
+    for s in starts:
+        e = s + w
+        if cn[e] - cn[s]:
+            continue
+        mean = (c1[e] - c1[s]) / w
+        var = max((c2[e] - c2[s]) / w - mean * mean, 0.0)
+        if var < FLAT_VARIANCE_FLOOR:
+            flat[s:e] = True
+    return _mask_to_spans(flat)
+
+
+def noise_spans_loop(x, fs):
+    n = len(x)
+    w = int(round(NOISE_WINDOW_S * fs))
+    if w < 8 or n < w:
+        return []
+    noisy = np.zeros(n, dtype=bool)
+    for s in range(0, n - w + 1, w):
+        block = x[s : s + w]
+        if np.isnan(block).any():
+            continue
+        f, psd = periodogram(block, fs=fs, detrend="constant")
+        total = psd[f > 0].sum()
+        if total <= 0:
+            continue
+        if psd[f > NOISE_EDGE_HZ].sum() / total > NOISE_FRACTION_MAX:
+            noisy[s : s + w] = True
+    return _mask_to_spans(noisy)
+
+
+@st.composite
+def screened_signals(draw):
+    """A channel pieced together from tones, white noise (mostly above
+    40 Hz), flat stretches and gaps, at a length that is rarely a
+    whole number of blocks."""
+    fs = draw(st.sampled_from([125.0, 250.0]))
+    pieces = draw(st.lists(
+        st.tuples(
+            st.sampled_from(["tone", "noise", "flat", "gap"]),
+            st.integers(1, 700),
+            st.floats(0.5, 60.0),
+            st.floats(1e-3, 5.0),
+        ),
+        min_size=1, max_size=8,
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = []
+    for kind, n, freq, amp in pieces:
+        if kind == "tone":
+            parts.append(amp * np.sin(2 * np.pi * freq * np.arange(n) / fs))
+        elif kind == "noise":
+            parts.append(rng.normal(0.0, amp, n))
+        elif kind == "flat":
+            parts.append(np.full(n, amp))
+        else:
+            parts.append(np.full(n, np.nan))
+    return np.concatenate(parts), fs
+
+
+def gap_in_every_block(fs=250.0):
+    x = np.random.default_rng(3).normal(0.0, 1.0, 2300)
+    x[:: int(NOISE_WINDOW_S * fs) - 1] = np.nan
+    return x, fs
+
+
+class TestArrayRulesMatchTheLoops:
+    @given(screened_signals())
+    @example(gap_in_every_block())
+    @example((np.full(1700, np.nan), 250.0))
+    @settings(max_examples=150, deadline=None)
+    def test_noise_spans(self, signal):
+        x, fs = signal
+        with mock.patch.object(signal_quality, "periodogram", wraps=periodogram) as spectrum:
+            got = _noise_spans(x, fs)
+        assert got == noise_spans_loop(x, fs)
+        # one spectrum call per channel, and a block with a gap never reaches it
+        assert spectrum.call_count <= 1
+        for call in spectrum.call_args_list:
+            assert not np.isnan(call.args[0]).any()
+
+    @given(screened_signals())
+    @example(gap_in_every_block())
+    @example((np.full(1700, np.nan), 250.0))
+    @settings(max_examples=150, deadline=None)
+    def test_flat_spans(self, signal):
+        x, fs = signal
+        assert _flat_spans(x, fs) == flat_spans_loop(x, fs)
+
+    def test_examples_exercise_every_rule(self):
+        """A flat stretch then broadband noise trips both rules."""
+        fs = 250.0
+        x = np.concatenate([np.full(700, 0.3), np.random.default_rng(1).normal(0.0, 1.0, 1100)])
+        assert noise_spans_loop(x, fs) == _noise_spans(x, fs) == [(500, 1500)]
+        assert flat_spans_loop(x, fs) == _flat_spans(x, fs) == [(0, 686)]
