@@ -405,7 +405,7 @@ class TestVfibMatchesTheLoop:
             batched = _vf_windows(np.array([windows[i] for i in whole]), fs, config)
             assert batched.tolist() == [flags[i] for i in whole]
 
-    def test_examples_reach_a_sustained_run(self):
+    def test_sustained_tone_fires_in_both(self):
         x, fs = gap_in_every_window()
         x = np.nan_to_num(x, nan=0.0)
         assert _vfib_detail(x, fs, Thresholds()) == vfib_detail_loop(x, fs, Thresholds())[:2]

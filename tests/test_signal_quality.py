@@ -325,7 +325,7 @@ class TestArrayRulesMatchTheLoops:
         x, fs = signal
         assert _flat_spans(x, fs) == flat_spans_loop(x, fs)
 
-    def test_examples_exercise_every_rule(self):
+    def test_flat_then_noise_trips_both_rules(self):
         """A flat stretch then broadband noise trips both rules."""
         fs = 250.0
         x = np.concatenate([np.full(700, 0.3), np.random.default_rng(1).normal(0.0, 1.0, 1100)])
