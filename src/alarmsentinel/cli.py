@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict
 from pathlib import Path
 
@@ -140,6 +142,42 @@ def _report_csv(report) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _adjudicate(entry, run) -> dict:
+    """One manifest row's report row; ``run`` is ``(method, config,
+    banks, corpus, annotation directory, lead)``."""
+    method, config, banks, corpus, annotation_dir, lead = run
+    row = {
+        "record": entry.record,
+        "arrhythmia": entry.arrhythmia.value,
+        "truth": "true_alarm" if entry.truth else "false_alarm",
+    }
+    started = time.perf_counter()
+    try:
+        record = load_record(entry.record)
+        annotations = _annotations_for(record, annotation_dir)
+        verdict = classify_alarm(
+            record, method=method, config=config, banks=banks,
+            corpus=corpus, annotations=annotations, lead=lead,
+        )
+    except AlarmSentinelError as exc:
+        # a record that cannot be adjudicated keeps its alarm
+        return {**row, "decision": "true_alarm", "error": str(exc)}
+    latency_ms = (time.perf_counter() - started) * 1000.0
+    return {**row, "latency_ms": latency_ms, **verdict.to_dict()}
+
+
+_worker_run = None  # the run's inputs inside an evaluate worker process
+
+
+def _start_worker(run) -> None:
+    global _worker_run
+    _worker_run = run
+
+
+def _adjudicate_in_worker(entry) -> dict:
+    return _adjudicate(entry, _worker_run)
+
+
 def cmd_evaluate(args) -> int:
     config = _config_from(args)
     manifest = load_manifest(args.manifest)
@@ -173,32 +211,20 @@ def cmd_evaluate(args) -> int:
         split_info = {"seed": None if args.split else args.split_seed, "train": len(train), "test": len(test)}
         rows = test
 
-    def adjudicate(entry):
-        row = {
-            "record": entry.record,
-            "arrhythmia": entry.arrhythmia.value,
-            "truth": "true_alarm" if entry.truth else "false_alarm",
-        }
-        started = time.perf_counter()
-        try:
-            record = load_record(entry.record)
-            annotations = _annotations_for(record, args.annotations)
-            verdict = classify_alarm(
-                record, method=args.method, config=config, banks=banks,
-                corpus=corpus, annotations=annotations, lead=args.lead,
-            )
-        except AlarmSentinelError as exc:
-            # a record that cannot be adjudicated keeps its alarm
-            return {**row, "decision": "true_alarm", "error": str(exc)}
-        latency_ms = (time.perf_counter() - started) * 1000.0
-        return {**row, "latency_ms": latency_ms, **verdict.to_dict()}
-
-    workers = _resolve_workers(args.workers)
+    run = (args.method, config, banks, corpus, args.annotations, args.lead)
+    workers = min(_resolve_workers(args.workers), len(rows))
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(adjudicate, rows))
+        # forked workers inherit the run's inputs; only rows cross processes
+        try:
+            with ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"),
+                initializer=_start_worker, initargs=(run,),
+            ) as pool:
+                results = list(pool.map(_adjudicate_in_worker, rows))
+        except BrokenProcessPool:
+            return _fail("a worker process died before every record was adjudicated")
     else:
-        results = [adjudicate(e) for e in rows]
+        results = [_adjudicate(entry, run) for entry in rows]
 
     failed = [r for r in results if "error" in r]
     ok = [r for r in results if "error" not in r]
@@ -298,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--csv", help="also write a per-class metrics CSV")
     e.add_argument("--split", help="manifest listing the training records (DTW methods)")
     e.add_argument("--split-seed", type=int, default=2015, help="seed for the 2:1 train/test split")
-    e.add_argument("--workers", type=int, help="worker threads")
+    e.add_argument("--workers", type=int, help="worker processes (fork, so POSIX only)")
     e.add_argument("--assert-latency-ms", type=float, help="fail if any record takes longer")
     e.set_defaults(fn=cmd_evaluate)
 

@@ -80,8 +80,8 @@ def _mask_to_spans(mask: np.ndarray) -> list[tuple[int, int]]:
 def _flat_spans(x: np.ndarray, fs: float) -> list[tuple[int, int]]:
     n = len(x)
     w = int(round(FLAT_WINDOW_S * fs))
-    if w < 2 or n < w:
-        return []
+    if w < 2 or n < w or np.isnan(x).all():
+        return []  # every window of an all-gap channel belongs to the missing-data rule
     centred = x - np.nanmean(x)  # shift kills cancellation in the variance sums
     filled = np.nan_to_num(centred, nan=0.0)
     c1 = np.concatenate(([0.0], np.cumsum(filled)))

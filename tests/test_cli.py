@@ -1,7 +1,10 @@
 import json
+import os
+import signal
 
 import pytest
 
+from alarmsentinel import cli
 from alarmsentinel.cli import main
 from alarmsentinel.record_io import AlarmMeta, Arrhythmia, load_manifest
 from alarmsentinel.synthkit import SynthSpec, generate, surrogate_banks
@@ -149,6 +152,23 @@ class TestEvaluateCommand:
         assert a["split"] is None
         assert len(a["records"]) == 10
         assert a["metrics"]["overall"]["counts"]["tp"] + a["metrics"]["overall"]["counts"]["fn"] == 5
+
+    def test_dead_worker_is_an_error(self, small_suite, tmp_path, capsys, monkeypatch):
+        victim = entry_for(small_suite[1], truth=True)
+        parent_pid = os.getpid()
+        classify = cli.classify_alarm
+
+        def dies_in_a_worker(record, **kwargs):
+            if record.name == victim.rsplit("/", 1)[-1].removesuffix(".hea") and os.getpid() != parent_pid:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return classify(record, **kwargs)
+
+        monkeypatch.setattr(cli, "classify_alarm", dies_in_a_worker)
+        out = tmp_path / "r.json"
+        assert main(["evaluate", "--manifest", str(small_suite[1]), "--workers", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "worker process died" in err
+        assert not out.exists()
 
     def test_unreadable_record_counts_as_true_alarm(self, small_suite, tmp_path, capsys):
         corrupt = tmp_path / "corrupt.hea"

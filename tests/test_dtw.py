@@ -191,7 +191,7 @@ class TestDtwDistances:
             dtw_distances([np.ones(3)] * 2, [np.ones(3)], 1)
 
     def test_concurrent_calls_keep_their_own_buffers(self):
-        # evaluate --workers adjudicates on threads, and numpy releases the
+        # library callers may adjudicate on threads, and numpy releases the
         # GIL inside each diagonal's arithmetic, so sweeps interleave; more
         # threads than cores and a short switch interval make that likely
         rng = np.random.default_rng(11)

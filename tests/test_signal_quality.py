@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -227,7 +228,9 @@ def flat_spans_loop(x, fs):
     w = int(round(FLAT_WINDOW_S * fs))
     if w < 2 or n < w:
         return []
-    centred = x - np.nanmean(x)
+    with warnings.catch_warnings():  # an all-gap channel has no mean
+        warnings.simplefilter("ignore", RuntimeWarning)
+        centred = x - np.nanmean(x)
     filled = np.nan_to_num(centred, nan=0.0)
     c1 = np.concatenate(([0.0], np.cumsum(filled)))
     c2 = np.concatenate(([0.0], np.cumsum(filled * filled)))
@@ -324,6 +327,20 @@ class TestArrayRulesMatchTheLoops:
     def test_flat_spans(self, signal):
         x, fs = signal
         assert _flat_spans(x, fs) == flat_spans_loop(x, fs)
+
+    def test_dead_lead_reports_without_a_warning(self, sinus_record):
+        rec = sinus_record
+        samples = rec.samples.copy()
+        samples[1] = np.nan
+        dead = type(rec)(rec.name, rec.sample_rate, rec.channels, samples, rec.alarm)
+        with mock.patch.object(signal_quality, "_flat_spans", flat_spans_loop):
+            expected = assess_quality(dead)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = assess_quality(dead)
+        assert report == expected
+        assert report.invalid[1] == [InvalidInterval(0, samples.shape[1], InvalidReason.MISSING_DATA)]
+        assert report.validity[1] == 0.0
 
     def test_flat_then_noise_trips_both_rules(self):
         """A flat stretch then broadband noise trips both rules."""
