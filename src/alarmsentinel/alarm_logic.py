@@ -468,7 +468,10 @@ def _bank_votes(
     if ann is None:
         raise CannotDecide("vtach_no_annotations")
 
-    at_bank_rate = bank_lead(record, lead)
+    try:
+        at_bank_rate = bank_lead(record, lead)
+    except InsufficientData:  # too short for the anti-alias filter
+        raise CannotDecide("bank_lead_too_short", samples=float(record.n_samples)) from None
     banks = ctx.banks or BankSet()
     if self_bank and (banks.self_bank is None or banks.stats is None):
         try:

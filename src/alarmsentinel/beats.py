@@ -86,17 +86,19 @@ def detect_qrs(samples: np.ndarray, fs: float, channel: int = 0) -> BeatAnnotati
     if len(peaks) == 0:
         return BeatAnnotation(channel, np.empty(0, dtype=np.int64))
 
-    signal_level = 0.5 * np.percentile(energy[peaks], 75)
-    noise_level = 0.1 * np.percentile(energy[peaks], 25)
-    floor = 1e-10 + 0.01 * energy.max()
+    heights = energy[peaks]
+    upper, lower = np.percentile(heights, [75, 25]).tolist()
+    signal_level = 0.5 * upper
+    noise_level = 0.1 * lower
+    floor = 1e-10 + 0.01 * float(energy.max())
     accepted: list[int] = []
     last = -spacing
-    for p in peaks:
-        v = energy[p]
+    # Python floats are the same IEEE doubles as numpy scalars, and cost less per peak
+    for p, v in zip(peaks.tolist(), heights.tolist()):
         threshold = noise_level + 0.25 * (signal_level - noise_level)
         if v > max(threshold, floor) and p - last >= spacing:
-            accepted.append(int(p))
-            last = int(p)
+            accepted.append(p)
+            last = p
             signal_level = 0.125 * v + 0.875 * signal_level
         else:
             noise_level = 0.125 * v + 0.875 * noise_level

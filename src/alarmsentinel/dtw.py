@@ -59,9 +59,11 @@ def _dtw_core(a: np.ndarray, b: np.ndarray, n: np.ndarray, m: np.ndarray, radii:
     pair depends on a cell past its own last row or column. Pair k ends
     at slot n_k of diagonal n_k + m_k - 2.
 
-    Three diagonal buffers rotate, and the arithmetic runs in place in
-    scratch rows, so a diagonal allocates no array (a batch of mixed
-    radii still builds its band mask). A buffer comes back
+    Three diagonal buffers rotate, and the arithmetic runs in place: the
+    local cost in one scratch row, the minimum of the three predecessors
+    straight in the diagonal's own slots, which then take the cost. So a
+    diagonal allocates no array (a batch of mixed radii still builds its
+    band mask). A buffer comes back
     holding diagonal t - 3. Diagonal t writes slots lo + 1 .. hi + 1
     and resets slot lo, the cell just outside the band, which diagonal
     t + 1 reads. Both band edges only move up as t grows, so the stale
@@ -86,18 +88,17 @@ def _dtw_core(a: np.ndarray, b: np.ndarray, n: np.ndarray, m: np.ndarray, radii:
     last = np.full((n_max + 1, k), np.inf)  # diagonal t - 1
     cur = np.full((n_max + 1, k), np.inf)  # diagonal t, once written
     cost = np.empty((n_max, k))
-    step = np.empty((n_max, k))
     for t in range(int(ends.max()) + 1):
         lo = max(0, t - m_max + 1, (t - radius + 1) // 2)
         hi = min(n_max - 1, t, (t + radius) // 2)
-        d, prior = cost[:hi + 1 - lo], step[:hi + 1 - lo]
+        d = cost[:hi + 1 - lo]
         np.subtract(a[lo:hi + 1], b_rev[m_max - 1 - t + lo:m_max - t + hi], out=d)
         np.multiply(d, d, out=d)
-        np.minimum(last[lo:hi + 1], last[lo + 1:hi + 2], out=prior)
-        np.minimum(prior, before[lo:hi + 1], out=prior)
         cur[lo] = np.inf
         cells = cur[lo + 1:hi + 2]
-        np.add(d, prior, out=cells)
+        np.minimum(last[lo:hi + 1], last[lo + 1:hi + 2], out=cells)
+        np.minimum(cells, before[lo:hi + 1], out=cells)
+        np.add(cells, d, out=cells)
         if narrower is not None:
             cells[np.abs(twice_i[lo:hi + 1] - t)[:, None] > narrower] = np.inf
         ended = finish.get(t)

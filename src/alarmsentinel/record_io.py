@@ -229,18 +229,20 @@ def parse_header(text: str) -> tuple[str, float, int, list[ChannelMeta], AlarmMe
 
 
 def decode_samples(raw: bytes, channels: list[ChannelMeta], n_samples: int) -> np.ndarray:
-    """Decode frame-major 16-bit counts into calibrated analog values."""
+    """Decode frame-major 16-bit counts into calibrated analog values.
+
+    The result is C-ordered, one contiguous row per channel, so every
+    channel read downstream is a contiguous slice.
+    """
     n_sig = len(channels)
     expected = 2 * n_sig * n_samples
     if len(raw) != expected:
         raise LengthMismatch(f"signal file holds {len(raw)} bytes, header implies {expected}")
     counts = np.frombuffer(raw, dtype="<i2").reshape(n_samples, n_sig).T
-    analog = np.empty(counts.shape, dtype=np.float64)
-    for i, ch in enumerate(channels):
-        col = counts[i].astype(np.float64)
-        col = (col - ch.baseline) / ch.gain
-        col[counts[i] == SENTINEL] = np.nan
-        analog[i] = col
+    analog = counts.astype(np.float64, order="C")
+    analog -= np.array([ch.baseline for ch in channels], dtype=np.float64)[:, np.newaxis]
+    analog /= np.array([ch.gain for ch in channels], dtype=np.float64)[:, np.newaxis]
+    analog[counts == SENTINEL] = np.nan
     return analog
 
 
@@ -326,6 +328,13 @@ def resample_half(record: Record) -> Record:
 
     Defined for even integer rates only; missing samples stay missing
     at their decimated positions.
+
+    Raises
+    ------
+    UnsupportedRate
+        The rate is odd, not an integer, or too low for the filter.
+    InsufficientData
+        The record is not longer than the filter's edge padding.
     """
     rate = record.sample_rate
     if not float(rate).is_integer() or int(rate) % 2 != 0:
@@ -334,6 +343,11 @@ def resample_half(record: Record) -> Record:
     if new_rate <= 50.0:
         raise UnsupportedRate(f"rate {rate} too low for a 50 Hz anti-alias filter")
     b, a = butter_filter(4, 50.0, "low", rate)
+    pad = 3 * max(len(a), len(b))  # filtfilt's default edge padding
+    if record.n_samples <= pad:
+        raise InsufficientData(
+            f"record {record.name!r} has {record.n_samples} samples; the anti-alias filter needs more than {pad}"
+        )
     out = np.empty((record.n_channels, math.ceil(record.n_samples / 2)), dtype=np.float64)
     for i in range(record.n_channels):
         x = record.samples[i]

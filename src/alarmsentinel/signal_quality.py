@@ -5,9 +5,10 @@ unusable stretches per channel (missing data, out-of-range values,
 flat lines, broadband noise), and softer spectral/statistical metrics
 that decide whether an ECG window is clean enough to harvest beats.
 
-The hard rules are array-at-a-time: every flat-line window is judged
-from running sums in one pass, and the gap-free 2 s noise blocks of a
-channel are screened in one batched spectrum call.
+The hard rules are matrix-at-a-time: each rule runs once over the
+(channels x samples) window, every flat-line window of every channel
+is judged from running sums in one pass, and the gap-free 2 s noise
+blocks of all ECG channels are screened in one batched spectrum call.
 """
 from __future__ import annotations
 
@@ -71,43 +72,75 @@ class QualityReport:
     validity: list[float] = field(default_factory=list)
 
 
-def _mask_to_spans(mask: np.ndarray) -> list[tuple[int, int]]:
-    padded = np.concatenate(([0], mask.astype(np.int8), [0]))
-    edges = np.flatnonzero(np.diff(padded))
-    return [(int(edges[i]), int(edges[i + 1])) for i in range(0, len(edges), 2)]
+def _mask_to_spans(mask: np.ndarray) -> list[list[tuple[int, int]]]:
+    """The runs of True in each row of a (rows, samples) mask, as
+    half-open spans."""
+    rows, n = mask.shape
+    padded = np.zeros((rows, n + 2), dtype=bool)
+    padded[:, 1:-1] = mask
+    # a run opens and closes where a padded row changes; row-major order keeps each row's edges in turn
+    row, edge = np.divmod(np.flatnonzero(padded[:, 1:] != padded[:, :-1]), n + 1)
+    spans: list[list[tuple[int, int]]] = [[] for _ in range(rows)]
+    edges = iter(zip(row.tolist(), edge.tolist()))
+    for (r, s), (_, e) in zip(edges, edges):
+        spans[r].append((s, e))
+    return spans
 
 
-def _flat_spans(x: np.ndarray, fs: float) -> list[tuple[int, int]]:
-    n = len(x)
+def _union(rows: int, row: np.ndarray, start: np.ndarray, end: np.ndarray) -> list[list[tuple[int, int]]]:
+    """The union of the half-open windows [start, end) in each of
+    ``rows`` rows, as spans. The windows of a row share one width and
+    come sorted by row, then start."""
+    spans: list[list[tuple[int, int]]] = [[] for _ in range(rows)]
+    for r, s, e in zip(row.tolist(), start.tolist(), end.tolist()):
+        found = spans[r]
+        if found and s <= found[-1][1]:
+            found[-1] = (found[-1][0], e)
+        else:
+            found.append((s, e))
+    return spans
+
+
+def _flat_spans(x: np.ndarray, fs: float) -> list[list[tuple[int, int]]]:
+    """Flat-line spans of each row of a (rows, samples) window."""
+    rows, n = x.shape
     w = int(round(FLAT_WINDOW_S * fs))
-    if w < 2 or n < w or np.isnan(x).all():
-        return []  # every window of an all-gap channel belongs to the missing-data rule
-    centred = x - np.nanmean(x)  # shift kills cancellation in the variance sums
-    filled = np.nan_to_num(centred, nan=0.0)
-    c1 = np.concatenate(([0.0], np.cumsum(filled)))
-    c2 = np.concatenate(([0.0], np.cumsum(filled * filled)))
-    cn = np.concatenate(([0], np.cumsum(np.isnan(x).astype(np.int64))))
+    nan = np.isnan(x)
+    # every window of an all-gap row belongs to the missing-data rule
+    live = np.flatnonzero(~nan.all(axis=1))
+    if w < 2 or n < w or len(live) == 0:
+        return [[] for _ in range(rows)]
+    x, nan = x[live], nan[live]
+    centred = x - np.nanmean(x, axis=1, keepdims=True)  # shift kills cancellation in the variance sums
+    filled = np.nan_to_num(centred, copy=False, nan=0.0)
+    # running sums along contiguous rows add in the same order as for one channel
+    c1 = np.zeros((len(live), n + 1))
+    np.cumsum(filled, axis=1, out=c1[:, 1:])
+    c2 = np.zeros((len(live), n + 1))
+    np.cumsum(filled * filled, axis=1, out=c2[:, 1:])
+    cn = np.zeros((len(live), n + 1), dtype=np.int64)
+    np.cumsum(nan, axis=1, out=cn[:, 1:])
     hop = max(1, w // 8)
     starts = np.arange(0, n - w + 1, hop)
     if starts[-1] != n - w:
         starts = np.append(starts, n - w)
     ends = starts + w
-    mean = (c1[ends] - c1[starts]) / w
-    var = np.maximum((c2[ends] - c2[starts]) / w - mean * mean, 0.0)
+    mean = (c1[:, ends] - c1[:, starts]) / w
+    var = np.maximum((c2[:, ends] - c2[:, starts]) / w - mean * mean, 0.0)
     # the missing-data rule owns windows with gaps
-    flat = (var < FLAT_VARIANCE_FLOOR) & (cn[ends] == cn[starts])
-    cover = np.zeros(n + 1, dtype=np.int64)  # +1 where a flat window opens, -1 where it closes
-    cover[starts[flat]] += 1
-    cover[ends[flat]] -= 1
-    return _mask_to_spans(np.cumsum(cover[:n]) > 0)
+    row, window = np.nonzero((var < FLAT_VARIANCE_FLOOR) & (cn[:, ends] == cn[:, starts]))
+    return _union(rows, live[row], starts[window], ends[window])
 
 
-def _noise_spans(x: np.ndarray, fs: float) -> list[tuple[int, int]]:
-    n = len(x)
+def _noise_spans(x: np.ndarray, fs: float) -> list[list[tuple[int, int]]]:
+    """Broadband-noise spans of each row of a (rows, samples) window,
+    from one spectrum call over the gap-free 2 s blocks of all rows."""
+    rows, n = x.shape
     w = int(round(NOISE_WINDOW_S * fs))
     if w < 8 or n < w:
-        return []
-    blocks = x[: n - n % w].reshape(-1, w)  # a trailing partial block is not screened
+        return [[] for _ in range(rows)]
+    per_row = n // w  # a trailing partial block is not screened
+    blocks = x[:, : per_row * w].reshape(rows * per_row, w)
     whole = np.flatnonzero(~np.isnan(blocks).any(axis=1))
     noisy = np.zeros(len(blocks), dtype=bool)
     if len(whole):
@@ -117,7 +150,34 @@ def _noise_spans(x: np.ndarray, fs: float) -> list[tuple[int, int]]:
         high = np.ascontiguousarray(psd[:, f > NOISE_EDGE_HZ]).sum(axis=1)
         with np.errstate(invalid="ignore", divide="ignore"):
             noisy[whole] = (total > 0) & (high / total > NOISE_FRACTION_MAX)
-    return _mask_to_spans(np.repeat(noisy, w))
+    row, block = np.divmod(np.flatnonzero(noisy), per_row)
+    return _union(rows, row, block * w, (block + 1) * w)
+
+
+def _screen(x: np.ndarray, kinds: list[ChannelKind], fs: float, offset: int = 0) -> list[list[InvalidInterval]]:
+    """The merged invalid intervals of each row of a (channels, samples)
+    window, shifted by ``offset``; every rule runs once over all rows."""
+    nan = np.isnan(x)
+    is_abp = np.array([k is ChannelKind.ABP for k in kinds])[:, np.newaxis]
+    is_ecg = np.array([k is ChannelKind.ECG for k in kinds])[:, np.newaxis]
+    with np.errstate(invalid="ignore"):  # a gap is never out of range: NaN compares False
+        bad = (is_abp & ((x <= 0.0) | (x >= ABP_MAX_MMHG))) | (is_ecg & (np.abs(x) > ECG_MAX_MV))
+    rules = [
+        (InvalidReason.MISSING_DATA, _mask_to_spans(nan)),
+        (InvalidReason.OUT_OF_RANGE, _mask_to_spans(bad)),
+        (InvalidReason.FLAT_LINE, _flat_spans(x, fs)),
+    ]
+    ecg = np.flatnonzero(is_ecg[:, 0])
+    noise: list[list[tuple[int, int]]] = [[] for _ in kinds]
+    for r, found in zip(ecg.tolist(), _noise_spans(x[ecg], fs)):
+        noise[r] = found
+    rules.append((InvalidReason.SPECTRAL_NOISE, noise))
+    return [
+        merge_intervals([
+            InvalidInterval(s + offset, e + offset, reason) for reason, spans in rules for s, e in spans[r]
+        ])
+        for r in range(len(kinds))
+    ]
 
 
 def detect_invalid_segments(samples: np.ndarray, kind: ChannelKind, fs: float) -> list[InvalidInterval]:
@@ -129,32 +189,11 @@ def detect_invalid_segments(samples: np.ndarray, kind: ChannelKind, fs: float) -
 
     Returns a sorted list of disjoint intervals. Overlapping findings
     merge; the reason of the earliest (highest-priority on ties) wins.
+    This is the one-channel form of the screen :func:`assess_quality`
+    runs over all channels at once.
     """
     x = np.asarray(samples, dtype=np.float64)
-    found: list[InvalidInterval] = []
-
-    for s, e in _mask_to_spans(np.isnan(x)):
-        found.append(InvalidInterval(s, e, InvalidReason.MISSING_DATA))
-
-    with np.errstate(invalid="ignore"):
-        if kind is ChannelKind.ABP:
-            bad = (x <= 0.0) | (x >= ABP_MAX_MMHG)
-        elif kind is ChannelKind.ECG:
-            bad = np.abs(x) > ECG_MAX_MV
-        else:
-            bad = np.zeros(len(x), dtype=bool)
-    bad &= ~np.isnan(x)
-    for s, e in _mask_to_spans(bad):
-        found.append(InvalidInterval(s, e, InvalidReason.OUT_OF_RANGE))
-
-    for s, e in _flat_spans(x, fs):
-        found.append(InvalidInterval(s, e, InvalidReason.FLAT_LINE))
-
-    if kind is ChannelKind.ECG:
-        for s, e in _noise_spans(x, fs):
-            found.append(InvalidInterval(s, e, InvalidReason.SPECTRAL_NOISE))
-
-    return merge_intervals(found)
+    return _screen(x[np.newaxis], [kind], fs)[0]
 
 
 def merge_intervals(intervals: list[InvalidInterval]) -> list[InvalidInterval]:
@@ -278,12 +317,6 @@ def assess_quality(record: Record, window: tuple[int, int] | None = None) -> Qua
     given.
     """
     start, end = window if window is not None else (0, record.n_samples)
-    report = QualityReport(window=(start, end))
-    for i, ch in enumerate(record.channels):
-        intervals = detect_invalid_segments(record.samples[i, start:end], ch.kind, record.sample_rate)
-        for iv in intervals:
-            iv.start += start
-            iv.end += start
-        report.invalid.append(intervals)
-        report.validity.append(channel_validity(intervals, start, end))
-    return report
+    kinds = [ch.kind for ch in record.channels]
+    invalid = _screen(record.samples[:, start:end], kinds, record.sample_rate, offset=start)
+    return QualityReport((start, end), invalid, [channel_validity(ivs, start, end) for ivs in invalid])

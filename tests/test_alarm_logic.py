@@ -609,3 +609,33 @@ class TestClassifyAlarm:
         assert all(set(e) == {"channel", "test", "outcome", "witnesses"} for e in d["evidence"])
         gate_rows = [e for e in d["evidence"] if e["test"] == "regular_activity"]
         assert len(gate_rows) == sinus_record.n_channels
+
+
+class TestTooShortForTheResampler:
+    """A 12-sample 250 Hz record is shorter than the anti-alias filter's
+    edge padding, so no DTW method can bring its lead to 125 Hz."""
+
+    @pytest.fixture(scope="class")
+    def tiny(self):
+        rng = np.random.default_rng(0)
+        rec = make_record(channels=("II", "ABP"), n=12)
+        rec.samples[:] = rng.normal(0.0, 0.5, rec.samples.shape)
+        return rec
+
+    @pytest.mark.parametrize("method", ["dtw-full", "dtw-vbank", "dtw-self-min", "dtw-self-kl"])
+    @pytest.mark.parametrize("with_beats", [False, True])
+    def test_every_dtw_method_fails_safe(self, tiny, vt_suite, banks, method, with_beats):
+        corpus = corpus_from_records([(r, t.expected_true) for _, r, t in vt_suite[:2]])
+        annotations = [ann([1, 5, 9]), None] if with_beats else None
+        verdict = classify_alarm(tiny, method, banks=banks, corpus=corpus, annotations=annotations)
+        assert verdict.is_true_alarm is True and verdict.gate_fired is False
+        note = verdict.evidence[-1]
+        assert note.channel == "" and note.outcome is True
+        if method == "dtw-full":
+            assert note.test == "dtw_full_no_signal"
+        elif with_beats:
+            assert note.to_dict() == {
+                "channel": "", "test": "bank_lead_too_short", "outcome": True, "witnesses": {"samples": 12.0},
+            }
+        else:
+            assert note.test == "vtach_no_annotations"

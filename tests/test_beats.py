@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.signal import butter, periodogram
+from scipy.signal import butter, filtfilt, find_peaks, periodogram
 
 from alarmsentinel.beats import (
     PULSE_LOWPASS_HZ,
     QRS_BAND_HZ,
+    QRS_INTEGRATE_S,
+    QRS_REFRACTORY_S,
     VT_SPLIT_HZ,
     BeatAnnotation,
     BeatLabel,
@@ -29,7 +31,7 @@ from alarmsentinel.errors import (
     TooFewBeats,
     WindowTooShort,
 )
-from alarmsentinel.record_io import Arrhythmia, butter_filter, channel_kind
+from alarmsentinel.record_io import Arrhythmia, ChannelKind, butter_filter, channel_kind
 from alarmsentinel.synthkit import SynthSpec, generate, narrow_template, wide_template
 
 
@@ -313,6 +315,87 @@ class TestFiltersDesignedOnce:
             sys.setswitchinterval(interval)
         for indices in together:
             assert np.array_equal(indices, alone)
+
+
+def detect_qrs_loop(samples, fs):
+    """The QRS detector with its threshold loop on numpy scalars, as it
+    ran before the loop moved to Python floats; kept as the oracle."""
+    x = np.nan_to_num(np.asarray(samples, dtype=np.float64), nan=0.0)
+    b, a = butter_filter(2, QRS_BAND_HZ, "band", fs)
+    w = int(round(QRS_INTEGRATE_S * fs))
+    energy = np.convolve(np.gradient(filtfilt(b, a, x)) ** 2, np.ones(w) / w, mode="same")
+    spacing = int(round(QRS_REFRACTORY_S * fs))
+    peaks, _ = find_peaks(energy, distance=spacing)
+    if len(peaks) == 0:
+        return np.empty(0, dtype=np.int64)
+    signal_level = 0.5 * np.percentile(energy[peaks], 75)
+    noise_level = 0.1 * np.percentile(energy[peaks], 25)
+    floor = 1e-10 + 0.01 * energy.max()
+    accepted = []
+    last = -spacing
+    for p in peaks:
+        v = energy[p]
+        threshold = noise_level + 0.25 * (signal_level - noise_level)
+        if v > max(threshold, floor) and p - last >= spacing:
+            accepted.append(int(p))
+            last = int(p)
+            signal_level = 0.125 * v + 0.875 * signal_level
+        else:
+            noise_level = 0.125 * v + 0.875 * noise_level
+    return np.asarray(accepted, dtype=np.int64)
+
+
+def mutated_leads(record, seed):
+    """Each ECG lead of the record, then copies with NaN bursts, a flat
+    stretch, and a lead flat throughout."""
+    rng = np.random.default_rng(seed)
+    for i in record.channels_of_kind(ChannelKind.ECG):
+        x = record.samples[i]
+        yield x
+        gaps = x.copy()
+        for start in rng.integers(0, len(x) - 800, size=3):
+            gaps[start : start + rng.integers(1, 800)] = np.nan
+        yield gaps
+        flat = x.copy()
+        start = rng.integers(0, len(x) - 3000)
+        flat[start : start + 3000] = flat[start]
+        yield flat
+        yield np.full(len(x), x[0])
+
+
+def equal_height_train(fs=250.0, seconds=30.0, period_s=0.6):
+    """Identical spikes at a fixed period, the first 0.4 s in: once the
+    filters settle, many energy peaks are equal to the last bit."""
+    x = np.zeros(int(seconds * fs))
+    x[int(0.4 * fs) :: int(period_s * fs)] = 1.0
+    return x
+
+
+class TestQrsThresholdLoopMatchesTheOracle:
+    def test_suite_and_mutations(self, suite):
+        for k, (spec, record, _) in enumerate(suite):
+            for x in mutated_leads(record, seed=k):
+                assert np.array_equal(detect_qrs(x, record.sample_rate).indices, detect_qrs_loop(x, record.sample_rate))
+
+    def test_peaks_of_equal_height(self):
+        x = equal_height_train()
+        b, a = butter_filter(2, QRS_BAND_HZ, "band", 250.0)
+        w = int(round(QRS_INTEGRATE_S * 250.0))
+        energy = np.convolve(np.gradient(filtfilt(b, a, x)) ** 2, np.ones(w) / w, mode="same")
+        heights = energy[find_peaks(energy, distance=int(round(QRS_REFRACTORY_S * 250.0)))[0]]
+        assert len(np.unique(heights)) < len(heights)  # the tie is really there
+        got = detect_qrs(x, 250.0).indices
+        assert len(got) >= 45
+        assert np.array_equal(got, detect_qrs_loop(x, 250.0))
+
+    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 0.3), st.sampled_from([125.0, 250.0]))
+    @settings(max_examples=25, deadline=None)
+    def test_noisy_trains(self, seed, noise, fs):
+        rng = np.random.default_rng(seed)
+        x = equal_height_train(fs=fs, seconds=12.0, period_s=rng.uniform(0.3, 1.6))
+        x += rng.normal(0.0, noise, len(x))
+        x[rng.random(len(x)) < 0.01] = np.nan
+        assert np.array_equal(detect_qrs(x, fs).indices, detect_qrs_loop(x, fs))
 
 
 class TestWithin:

@@ -110,6 +110,22 @@ class TestClassifyCommand:
         verdict = json.loads(capsys.readouterr().out)
         assert verdict["evidence"][-1]["test"] == "vfib_window_too_short"
 
+    def test_record_too_short_to_resample_fails_safe(self, small_suite, tmp_path, capsys):
+        rec, _ = generate(SynthSpec(name="tiny", arrhythmia=Arrhythmia.VTACH, event=False, seed=4))
+        rec.samples = rec.samples[:, :12].copy()
+        rec.alarm = AlarmMeta(Arrhythmia.VTACH, False, 12)
+        header = write_record(rec, tmp_path)
+        cache = tmp_path / "c.bin"
+        assert main([
+            "classify", entry_for(small_suite[1], truth=True, arrhythmia=Arrhythmia.VTACH), "--method", "dtw-full",
+            "--train-manifest", str(small_suite[1]), "--save-corpus-cache", str(cache),
+        ]) in (0, 1)
+        capsys.readouterr()
+        assert main(["classify", str(header), "--method", "dtw-full", "--corpus-cache", str(cache)]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["evidence"][-1]["test"] == "dtw_full_no_signal"
+
     @pytest.mark.parametrize(
         "line", ["brady_hr 50", "brady_hr = slow", "brady_rate = 50", "brady_beats = 1"]
     )

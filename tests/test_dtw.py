@@ -1,6 +1,7 @@
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -299,6 +300,15 @@ class TestCorpus:
             corpus_from_records(labelled)
         corpus = corpus_from_records(labelled, skip_errors=True)
         assert len(corpus) == 1
+
+    def test_skip_errors_skips_a_record_too_short_to_resample(self, vt_suite):
+        _, good, truth = vt_suite[0]
+        tiny = type(good)("tiny", good.sample_rate, good.channels, good.samples[:, :12].copy(), replace(good.alarm, alarm_index=12))
+        labelled = [(tiny, True), (good, truth.expected_true)]
+        with pytest.raises(InsufficientData):
+            corpus_from_records(labelled)
+        corpus = corpus_from_records(labelled, skip_errors=True)
+        assert [e.record for e in corpus.entries] == [good.name]
 
 
 class TestCorpusCache:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from alarmsentinel.errors import (
     DuplicateEntry,
@@ -11,6 +13,7 @@ from alarmsentinel.errors import (
     UnsupportedRate,
 )
 from alarmsentinel.record_io import (
+    COUNT_MAX,
     SENTINEL,
     AlarmMeta,
     Arrhythmia,
@@ -196,6 +199,61 @@ class TestRecordFiles:
             rec.channel_index("V5")
 
 
+def decode_samples_loop(raw, channels, n_samples):
+    """The channel-by-channel decoder the one-pass decoder replaces, kept as its oracle."""
+    counts = np.frombuffer(raw, dtype="<i2").reshape(n_samples, len(channels)).T
+    analog = np.empty(counts.shape, dtype=np.float64)
+    for i, ch in enumerate(channels):
+        col = counts[i].astype(np.float64)
+        col = (col - ch.baseline) / ch.gain
+        col[counts[i] == SENTINEL] = np.nan
+        analog[i] = col
+    return analog
+
+
+@st.composite
+def encoded_records(draw):
+    """Raw counts of one to five channels, the sentinel among them, with
+    gains of either sign and baselines on both sides of zero."""
+    n_sig = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 400))
+    gains = st.floats(-5000.0, 5000.0, allow_nan=False).filter(lambda g: abs(g) > 1e-3)
+    channels = [
+        ChannelMeta(f"c{i}", ChannelKind.ECG, "mV", draw(gains), draw(st.integers(-40000, 40000)))
+        for i in range(n_sig)
+    ]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = rng.integers(SENTINEL, COUNT_MAX + 1, size=(n, n_sig), dtype=np.int16)
+    counts[rng.random((n, n_sig)) < draw(st.sampled_from([0.0, 0.1, 1.0]))] = SENTINEL
+    return counts.astype("<i2").tobytes(), channels, n
+
+
+ONE_CHANNEL = (
+    np.array([SENTINEL, -1, 0, 7, COUNT_MAX], dtype="<i2").tobytes(),
+    [ChannelMeta("II", ChannelKind.ECG, "mV", -200.0, 12)],
+    5,
+)
+
+
+class TestDecodeMatchesTheChannelLoop:
+    @given(encoded_records())
+    @example(ONE_CHANNEL)
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_and_c_contiguous(self, encoded):
+        raw, channels, n = encoded
+        got = decode_samples(raw, channels, n)
+        expected = decode_samples_loop(raw, channels, n)
+        assert got.shape == (len(channels), n) and got.dtype == np.float64
+        assert got.flags.c_contiguous
+        assert got.tobytes() == expected.tobytes()
+
+    def test_sentinel_and_negative_gain(self):
+        raw, channels, n = ONE_CHANNEL
+        got = decode_samples(raw, channels, n)
+        assert np.isnan(got[0, 0])
+        assert got[0, 1:].tolist() == [(-1 - 12) / -200.0, (0 - 12) / -200.0, (7 - 12) / -200.0, (COUNT_MAX - 12) / -200.0]
+
+
 class TestResample:
     def test_halves_rate_and_alarm(self):
         rec = make_record(n=2000)
@@ -228,6 +286,12 @@ class TestResample:
         rec = make_record(fs=125.0)
         with pytest.raises(UnsupportedRate):
             resample_half(rec)
+
+    def test_not_longer_than_the_filter_pad_is_insufficient(self):
+        # the order-4 low-pass has 5 coefficients a side, and filtfilt pads 3 * 5 samples
+        with pytest.raises(InsufficientData, match="more than 15"):
+            resample_half(make_record(n=15))
+        assert resample_half(make_record(n=16)).n_samples == 8
 
 
 class TestPreAlarmWindow:

@@ -9,8 +9,10 @@ from scipy.signal import periodogram
 
 from alarmsentinel import signal_quality
 from alarmsentinel.errors import WindowTooShort, ZeroDenominator, ZeroVariance
-from alarmsentinel.record_io import ChannelKind
+from alarmsentinel.record_io import AlarmMeta, ChannelKind, ChannelMeta, Record
 from alarmsentinel.signal_quality import (
+    ABP_MAX_MMHG,
+    ECG_MAX_MV,
     FLAT_VARIANCE_FLOOR,
     FLAT_WINDOW_S,
     NOISE_EDGE_HZ,
@@ -20,6 +22,7 @@ from alarmsentinel.signal_quality import (
     CleanThresholds,
     InvalidInterval,
     InvalidReason,
+    QualityReport,
     assess_quality,
     band_fraction,
     channel_validity,
@@ -29,7 +32,7 @@ from alarmsentinel.signal_quality import (
     merge_intervals,
     welch_psd,
 )
-from alarmsentinel.signal_quality import _flat_spans, _mask_to_spans, _noise_spans
+from alarmsentinel.signal_quality import _flat_spans, _noise_spans
 
 FS = 250.0
 
@@ -222,7 +225,13 @@ class TestValidity:
         assert all(not ivs for ivs in report.invalid)
 
 
-# The window-by-window rules the array versions replace, kept as oracles.
+# The one-channel, window-by-window rules the matrix screen replaces, kept as oracles.
+def mask_spans_loop(mask):
+    padded = np.concatenate(([0], mask.astype(np.int8), [0]))
+    edges = np.flatnonzero(np.diff(padded))
+    return [(int(edges[i]), int(edges[i + 1])) for i in range(0, len(edges), 2)]
+
+
 def flat_spans_loop(x, fs):
     n = len(x)
     w = int(round(FLAT_WINDOW_S * fs))
@@ -248,7 +257,7 @@ def flat_spans_loop(x, fs):
         var = max((c2[e] - c2[s]) / w - mean * mean, 0.0)
         if var < FLAT_VARIANCE_FLOOR:
             flat[s:e] = True
-    return _mask_to_spans(flat)
+    return mask_spans_loop(flat)
 
 
 def noise_spans_loop(x, fs):
@@ -267,7 +276,39 @@ def noise_spans_loop(x, fs):
             continue
         if psd[f > NOISE_EDGE_HZ].sum() / total > NOISE_FRACTION_MAX:
             noisy[s : s + w] = True
-    return _mask_to_spans(noisy)
+    return mask_spans_loop(noisy)
+
+
+def invalid_segments_loop(x, kind, fs):
+    """One channel's screen, rule by rule."""
+    found = [InvalidInterval(s, e, InvalidReason.MISSING_DATA) for s, e in mask_spans_loop(np.isnan(x))]
+    with np.errstate(invalid="ignore"):
+        if kind is ChannelKind.ABP:
+            bad = (x <= 0.0) | (x >= ABP_MAX_MMHG)
+        elif kind is ChannelKind.ECG:
+            bad = np.abs(x) > ECG_MAX_MV
+        else:
+            bad = np.zeros(len(x), dtype=bool)
+    bad &= ~np.isnan(x)
+    found += [InvalidInterval(s, e, InvalidReason.OUT_OF_RANGE) for s, e in mask_spans_loop(bad)]
+    found += [InvalidInterval(s, e, InvalidReason.FLAT_LINE) for s, e in flat_spans_loop(x, fs)]
+    if kind is ChannelKind.ECG:
+        found += [InvalidInterval(s, e, InvalidReason.SPECTRAL_NOISE) for s, e in noise_spans_loop(x, fs)]
+    return merge_intervals(found)
+
+
+def assess_quality_loop(record, window=None):
+    """The report channel by channel, in record coordinates."""
+    start, end = window if window is not None else (0, record.n_samples)
+    report = QualityReport(window=(start, end))
+    for i, ch in enumerate(record.channels):
+        intervals = invalid_segments_loop(record.samples[i, start:end], ch.kind, record.sample_rate)
+        for iv in intervals:
+            iv.start += start
+            iv.end += start
+        report.invalid.append(intervals)
+        report.validity.append(channel_validity(intervals, start, end))
+    return report
 
 
 @st.composite
@@ -313,7 +354,7 @@ class TestArrayRulesMatchTheLoops:
     def test_noise_spans(self, signal):
         x, fs = signal
         with mock.patch.object(signal_quality, "periodogram", wraps=periodogram) as spectrum:
-            got = _noise_spans(x, fs)
+            (got,) = _noise_spans(x[np.newaxis], fs)
         assert got == noise_spans_loop(x, fs)
         # one spectrum call per channel, and a block with a gap never reaches it
         assert spectrum.call_count <= 1
@@ -326,14 +367,15 @@ class TestArrayRulesMatchTheLoops:
     @settings(max_examples=150, deadline=None)
     def test_flat_spans(self, signal):
         x, fs = signal
-        assert _flat_spans(x, fs) == flat_spans_loop(x, fs)
+        assert _flat_spans(x[np.newaxis], fs) == [flat_spans_loop(x, fs)]
 
     def test_dead_lead_reports_without_a_warning(self, sinus_record):
         rec = sinus_record
         samples = rec.samples.copy()
         samples[1] = np.nan
         dead = type(rec)(rec.name, rec.sample_rate, rec.channels, samples, rec.alarm)
-        with mock.patch.object(signal_quality, "_flat_spans", flat_spans_loop):
+        rows_loop = lambda x, fs: [flat_spans_loop(row, fs) for row in x]  # noqa: E731
+        with mock.patch.object(signal_quality, "_flat_spans", rows_loop):
             expected = assess_quality(dead)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -346,5 +388,94 @@ class TestArrayRulesMatchTheLoops:
         """A flat stretch then broadband noise trips both rules."""
         fs = 250.0
         x = np.concatenate([np.full(700, 0.3), np.random.default_rng(1).normal(0.0, 1.0, 1100)])
-        assert noise_spans_loop(x, fs) == _noise_spans(x, fs) == [(500, 1500)]
-        assert flat_spans_loop(x, fs) == _flat_spans(x, fs) == [(0, 686)]
+        assert [noise_spans_loop(x, fs)] == _noise_spans(x[np.newaxis], fs) == [[(500, 1500)]]
+        assert [flat_spans_loop(x, fs)] == _flat_spans(x[np.newaxis], fs) == [[(0, 686)]]
+
+
+_BASELINES = {
+    ChannelKind.ECG: lambda t: 0.8 * np.sin(2 * np.pi * 1.2 * t),
+    ChannelKind.ABP: lambda t: 90.0 + 20.0 * np.sin(2 * np.pi * 1.2 * t),
+    ChannelKind.PPG: lambda t: 1.0 + 0.5 * np.sin(2 * np.pi * 1.2 * t),
+    ChannelKind.RESP: lambda t: 0.3 * np.sin(2 * np.pi * 0.25 * t),
+}
+_SPIKES = {ChannelKind.ECG: 12.0, ChannelKind.ABP: 320.0, ChannelKind.PPG: -5.0, ChannelKind.RESP: 400.0}
+
+
+@st.composite
+def screened_records(draw):
+    """A record of one to five channels of mixed kinds, each marred by
+    gaps, flat stretches, out-of-range spikes and broadband noise, or
+    missing throughout; a window that is rarely a whole number of
+    blocks, or none."""
+    fs = draw(st.sampled_from([125.0, 250.0]))
+    n = draw(st.integers(1, 3000))
+    kinds = draw(st.lists(st.sampled_from(list(_BASELINES)), min_size=1, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = np.arange(n) / fs
+    samples = np.empty((len(kinds), n))
+    for i, kind in enumerate(kinds):
+        samples[i] = _BASELINES[kind](t)
+        marks = st.tuples(
+            st.sampled_from(["gap", "flat", "spike", "noise", "dead"]), st.integers(0, n - 1), st.integers(1, 900),
+        )
+        for mark, start, length in draw(st.lists(marks, max_size=4)):
+            span = slice(start, start + length)
+            if mark == "gap":
+                samples[i, span] = np.nan
+            elif mark == "flat":
+                samples[i, span] = samples[i, start]
+            elif mark == "spike":
+                samples[i, span] = _SPIKES[kind]
+            elif mark == "noise":
+                samples[i, span] += rng.normal(0.0, 2.0, len(samples[i, span]))
+            else:
+                samples[i] = np.nan
+    channels = [ChannelMeta(f"c{i}", kind, "u", 200.0, 0) for i, kind in enumerate(kinds)]
+    record = Record("screened", fs, channels, samples, AlarmMeta(None, None, n))
+    if draw(st.booleans()):
+        start = draw(st.integers(0, n - 1))
+        return record, (start, draw(st.integers(start + 1, n)))
+    return record, None
+
+
+def one_channel_record():
+    rng = np.random.default_rng(5)
+    x = 0.05 * np.sin(np.arange(2600) / 10.0)
+    x[700:1300] += rng.normal(0.0, 1.0, 600)
+    x[2000:2100] = np.nan
+    channels = [ChannelMeta("II", ChannelKind.ECG, "mV", 200.0, 0)]
+    return Record("one", 250.0, channels, x[np.newaxis], AlarmMeta(None, None, 2600)), (100, 2550)
+
+
+def one_dead_channel_record():
+    samples = np.vstack([90.0 + np.zeros(1800), np.full(1800, np.nan)])
+    channels = [ChannelMeta("ABP", ChannelKind.ABP, "mmHg", 20.0, 0), ChannelMeta("II", ChannelKind.ECG, "mV", 200.0, 0)]
+    return Record("dead", 250.0, channels, samples, AlarmMeta(None, None, 1800)), None
+
+
+class TestMatrixScreenMatchesPerChannel:
+    @given(screened_records())
+    @example(one_channel_record())
+    @example(one_dead_channel_record())
+    @settings(max_examples=120, deadline=None)
+    def test_report_matches_the_channel_loop(self, drawn):
+        record, window = drawn
+        with mock.patch.object(signal_quality, "periodogram", wraps=periodogram) as spectrum:
+            report = assess_quality(record, window)
+        assert report == assess_quality_loop(record, window)
+        assert spectrum.call_count <= 1  # one spectrum call over the ECG blocks of every channel
+        start, end = report.window
+        for i, ch in enumerate(record.channels):
+            x = record.samples[i, start:end]
+            assert detect_invalid_segments(x, ch.kind, record.sample_rate) == invalid_segments_loop(x, ch.kind, record.sample_rate)
+
+    def test_rows_are_screened_apart(self):
+        """A row's spans never leak into its neighbours."""
+        x = np.zeros((3, 1200))
+        x[0, :600] = np.nan
+        x[2, 1100:] = np.nan
+        assert _noise_spans(x, 250.0) == [[], [], []]
+        # a flat window holds no gap, and the 2 s windows step by 62 samples
+        assert _flat_spans(x, 250.0) == [flat_spans_loop(row, 250.0) for row in x] == [
+            [(620, 1200)], [(0, 1200)], [(0, 1058)],
+        ]
