@@ -8,10 +8,10 @@ pre-alarm beats (minimum-distance threshold, and KL divergence
 between distance histograms). Each is a :data:`BeatClassifier`:
 bound to a :class:`BankSet`, it checks that the banks it reads are
 there and returns a :class:`BeatRule`, the bank members to warp
-against and a rule that labels a beat from its row of distances to
-them. :func:`vt_labels_from_bank` warps all of a record's comparable
-beats against the members in one DTW call and applies the rule row by
-row.
+against and a rule that labels beats from their rows of distances
+to them. :func:`vt_labels_from_bank` warps all of a record's
+comparable beats against the members in one DTW call and applies the
+rule to the whole (beats x members) distance matrix.
 """
 from __future__ import annotations
 
@@ -215,16 +215,14 @@ def bank_novelty_stats(bank: BeatBank) -> NoveltyStats:
     reference = _beat_distances([bank.beats[i] for i in iu], [bank.beats[j] for j in ju])
     dist = np.zeros((n, n))
     dist[iu, ju] = dist[ju, iu] = reference
-    mins = np.array([np.min(np.delete(dist[i], i)) for i in range(n)])
+    others = dist[~np.eye(n, dtype=bool)].reshape(n, n - 1)  # row i: beat i against the others, in order
+    mins = others.min(axis=1)
     bin_edges = _bin_edges(reference)
 
-    kls = np.empty(n)
-    for i in range(n):
-        own = np.delete(dist[i], i)
-        rest = reference[(iu != i) & (ju != i)]
-        p = _histogram(own, bin_edges)
-        q = smooth_distribution(_histogram(rest, bin_edges))
-        kls[i] = kl_divergence(p, q)
+    # the pairs without beat i are all pairs but the n - 1 in row i
+    own = _bin_counts(others, bin_edges)
+    rest = _bin_counts(reference[np.newaxis], bin_edges) - own
+    kls = _kl_rows(own / (n - 1), smooth_distribution(rest / (len(reference) - (n - 1))))
 
     return NoveltyStats(
         mu_min=float(np.mean(mins)),
@@ -243,16 +241,53 @@ def _bin_edges(reference: np.ndarray) -> np.ndarray:
     return np.linspace(0.0, hi, KL_BINS + 1)
 
 
+def _bin_counts(rows: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Counts of each row's values per bin, after clipping to the edges.
+
+    Values fall in bins as ``np.histogram`` puts them: v is in bin k
+    when e_k <= v < e_k+1, and the top edge is in the last bin. Counts
+    are integers, so they equal a per-row ``np.histogram`` exactly.
+    """
+    bins = len(edges) - 1
+    which = np.searchsorted(edges, np.clip(rows, edges[0], edges[-1]), side="right") - 1
+    np.minimum(which, bins - 1, out=which)
+    which += bins * np.arange(len(rows))[:, np.newaxis]
+    return np.bincount(which.ravel(), minlength=bins * len(rows)).reshape(len(rows), bins)
+
+
 def _histogram(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    clipped = np.clip(values, edges[0], edges[-1])
-    counts, _ = np.histogram(clipped, bins=edges)
-    return counts / len(values)
+    """Share of the values per bin; the one-row form of :func:`_bin_counts`."""
+    return _bin_counts(values[np.newaxis], edges)[0] / len(values)
 
 
 def smooth_distribution(q: np.ndarray, epsilon: float = KL_EPSILON) -> np.ndarray:
-    """Additive smoothing: lift zero bins by ``epsilon``, renormalize."""
+    """Additive smoothing: lift zero bins by ``epsilon``, renormalize.
+
+    A 2-D ``q`` is smoothed row by row."""
     q = np.asarray(q, dtype=np.float64)
-    return (q + epsilon) / (q.sum() + epsilon * len(q))
+    return (q + epsilon) / (q.sum(axis=-1, keepdims=True) + epsilon * q.shape[-1])
+
+
+def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """sum(P * ln(P/Q)) of each row of ``p`` against ``q`` (one row for
+    all, or one per row), with 0 ln 0 = 0.
+
+    numpy sums fewer than 8 terms one by one and 8 or more with eight
+    accumulators, so each row is summed over a contiguous run of
+    exactly its nonzero terms, as a one-row call sums them: rows are
+    grouped by that count.
+    """
+    q = np.broadcast_to(q, p.shape)
+    mask = p > 0
+    with np.errstate(divide="ignore"):
+        terms = p[mask] * np.log(p[mask] / q[mask])
+    sizes = mask.sum(axis=1)
+    starts = np.cumsum(sizes) - sizes
+    kls = np.empty(len(p))
+    for size in np.unique(sizes).tolist():
+        rows = sizes == size
+        kls[rows] = terms[starts[rows][:, np.newaxis] + np.arange(size)].sum(axis=1)
+    return kls
 
 
 def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
@@ -273,19 +308,20 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     for name, h in (("P", p), ("Q", q)):
         if (h < 0).any() or abs(h.sum() - 1.0) > 1e-9:
             raise NotNormalized(f"{name} is not a probability distribution")
-    mask = p > 0
-    with np.errstate(divide="ignore"):
-        terms = p[mask] * np.log(p[mask] / q[mask])
-    return float(np.sum(terms))
+    return float(_kl_rows(p[np.newaxis], q)[0])
 
 
 class BeatRule(NamedTuple):
     """A beat classifier bound to its banks: the bank beats every window
-    beat is warped against, and a beat's label from its row of
-    distances to them, in that order."""
+    beat is warped against, and the beats' labels from their
+    (beats x members) matrix of distances to them, one row per beat."""
 
     members: list[np.ndarray]
-    label: Callable[[np.ndarray], BeatLabel]
+    label: Callable[[np.ndarray], list[BeatLabel]]
+
+
+def _labels(ventricular: np.ndarray) -> list[BeatLabel]:
+    return [BeatLabel.VENTRICULAR if v else BeatLabel.NORMAL for v in ventricular.tolist()]
 
 
 BeatClassifier = Callable[[BankSet], BeatRule]
@@ -298,9 +334,9 @@ def classify_beat_vbank(banks: BankSet) -> BeatRule:
         raise EmptyBank("vbank classification needs both banks populated")
     n_ventricular = len(banks.ventricular)
 
-    def label(row: np.ndarray) -> BeatLabel:
+    def label(rows: np.ndarray) -> list[BeatLabel]:
         # argmin takes the first minimum, and the ventricular beats come first
-        return BeatLabel.VENTRICULAR if int(np.argmin(row)) < n_ventricular else BeatLabel.NORMAL
+        return _labels(rows.argmin(axis=1) < n_ventricular)
 
     return BeatRule(banks.ventricular.beats + banks.standard.beats, label)
 
@@ -316,8 +352,8 @@ def classify_beat_self_min(banks: BankSet) -> BeatRule:
     mu + sigma."""
     bank, stats = _patient_bank(banks)
 
-    def label(row: np.ndarray) -> BeatLabel:
-        return BeatLabel.VENTRICULAR if float(np.min(row)) > stats.mu_min + stats.sigma_min else BeatLabel.NORMAL
+    def label(rows: np.ndarray) -> list[BeatLabel]:
+        return _labels(rows.min(axis=1) > stats.mu_min + stats.sigma_min)
 
     return BeatRule(bank.beats, label)
 
@@ -328,9 +364,9 @@ def classify_beat_self_kl(banks: BankSet) -> BeatRule:
     bank, stats = _patient_bank(banks)
     q = smooth_distribution(_histogram(stats.reference_distances, stats.bin_edges))
 
-    def label(row: np.ndarray) -> BeatLabel:
-        kl = kl_divergence(_histogram(row, stats.bin_edges), q)
-        return BeatLabel.VENTRICULAR if kl > stats.mu_kl + stats.sigma_kl else BeatLabel.NORMAL
+    def label(rows: np.ndarray) -> list[BeatLabel]:
+        p = _bin_counts(rows, stats.bin_edges) / rows.shape[1]
+        return _labels(_kl_rows(p, q) > stats.mu_kl + stats.sigma_kl)
 
     return BeatRule(bank.beats, label)
 
@@ -366,8 +402,8 @@ def vt_labels_from_bank(
     labels = [BeatLabel.UNKNOWN] * len(segments)
     comparable = list(_comparable_beats(rec.samples[0], segments))
     rows = _distance_rows([beat for *_, beat in comparable], rule.members)
-    for (pos, *_), row in zip(comparable, rows):
-        labels[pos] = rule.label(row)
+    for (pos, *_), label in zip(comparable, rule.label(rows)):
+        labels[pos] = label
     return BeatAnnotation(annotation.channel, annotation.indices.copy(), labels)
 
 

@@ -155,7 +155,8 @@ def parse_header(text: str) -> tuple[str, float, int, list[ChannelMeta], AlarmMe
     ------
     MalformedHeader
         On any grammar violation: wrong field counts, a non-16-bit
-        format, zero gain, or an alarm index outside the record.
+        format, a zero or non-finite gain, a non-finite sample rate, or
+        an alarm index outside the record.
     UnknownArrhythmia
         If the arrhythmia comment matches no known alias.
     """
@@ -175,6 +176,8 @@ def parse_header(text: str) -> tuple[str, float, int, list[ChannelMeta], AlarmMe
         raise MalformedHeader(f"bad numeric field on line 1: {exc}") from None
     if n_sig < 1:
         raise MalformedHeader("record must declare at least one signal")
+    if not math.isfinite(rate):
+        raise MalformedHeader(f"sample rate must be finite, got {head[2]!r}")
     if rate <= 0 or n_samples < 1:
         raise MalformedHeader("sample rate and length must be positive")
     if len(lines) < 1 + n_sig:
@@ -193,6 +196,8 @@ def parse_header(text: str) -> tuple[str, float, int, list[ChannelMeta], AlarmMe
             baseline = int(base_s)
         except ValueError as exc:
             raise MalformedHeader(f"bad calibration field: {exc}") from None
+        if not math.isfinite(gain):
+            raise MalformedHeader(f"signal gain must be finite, got {gain_s!r}")
         if gain == 0:
             raise MalformedHeader("signal gain must be nonzero")
         channels.append(ChannelMeta(sig_name, channel_kind(sig_name), units, gain, baseline, fname))

@@ -1,13 +1,20 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from alarmsentinel import beat_banks
 from alarmsentinel.beat_banks import (
+    KL_EPSILON,
     BankKind,
     BankSet,
     BeatBank,
+    _bin_counts,
     _distance_rows,
+    _kl_rows,
     bank_lead,
     bank_novelty_stats,
     classify_beat_self_kl,
@@ -173,7 +180,7 @@ class TestSmoothing:
 def label_beat(rule, beat):
     """``rule``'s label for one beat, from its normalized form's row of
     distances to the members, as vt_labels_from_bank computes it."""
-    return rule.label(_distance_rows([znormalize(beat)], rule.members)[0])
+    return rule.label(_distance_rows([znormalize(beat)], rule.members))[0]
 
 
 class TestBeatClassifiers:
@@ -239,6 +246,147 @@ class TestBeatClassifiers:
         narrow, wide = self.flag_counts(classify_beat_self_kl)
         assert wide == 30
         assert narrow <= 9
+
+
+def counts_loop(values, edges):
+    counts, _ = np.histogram(np.clip(values, edges[0], edges[-1]), bins=edges)
+    return counts
+
+
+def histogram_loop(values, edges):
+    return counts_loop(values, edges) / len(values)
+
+
+def smooth_loop(q):
+    return (q + KL_EPSILON) / (q.sum() + KL_EPSILON * len(q))
+
+
+def kl_loop(p, q):
+    mask = p > 0
+    with np.errstate(divide="ignore"):
+        terms = p[mask] * np.log(p[mask] / q[mask])
+    return float(np.sum(terms))
+
+
+def novelty_stats_loop(reference, n):
+    """(mu_min, sigma_min, mu_kl, sigma_kl) from the condensed pairwise
+    distances, one beat at a time, as bank_novelty_stats computed them
+    before it worked on the whole matrix."""
+    iu, ju = np.triu_indices(n, k=1)
+    dist = np.zeros((n, n))
+    dist[iu, ju] = dist[ju, iu] = reference
+    mins = np.array([np.min(np.delete(dist[i], i)) for i in range(n)])
+    edges = beat_banks._bin_edges(reference)
+    kls = np.empty(n)
+    for i in range(n):
+        own = np.delete(dist[i], i)
+        rest = reference[(iu != i) & (ju != i)]
+        kls[i] = kl_loop(histogram_loop(own, edges), smooth_loop(histogram_loop(rest, edges)))
+    return float(np.mean(mins)), float(np.std(mins)), float(np.mean(kls)), float(np.std(kls))
+
+
+def kl_row_loop(rows, stats):
+    """Each beat's KL divergence from its row alone, as the self-kl rule
+    computed it before it took the whole matrix."""
+    q = smooth_loop(histogram_loop(stats.reference_distances, stats.bin_edges))
+    return np.array([kl_loop(histogram_loop(row, stats.bin_edges), q) for row in rows])
+
+
+def labels_loop(method, rows, n_ventricular, stats):
+    """Per-row labels as the bank rules gave them before they took the
+    whole (beats x members) matrix."""
+    if method == "vbank":
+        flags = [int(np.argmin(row)) < n_ventricular for row in rows]
+    elif method == "self-min":
+        flags = [float(np.min(row)) > stats.mu_min + stats.sigma_min for row in rows]
+    else:
+        flags = list(kl_row_loop(rows, stats) > stats.mu_kl + stats.sigma_kl)
+    return [BeatLabel.VENTRICULAR if f else BeatLabel.NORMAL for f in flags]
+
+
+@st.composite
+def pairwise_distances(draw):
+    """(bank size 3-25, its condensed pairwise distances), drawn so that
+    values sit on bin edges, all distances are equal, or all are zero
+    (the degenerate 1e-12 top edge)."""
+    n = draw(st.integers(3, 25))
+    pairs = n * (n - 1) // 2
+    kind = draw(st.sampled_from(["spread", "on-edges", "equal", "zero"]))
+    if kind == "zero":
+        return n, np.zeros(pairs)
+    top = draw(st.floats(1e-3, 1e3))
+    if kind == "equal":
+        return n, np.full(pairs, top)
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    reference = rng.uniform(0.0, top, pairs)
+    reference[rng.random(pairs) < 0.1] = 0.0
+    if kind == "on-edges":  # the edges below the maximum, as _bin_edges will make them
+        edges = np.linspace(0.0, top * beat_banks.KL_EDGE_FACTOR, beat_banks.KL_BINS + 1)
+        snap = rng.random(pairs) < 0.7
+        reference[snap] = rng.choice(edges[edges <= top], snap.sum())
+    reference[rng.integers(pairs)] = top
+    return n, reference
+
+
+def stats_from(reference, n):
+    """bank_novelty_stats of an n-beat bank whose pairwise distances are ``reference``."""
+    bank = BeatBank(BankKind.SELF, [np.zeros(1)] * n)
+    with mock.patch.object(beat_banks, "_beat_distances", lambda a, b: reference.copy()):
+        return bank_novelty_stats(bank)
+
+
+class TestMatrixRulesMatchTheLoops:
+    @given(pairwise_distances())
+    @settings(max_examples=150, deadline=None)
+    def test_novelty_stats(self, drawn):
+        n, reference = drawn
+        stats = stats_from(reference, n)
+        got = np.array([stats.mu_min, stats.sigma_min, stats.mu_kl, stats.sigma_kl])
+        assert got.tobytes() == np.array(novelty_stats_loop(reference, n)).tobytes()
+
+    @given(pairwise_distances(), st.integers(0, 30), st.integers(1, 24), st.integers(0, 2**31 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_labels(self, drawn, beats, n_ventricular, seed):
+        n, reference = drawn
+        stats = stats_from(reference, n)
+        edges = stats.bin_edges
+        rng = np.random.default_rng(seed)
+        # up to twice the top edge, so some values are clipped into the last bin
+        rows = rng.uniform(0.0, 2.0 * edges[-1], (beats, n))
+        on_edge = rng.random(rows.shape) < 0.3
+        rows[on_edge] = rng.choice(edges, on_edge.sum())
+        if beats:
+            rows[0] = rows[0, 0]  # all-equal distances: a tie for vbank
+        if beats > 1 and n >= len(edges):
+            rows[1, : len(edges)] = edges  # a row in every bin
+        self_bank = BeatBank(BankKind.SELF, [np.zeros(1)] * n)
+        members = [np.zeros(1)] * n
+        vbank = BankSet(BeatBank(BankKind.VENTRICULAR, members[:n_ventricular]), BeatBank(BankKind.STANDARD, members))
+        bank_set = BankSet(self_bank=self_bank, stats=stats)
+        for method, rule in (
+            ("vbank", classify_beat_vbank(vbank)),
+            ("self-min", classify_beat_self_min(bank_set)),
+            ("self-kl", classify_beat_self_kl(bank_set)),
+        ):
+            assert rule.label(rows) == labels_loop(method, rows, n_ventricular, stats), method
+        counts = _bin_counts(rows, edges)
+        assert all(np.array_equal(c, counts_loop(row, edges)) for c, row in zip(counts, rows))
+        q = smooth_distribution(beat_banks._histogram(stats.reference_distances, edges))
+        assert _kl_rows(counts / n, q).tobytes() == kl_row_loop(rows, stats).tobytes()
+
+    def test_rows_with_eight_or_more_nonzero_bins(self):
+        # eight or more terms are summed with eight accumulators, so a row
+        # must be summed over exactly its own nonzero terms
+        n, reference = 20, np.linspace(0.0, 1.0, 190)
+        stats = stats_from(reference, n)
+        edges = stats.bin_edges
+        rng = np.random.default_rng(3)
+        rows = rng.uniform(0.0, edges[-1], (40, n))
+        counts = _bin_counts(rows, edges)
+        nonzero = (counts > 0).sum(axis=1)
+        assert (nonzero >= 8).sum() > 10 and (nonzero < 8).any()
+        q = smooth_distribution(beat_banks._histogram(reference, edges))
+        assert _kl_rows(counts / n, q).tobytes() == kl_row_loop(rows, stats).tobytes()
 
 
 class TestVtLabelsFromBank:

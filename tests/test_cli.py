@@ -69,6 +69,21 @@ class TestClassifyCommand:
         assert main(["classify", str(tmp_path / "ghost.hea")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value", [("rate", "nan"), ("rate", "inf"), ("gain", "nan"), ("gain", "-inf")])
+    def test_non_finite_header_number_exits_two(self, small_suite, tmp_path, capsys, field, value):
+        # exit 1 would read as "true alarm"; a nan rate used to exit 1 with a traceback
+        rec, _ = generate(SynthSpec(name="hdr", arrhythmia=Arrhythmia.ASYSTOLE, event=False, seed=4))
+        header = write_record(rec, tmp_path)
+        lines = header.read_text().splitlines()
+        fields = lines[0 if field == "rate" else 1].split()
+        fields[2] = value
+        lines[0 if field == "rate" else 1] = " ".join(fields)
+        header.write_text("\n".join(lines) + "\n")
+        assert main(["classify", str(header)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
     def test_vbank_requires_bank_dir(self, small_suite, capsys):
         record = entry_for(small_suite[1], truth=True, arrhythmia=Arrhythmia.VTACH)
         assert main(["classify", record, "--method", "dtw-vbank"]) == 2

@@ -8,10 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alarmsentinel import dtw
 from alarmsentinel.dtw import (
+    SWEEP_SLOTS,
     CorpusEntry,
     TrainingCorpus,
     WarpParams,
+    _dtw_core,
     corpus_from_records,
     dtw_distance,
     dtw_distances,
@@ -207,6 +210,88 @@ class TestDtwDistances:
                     assert [list(f.result(timeout=60)) for f in futures] == expected
         finally:
             sys.setswitchinterval(interval)
+
+
+def one_sweep(a, b, radii):
+    """All pairs in one _dtw_core sweep, padded to the longest pair: what
+    dtw_distances computed before it split large batches."""
+    n = np.array([len(x) for x in a])
+    m = np.array([len(y) for y in b])
+    padded_a, padded_b = np.zeros((n.max(), len(a))), np.zeros((m.max(), len(b)))
+    for k, (x, y) in enumerate(zip(a, b)):
+        padded_a[: len(x), k] = x
+        padded_b[: len(y), k] = y
+    return np.sqrt(_dtw_core(padded_a, padded_b, n, m, np.broadcast_to(np.asarray(radii), (len(a),))))
+
+
+class TestSplitSweeps:
+    """Batches past SWEEP_SLOTS slots per diagonal buffer are swept in the
+    fewest parts under it, each padded to its own longest pair."""
+
+    def batch(self, rng, count, longest):
+        """Pairs of mixed lengths up to ``longest`` and mixed radii, one of
+        them ``longest`` samples long."""
+        a, b, radii = [], [], []
+        for k in range(count):
+            n = longest if k == count // 2 else int(rng.integers(1, longest + 1))
+            m = int(rng.integers(max(1, n - 12), min(longest, n + 12) + 1))
+            a.append(rng.uniform(-1, 1, n))
+            b.append(rng.uniform(-1, 1, m))
+            radii.append(abs(n - m) + int(rng.integers(0, 4)) if k % 3 else 125)
+        return a, b, radii
+
+    def sweeps(self, monkeypatch, budget=None):
+        """Run dtw_distances with an optional smaller budget; return the
+        shapes of the parts it swept."""
+        if budget is not None:
+            monkeypatch.setattr(dtw, "SWEEP_SLOTS", budget)
+        parts = []
+
+        def spy(a, b, n, m, radii):
+            parts.append(a.shape)
+            return _dtw_core(a, b, n, m, radii)
+
+        monkeypatch.setattr(dtw, "_dtw_core", spy)
+        return parts
+
+    @pytest.mark.parametrize("budget", [409, 410])
+    @pytest.mark.parametrize("count", [1, 9, 10, 11, 19, 20, 21, 47])
+    def test_counts_around_the_budget(self, monkeypatch, count, budget):
+        # a pair of 40 samples takes 41 slots of a diagonal buffer, so 10
+        # pairs fill a 410-slot budget exactly and overflow a 409-slot one
+        rng = np.random.default_rng(count)
+        a, b, radii = self.batch(rng, count, 40)
+        expected = one_sweep(a, b, radii)
+        parts = self.sweeps(monkeypatch, budget=budget)
+        got = dtw_distances(a, b, radii)
+        assert got.tobytes() == expected.tobytes()
+        assert len(parts) == -(-count // (budget // 41))
+        assert sum(k for _, k in parts) == count
+        assert all((rows + 1) * k <= budget for rows, k in parts)
+
+    @given(st.integers(1, 60), st.integers(1, 50), st.integers(20, 400), st.integers(0, 2**31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_any_budget_matches_one_sweep(self, count, longest, budget, seed):
+        rng = np.random.default_rng(seed)
+        a, b, radii = self.batch(rng, count, longest)
+        expected = one_sweep(a, b, radii)
+        with pytest.MonkeyPatch.context() as patch:
+            parts = self.sweeps(patch, budget=budget)
+            got = dtw_distances(a, b, radii)
+        assert got.tobytes() == expected.tobytes()
+        assert sum(k for _, k in parts) == count
+
+    def test_beat_batch_past_the_real_budget(self, monkeypatch):
+        # the size of a record's beats against the two banks: 48 beats of
+        # 91-124 samples against 20 members
+        rng = np.random.default_rng(12)
+        a, b, radii = self.batch(rng, 960, 124)
+        expected = one_sweep(a, b, radii)
+        parts = self.sweeps(monkeypatch)
+        got = dtw_distances(a, b, radii)
+        assert got.tobytes() == expected.tobytes()
+        assert len(parts) == -(-960 // (SWEEP_SLOTS // 125)) > 1
+        assert all((rows + 1) * k <= SWEEP_SLOTS for rows, k in parts)
 
 
 class TestZnormalize:

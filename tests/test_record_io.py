@@ -97,6 +97,18 @@ class TestParseHeader:
         with pytest.raises(UnknownArrhythmia):
             parse_header(HEADER.replace("Ventricular_Tachycardia", "Torsades"))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_rate_rejected(self, value):
+        # float() parses these; a nan rate later failed as a bare ValueError
+        with pytest.raises(MalformedHeader, match="sample rate must be finite"):
+            parse_header(HEADER.replace("v131l 2 250 75000", f"v131l 2 {value} 75000"))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_gain_rejected(self, value):
+        # a non-finite gain decoded the whole channel as NaN or -0.0
+        with pytest.raises(MalformedHeader, match="signal gain must be finite"):
+            parse_header(HEADER.replace("16 20 0 mmHg", f"16 {value} 0 mmHg"))
+
 
 class TestArrhythmiaNames:
     @pytest.mark.parametrize(
