@@ -42,13 +42,15 @@ MATCH_RATE_HZ = 125.0
 MATCH_SECONDS = 10.0
 FULL_SIGNAL_RADIUS = 250  # 2 s at 125 Hz
 BEAT_RADIUS = 125  # 1 s at 125 Hz
-# Slots per diagonal buffer in one sweep. A sweep holds six arrays of this
-# size (a, reversed b, the cost row and three diagonals), so 48,000 float64
-# slots are 2.3 MB, about the 2 MB L2 of one core of the 2-CPU x86-64 host
-# it was measured on. There, sweeping the largest beat batches (720-960
-# pairs of 91-124 samples) in parts under this budget gave the same bits
-# 10-30% faster; budgets of 32,000 and below were slower on every batch,
-# because each part pays the per-diagonal overhead again.
+# Slots per diagonal buffer in one sweep. A sweep holds six float64 arrays
+# of about this size (a, reversed b, the cost row and three diagonals), so
+# 48,000 slots are 2.3 MB, close to the 2 MB L2 of one core of the 2-CPU
+# x86-64 host it was measured on (BENCH_10.json). There, over the distinct
+# batches of a seed-7 vt-dtw plan, the beat batches of 720-960 pairs swept
+# 12-23% faster in parts under this budget and the smaller ones the same;
+# in total, budgets of 32,000 to 64,000 were within 2.5% of each other,
+# 24,000 was 3% slower (each part pays the per-diagonal overhead again),
+# and no split 6% slower.
 SWEEP_SLOTS = 48_000
 
 

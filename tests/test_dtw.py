@@ -241,8 +241,8 @@ class TestSplitSweeps:
         return a, b, radii
 
     def sweeps(self, monkeypatch, budget=None):
-        """Run dtw_distances with an optional smaller budget; return the
-        shapes of the parts it swept."""
+        """Set an optional smaller budget and spy on _dtw_core; return the
+        list the spy fills with the shape of each part swept."""
         if budget is not None:
             monkeypatch.setattr(dtw, "SWEEP_SLOTS", budget)
         parts = []
