@@ -55,13 +55,11 @@ from .beats import (
 from .dtw import (
     CorpusEntry,
     TrainingCorpus,
-    WarpParams,
     corpus_from_records,
     dtw_distance,
     dtw_distances,
     extract_alarm_lead,
     load_corpus_cache,
-    nearest_neighbor,
     save_corpus_cache,
     znormalize,
 )
@@ -94,7 +92,6 @@ from .record_io import (
 )
 from .signal_quality import (
     CleanMetrics,
-    CleanThresholds,
     InvalidInterval,
     InvalidReason,
     QualityReport,

@@ -41,7 +41,6 @@ from .beats import classify_beat_spectral  # noqa: F401
 from .beat_banks import (
     BankSet,
     BeatClassifier,
-    bank_lead,
     bank_novelty_stats,
     classify_beat_self_kl,
     classify_beat_self_min,
@@ -49,7 +48,7 @@ from .beat_banks import (
     extract_self_bank,
     vt_labels_from_bank,
 )
-from .dtw import TrainingCorpus, classify_full_signal
+from .dtw import TrainingCorpus, bank_lead, classify_full_signal
 from .errors import (
     CannotDecide,
     EmptyCorpus,
@@ -93,6 +92,11 @@ class Thresholds:
         for name in ("brady_beats", "tachy_beats", "vt_beats"):
             if getattr(self, name) < 2:
                 raise InvalidConfig(f"{name} must be at least 2 (a rate window spans two beats or more)")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # a NaN threshold compares False both ways, so its check would never fire
+            if isinstance(value, float) and not np.isfinite(value):
+                raise InvalidConfig(f"{f.name} must be finite, got {value}")
 
     def update(self, overrides: dict) -> "Thresholds":
         """A copy with ``overrides`` cast to the field types."""
@@ -458,7 +462,7 @@ def _bank_votes(
 
     With ``self_bank``, the patient's bank is built from the pre-alarm
     beats when ``ctx.banks`` carries none. The lead is brought to the
-    bank rate once, for the bank and the labels alike.
+    match rate once, for the bank and the labels alike.
     """
     record = ctx.record
     lead = analysis_lead(record, ctx.lead)
@@ -469,20 +473,20 @@ def _bank_votes(
         raise CannotDecide("vtach_no_annotations")
 
     try:
-        at_bank_rate = bank_lead(record, lead)
+        at_match_rate = bank_lead(record, lead)
     except InsufficientData:  # too short for the anti-alias filter
         raise CannotDecide("bank_lead_too_short", samples=float(record.n_samples)) from None
     banks = ctx.banks or BankSet()
     if self_bank and (banks.self_bank is None or banks.stats is None):
         try:
-            patient = extract_self_bank(at_bank_rate, ann, exclude_s=ctx.config.analysis_window_s)
+            patient = extract_self_bank(at_match_rate, ann, exclude_s=ctx.config.analysis_window_s)
         except InsufficientCleanBeats as exc:
             raise CannotDecide("self_bank_failed", clean_beats_found=float(exc.found)) from None
         banks = replace(banks, self_bank=patient, stats=bank_novelty_stats(patient))
 
     beats_in = ann.within(*ctx.window)
     try:
-        labels = vt_labels_from_bank(at_bank_rate, beats_in, classifier, banks)
+        labels = vt_labels_from_bank(at_match_rate, beats_in, classifier, banks)
     except TooFewBeats:
         raise CannotDecide("vtach_too_few_beats", beats=float(beats_in.count)) from None
     labelled: list[BeatAnnotation | None] = [None] * record.n_channels

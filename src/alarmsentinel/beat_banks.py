@@ -23,10 +23,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .beats import BeatAnnotation, BeatLabel, BeatSegment, beat_segments, beat_slices
-from .dtw import BEAT_RADIUS, dtw_distances, znormalize
-# unused here: kept because perfbench/spans.py wraps beat_banks.dtw_distance,
-# and its tracer test fails when a wrap point is missing
-from .dtw import dtw_distance  # noqa: F401
+from .dtw import BEAT_RADIUS, MATCH_RATE_HZ, BankLead, bank_lead, dtw_distances, znormalize
 from .errors import (
     BankTooSmall,
     DimensionMismatch,
@@ -34,18 +31,19 @@ from .errors import (
     InsufficientCleanBeats,
     IoFailure,
     NotNormalized,
-    TooFewBeats,
-    UnsupportedRate,
     ZeroVariance,
 )
-from .record_io import Record, resample_half, single_channel
-from .signal_quality import CleanThresholds, clean_window_metrics, is_clean
+from .record_io import Record
+from .signal_quality import clean_window_metrics, is_clean
+# unused here: kept because perfbench/spans.py wraps beat_banks.dtw_distance and
+# beat_banks.resample_half, and its tracer test fails when a wrap point is missing
+from .dtw import dtw_distance  # noqa: F401
+from .record_io import resample_half  # noqa: F401
 
-BANK_RATE_HZ = 125.0
 SELF_BANK_SIZE = 20
 SECTION_S = 10.0
-BEAT_MIN_SAMPLES = int(0.2 * BANK_RATE_HZ)
-BEAT_MAX_SAMPLES = int(2.0 * BANK_RATE_HZ)
+BEAT_MIN_SAMPLES = int(0.2 * MATCH_RATE_HZ)
+BEAT_MAX_SAMPLES = int(2.0 * MATCH_RATE_HZ)
 KL_BINS = 10
 KL_EDGE_FACTOR = 1.5
 KL_EPSILON = 1e-9
@@ -60,7 +58,7 @@ class BankKind(Enum):
 @dataclass
 class BeatBank:
     kind: BankKind
-    beats: list[np.ndarray] = field(default_factory=list)  # z-normalized, bank rate
+    beats: list[np.ndarray] = field(default_factory=list)  # z-normalized, match rate
     provenance: list[tuple[str, int, int]] = field(default_factory=list)
 
     def __len__(self) -> int:
@@ -87,36 +85,6 @@ class BankSet:
     stats: NoveltyStats | None = None
 
 
-class BankLead(NamedTuple):
-    """One channel of a record at the bank rate."""
-
-    record: Record  # that channel alone, at BANK_RATE_HZ
-    channel: int  # its index in the source record
-    factor: int  # source rate over bank rate: source sample indices divide by it
-
-
-def bank_lead(record: Record | BankLead, channel: int) -> BankLead:
-    """One channel of the record at the bank rate.
-
-    Only that channel is filtered, but over the whole record, so its
-    samples match those of a resample of every channel. A
-    :class:`BankLead` of that channel passes through unchanged, so a
-    caller that builds a self bank and then labels beats resamples
-    once.
-    """
-    if isinstance(record, BankLead):
-        if record.channel != channel:
-            raise ValueError(f"bank lead is channel {record.channel}, beats are on channel {channel}")
-        return record
-    if record.sample_rate == BANK_RATE_HZ:
-        return BankLead(single_channel(record, channel), channel, 1)
-    if record.sample_rate == 2 * BANK_RATE_HZ:
-        return BankLead(resample_half(single_channel(record, channel)), channel, 2)
-    raise UnsupportedRate(
-        f"beat banks run at {BANK_RATE_HZ:g} Hz, record is {record.sample_rate:g} Hz"
-    )
-
-
 def _beat_distances(a: list[np.ndarray], b: list[np.ndarray]) -> np.ndarray:
     # beats of very different lengths would make the band infeasible;
     # widen it just enough so every pair stays comparable
@@ -140,13 +108,7 @@ def _comparable_beats(
         yield pos, start, end, beat
 
 
-def extract_self_bank(
-    record: Record | BankLead,
-    annotation: BeatAnnotation,
-    thresholds: CleanThresholds | None = None,
-    size: int = SELF_BANK_SIZE,
-    exclude_s: float = 16.0,
-) -> BeatBank:
+def extract_self_bank(record: Record | BankLead, annotation: BeatAnnotation, exclude_s: float = 16.0) -> BeatBank:
     """Collect the patient's own recent clean beats, newest first.
 
     Scans 10 s sections backward, starting before the alarm section
@@ -154,32 +116,33 @@ def extract_self_bank(
     event being adjudicated, and banked beats must never be the beats
     under test). A section contributes its interior beats only when
     its clean-signal metrics pass, so every banked beat comes from
-    trustworthy signal. ``record`` may be the lead already at the bank
+    trustworthy signal. ``record`` may be the lead already at the match
     rate (:func:`bank_lead`).
 
     Raises
     ------
     InsufficientCleanBeats
-        Fewer than ``size`` beats survived; carries the count found.
+        Fewer than :data:`SELF_BANK_SIZE` beats survived; carries the
+        count found.
     """
     ch = annotation.channel
     rec, _, factor = bank_lead(record, ch)
-    section = int(SECTION_S * BANK_RATE_HZ)
+    section = int(SECTION_S * MATCH_RATE_HZ)
     idx = annotation.indices // factor
     samples = rec.samples[0]
 
     beats: list[np.ndarray] = []
     provenance: list[tuple[str, int, int]] = []
-    sec_end = rec.alarm.alarm_index - int(round(exclude_s * BANK_RATE_HZ))
-    while sec_end - section >= 0 and len(beats) < size:
+    sec_end = rec.alarm.alarm_index - int(round(exclude_s * MATCH_RATE_HZ))
+    while sec_end - section >= 0 and len(beats) < SELF_BANK_SIZE:
         sec_start = sec_end - section
         window = samples[sec_start:sec_end]
         try:
-            metrics = clean_window_metrics(window, BANK_RATE_HZ)
+            metrics = clean_window_metrics(window, MATCH_RATE_HZ)
         except ZeroVariance:
             sec_end = sec_start
             continue
-        if is_clean(metrics, thresholds):
+        if is_clean(metrics):
             in_section = idx[(idx >= sec_start) & (idx < sec_end)]
             if len(in_section) >= 3:
                 segments = beat_segments(BeatAnnotation(ch, in_section))
@@ -187,13 +150,13 @@ def extract_self_bank(
                 for _, s, e, beat in _comparable_beats(samples, interior):
                     beats.append(beat)
                     provenance.append((rec.name, s, e))
-                    if len(beats) == size:
+                    if len(beats) == SELF_BANK_SIZE:
                         break
         sec_end = sec_start
 
-    if len(beats) < size:
+    if len(beats) < SELF_BANK_SIZE:
         raise InsufficientCleanBeats(
-            f"found {len(beats)} clean beats before the alarm section, need {size}",
+            f"found {len(beats)} clean beats before the alarm section, need {SELF_BANK_SIZE}",
             found=len(beats),
         )
     return BeatBank(BankKind.SELF, beats, provenance)
@@ -260,12 +223,13 @@ def _histogram(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return _bin_counts(values[np.newaxis], edges)[0] / len(values)
 
 
-def smooth_distribution(q: np.ndarray, epsilon: float = KL_EPSILON) -> np.ndarray:
-    """Additive smoothing: lift zero bins by ``epsilon``, renormalize.
+def smooth_distribution(q: np.ndarray) -> np.ndarray:
+    """Additive smoothing: lift zero bins by :data:`KL_EPSILON`,
+    renormalize.
 
     A 2-D ``q`` is smoothed row by row."""
     q = np.asarray(q, dtype=np.float64)
-    return (q + epsilon) / (q.sum(axis=-1, keepdims=True) + epsilon * q.shape[-1])
+    return (q + KL_EPSILON) / (q.sum(axis=-1, keepdims=True) + KL_EPSILON * q.shape[-1])
 
 
 def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -388,14 +352,12 @@ def vt_labels_from_bank(
 
     ``classifier`` is :func:`classify_beat_vbank`,
     :func:`classify_beat_self_min` or :func:`classify_beat_self_kl`;
-    ``record`` may be the lead already at the bank rate
+    ``record`` may be the lead already at the match rate
     (:func:`bank_lead`). Beats whose slice cannot be compared (flat,
     out of length bounds, or containing gaps) come back Unknown; the
     others are warped against the bank members in one batch.
     """
     rec, _, factor = bank_lead(record, annotation.channel)
-    if annotation.count < 3:
-        raise TooFewBeats(f"beat labelling needs at least 3 beats, have {annotation.count}")
     segments = beat_segments(BeatAnnotation(annotation.channel, annotation.indices // factor))
     rule = classifier(banks)
 
@@ -411,7 +373,7 @@ def save_beat_file(path: str | Path, values: np.ndarray, label: BeatLabel) -> Pa
     """Write one beat: header ``fs=125 label=V`` then one sample per line."""
     path = Path(path)
     code = "V" if label is BeatLabel.VENTRICULAR else "N"
-    lines = [f"fs={BANK_RATE_HZ:g} label={code}"]
+    lines = [f"fs={MATCH_RATE_HZ:g} label={code}"]
     lines.extend(repr(float(v)) for v in np.asarray(values, dtype=np.float64))
     try:
         path.write_text("\n".join(lines) + "\n")
@@ -429,7 +391,7 @@ def load_beat_file(path: str | Path) -> tuple[np.ndarray, BeatLabel]:
     if not lines:
         raise IoFailure(f"beat file {path} is empty")
     header = dict(f.split("=", 1) for f in lines[0].split() if "=" in f)
-    if header.get("fs") != f"{BANK_RATE_HZ:g}" or header.get("label") not in ("V", "N"):
+    if header.get("fs") != f"{MATCH_RATE_HZ:g}" or header.get("label") not in ("V", "N"):
         raise IoFailure(f"beat file {path} has a bad header: {lines[0]!r}")
     try:
         values = np.array([float(v) for v in lines[1:] if v.strip()], dtype=np.float64)

@@ -18,11 +18,11 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict
 from pathlib import Path
 
-from .alarm_logic import DTW_METHODS, METHODS, Thresholds, analysis_lead, classify_alarm, detect_annotations
+from .alarm_logic import DTW_METHODS, METHODS, Thresholds, Verdict, analysis_lead, classify_alarm, detect_annotations
 from .beat_banks import bank_novelty_stats, extract_self_bank, load_bank_dir, save_bank
 from .beats import import_annotations
 from .dtw import TrainingCorpus, corpus_from_records, load_corpus_cache, save_corpus_cache
-from .errors import AlarmSentinelError, EmptyCorpus, InsufficientCleanBeats
+from .errors import AlarmSentinelError, EmptyBank, EmptyCorpus, InsufficientCleanBeats
 from .evaluation import per_arrhythmia_report, train_test_split
 from .record_io import Arrhythmia, load_record, load_manifest
 from .synthkit import generate_suite
@@ -34,7 +34,7 @@ def _fail(message: str, code: int = 2) -> int:
 
 
 def _config_from(args) -> Thresholds:
-    if getattr(args, "config", None):
+    if args.config:
         return Thresholds.from_file(args.config)
     return Thresholds()
 
@@ -73,41 +73,45 @@ def _corpus_for(args, train) -> TrainingCorpus:
     return corpus
 
 
-def cmd_classify(args) -> int:
+def _run_for(args, train) -> tuple:
+    """What every adjudication of a command shares: ``(method, config,
+    banks, corpus, annotation directory, lead)``. ``train`` holds the
+    manifest rows a dtw-full corpus is built from."""
     config = _config_from(args)
     banks = load_bank_dir(args.bank_dir) if args.bank_dir else None
     if args.method == "dtw-vbank" and banks is None:
-        return _fail("--method dtw-vbank requires --bank-dir")
-    corpus = None
-    if args.method == "dtw-full":
-        train = []
-        if not args.corpus_cache:
-            if not args.train_manifest:
-                return _fail("--method dtw-full requires --corpus-cache or --train-manifest")
-            # the corpus cache stores no class column, so keep the corpus
-            # VT-only here just like evaluate does; the record under test
-            # must not be its own neighbour
-            query = Path(args.record).resolve()
-            train = [
-                e for e in load_manifest(args.train_manifest)
-                if e.arrhythmia is Arrhythmia.VTACH and Path(e.record).resolve() != query
-            ]
-            unlabelled = [e.record for e in train if e.truth is None]
-            if unlabelled:
-                return _fail(f"training manifest row without a label: {unlabelled[0]}")
-        corpus = _corpus_for(args, train)
+        raise EmptyBank("--method dtw-vbank requires --bank-dir")
+    corpus = _corpus_for(args, train) if args.method == "dtw-full" else None
+    return args.method, config, banks, corpus, args.annotations, args.lead
 
-    record = load_record(args.record)
-    annotations = _annotations_for(record, args.annotations)
-    verdict = classify_alarm(
-        record,
-        method=args.method,
-        config=config,
-        banks=banks,
-        corpus=corpus,
-        annotations=annotations,
-        lead=args.lead,
+
+def _verdict(path: str, run: tuple) -> Verdict:
+    """The verdict on the record at ``path`` under ``run`` (:func:`_run_for`)."""
+    method, config, banks, corpus, annotation_dir, lead = run
+    record = load_record(path)
+    annotations = _annotations_for(record, annotation_dir)
+    return classify_alarm(
+        record, method=method, config=config, banks=banks, corpus=corpus, annotations=annotations, lead=lead
     )
+
+
+def cmd_classify(args) -> int:
+    train = []
+    if args.method == "dtw-full" and not args.corpus_cache:
+        if not args.train_manifest:
+            return _fail("--method dtw-full requires --corpus-cache or --train-manifest")
+        # the corpus cache stores no class column, so keep the corpus
+        # VT-only here just like evaluate does; the record under test
+        # must not be its own neighbour
+        query = Path(args.record).resolve()
+        train = [
+            e for e in load_manifest(args.train_manifest)
+            if e.arrhythmia is Arrhythmia.VTACH and Path(e.record).resolve() != query
+        ]
+        unlabelled = [e.record for e in train if e.truth is None]
+        if unlabelled:
+            return _fail(f"training manifest row without a label: {unlabelled[0]}")
+    verdict = _verdict(args.record, _run_for(args, train))
     print(json.dumps(verdict.to_dict(), indent=2))
     return 1 if verdict.is_true_alarm else 0
 
@@ -143,9 +147,7 @@ def _report_csv(report) -> str:
 
 
 def _adjudicate(entry, run) -> dict:
-    """One manifest row's report row; ``run`` is ``(method, config,
-    banks, corpus, annotation directory, lead)``."""
-    method, config, banks, corpus, annotation_dir, lead = run
+    """One manifest row's report row under ``run`` (:func:`_run_for`)."""
     row = {
         "record": entry.record,
         "arrhythmia": entry.arrhythmia.value,
@@ -153,12 +155,7 @@ def _adjudicate(entry, run) -> dict:
     }
     started = time.perf_counter()
     try:
-        record = load_record(entry.record)
-        annotations = _annotations_for(record, annotation_dir)
-        verdict = classify_alarm(
-            record, method=method, config=config, banks=banks,
-            corpus=corpus, annotations=annotations, lead=lead,
-        )
+        verdict = _verdict(entry.record, run)
     except AlarmSentinelError as exc:
         # a record that cannot be adjudicated keeps its alarm
         return {**row, "decision": "true_alarm", "error": str(exc)}
@@ -179,7 +176,6 @@ def _adjudicate_in_worker(entry) -> dict:
 
 
 def cmd_evaluate(args) -> int:
-    config = _config_from(args)
     manifest = load_manifest(args.manifest)
     unknown = [e.record for e in manifest if e.truth is None]
     if unknown:
@@ -188,12 +184,7 @@ def cmd_evaluate(args) -> int:
     if not rows:
         return _fail("manifest is empty")
 
-    banks = load_bank_dir(args.bank_dir) if args.bank_dir else None
-    if args.method == "dtw-vbank" and banks is None:
-        return _fail("--method dtw-vbank requires --bank-dir")
-
-    corpus = None
-    split_info = None
+    train, split_info = [], None
     if args.method in DTW_METHODS:
         rows = [e for e in rows if e.arrhythmia is Arrhythmia.VTACH]
         if not rows:
@@ -206,12 +197,10 @@ def cmd_evaluate(args) -> int:
             train, test = train_test_split(rows, seed=args.split_seed)
         if not test:
             return _fail("train/test split left no test records")
-        if args.method == "dtw-full":
-            corpus = _corpus_for(args, train)
         split_info = {"seed": None if args.split else args.split_seed, "train": len(train), "test": len(test)}
         rows = test
 
-    run = (args.method, config, banks, corpus, args.annotations, args.lead)
+    run = _run_for(args, train)
     workers = min(_resolve_workers(args.workers), len(rows))
     if workers > 1:
         # forked workers inherit the run's inputs; only rows cross processes
@@ -242,7 +231,7 @@ def cmd_evaluate(args) -> int:
     payload = {
         "method": args.method,
         "lead": args.lead,
-        "config": asdict(config),
+        "config": asdict(run[1]),
         "split": split_info,
         "records": results,
         "metrics": report.to_dict(),

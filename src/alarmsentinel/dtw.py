@@ -23,6 +23,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .errors import (
 )
 from .record_io import Arrhythmia, Record, pre_alarm_window, resample_half, single_channel
 
-MATCH_RATE_HZ = 125.0
+MATCH_RATE_HZ = 125.0  # the one rate of every DTW method, beat banks included
 MATCH_SECONDS = 10.0
 FULL_SIGNAL_RADIUS = 250  # 2 s at 125 Hz
 BEAT_RADIUS = 125  # 1 s at 125 Hz
@@ -52,13 +53,6 @@ BEAT_RADIUS = 125  # 1 s at 125 Hz
 # 24,000 was 3% slower (each part pays the per-diagonal overhead again),
 # and no split 6% slower.
 SWEEP_SLOTS = 48_000
-
-
-@dataclass
-class WarpParams:
-    """Band radius in samples for the warping constraint."""
-
-    radius: int = FULL_SIGNAL_RADIUS
 
 
 def _dtw_core(a: np.ndarray, b: np.ndarray, n: np.ndarray, m: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -181,10 +175,39 @@ def dtw_distances(a, b, radii) -> np.ndarray:
     return np.sqrt(out)
 
 
-def dtw_distance(a: np.ndarray, b: np.ndarray, params: WarpParams) -> float:
+def dtw_distance(a: np.ndarray, b: np.ndarray, radius: int) -> float:
     """Banded DTW distance between two 1-D sequences; the one-pair form
     of :func:`dtw_distances`, with the same errors."""
-    return float(dtw_distances([a], [b], params.radius)[0])
+    return float(dtw_distances([a], [b], radius)[0])
+
+
+class BankLead(NamedTuple):
+    """One channel of a record at the match rate."""
+
+    record: Record  # that channel alone, at MATCH_RATE_HZ
+    channel: int  # its index in the source record
+    factor: int  # source rate over match rate: source sample indices divide by it
+
+
+def bank_lead(record: Record | BankLead, channel: int) -> BankLead:
+    """One channel of the record at the match rate.
+
+    Only that channel is filtered, but over the whole record, so its
+    samples match those of a resample of every channel. A
+    :class:`BankLead` of that channel passes through unchanged, so a
+    caller that builds a self bank and then labels beats resamples
+    once. A record at neither the match rate nor twice it raises
+    :class:`UnsupportedRate`.
+    """
+    if isinstance(record, BankLead):
+        if record.channel != channel:
+            raise ValueError(f"bank lead is channel {record.channel}, beats are on channel {channel}")
+        return record
+    if record.sample_rate == MATCH_RATE_HZ:
+        return BankLead(single_channel(record, channel), channel, 1)
+    if record.sample_rate == 2 * MATCH_RATE_HZ:
+        return BankLead(resample_half(single_channel(record, channel)), channel, 2)
+    raise UnsupportedRate(f"matching runs at {MATCH_RATE_HZ:g} Hz, record is {record.sample_rate:g} Hz")
 
 
 @dataclass
@@ -213,29 +236,13 @@ class TrainingCorpus:
         return TrainingCorpus(kept)
 
 
-def nearest_neighbor(sequence: np.ndarray, corpus: TrainingCorpus, params: WarpParams) -> tuple[bool, int, float]:
-    """Label, index and distance of the nearest corpus entry; ties go to
-    the earliest entry."""
-    if len(corpus) == 0:
-        raise EmptyCorpus("nearest-neighbour search over an empty corpus")
-    distances = dtw_distances([sequence] * len(corpus), [e.values for e in corpus.entries], params.radius)
-    best = int(np.argmin(distances))  # the first minimum
-    return corpus.entries[best].is_true_alarm, best, float(distances[best])
-
-
-def extract_alarm_lead(record: Record, lead: str = "II", seconds: float = MATCH_SECONDS) -> np.ndarray:
-    """Pre-alarm window of one lead at the match rate, z-normalized.
-
-    At twice the match rate the lead alone is halved first, over the
-    whole record; other rates are rejected. Missing samples are bridged
-    by linear interpolation before normalization.
+def extract_alarm_lead(record: Record, lead: str = "II") -> np.ndarray:
+    """The last :data:`MATCH_SECONDS` before the alarm on one lead, at
+    the match rate (:func:`bank_lead`), z-normalized. Missing samples
+    are bridged by linear interpolation before normalization.
     """
-    if record.sample_rate not in (MATCH_RATE_HZ, 2 * MATCH_RATE_HZ):
-        raise UnsupportedRate(f"matching runs at {MATCH_RATE_HZ:g} Hz, record is {record.sample_rate:g} Hz")
-    one = single_channel(record, record.channel_index(lead))
-    if record.sample_rate == 2 * MATCH_RATE_HZ:
-        one = resample_half(one)
-    x = pre_alarm_window(one, seconds).samples[0]
+    one = bank_lead(record, record.channel_index(lead)).record
+    x = pre_alarm_window(one, MATCH_SECONDS).samples[0]
     nan = np.isnan(x)
     if nan.all():
         raise InsufficientData(f"lead {lead} is entirely missing in the alarm window")
@@ -268,15 +275,21 @@ def classify_full_signal(record: Record, corpus: TrainingCorpus, lead: str = "II
     """Label, index and distance of the nearest labelled pre-alarm signal.
 
     Entries for the record's arrhythmia on the lead are searched, or
-    every entry on the lead when none matches the arrhythmia. The
-    regular-activity gate is not applied here; the gated pipeline is
-    ``alarm_logic.classify_alarm`` with method dtw-full.
+    every entry on the lead when none matches the arrhythmia; with no
+    entry on the lead, :class:`EmptyCorpus` is raised. The index is the
+    entry's position in the searched pool, and ties go to the earliest
+    entry. The regular-activity gate is not applied here; the gated
+    pipeline is ``alarm_logic.classify_alarm`` with method dtw-full.
     """
     sequence = extract_alarm_lead(record, lead=lead)
     pool = corpus.subset(lead=lead, arrhythmia=record.alarm.arrhythmia)
     if len(pool) == 0:
         pool = corpus.subset(lead=lead)
-    return nearest_neighbor(sequence, pool, WarpParams(FULL_SIGNAL_RADIUS))
+    if len(pool) == 0:
+        raise EmptyCorpus("nearest-neighbour search over an empty corpus")
+    distances = dtw_distances([sequence] * len(pool), [e.values for e in pool.entries], FULL_SIGNAL_RADIUS)
+    best = int(np.argmin(distances))  # the first minimum
+    return pool.entries[best].is_true_alarm, best, float(distances[best])
 
 
 _MAGIC_LABELS = (0, 1)

@@ -15,6 +15,7 @@ from .errors import EmptyCounts, LengthMismatch, UnknownTruth
 from .record_io import Arrhythmia
 
 T = TypeVar("T")
+TRAIN_FRACTION = 2 / 3
 
 
 @dataclass
@@ -39,11 +40,6 @@ class ConfusionCounts:
                 self.fp += 1
             else:
                 self.tn += 1
-
-    def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
-        return ConfusionCounts(
-            self.tp + other.tp, self.tn + other.tn, self.fp + other.fp, self.fn + other.fn
-        )
 
 
 def accumulate(predictions: Sequence[bool], truths: Sequence[bool | None]) -> ConfusionCounts:
@@ -144,11 +140,12 @@ def per_arrhythmia_report(results: Iterable[tuple[Arrhythmia, bool, bool]]) -> M
     return MetricsReport(overall=metric_suite(overall), per_arrhythmia=rows)
 
 
-def train_test_split(items: Sequence[T], seed: int = 2015, train_fraction: float = 2 / 3) -> tuple[list[T], list[T]]:
-    """Seeded random split; both halves keep the original order."""
+def train_test_split(items: Sequence[T], seed: int = 2015) -> tuple[list[T], list[T]]:
+    """Seeded random split, :data:`TRAIN_FRACTION` of the items to
+    training; both halves keep the original order."""
     indices = list(range(len(items)))
     random.Random(seed).shuffle(indices)
-    n_train = int(round(len(items) * train_fraction))
+    n_train = int(round(len(items) * TRAIN_FRACTION))
     train_idx = sorted(indices[:n_train])
     test_idx = sorted(indices[n_train:])
     return [items[i] for i in train_idx], [items[i] for i in test_idx]

@@ -320,9 +320,13 @@ def butter_filter(order: int, edges_hz: float | tuple[float, float], btype: str,
     """Butterworth ``(b, a)`` for ``filtfilt``, designed once per rate.
 
     The coefficients depend only on the arguments, so every caller on
-    every thread shares one read-only pair.
+    every thread shares one read-only pair. An edge that is not below
+    the Nyquist frequency raises :class:`UnsupportedRate`.
     """
-    b, a = butter(order, np.asarray(edges_hz, dtype=np.float64) / (fs / 2.0), btype=btype)
+    edges = np.asarray(edges_hz, dtype=np.float64)
+    if not (edges < fs / 2.0).all():
+        raise UnsupportedRate(f"rate {fs:g} Hz is too low for a filter edge at {edges.max():g} Hz")
+    b, a = butter(order, edges / (fs / 2.0), btype=btype)
     b.setflags(write=False)
     a.setflags(write=False)
     return b, a
@@ -344,9 +348,6 @@ def resample_half(record: Record) -> Record:
     rate = record.sample_rate
     if not float(rate).is_integer() or int(rate) % 2 != 0:
         raise UnsupportedRate(f"rate {rate} not halvable")
-    new_rate = rate / 2.0
-    if new_rate <= 50.0:
-        raise UnsupportedRate(f"rate {rate} too low for a 50 Hz anti-alias filter")
     b, a = butter_filter(4, 50.0, "low", rate)
     pad = 3 * max(len(a), len(b))  # filtfilt's default edge padding
     if record.n_samples <= pad:
@@ -367,7 +368,7 @@ def resample_half(record: Record) -> Record:
         y[nan[::2]] = np.nan
         out[i] = y
     alarm = replace(record.alarm, alarm_index=(record.alarm.alarm_index + 1) // 2)
-    return Record(record.name, new_rate, list(record.channels), out, alarm)
+    return Record(record.name, rate / 2.0, list(record.channels), out, alarm)
 
 
 def single_channel(record: Record, index: int) -> Record:

@@ -29,6 +29,10 @@ FLAT_VARIANCE_FLOOR = 1e-6
 NOISE_WINDOW_S = 2.0
 NOISE_EDGE_HZ = 40.0
 NOISE_FRACTION_MAX = 0.5
+# a window is clean enough to harvest beats when every metric reaches its minimum
+CLEAN_WANDER_MIN = 0.75
+CLEAN_POWER_RATIO_MIN = 0.9
+CLEAN_KURTOSIS_MIN = 4.0
 
 
 class InvalidReason(Enum):
@@ -54,13 +58,6 @@ class CleanMetrics(NamedTuple):
     baseline_wander: float
     power_ratio: float
     kurtosis: float
-
-
-@dataclass
-class CleanThresholds:
-    baseline_wander_min: float = 0.75
-    power_ratio_min: float = 0.9
-    kurtosis_min: float = 4.0
 
 
 @dataclass
@@ -266,7 +263,7 @@ def band_fraction(
     return _band_power(f, psd, f_lo, f_hi) / denom
 
 
-def clean_window_metrics(window: np.ndarray, fs: float, segment_seconds: float = 4.0) -> CleanMetrics:
+def clean_window_metrics(window: np.ndarray, fs: float) -> CleanMetrics:
     """Baseline-wander score, QRS-band power ratio, and kurtosis.
 
     The PSD uses 4 s segments here: with 2 s segments the resolution at
@@ -282,22 +279,17 @@ def clean_window_metrics(window: np.ndarray, fs: float, segment_seconds: float =
     sigma = float(np.std(x))
     if sigma == 0.0:
         raise ZeroVariance("metrics undefined on a constant window")
-    spectrum = welch_psd(x, fs, segment_seconds=segment_seconds)
+    spectrum = welch_psd(x, fs, segment_seconds=4.0)
     wander = 1.0 - band_fraction(spectrum, 0.0, 1.0, 0.0, 40.0)
     ratio = band_fraction(spectrum, 5.0, 15.0, 5.0, 40.0)
     kurt = float(np.mean(((x - np.mean(x)) / sigma) ** 4))
     return CleanMetrics(wander, ratio, kurt)
 
 
-def is_clean(metrics: CleanMetrics, thresholds: CleanThresholds | None = None) -> bool:
-    """All three metrics at or above their thresholds; NaN fails closed."""
-    t = thresholds or CleanThresholds()
-    checks = (
-        (metrics.baseline_wander, t.baseline_wander_min),
-        (metrics.power_ratio, t.power_ratio_min),
-        (metrics.kurtosis, t.kurtosis_min),
-    )
-    return all(np.isfinite(v) and v >= m for v, m in checks)
+def is_clean(metrics: CleanMetrics) -> bool:
+    """All three metrics at or above their minimums; NaN fails closed."""
+    minimums = (CLEAN_WANDER_MIN, CLEAN_POWER_RATIO_MIN, CLEAN_KURTOSIS_MIN)
+    return all(np.isfinite(v) and v >= m for v, m in zip(metrics, minimums))
 
 
 def channel_validity(intervals: list[InvalidInterval], start: int, end: int) -> float:

@@ -19,7 +19,7 @@ import pytest
 
 from alarmsentinel.alarm_logic import classify_alarm
 from alarmsentinel.beat_banks import kl_divergence, smooth_distribution
-from alarmsentinel.dtw import WarpParams, corpus_from_records, dtw_distance
+from alarmsentinel.dtw import corpus_from_records, dtw_distance
 from alarmsentinel.errors import AlarmSentinelError
 from alarmsentinel.evaluation import (
     ConfusionCounts,
@@ -77,7 +77,7 @@ def test_acceptance_1_dtw_oracle_equivalence():
             radius = max(n, m)
         a = rng.uniform(-1.0, 1.0, n)
         b = rng.uniform(-1.0, 1.0, m)
-        got = dtw_distance(a, b, WarpParams(radius))
+        got = dtw_distance(a, b, radius)
         ok = ok and abs(got - _dp_reference(a, b, radius)) <= 1e-9
     elapsed = time.perf_counter() - started
     _verdict(1, "dtw-oracle-equivalence", ok and elapsed < 60.0)
@@ -91,18 +91,18 @@ def test_acceptance_2_dtw_metric_properties():
         m = n if k % 2 == 0 else int(rng.integers(2, 33))
         a = rng.uniform(-1.0, 1.0, n)
         b = rng.uniform(-1.0, 1.0, m)
-        wide = WarpParams(max(n, m))
+        wide = max(n, m)
         d_ab = dtw_distance(a, b, wide)
         ok = ok and d_ab >= 0.0
         ok = ok and d_ab == dtw_distance(b, a, wide)
-        ok = ok and dtw_distance(a, a, WarpParams(0)) == 0.0
+        ok = ok and dtw_distance(a, a, 0) == 0.0
         radii = sorted({abs(n - m), abs(n - m) + 2, max(n, m)})
-        distances = [dtw_distance(a, b, WarpParams(r)) for r in radii]
+        distances = [dtw_distance(a, b, r) for r in radii]
         ok = ok and all(
             later <= earlier + 1e-12 for earlier, later in zip(distances, distances[1:])
         )
         if n == m:
-            ok = ok and abs(dtw_distance(a, b, WarpParams(0)) - float(np.linalg.norm(a - b))) <= 1e-12
+            ok = ok and abs(dtw_distance(a, b, 0) - float(np.linalg.norm(a - b))) <= 1e-12
     _verdict(2, "dtw-metric-properties", ok)
 
 

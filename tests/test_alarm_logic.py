@@ -1,3 +1,4 @@
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -123,6 +124,15 @@ class TestConfigHandling:
         with pytest.raises(InvalidConfig, match="vt_beats"):
             Thresholds.from_file(p)
         assert Thresholds(brady_beats=2).brady_beats == 2
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(Thresholds) if isinstance(f.default, float)])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_rejected(self, name, value):
+        # a NaN threshold kept none of the true bradycardia alarms of the seed-7 suite
+        with pytest.raises(InvalidConfig, match=name):
+            Thresholds().update({name: value})
+        with pytest.raises(InvalidConfig, match=name):
+            Thresholds(**{name: float(value)})
 
 
 class TestMostReliableChannel:

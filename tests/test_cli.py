@@ -84,6 +84,21 @@ class TestClassifyCommand:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    @pytest.mark.parametrize("rate", ["0.5", "1e-300", "30"])
+    def test_rate_too_low_for_the_filters_exits_two(self, tmp_path, capsys, rate):
+        # scipy's filter design used to raise ValueError, and classify exited 1
+        rec, _ = generate(SynthSpec(name="hdr", arrhythmia=Arrhythmia.ASYSTOLE, event=False, seed=4))
+        header = write_record(rec, tmp_path)
+        lines = header.read_text().splitlines()
+        fields = lines[0].split()
+        fields[2] = rate
+        lines[0] = " ".join(fields)
+        header.write_text("\n".join(lines) + "\n")
+        assert main(["classify", str(header)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
     def test_vbank_requires_bank_dir(self, small_suite, capsys):
         record = entry_for(small_suite[1], truth=True, arrhythmia=Arrhythmia.VTACH)
         assert main(["classify", record, "--method", "dtw-vbank"]) == 2
@@ -142,7 +157,9 @@ class TestClassifyCommand:
         assert json.loads(out)["evidence"][-1]["test"] == "dtw_full_no_signal"
 
     @pytest.mark.parametrize(
-        "line", ["brady_hr 50", "brady_hr = slow", "brady_rate = 50", "brady_beats = 1"]
+        "line",
+        ["brady_hr 50", "brady_hr = slow", "brady_rate = 50", "brady_beats = 1", "brady_hr = nan",
+         "analysis_window_s = nan", "vt_hr = inf"],
     )
     def test_bad_config_exits_two(self, small_suite, tmp_path, capsys, line):
         # exit 1 would read as "true alarm"

@@ -10,17 +10,17 @@ from hypothesis import strategies as st
 
 from alarmsentinel import dtw
 from alarmsentinel.dtw import (
+    FULL_SIGNAL_RADIUS,
     SWEEP_SLOTS,
     CorpusEntry,
     TrainingCorpus,
-    WarpParams,
     _dtw_core,
+    classify_full_signal,
     corpus_from_records,
     dtw_distance,
     dtw_distances,
     extract_alarm_lead,
     load_corpus_cache,
-    nearest_neighbor,
     save_corpus_cache,
     znormalize,
 )
@@ -33,7 +33,7 @@ from alarmsentinel.errors import (
     UnsupportedRate,
     ZeroVariance,
 )
-from alarmsentinel.record_io import Arrhythmia
+from alarmsentinel.record_io import AlarmMeta, Arrhythmia, ChannelKind, ChannelMeta, Record
 
 
 def dtw_oracle(a, b, radius):
@@ -57,22 +57,22 @@ def dtw_oracle(a, b, radius):
 
 class TestDtwDistance:
     def test_trivial_pairs(self):
-        p = WarpParams(10)
+        p = 10
         assert dtw_distance(np.array([1.0, 2.0]), np.array([1.0, 2.0]), p) == 0.0
         assert dtw_distance(np.array([0.0]), np.array([3.0]), p) == 3.0
 
     def test_warping_beats_euclidean(self):
         a = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
         b = np.array([0.0, 1.0, 0.0, 0.0, 0.0])  # same bump, shifted
-        assert dtw_distance(a, b, WarpParams(0)) > dtw_distance(a, b, WarpParams(2))
-        assert dtw_distance(a, b, WarpParams(2)) == 0.0
+        assert dtw_distance(a, b, 0) > dtw_distance(a, b, 2)
+        assert dtw_distance(a, b, 2) == 0.0
 
     def test_radius_zero_is_euclidean(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             n = rng.integers(1, 40)
             a, b = rng.normal(size=n), rng.normal(size=n)
-            assert dtw_distance(a, b, WarpParams(0)) == pytest.approx(
+            assert dtw_distance(a, b, 0) == pytest.approx(
                 float(np.linalg.norm(a - b)), abs=1e-12
             )
 
@@ -89,19 +89,19 @@ class TestDtwDistance:
         for n, m, radius in pairs:
             a = rng.uniform(-1, 1, n)
             b = rng.uniform(-1, 1, m)
-            assert dtw_distance(a, b, WarpParams(radius)) == dtw_oracle(a, b, radius)
+            assert dtw_distance(a, b, radius) == dtw_oracle(a, b, radius)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptySequence):
-            dtw_distance(np.array([]), np.array([1.0]), WarpParams(5))
+            dtw_distance(np.array([]), np.array([1.0]), 5)
 
     def test_band_infeasible(self):
         with pytest.raises(BandInfeasible):
-            dtw_distance(np.zeros(10), np.zeros(3), WarpParams(2))
+            dtw_distance(np.zeros(10), np.zeros(3), 2)
 
     def test_negative_radius(self):
         with pytest.raises(ValueError):
-            dtw_distance(np.zeros(3), np.zeros(3), WarpParams(-1))
+            dtw_distance(np.zeros(3), np.zeros(3), -1)
 
     @given(
         st.integers(1, 24),
@@ -115,11 +115,11 @@ class TestDtwDistance:
         a = rng.uniform(-1, 1, n)
         b = rng.uniform(-1, 1, m)
         radius = abs(n - m) + extra_radius
-        d1 = dtw_distance(a, b, WarpParams(radius))
-        d2 = dtw_distance(b, a, WarpParams(radius))
+        d1 = dtw_distance(a, b, radius)
+        d2 = dtw_distance(b, a, radius)
         assert d1 == pytest.approx(d2, abs=1e-9)
         assert d1 >= 0.0
-        assert dtw_distance(a, a, WarpParams(radius)) == 0.0
+        assert dtw_distance(a, a, radius) == 0.0
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=40, deadline=None)
@@ -128,7 +128,7 @@ class TestDtwDistance:
         n = int(rng.integers(2, 25))
         a = rng.uniform(-1, 1, n)
         b = rng.uniform(-1, 1, n)
-        distances = [dtw_distance(a, b, WarpParams(r)) for r in (0, 2, 5, n)]
+        distances = [dtw_distance(a, b, r) for r in (0, 2, 5, n)]
         for tighter, looser in zip(distances, distances[1:]):
             assert looser <= tighter + 1e-12
 
@@ -307,27 +307,60 @@ class TestZnormalize:
 
 
 class TestNearestNeighbour:
-    def corpus(self):
-        return TrainingCorpus([
-            CorpusEntry(np.array([0.0, 0.0, 0.0]), False),
-            CorpusEntry(np.array([1.0, 1.0, 1.0]), True),
-            CorpusEntry(np.array([0.0, 0.0, 0.0]), True),  # duplicate of entry 0
-        ])
+    """classify_full_signal: the nearest corpus entry on the lead."""
+
+    SHAPES = {
+        "slow": np.sin(2 * np.pi * 1.0 * np.arange(1250) / 125.0),
+        "fast": np.sin(2 * np.pi * 3.0 * np.arange(1250) / 125.0),
+        "ramp": np.linspace(-1.0, 1.0, 1250),
+        "fast_wobble": np.sin(2 * np.pi * 3.0 * np.arange(1250) / 125.0)
+        + 0.3 * np.sin(2 * np.pi * 7.0 * np.arange(1250) / 125.0),
+    }
+
+    def record(self, shape, arrhythmia=Arrhythmia.VTACH):
+        """Ten seconds of one lead II at the match rate, alarm at the end."""
+        channels = [ChannelMeta("II", ChannelKind.ECG, "mV", 200.0, 0)]
+        samples = self.SHAPES[shape][np.newaxis].copy()
+        return Record("query", 125.0, channels, samples, AlarmMeta(arrhythmia, None, 1250))
+
+    def entry(self, shape, label, arrhythmia=Arrhythmia.VTACH, lead="II"):
+        return CorpusEntry(znormalize(self.SHAPES[shape]), label, lead, arrhythmia)
 
     def test_nearest_label(self):
-        label, index, distance = nearest_neighbor(np.array([0.9, 1.0, 1.1]), self.corpus(), WarpParams(3))
+        corpus = TrainingCorpus([self.entry("slow", False), self.entry("fast", True), self.entry("ramp", False)])
+        query = self.record("fast_wobble")
+        label, index, distance = classify_full_signal(query, corpus)
         assert (label, index) == (True, 1)
-        assert distance == pytest.approx(np.sqrt(0.02), abs=1e-12)
-        label, index, _ = nearest_neighbor(np.array([0.1, 0.0, 0.0]), self.corpus(), WarpParams(3))
-        assert (label, index) == (False, 0)
+        assert distance == dtw_distance(extract_alarm_lead(query), corpus.entries[1].values, FULL_SIGNAL_RADIUS) > 0.0
+        assert classify_full_signal(self.record("ramp"), corpus)[:2] == (False, 2)
 
     def test_tie_goes_to_earliest_entry(self):
-        # equidistant to entries 0 and 2 with opposite labels
-        assert nearest_neighbor(np.array([0.0, 0.0, 0.0]), self.corpus(), WarpParams(3)) == (False, 0, 0.0)
+        # equidistant to entries 0 and 2, which carry opposite labels
+        corpus = TrainingCorpus([self.entry("slow", False), self.entry("fast", True), self.entry("slow", True)])
+        assert classify_full_signal(self.record("slow"), corpus)[:2] == (False, 0)
+
+    def test_index_is_within_the_searched_pool(self):
+        # only the VT entries on lead II are searched; the witness counts within them
+        corpus = TrainingCorpus([
+            self.entry("fast", False, Arrhythmia.ASYSTOLE),
+            self.entry("fast", False, lead="V"),
+            self.entry("slow", False),
+            self.entry("fast", True),
+        ])
+        assert classify_full_signal(self.record("fast"), corpus)[:2] == (True, 1)
+
+    def test_falls_back_to_other_arrhythmias(self):
+        corpus = TrainingCorpus([
+            self.entry("slow", False, Arrhythmia.ASYSTOLE),
+            self.entry("fast", True, Arrhythmia.BRADYCARDIA),
+        ])
+        assert classify_full_signal(self.record("fast"), corpus)[:2] == (True, 1)
 
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
-            nearest_neighbor(np.array([1.0]), TrainingCorpus(), WarpParams(1))
+            classify_full_signal(self.record("fast"), TrainingCorpus())
+        with pytest.raises(EmptyCorpus):  # no entry on the lead
+            classify_full_signal(self.record("fast"), TrainingCorpus([self.entry("fast", True, lead="V")]))
 
 
 class TestExtractAlarmLead:
@@ -432,7 +465,7 @@ class TestCorpusCache:
             load_corpus_cache(path)
 
     def test_non_finite_rejected(self, tmp_path):
-        # a NaN sample makes the entry's distance NaN, which np.argmin in nearest_neighbor would pick
+        # a NaN sample makes the entry's distance NaN, which np.argmin in classify_full_signal would pick
         for bad in (np.nan, np.inf, -np.inf):
             entries = [CorpusEntry(np.array([1.0, 0.0, -1.0]), False), CorpusEntry(np.array([0.5, bad, -0.5]), True)]
             path = save_corpus_cache(TrainingCorpus(entries), tmp_path / "c.bin")

@@ -22,10 +22,6 @@ class TestConfusionCounts:
         assert (c.tp, c.fn, c.fp, c.tn) == (1, 1, 1, 1)
         assert c.total == 4
 
-    def test_addition_is_cellwise(self):
-        c = ConfusionCounts(1, 2, 3, 4) + ConfusionCounts(10, 20, 30, 40)
-        assert (c.tp, c.tn, c.fp, c.fn) == (11, 22, 33, 44)
-
     def test_accumulate(self):
         c = accumulate([True, True, False, False], [True, False, True, False])
         assert (c.tp, c.fp, c.fn, c.tn) == (1, 1, 1, 1)
@@ -131,7 +127,3 @@ class TestTrainTestSplit:
         assert test == sorted(test)
         assert sorted(train + test) == items
         assert not set(train) & set(test)
-
-    def test_custom_fraction(self):
-        train, test = train_test_split(list(range(10)), train_fraction=0.5)
-        assert len(train) == 5 and len(test) == 5

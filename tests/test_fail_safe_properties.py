@@ -3,17 +3,26 @@ carries a fail-safe note always keeps the alarm.
 
 Suite records are mutated the way bedside data goes wrong: missing-data
 bursts, flat stretches, truncation, an alarm in the first seconds of the
-record, and a missing lead II.
+record, and a missing lead II. The rule methods see every class; the four
+DTW methods see the ventricular tachycardia records, with surrogate beat
+banks and a corpus built from a suite of another seed.
 """
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from alarmsentinel.alarm_logic import classify_alarm
-from alarmsentinel.record_io import AlarmMeta, Record
-from alarmsentinel.synthkit import generate, suite_specs
+from alarmsentinel.alarm_logic import DTW_METHODS, classify_alarm
+from alarmsentinel.dtw import corpus_from_records
+from alarmsentinel.record_io import AlarmMeta, Arrhythmia, Record
+from alarmsentinel.synthkit import generate, suite_specs, surrogate_banks
 
 RECORDS = [generate(spec)[0] for spec in suite_specs(seed=7, per_class=2)]
+VT_RECORDS = [generate(spec)[0] for spec in suite_specs(seed=7, per_class=4) if spec.arrhythmia is Arrhythmia.VTACH]
+BANKS = surrogate_banks(seed=0)
+CORPUS = corpus_from_records([
+    (record, truth.expected_true)
+    for record, truth in (generate(spec) for spec in suite_specs(seed=3, per_class=4) if spec.arrhythmia is Arrhythmia.VTACH)
+])
 
 mutations = st.one_of(
     st.tuples(st.just("nan"), st.floats(0.0, 20.0), st.floats(0.05, 4.0), st.integers(-1, 3)),
@@ -48,6 +57,14 @@ def _mutate(record: Record, mutation: tuple) -> Record:
     return Record(record.name, fs, channels, samples, alarm)
 
 
+def _check(record: Record, changes: list, method: str, **inputs) -> None:
+    for change in changes:
+        record = _mutate(record, change)
+    verdict = classify_alarm(record, method, **inputs)
+    if any(e.channel == "" for e in verdict.evidence):
+        assert verdict.is_true_alarm is True
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     index=st.integers(0, len(RECORDS) - 1),
@@ -55,9 +72,14 @@ def _mutate(record: Record, mutation: tuple) -> Record:
     method=st.sampled_from(["baseline", "improved"]),
 )
 def test_damaged_records_never_raise_and_fail_safe(index, changes, method):
-    record = RECORDS[index]
-    for change in changes:
-        record = _mutate(record, change)
-    verdict = classify_alarm(record, method)
-    if any(e.channel == "" for e in verdict.evidence):
-        assert verdict.is_true_alarm is True
+    _check(RECORDS[index], changes, method)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    index=st.integers(0, len(VT_RECORDS) - 1),
+    changes=st.lists(mutations, min_size=1, max_size=3),
+    method=st.sampled_from(DTW_METHODS),
+)
+def test_dtw_methods_on_damaged_vt_records_never_raise_and_fail_safe(index, changes, method):
+    _check(VT_RECORDS[index], changes, method, banks=BANKS, corpus=CORPUS)

@@ -22,6 +22,7 @@ from alarmsentinel.record_io import (
     Manifest,
     ManifestEntry,
     Record,
+    butter_filter,
     channel_kind,
     decode_samples,
     encode_samples,
@@ -299,11 +300,30 @@ class TestResample:
         with pytest.raises(UnsupportedRate):
             resample_half(rec)
 
+    @pytest.mark.parametrize("fs", [100.0, 50.0, 2.0])
+    def test_rate_too_low_for_the_anti_alias_filter(self, fs):
+        # the 50 Hz low-pass needs a Nyquist frequency above 50 Hz
+        with pytest.raises(UnsupportedRate, match="too low"):
+            resample_half(make_record(fs=fs))
+
     def test_not_longer_than_the_filter_pad_is_insufficient(self):
         # the order-4 low-pass has 5 coefficients a side, and filtfilt pads 3 * 5 samples
         with pytest.raises(InsufficientData, match="more than 15"):
             resample_half(make_record(n=15))
         assert resample_half(make_record(n=16)).n_samples == 8
+
+
+class TestButterFilter:
+    @pytest.mark.parametrize(
+        "edges,fs", [((5.0, 15.0), 30.0), ((5.0, 15.0), 0.5), (10.0, 20.0), (50.0, 1e-300), (50.0, 100.0)]
+    )
+    def test_edge_not_below_nyquist_rejected(self, edges, fs):
+        with pytest.raises(UnsupportedRate):
+            butter_filter(2, edges, "low" if isinstance(edges, float) else "band", fs)
+
+    def test_edge_just_below_nyquist_designs(self):
+        b, a = butter_filter(2, (5.0, 15.0), "band", 30.5)
+        assert np.isfinite(b).all() and np.isfinite(a).all()
 
 
 class TestPreAlarmWindow:

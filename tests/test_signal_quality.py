@@ -19,7 +19,6 @@ from alarmsentinel.signal_quality import (
     NOISE_FRACTION_MAX,
     NOISE_WINDOW_S,
     CleanMetrics,
-    CleanThresholds,
     InvalidInterval,
     InvalidReason,
     QualityReport,
@@ -196,7 +195,6 @@ class TestCleanMetrics:
         assert not is_clean(CleanMetrics(0.74, 0.9, 4.0))
         assert not is_clean(CleanMetrics(0.75, 0.89, 4.0))
         assert not is_clean(CleanMetrics(0.75, 0.9, 3.99))
-        assert is_clean(CleanMetrics(0.5, 0.5, 2.0), CleanThresholds(0.4, 0.4, 1.0))
 
     def test_nan_metric_fails_closed(self):
         assert not is_clean(CleanMetrics(float("nan"), 0.95, 5.0))
