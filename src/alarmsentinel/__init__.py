@@ -68,7 +68,6 @@ from .evaluation import (
     ConfusionCounts,
     MetricsReport,
     MetricsRow,
-    accumulate,
     challenge_score,
     metric_suite,
     per_arrhythmia_report,
@@ -96,12 +95,10 @@ from .signal_quality import (
     InvalidReason,
     QualityReport,
     assess_quality,
-    band_fraction,
     channel_validity,
     clean_window_metrics,
     detect_invalid_segments,
     is_clean,
-    welch_psd,
 )
 from .synthkit import GroundTruth, SynthSpec, generate, generate_suite, suite_specs, surrogate_banks
 

@@ -63,7 +63,7 @@ from .errors import (
     ZeroVariance,
 )
 from .record_io import Arrhythmia, ChannelKind, Record
-from .signal_quality import QualityReport, assess_quality, channel_validity
+from .signal_quality import QualityReport, assess_quality
 
 
 @dataclass
@@ -160,14 +160,13 @@ class Verdict:
 
 @dataclass
 class AlarmContext:
-    """What the arrhythmia checks read: the record, its analysis window
-    with the validity report and beat annotations, and the inputs of
-    the adjudication method."""
+    """What the arrhythmia checks read: the record, its beat annotations,
+    the validity report over the analysis window (``quality.window``),
+    and the inputs of the adjudication method."""
 
     record: Record
     annotations: list[BeatAnnotation | None]
     quality: QualityReport
-    window: tuple[int, int]
     config: Thresholds = field(default_factory=Thresholds)
     method: str = "improved"
     banks: BankSet | None = None
@@ -184,15 +183,11 @@ _KIND_PRIORITY = {
 }
 
 
-def most_reliable_channel(
-    record: Record,
-    quality: QualityReport,
-    candidates: list[int] | None = None,
-) -> int | None:
-    """Channel with the highest validity; ties prefer ECG lead II,
-    then any ECG, then pressure, then PPG."""
-    pool = candidates if candidates is not None else list(range(record.n_channels))
-    if not pool:
+def most_reliable_channel(record: Record, quality: QualityReport, candidates: list[int]) -> int | None:
+    """The candidate channel with the highest validity; ties prefer ECG
+    lead II, then any ECG, then pressure, then PPG. None for no
+    candidates."""
+    if not candidates:
         return None
 
     def key(i: int) -> tuple:
@@ -200,7 +195,7 @@ def most_reliable_channel(
         rank = 0 if (ch.kind is ChannelKind.ECG and ch.name.lower() == "ii") else _KIND_PRIORITY[ch.kind]
         return (-quality.validity[i], rank, i)
 
-    return min(pool, key=key)
+    return min(candidates, key=key)
 
 
 def analysis_lead(record: Record, lead: str) -> int | None:
@@ -216,10 +211,10 @@ def regular_activity(
     record: Record,
     annotations: list[BeatAnnotation | None],
     quality: QualityReport,
-    window: tuple[int, int] | None = None,
-    config: Thresholds | None = None,
+    config: Thresholds,
 ) -> tuple[list[ChannelEvidence], bool]:
-    """Per-channel gate evidence and the any-channel verdict.
+    """Per-channel gate evidence and the any-channel verdict over the
+    window of ``quality``.
 
     A channel is regular only when the window has zero invalid
     samples, at least five beats, RR spread (coefficient of variation)
@@ -227,8 +222,6 @@ def regular_activity(
     channel's evidence witnesses its validity, its beat count in the
     window, and the RR spread once there are two beats.
     """
-    config = config or Thresholds()
-    window = window or _analysis_window(record, config)
     fs = record.sample_rate
     evidence: list[ChannelEvidence] = []
     for i, ch in enumerate(record.channels):
@@ -236,7 +229,7 @@ def regular_activity(
         ann = annotations[i] if i < len(annotations) else None
         regular = False
         if ann is not None:
-            beats_in = ann.within(*window)
+            beats_in = ann.within(*quality.window)
             witnesses["beats"] = float(beats_in.count)
             if beats_in.count >= 2:
                 rr = np.diff(beats_in.indices) / fs
@@ -244,7 +237,7 @@ def regular_activity(
                 witnesses["rr_cv"] = cv
                 regular = (
                     beats_in.count >= config.min_regular_beats
-                    and channel_validity(quality.invalid[i], *window) == 1.0
+                    and quality.validity[i] == 1.0
                     and cv <= config.rr_cv_max
                     and float(rr.min()) >= config.rr_min_s
                     and float(rr.max()) <= config.rr_max_s
@@ -253,10 +246,10 @@ def regular_activity(
     return evidence, any(e.outcome for e in evidence)
 
 
-def _longest_gap_samples(indices: np.ndarray, window: tuple[int, int]) -> int:
+def _longest_gap_samples(annotation: BeatAnnotation, window: tuple[int, int]) -> int:
     """Longest run of beat-free samples in the half-open window."""
     start, end = window
-    inside = indices[(indices >= start) & (indices < end)]
+    inside = annotation.within(start, end).indices
     if len(inside) == 0:
         return end - start
     spans = [int(inside[0]) - start]
@@ -275,7 +268,7 @@ def check_asystole(ctx: AlarmContext) -> list[ChannelEvidence]:
     if best is None:
         raise CannotDecide("asystole_no_channel")
     fs = record.sample_rate
-    gap = _longest_gap_samples(ctx.annotations[best].indices, ctx.window)
+    gap = _longest_gap_samples(ctx.annotations[best], ctx.quality.window)
     fired = gap >= ctx.config.asystole_gap_s * fs
     return [ChannelEvidence(record.channels[best].name, "asystole_gap", fired, {"longest_gap_s": gap / fs})]
 
@@ -290,7 +283,7 @@ def _rate_check(ctx: AlarmContext, test: str, beats_per_window: int, pick_min: b
     if best is None:
         raise CannotDecide(test, reason_no_channel=1.0)
     name = record.channels[best].name
-    beats_in = ctx.annotations[best].within(*ctx.window)
+    beats_in = ctx.annotations[best].within(*ctx.quality.window)
     if beats_in.count < beats_per_window:
         # not enough beats to measure a rate: never suppress on missing evidence
         return [ChannelEvidence(name, test, True, {"beats": float(beats_in.count), "needed": float(beats_per_window)})]
@@ -367,7 +360,7 @@ def check_vfib(ctx: AlarmContext) -> list[ChannelEvidence]:
     the configured minimum duration. A window shorter than that
     duration cannot be judged.
     """
-    record, (start, end) = ctx.record, ctx.window
+    record, (start, end) = ctx.record, ctx.quality.window
     best = most_reliable_channel(record, ctx.quality, record.channels_of_kind(ChannelKind.ECG))
     if best is None:
         raise CannotDecide("vfib_no_ecg")
@@ -404,7 +397,7 @@ def _vtach_votes(
     with ``include_abp``, per gap-free pressure channel (a collapsed
     pulse). Unlabelled ECG channels, and those whose beats in the
     window are all Unknown, abstain."""
-    record, (start, end) = ctx.record, ctx.window
+    record, (start, end) = ctx.record, ctx.quality.window
     votes: list[ChannelEvidence] = []
     for i, ch in enumerate(record.channels):
         ann = labelled[i]
@@ -446,9 +439,10 @@ def _spectral_votes(ctx: AlarmContext) -> list[ChannelEvidence]:
     for i in ctx.record.channels_of_kind(ChannelKind.ECG):
         if labelled[i] is None:
             continue
-        beats_in = labelled[i].within(*ctx.window)
-        # too few beats to segment: the channel abstains
-        labelled[i] = spectral_vt_labels(ctx.record, beats_in) if beats_in.count >= 3 else None
+        try:
+            labelled[i] = spectral_vt_labels(ctx.record, labelled[i].within(*ctx.quality.window))
+        except TooFewBeats:  # too few beats to segment: the channel abstains
+            labelled[i] = None
     return _vtach_votes(ctx, labelled, include_abp=True)
 
 
@@ -484,7 +478,7 @@ def _bank_votes(
             raise CannotDecide("self_bank_failed", clean_beats_found=float(exc.found)) from None
         banks = replace(banks, self_bank=patient, stats=bank_novelty_stats(patient))
 
-    beats_in = ann.within(*ctx.window)
+    beats_in = ann.within(*ctx.quality.window)
     try:
         labels = vt_labels_from_bank(at_match_rate, beats_in, classifier, banks)
     except TooFewBeats:
@@ -549,12 +543,6 @@ CHECKS: dict[Arrhythmia, Callable[[AlarmContext], list[ChannelEvidence]]] = {
 }
 
 
-def _analysis_window(record: Record, config: Thresholds) -> tuple[int, int]:
-    end = record.alarm.alarm_index
-    start = max(0, end - int(round(config.analysis_window_s * record.sample_rate)))
-    return start, end
-
-
 def detect_annotations(record: Record) -> list[BeatAnnotation | None]:
     """Beat annotations for every channel the detectors understand."""
     annotations: list[BeatAnnotation | None] = []
@@ -604,18 +592,19 @@ def classify_alarm(
         raise UnsupportedMethod(f"{method} is defined only for ventricular tachycardia alarms")
 
     config = config or Thresholds()
-    window = _analysis_window(record, config)
+    end = record.alarm.alarm_index
+    window = (max(0, end - int(round(config.analysis_window_s * record.sample_rate))), end)
     if window[0] >= window[1]:
         raise InsufficientData(f"record {record.name!r} has no samples in its analysis window {window}")
     quality = assess_quality(record, window)
     if annotations is None:
         annotations = detect_annotations(record)
 
-    evidence, gate = regular_activity(record, annotations, quality, window, config)
+    evidence, gate = regular_activity(record, annotations, quality, config)
     if gate:
         return Verdict(is_true_alarm=False, gate_fired=True, evidence=evidence, method=method)
 
-    ctx = AlarmContext(record, annotations, quality, window, config, method, banks, corpus, lead)
+    ctx = AlarmContext(record, annotations, quality, config, method, banks, corpus, lead)
     try:
         found = CHECKS[arrhythmia](ctx)
     except CannotDecide as exc:

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .beats import BeatAnnotation, BeatLabel, BeatSegment, beat_segments, beat_slices
+from .beats import BEAT_MIN_S, BeatAnnotation, BeatLabel, BeatSegment, beat_segments, beat_slices
 from .dtw import BEAT_RADIUS, MATCH_RATE_HZ, BankLead, bank_lead, dtw_distances, znormalize
 from .errors import (
     BankTooSmall,
@@ -31,6 +31,7 @@ from .errors import (
     InsufficientCleanBeats,
     IoFailure,
     NotNormalized,
+    TooFewBeats,
     ZeroVariance,
 )
 from .record_io import Record
@@ -42,7 +43,7 @@ from .record_io import resample_half  # noqa: F401
 
 SELF_BANK_SIZE = 20
 SECTION_S = 10.0
-BEAT_MIN_SAMPLES = int(0.2 * MATCH_RATE_HZ)
+BEAT_MIN_SAMPLES = int(BEAT_MIN_S * MATCH_RATE_HZ)
 BEAT_MAX_SAMPLES = int(2.0 * MATCH_RATE_HZ)
 KL_BINS = 10
 KL_EDGE_FACTOR = 1.5
@@ -108,7 +109,7 @@ def _comparable_beats(
         yield pos, start, end, beat
 
 
-def extract_self_bank(record: Record | BankLead, annotation: BeatAnnotation, exclude_s: float = 16.0) -> BeatBank:
+def extract_self_bank(record: Record | BankLead, annotation: BeatAnnotation, exclude_s: float) -> BeatBank:
     """Collect the patient's own recent clean beats, newest first.
 
     Scans 10 s sections backward, starting before the alarm section
@@ -128,7 +129,7 @@ def extract_self_bank(record: Record | BankLead, annotation: BeatAnnotation, exc
     ch = annotation.channel
     rec, _, factor = bank_lead(record, ch)
     section = int(SECTION_S * MATCH_RATE_HZ)
-    idx = annotation.indices // factor
+    at_match_rate = BeatAnnotation(ch, annotation.indices // factor)
     samples = rec.samples[0]
 
     beats: list[np.ndarray] = []
@@ -143,15 +144,16 @@ def extract_self_bank(record: Record | BankLead, annotation: BeatAnnotation, exc
             sec_end = sec_start
             continue
         if is_clean(metrics):
-            in_section = idx[(idx >= sec_start) & (idx < sec_end)]
-            if len(in_section) >= 3:
-                segments = beat_segments(BeatAnnotation(ch, in_section))
-                interior = reversed(segments[1:-1])  # newest first
-                for _, s, e, beat in _comparable_beats(samples, interior):
-                    beats.append(beat)
-                    provenance.append((rec.name, s, e))
-                    if len(beats) == SELF_BANK_SIZE:
-                        break
+            try:
+                segments = beat_segments(at_match_rate.within(sec_start, sec_end))
+            except TooFewBeats:  # a section with fewer than three beats has no interior
+                segments = []
+            interior = reversed(segments[1:-1])  # newest first
+            for _, s, e, beat in _comparable_beats(samples, interior):
+                beats.append(beat)
+                provenance.append((rec.name, s, e))
+                if len(beats) == SELF_BANK_SIZE:
+                    break
         sec_end = sec_start
 
     if len(beats) < SELF_BANK_SIZE:
@@ -399,6 +401,8 @@ def load_beat_file(path: str | Path) -> tuple[np.ndarray, BeatLabel]:
         raise IoFailure(f"beat file {path} has a bad sample line: {exc}") from None
     if len(values) == 0:
         raise IoFailure(f"beat file {path} has no samples")
+    if not np.isfinite(values).all():
+        raise IoFailure(f"beat file {path} has a non-finite sample")
     label = BeatLabel.VENTRICULAR if header["label"] == "V" else BeatLabel.NORMAL
     return values, label
 
@@ -416,7 +420,8 @@ def load_bank_dir(directory: str | Path) -> BankSet:
     """Load every beat file in a directory into labelled banks.
 
     Beats are z-normalized on load so hand-edited files still satisfy
-    the bank invariant.
+    the bank invariant; a flat beat, which cannot be, raises
+    :class:`IoFailure`.
     """
     directory = Path(directory)
     files = sorted(directory.glob("*.txt"))
@@ -426,7 +431,11 @@ def load_bank_dir(directory: str | Path) -> BankSet:
     sbank = BeatBank(BankKind.STANDARD)
     for f in files:
         values, label = load_beat_file(f)
+        try:
+            beat = znormalize(values)
+        except ZeroVariance:
+            raise IoFailure(f"beat file {f} is flat: {len(values)} samples of one value") from None
         bank = vbank if label is BeatLabel.VENTRICULAR else sbank
-        bank.beats.append(znormalize(values))
+        bank.beats.append(beat)
         bank.provenance.append((f.name, 0, len(values)))
     return BankSet(ventricular=vbank, standard=sbank)

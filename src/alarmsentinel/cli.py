@@ -19,7 +19,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .alarm_logic import DTW_METHODS, METHODS, Thresholds, Verdict, analysis_lead, classify_alarm, detect_annotations
-from .beat_banks import bank_novelty_stats, extract_self_bank, load_bank_dir, save_bank
+from .beat_banks import bank_novelty_stats, classify_beat_vbank, extract_self_bank, load_bank_dir, save_bank
 from .beats import import_annotations
 from .dtw import TrainingCorpus, corpus_from_records, load_corpus_cache, save_corpus_cache
 from .errors import AlarmSentinelError, EmptyBank, EmptyCorpus, InsufficientCleanBeats
@@ -79,8 +79,10 @@ def _run_for(args, train) -> tuple:
     manifest rows a dtw-full corpus is built from."""
     config = _config_from(args)
     banks = load_bank_dir(args.bank_dir) if args.bank_dir else None
-    if args.method == "dtw-vbank" and banks is None:
-        raise EmptyBank("--method dtw-vbank requires --bank-dir")
+    if args.method == "dtw-vbank":
+        if banks is None:
+            raise EmptyBank("--method dtw-vbank requires --bank-dir")
+        classify_beat_vbank(banks)  # both banks must be populated before any record is read
     corpus = _corpus_for(args, train) if args.method == "dtw-full" else None
     return args.method, config, banks, corpus, args.annotations, args.lead
 
@@ -258,7 +260,7 @@ def cmd_bank(args) -> int:
         if annotation is None:
             return _fail(f"no beats found on channel {args.lead}")
         try:
-            bank = extract_self_bank(record, annotation)
+            bank = extract_self_bank(record, annotation, exclude_s=Thresholds().analysis_window_s)
         except InsufficientCleanBeats as exc:
             print(f"error: {exc} (found {exc.found})", file=sys.stderr)
             return 3

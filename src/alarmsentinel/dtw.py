@@ -37,7 +37,7 @@ from .errors import (
     UnsupportedRate,
     ZeroVariance,
 )
-from .record_io import Arrhythmia, Record, pre_alarm_window, resample_half, single_channel
+from .record_io import Arrhythmia, Record, bridge_gaps, pre_alarm_window, resample_half, single_channel
 
 MATCH_RATE_HZ = 125.0  # the one rate of every DTW method, beat banks included
 MATCH_SECONDS = 10.0
@@ -246,10 +246,7 @@ def extract_alarm_lead(record: Record, lead: str = "II") -> np.ndarray:
     nan = np.isnan(x)
     if nan.all():
         raise InsufficientData(f"lead {lead} is entirely missing in the alarm window")
-    if nan.any():
-        idx = np.arange(len(x))
-        x = np.interp(idx, idx[~nan], x[~nan])
-    return znormalize(x)
+    return znormalize(bridge_gaps(x, nan))
 
 
 def corpus_from_records(

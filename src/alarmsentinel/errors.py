@@ -122,10 +122,6 @@ class NotNormalized(AlarmSentinelError):
     """Histogram does not sum to one."""
 
 
-class UnknownTruth(AlarmSentinelError):
-    """Ground-truth label required but missing."""
-
-
 class EmptyCounts(AlarmSentinelError):
     """Metric requested on an empty confusion table."""
 

@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TypeVar
 
-from .errors import EmptyCounts, LengthMismatch, UnknownTruth
+from .errors import EmptyCounts
 from .record_io import Arrhythmia
 
 T = TypeVar("T")
@@ -40,26 +40,6 @@ class ConfusionCounts:
                 self.fp += 1
             else:
                 self.tn += 1
-
-
-def accumulate(predictions: Sequence[bool], truths: Sequence[bool | None]) -> ConfusionCounts:
-    """Fold aligned prediction/truth sequences into counts.
-
-    Raises
-    ------
-    LengthMismatch
-        Sequences differ in length.
-    UnknownTruth
-        A truth entry is None.
-    """
-    if len(predictions) != len(truths):
-        raise LengthMismatch(f"{len(predictions)} predictions vs {len(truths)} truths")
-    counts = ConfusionCounts()
-    for i, (pred, truth) in enumerate(zip(predictions, truths)):
-        if truth is None:
-            raise UnknownTruth(f"entry {i} has no ground-truth label")
-        counts.add(bool(pred), bool(truth))
-    return counts
 
 
 def challenge_score(counts: ConfusionCounts) -> float:

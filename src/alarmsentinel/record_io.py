@@ -134,10 +134,6 @@ class Record:
     def n_channels(self) -> int:
         return self.samples.shape[0]
 
-    @property
-    def duration_s(self) -> float:
-        return self.n_samples / self.sample_rate
-
     def channel_index(self, name: str) -> int:
         for i, ch in enumerate(self.channels):
             if ch.name.lower() == name.lower():
@@ -332,6 +328,16 @@ def butter_filter(order: int, edges_hz: float | tuple[float, float], btype: str,
     return b, a
 
 
+def bridge_gaps(x: np.ndarray, nan: np.ndarray) -> np.ndarray:
+    """``x`` with the samples flagged in ``nan`` filled by linear
+    interpolation between the present ones, held level past either
+    end. At least one sample must be present."""
+    if not nan.any():
+        return x
+    idx = np.arange(len(x))
+    return np.interp(idx, idx[~nan], x[~nan])
+
+
 def resample_half(record: Record) -> Record:
     """Halve the sampling rate: 50 Hz low-pass, then keep even samples.
 
@@ -361,10 +367,7 @@ def resample_half(record: Record) -> Record:
         if nan.all():
             out[i] = np.nan
             continue
-        if nan.any():
-            idx = np.arange(len(x))
-            x = np.interp(idx, idx[~nan], x[~nan])
-        y = filtfilt(b, a, x)[::2]
+        y = filtfilt(b, a, bridge_gaps(x, nan))[::2]
         y[nan[::2]] = np.nan
         out[i] = y
     alarm = replace(record.alarm, alarm_index=(record.alarm.alarm_index + 1) // 2)

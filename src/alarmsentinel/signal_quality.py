@@ -33,6 +33,8 @@ NOISE_FRACTION_MAX = 0.5
 CLEAN_WANDER_MIN = 0.75
 CLEAN_POWER_RATIO_MIN = 0.9
 CLEAN_KURTOSIS_MIN = 4.0
+# 2 s segments resolve the 1 Hz wander edge too coarsely: slow wander leaks into the passband
+CLEAN_SEGMENT_S = 4.0
 
 
 class InvalidReason(Enum):
@@ -209,28 +211,6 @@ def merge_intervals(intervals: list[InvalidInterval]) -> list[InvalidInterval]:
     return out
 
 
-def welch_psd(samples: np.ndarray, fs: float, segment_seconds: float = 2.0) -> tuple[np.ndarray, np.ndarray]:
-    """Averaged power spectral density (Hann segments, 50% overlap).
-
-    Returns ``(frequencies, density)``; integrating the density over
-    the full band recovers the signal variance to within a percent.
-
-    Raises
-    ------
-    WindowTooShort
-        If the window holds less than one segment.
-    """
-    x = np.asarray(samples, dtype=np.float64)
-    nperseg = int(round(segment_seconds * fs))
-    if len(x) < nperseg:
-        raise WindowTooShort(f"window of {len(x)} samples is shorter than one {nperseg}-sample segment")
-    f, psd = welch(
-        x, fs=fs, window="hann", nperseg=nperseg, noverlap=nperseg // 2,
-        detrend="constant", scaling="density",
-    )
-    return f, psd
-
-
 def _band_power(f: np.ndarray, psd: np.ndarray, lo: float, hi: float) -> float:
     lo = max(lo, float(f[0]))
     hi = min(hi, float(f[-1]))
@@ -242,46 +222,44 @@ def _band_power(f: np.ndarray, psd: np.ndarray, lo: float, hi: float) -> float:
     return float(np.trapezoid(ys, xs))
 
 
-def band_fraction(
-    spectrum: tuple[np.ndarray, np.ndarray],
-    f_lo: float,
-    f_hi: float,
-    f_lo2: float,
-    f_hi2: float,
-) -> float:
-    """Power in [f_lo, f_hi] as a fraction of power in [f_lo2, f_hi2].
-
-    Band edges may fall between frequency bins; the density is
-    interpolated linearly there before integrating.
-    """
-    if not (0 <= f_lo < f_hi) or not (0 <= f_lo2 < f_hi2):
-        raise ValueError("band edges must satisfy 0 <= lo < hi")
-    f, psd = spectrum
-    denom = _band_power(f, psd, f_lo2, f_hi2)
-    if denom == 0.0:
-        raise ZeroDenominator(f"no power in reference band [{f_lo2}, {f_hi2}] Hz")
-    return _band_power(f, psd, f_lo, f_hi) / denom
-
-
 def clean_window_metrics(window: np.ndarray, fs: float) -> CleanMetrics:
     """Baseline-wander score, QRS-band power ratio, and kurtosis.
 
-    The PSD uses 4 s segments here: with 2 s segments the resolution at
-    the 1 Hz baseline-wander edge is too coarse and slow wander leaks
-    into the passband.
+    The wander score is one less the share of 0-40 Hz power below
+    1 Hz; the power ratio is the share of 5-40 Hz power in 5-15 Hz.
+    Both read one averaged spectrum (Hann segments of
+    :data:`CLEAN_SEGMENT_S`, 50% overlap), whose density is interpolated
+    linearly at band edges that fall between bins.
 
     Raises
     ------
     ZeroVariance
         If the window is constant.
+    WindowTooShort
+        If the window holds less than one segment.
+    ZeroDenominator
+        If a reference band holds no power.
     """
     x = np.asarray(window, dtype=np.float64)
     sigma = float(np.std(x))
     if sigma == 0.0:
         raise ZeroVariance("metrics undefined on a constant window")
-    spectrum = welch_psd(x, fs, segment_seconds=4.0)
-    wander = 1.0 - band_fraction(spectrum, 0.0, 1.0, 0.0, 40.0)
-    ratio = band_fraction(spectrum, 5.0, 15.0, 5.0, 40.0)
+    nperseg = int(round(CLEAN_SEGMENT_S * fs))
+    if len(x) < nperseg:
+        raise WindowTooShort(f"window of {len(x)} samples is shorter than one {nperseg}-sample segment")
+    f, psd = welch(
+        x, fs=fs, window="hann", nperseg=nperseg, noverlap=nperseg // 2,
+        detrend="constant", scaling="density",
+    )
+
+    def fraction(lo: float, hi: float, ref_lo: float, ref_hi: float) -> float:
+        denom = _band_power(f, psd, ref_lo, ref_hi)
+        if denom == 0.0:
+            raise ZeroDenominator(f"no power in reference band [{ref_lo}, {ref_hi}] Hz")
+        return _band_power(f, psd, lo, hi) / denom
+
+    wander = 1.0 - fraction(0.0, 1.0, 0.0, 40.0)
+    ratio = fraction(5.0, 15.0, 5.0, 40.0)
     kurt = float(np.mean(((x - np.mean(x)) / sigma) ** 4))
     return CleanMetrics(wander, ratio, kurt)
 

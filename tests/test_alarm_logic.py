@@ -40,6 +40,7 @@ from alarmsentinel.signal_quality import (
     InvalidInterval,
     InvalidReason,
     QualityReport,
+    channel_validity,
 )
 from alarmsentinel.synthkit import SynthSpec, generate
 
@@ -50,10 +51,12 @@ def make_record(channels=("II",), fs=250.0, n=4000, arrhythmia=Arrhythmia.VTACH,
     return Record("fab", fs, metas, samples, AlarmMeta(arrhythmia, is_true, n))
 
 
-def clean_quality(record, validity=None):
+def clean_quality(record, window=None, validity=None):
+    """A report without invalid samples over ``window`` (the whole record
+    by default)."""
     v = list(validity) if validity is not None else [1.0] * record.n_channels
     return QualityReport(
-        window=(0, record.n_samples),
+        window=window or (0, record.n_samples),
         invalid=[[] for _ in range(record.n_channels)],
         validity=v,
     )
@@ -64,7 +67,9 @@ def ann(indices, channel=0, labels=None):
 
 
 def context(record, annotations, quality=None, window=(0, 4000)):
-    return AlarmContext(record, annotations, quality or clean_quality(record), window)
+    """Check inputs over ``quality``'s window, or over a clean report of
+    ``window`` when no report is given."""
+    return AlarmContext(record, annotations, quality or clean_quality(record, window))
 
 
 def fired(evidence):
@@ -80,7 +85,7 @@ def cannot_decide(check, ctx):
 
 
 def gate_outcomes(record, annotations, quality):
-    evidence, gate = regular_activity(record, annotations, quality)
+    evidence, gate = regular_activity(record, annotations, quality, Thresholds())
     return [e.outcome for e in evidence], gate
 
 
@@ -139,26 +144,30 @@ class TestMostReliableChannel:
     def test_validity_beats_kind(self):
         rec = make_record(("ABP", "II"))
         q = clean_quality(rec, validity=[1.0, 0.5])
-        assert most_reliable_channel(rec, q) == 0
+        assert most_reliable_channel(rec, q, [0, 1]) == 0
 
     def test_tie_prefers_lead_ii_then_ecg_then_pressure(self):
         rec = make_record(("PLETH", "ABP", "V", "II"))
         q = clean_quality(rec)
-        assert most_reliable_channel(rec, q) == 3  # II
-        assert most_reliable_channel(rec, q, candidates=[0, 1, 2]) == 2  # other ECG
-        assert most_reliable_channel(rec, q, candidates=[0, 1]) == 1  # ABP over PPG
+        assert most_reliable_channel(rec, q, [0, 1, 2, 3]) == 3  # II
+        assert most_reliable_channel(rec, q, [0, 1, 2]) == 2  # other ECG
+        assert most_reliable_channel(rec, q, [0, 1]) == 1  # ABP over PPG
 
     def test_empty_pool(self):
         rec = make_record()
-        assert most_reliable_channel(rec, clean_quality(rec), candidates=[]) is None
+        assert most_reliable_channel(rec, clean_quality(rec), []) is None
 
 
 class TestRegularActivity:
     def setup_case(self, indices, fs=250.0, invalid=None):
+        """A report over the record's 16 s analysis window, as
+        classify_alarm builds it, with ``invalid`` screened out."""
         rec = make_record(fs=fs)
-        q = clean_quality(rec)
+        window = (rec.n_samples - int(16.0 * fs), rec.n_samples)
+        q = clean_quality(rec, window)
         if invalid:
             q.invalid[0] = invalid
+            q.validity[0] = channel_validity(invalid, *window)
         return rec, [ann(indices)], q
 
     def test_steady_rhythm_is_regular(self):

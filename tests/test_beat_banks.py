@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alarmsentinel import beat_banks
+from alarmsentinel.alarm_logic import Thresholds
 from alarmsentinel.beat_banks import (
     KL_EPSILON,
     BankKind,
@@ -42,6 +43,8 @@ from alarmsentinel.errors import (
 from alarmsentinel.record_io import Arrhythmia
 from alarmsentinel.synthkit import SynthSpec, generate, narrow_template, wide_template
 
+ANALYSIS_WINDOW_S = Thresholds().analysis_window_s
+
 
 def template_beat(kind="narrow", fs=125.0, noise=0.0, seed=0):
     rng = np.random.default_rng(seed)
@@ -68,7 +71,7 @@ class TestSelfBankExtraction:
     def test_exactly_twenty_normalized_beats(self, vt_true_record):
         rec, _ = vt_true_record
         ann = detect_qrs(rec.samples[0], rec.sample_rate)
-        bank = extract_self_bank(rec, ann)
+        bank = extract_self_bank(rec, ann, ANALYSIS_WINDOW_S)
         assert len(bank) == 20
         assert bank.kind is BankKind.SELF
         for beat in bank.beats:
@@ -86,7 +89,7 @@ class TestSelfBankExtraction:
     def test_newest_sections_first(self, vt_true_record):
         rec, _ = vt_true_record
         ann = detect_qrs(rec.samples[0], rec.sample_rate)
-        bank = extract_self_bank(rec, ann)
+        bank = extract_self_bank(rec, ann, ANALYSIS_WINDOW_S)
         starts = [s for _, s, _ in bank.provenance]
         # within the scan the first banked beat is the most recent one
         assert starts[0] == max(starts)
@@ -96,7 +99,8 @@ class TestSelfBankExtraction:
         ann = detect_qrs(rec.samples[0], rec.sample_rate)
         lead = bank_lead(rec, ann.channel)
         assert bank_lead(lead, ann.channel) is lead
-        from_lead, from_record = extract_self_bank(lead, ann), extract_self_bank(rec, ann)
+        from_lead = extract_self_bank(lead, ann, ANALYSIS_WINDOW_S)
+        from_record = extract_self_bank(rec, ann, ANALYSIS_WINDOW_S)
         assert from_lead.provenance == from_record.provenance
         assert all(np.array_equal(x, y) for x, y in zip(from_lead.beats, from_record.beats))
         with pytest.raises(ValueError):
@@ -107,7 +111,7 @@ class TestSelfBankExtraction:
         rec, _ = generate(spec)
         ann = detect_qrs(rec.samples[0], rec.sample_rate)
         with pytest.raises(InsufficientCleanBeats) as exc_info:
-            extract_self_bank(rec, ann)
+            extract_self_bank(rec, ann, ANALYSIS_WINDOW_S)
         assert exc_info.value.found == 0
 
 
@@ -412,7 +416,7 @@ class TestVtLabelsFromBank:
     def test_methods_label_the_run(self, vt_true_record, banks):
         rec, truth = vt_true_record
         ann = detect_qrs(rec.samples[0], rec.sample_rate)
-        self_bank = extract_self_bank(rec, ann)
+        self_bank = extract_self_bank(rec, ann, ANALYSIS_WINDOW_S)
         bank_set = BankSet(
             ventricular=banks.ventricular,
             standard=banks.standard,
@@ -445,7 +449,7 @@ class TestVtLabelsFromBank:
         # after each gap gets a longer slice that can still be compared.
         rec, _ = vt_true_record
         ann = detect_qrs(rec.samples[0], rec.sample_rate)
-        self_bank = extract_self_bank(rec, ann)
+        self_bank = extract_self_bank(rec, ann, ANALYSIS_WINDOW_S)
         bank_set = BankSet(banks.ventricular, banks.standard, self_bank, bank_novelty_stats(self_bank))
         classifiers = {
             "vbank": classify_beat_vbank,
@@ -496,4 +500,18 @@ class TestBeatFiles:
 
     def test_empty_dir_rejected(self, tmp_path):
         with pytest.raises(EmptyBank):
+            load_bank_dir(tmp_path)
+
+    @pytest.mark.parametrize("sample", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_sample_rejected(self, tmp_path, sample):
+        p = tmp_path / "odd.txt"
+        p.write_text(f"fs=125 label=N\n0.1\n{sample}\n0.3\n")
+        with pytest.raises(IoFailure, match="odd.txt.*non-finite"):
+            load_beat_file(p)
+
+    @pytest.mark.parametrize("samples", [["0.5"], ["0.2"] * 40], ids=["one sample", "constant"])
+    def test_flat_beat_rejected_with_its_file(self, tmp_path, banks, samples):
+        save_bank(banks.standard, tmp_path, prefix="n")
+        (tmp_path / "flat.txt").write_text("fs=125 label=V\n" + "\n".join(samples) + "\n")
+        with pytest.raises(IoFailure, match="flat.txt is flat"):
             load_bank_dir(tmp_path)

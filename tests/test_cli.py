@@ -1,6 +1,9 @@
 import json
 import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +28,14 @@ def bank_dir(tmp_path_factory):
     banks = surrogate_banks(seed=0)
     save_bank(banks.ventricular, d, prefix="v")
     save_bank(banks.standard, d, prefix="n")
+    return d
+
+
+@pytest.fixture(scope="module")
+def ventricular_only(tmp_path_factory):
+    """A bank directory holding ventricular beat files alone."""
+    d = tmp_path_factory.mktemp("cli_vbank_only")
+    save_bank(surrogate_banks(seed=0).ventricular, d, prefix="v")
     return d
 
 
@@ -109,6 +120,15 @@ class TestClassifyCommand:
         assert main(["classify", record, "--method", "dtw-vbank", "--bank-dir", str(bank_dir)]) == 1
         verdict = json.loads(capsys.readouterr().out)
         assert verdict["method"] == "dtw-vbank"
+
+    def test_vbank_with_one_bank_exits_two_on_a_gated_record(self, small_suite, ventricular_only, capsys):
+        # the gate dismisses this alarm before any beat is labelled, so the
+        # half-empty bank used to go unnoticed and classify exited 0
+        record = entry_for(small_suite[1], truth=False, arrhythmia=Arrhythmia.VTACH)
+        assert main(["classify", record, "--method", "dtw-vbank", "--bank-dir", str(ventricular_only)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "both banks" in captured.err
 
     def test_dtw_full_needs_a_corpus_source(self, small_suite, capsys):
         record = entry_for(small_suite[1], truth=True, arrhythmia=Arrhythmia.VTACH)
@@ -254,6 +274,21 @@ class TestEvaluateCommand:
         assert payload["split"] == {"seed": 2015, "train": 1, "test": 1}
         assert all(r["arrhythmia"] == Arrhythmia.VTACH.value for r in payload["records"])
 
+    def test_vbank_with_one_bank_exits_two(self, small_suite, ventricular_only, tmp_path, capsys):
+        # train on the true VT alarm, so the one test row is the gated false one,
+        # which used to be adjudicated without a beat label and reported
+        train = entry_for(small_suite[1], truth=True, arrhythmia=Arrhythmia.VTACH)
+        split_path = tmp_path / "train.csv"
+        split_path.write_text(f"record,arrhythmia,label\n{train},{Arrhythmia.VTACH.value},true\n")
+        out = tmp_path / "vt.json"
+        rc = main([
+            "evaluate", "--manifest", str(small_suite[1]), "--method", "dtw-vbank",
+            "--bank-dir", str(ventricular_only), "--split", str(split_path), "--out", str(out),
+        ])
+        assert rc == 2
+        assert "both banks" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_explicit_split_manifest(self, small_suite, tmp_path):
         manifest = load_manifest(small_suite[1])
         vt = [e for e in manifest if e.arrhythmia is Arrhythmia.VTACH]
@@ -327,3 +362,19 @@ class TestBankCommand:
         text = capsys.readouterr().out
         assert "beats: 20" in text
         assert "mu_min=" in text and "sigma_kl=" in text
+
+    def test_inspect_names_a_beat_file_with_a_non_finite_sample(self, bank_dir, tmp_path):
+        d = tmp_path / "bank"
+        d.mkdir()
+        for f in bank_dir.glob("*.txt"):
+            (d / f.name).write_text(f.read_text())
+        (d / "odd.txt").write_text("fs=125 label=N\n0.1\ninf\n0.3\n")
+        # a fresh interpreter, so any numpy warning would reach stderr
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "alarmsentinel.cli", "bank", "inspect", "--bank-dir", str(d)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.splitlines() == [f"error: beat file {d / 'odd.txt'} has a non-finite sample"]

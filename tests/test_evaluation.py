@@ -1,9 +1,8 @@
 import pytest
 
-from alarmsentinel.errors import EmptyCounts, LengthMismatch, UnknownTruth
+from alarmsentinel.errors import EmptyCounts
 from alarmsentinel.evaluation import (
     ConfusionCounts,
-    accumulate,
     challenge_score,
     metric_suite,
     per_arrhythmia_report,
@@ -21,18 +20,6 @@ class TestConfusionCounts:
         c.add(False, False)
         assert (c.tp, c.fn, c.fp, c.tn) == (1, 1, 1, 1)
         assert c.total == 4
-
-    def test_accumulate(self):
-        c = accumulate([True, True, False, False], [True, False, True, False])
-        assert (c.tp, c.fp, c.fn, c.tn) == (1, 1, 1, 1)
-
-    def test_accumulate_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            accumulate([True], [True, False])
-
-    def test_accumulate_rejects_unknown_truth(self):
-        with pytest.raises(UnknownTruth):
-            accumulate([True, False], [True, None])
 
 
 class TestChallengeScore:

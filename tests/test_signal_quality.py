@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.signal import periodogram
+from scipy.signal import periodogram, welch
 
 from alarmsentinel import signal_quality
-from alarmsentinel.errors import WindowTooShort, ZeroDenominator, ZeroVariance
+from alarmsentinel.errors import AlarmSentinelError, WindowTooShort, ZeroDenominator, ZeroVariance
 from alarmsentinel.record_io import AlarmMeta, ChannelKind, ChannelMeta, Record
 from alarmsentinel.signal_quality import (
     ABP_MAX_MMHG,
@@ -23,15 +23,13 @@ from alarmsentinel.signal_quality import (
     InvalidReason,
     QualityReport,
     assess_quality,
-    band_fraction,
     channel_validity,
     clean_window_metrics,
     detect_invalid_segments,
     is_clean,
     merge_intervals,
-    welch_psd,
 )
-from alarmsentinel.signal_quality import _flat_spans, _noise_spans
+from alarmsentinel.signal_quality import _band_power, _flat_spans, _noise_spans
 
 FS = 250.0
 
@@ -138,34 +136,122 @@ class TestMergeIntervals:
 
 class TestSpectra:
     def test_welch_peak_at_tone(self):
-        f, psd = welch_psd(sine(10), FS)
-        assert abs(f[np.argmax(psd)] - 10.0) < 0.6
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append((kwargs["nperseg"], *welch(*args, **kwargs)))
+            return seen[-1][1:]
+
+        with mock.patch.object(signal_quality, "welch", spy):
+            clean_window_metrics(sine(10, fs=125.0), 125.0)
+        ((nperseg, f, psd),) = seen
+        assert nperseg == 500  # 4 s segments
+        assert abs(f[np.argmax(psd)] - 10.0) < 0.3
 
     def test_welch_too_short(self):
+        x = np.random.default_rng(1).normal(0.0, 1.0, 499)  # one sample short of a 4 s segment
         with pytest.raises(WindowTooShort):
-            welch_psd(np.zeros(100), FS, segment_seconds=2.0)
+            clean_window_metrics(x, 125.0)
 
     def test_band_fraction_tone(self):
-        spectrum = welch_psd(sine(10), FS)
-        assert band_fraction(spectrum, 5, 15, 0, 40) > 0.97
-        assert band_fraction(spectrum, 20, 30, 0, 40) < 0.02
-
-    def test_band_fraction_validates_edges(self):
-        spectrum = welch_psd(sine(10), FS)
-        with pytest.raises(ValueError):
-            band_fraction(spectrum, 15, 5, 0, 40)
+        assert clean_window_metrics(sine(10, fs=125.0), 125.0).power_ratio > 0.97
+        assert clean_window_metrics(sine(25, fs=125.0), 125.0).power_ratio < 0.02
+        assert clean_window_metrics(sine(25, fs=125.0), 125.0).baseline_wander > 0.98
 
     def test_band_fraction_zero_denominator(self):
-        spectrum = (np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.0, 0.0]))
-        with pytest.raises(ZeroDenominator):
-            band_fraction(spectrum, 0, 1, 0, 2)
+        def silent(x, fs, **kwargs):
+            f = np.arange(kwargs["nperseg"] // 2 + 1) * fs / kwargs["nperseg"]
+            return f, np.zeros(len(f))
+
+        with mock.patch.object(signal_quality, "welch", silent), pytest.raises(ZeroDenominator):
+            clean_window_metrics(sine(10, fs=125.0), 125.0)
 
     def test_white_noise_fraction_tracks_bandwidth(self):
-        rng = np.random.default_rng(5)
-        x = rng.normal(0, 1, 4000)
-        spectrum = welch_psd(x, FS)
-        frac = band_fraction(spectrum, 0, 40, 0, 125)
-        assert abs(frac - 40 / 125) < 0.08
+        x = np.random.default_rng(5).normal(0, 1, 2000)
+        m = clean_window_metrics(x, 125.0)
+        assert abs(m.power_ratio - 10 / 35) < 0.08  # 5-15 Hz of 5-40 Hz
+        assert abs((1.0 - m.baseline_wander) - 1 / 40) < 0.02  # 0-1 Hz of 0-40 Hz
+
+
+def welch_psd_oracle(samples, fs, segment_seconds=2.0):
+    """The averaged spectrum the clean metrics once took from a public
+    ``welch_psd``, kept as an oracle."""
+    x = np.asarray(samples, dtype=np.float64)
+    nperseg = int(round(segment_seconds * fs))
+    if len(x) < nperseg:
+        raise WindowTooShort(f"window of {len(x)} samples is shorter than one {nperseg}-sample segment")
+    return welch(x, fs=fs, window="hann", nperseg=nperseg, noverlap=nperseg // 2, detrend="constant", scaling="density")
+
+
+def band_fraction_oracle(spectrum, f_lo, f_hi, f_lo2, f_hi2):
+    """Power in [f_lo, f_hi] as a fraction of power in [f_lo2, f_hi2],
+    as the public ``band_fraction`` computed it."""
+    if not (0 <= f_lo < f_hi) or not (0 <= f_lo2 < f_hi2):
+        raise ValueError("band edges must satisfy 0 <= lo < hi")
+    f, psd = spectrum
+    denom = _band_power(f, psd, f_lo2, f_hi2)
+    if denom == 0.0:
+        raise ZeroDenominator(f"no power in reference band [{f_lo2}, {f_hi2}] Hz")
+    return _band_power(f, psd, f_lo, f_hi) / denom
+
+
+def clean_window_metrics_oracle(window, fs):
+    """The clean metrics composed from the two oracles above."""
+    x = np.asarray(window, dtype=np.float64)
+    sigma = float(np.std(x))
+    if sigma == 0.0:
+        raise ZeroVariance("metrics undefined on a constant window")
+    spectrum = welch_psd_oracle(x, fs, segment_seconds=4.0)
+    wander = 1.0 - band_fraction_oracle(spectrum, 0.0, 1.0, 0.0, 40.0)
+    ratio = band_fraction_oracle(spectrum, 5.0, 15.0, 5.0, 40.0)
+    kurt = float(np.mean(((x - np.mean(x)) / sigma) ** 4))
+    return CleanMetrics(wander, ratio, kurt)
+
+
+@st.composite
+def clean_windows(draw):
+    """A 10 s window at 125 Hz: a tone, white noise, slow wander (under
+    1 Hz) or a constant, overlaid with more of them and with gaps."""
+    fs = 125.0
+    n = int(10 * fs)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = st.sampled_from(["tone", "noise", "wander", "constant", "gap"])
+
+    def piece(kind, length):
+        amp = draw(st.floats(1e-3, 5.0))
+        t = np.arange(length) / fs
+        if kind == "tone":
+            return amp * np.sin(2 * np.pi * draw(st.floats(0.5, 60.0)) * t)
+        if kind == "noise":
+            return rng.normal(0.0, amp, length)
+        if kind == "wander":
+            return amp * np.sin(2 * np.pi * draw(st.floats(0.05, 1.0)) * t)
+        return np.full(length, amp if kind == "constant" else np.nan)
+
+    x = piece(draw(kinds), n)
+    for kind, start, length in draw(st.lists(st.tuples(kinds, st.integers(0, n - 1), st.integers(1, n)), max_size=4)):
+        span = slice(start, min(n, start + length))
+        if kind in ("constant", "gap"):
+            x[span] = piece(kind, span.stop - start)
+        else:
+            x[span] += piece(kind, span.stop - start)
+    return x
+
+
+def metrics_or_error(fn, x):
+    try:
+        return np.array(fn(x, 125.0)).tobytes()
+    except AlarmSentinelError as exc:
+        return type(exc)
+
+
+class TestCleanMetricsMatchTheOracle:
+    @given(clean_windows())
+    @example(np.full(1250, 0.3))
+    @example(np.full(1250, np.nan))
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_or_the_same_error(self, x):
+        assert metrics_or_error(clean_window_metrics, x) == metrics_or_error(clean_window_metrics_oracle, x)
 
 
 class TestCleanMetrics:
