@@ -40,7 +40,7 @@ from .beats import (
 from .beats import classify_beat_spectral  # noqa: F401
 from .beat_banks import (
     BankSet,
-    BeatClassifier,
+    BeatRule,
     bank_novelty_stats,
     classify_beat_self_kl,
     classify_beat_self_min,
@@ -48,7 +48,7 @@ from .beat_banks import (
     extract_self_bank,
     vt_labels_from_bank,
 )
-from .dtw import TrainingCorpus, bank_lead, classify_full_signal
+from .dtw import BankLead, TrainingCorpus, bank_lead, classify_full_signal
 from .errors import (
     CannotDecide,
     EmptyCorpus,
@@ -446,16 +446,27 @@ def _spectral_votes(ctx: AlarmContext) -> list[ChannelEvidence]:
     return _vtach_votes(ctx, labelled, include_abp=True)
 
 
-def _bank_votes(
-    classifier: BeatClassifier,
-    ctx: AlarmContext,
-    self_bank: bool,
-) -> list[ChannelEvidence]:
-    """Labels from ``classifier`` on the single analysis lead; pressure
-    does not vote.
+def _curated_rule(classify: Callable[..., BeatRule], ctx: AlarmContext, *_) -> BeatRule:
+    """``classify`` bound to the curated banks of ``ctx``."""
+    return classify(ctx.banks or BankSet())
 
-    With ``self_bank``, the patient's bank is built from the pre-alarm
-    beats when ``ctx.banks`` carries none. The lead is brought to the
+
+def _self_rule(classify: Callable[..., BeatRule], ctx: AlarmContext, lead: BankLead, ann: BeatAnnotation) -> BeatRule:
+    """``classify`` bound to the patient's own bank, built from the
+    lead's pre-alarm beats, and to that bank's novelty statistics."""
+    try:
+        bank = extract_self_bank(lead, ann, exclude_s=ctx.config.analysis_window_s)
+    except InsufficientCleanBeats as exc:
+        raise CannotDecide("self_bank_failed", clean_beats_found=float(exc.found)) from None
+    return classify(bank, bank_novelty_stats(bank))
+
+
+def _bank_votes(
+    bind: Callable[..., BeatRule], classify: Callable[..., BeatRule], ctx: AlarmContext
+) -> list[ChannelEvidence]:
+    """Labels from ``classify``, bound to its banks by ``bind``
+    (:func:`_curated_rule` or :func:`_self_rule`), on the single
+    analysis lead; pressure does not vote. The lead is brought to the
     match rate once, for the bank and the labels alike.
     """
     record = ctx.record
@@ -470,17 +481,10 @@ def _bank_votes(
         at_match_rate = bank_lead(record, lead)
     except InsufficientData:  # too short for the anti-alias filter
         raise CannotDecide("bank_lead_too_short", samples=float(record.n_samples)) from None
-    banks = ctx.banks or BankSet()
-    if self_bank and (banks.self_bank is None or banks.stats is None):
-        try:
-            patient = extract_self_bank(at_match_rate, ann, exclude_s=ctx.config.analysis_window_s)
-        except InsufficientCleanBeats as exc:
-            raise CannotDecide("self_bank_failed", clean_beats_found=float(exc.found)) from None
-        banks = replace(banks, self_bank=patient, stats=bank_novelty_stats(patient))
-
+    rule = bind(classify, ctx, at_match_rate, ann)
     beats_in = ann.within(*ctx.quality.window)
     try:
-        labels = vt_labels_from_bank(at_match_rate, beats_in, classifier, banks)
+        labels = vt_labels_from_bank(at_match_rate, beats_in, rule)
     except TooFewBeats:
         raise CannotDecide("vtach_too_few_beats", beats=float(beats_in.count)) from None
     labelled: list[BeatAnnotation | None] = [None] * record.n_channels
@@ -501,9 +505,9 @@ def _nearest_signal(ctx: AlarmContext) -> list[ChannelEvidence]:
 
 class Method(NamedTuple):
     """What sets a method apart: the evidence it gathers for a VT alarm
-    (for a bank method, its beat classifier and whether the patient's
-    own bank is built), and how the outcomes of a check's evidence
-    combine into the verdict."""
+    (for a bank method, its beat classifier and the banks it is bound
+    to: the curated banks, or a patient bank built from the lead), and
+    how the outcomes of a check's evidence combine into the verdict."""
 
     vt_evidence: Callable[[AlarmContext], list[ChannelEvidence]]
     combine: Callable[[Iterable[bool]], bool] = any
@@ -513,9 +517,9 @@ METHOD_TABLE: dict[str, Method] = {
     "baseline": Method(_spectral_votes, all),
     "improved": Method(_spectral_votes),
     "dtw-full": Method(_nearest_signal),
-    "dtw-vbank": Method(partial(_bank_votes, classify_beat_vbank, self_bank=False)),
-    "dtw-self-min": Method(partial(_bank_votes, classify_beat_self_min, self_bank=True)),
-    "dtw-self-kl": Method(partial(_bank_votes, classify_beat_self_kl, self_bank=True)),
+    "dtw-vbank": Method(partial(_bank_votes, _curated_rule, classify_beat_vbank)),
+    "dtw-self-min": Method(partial(_bank_votes, _self_rule, classify_beat_self_min)),
+    "dtw-self-kl": Method(partial(_bank_votes, _self_rule, classify_beat_self_kl)),
 }
 METHODS = tuple(METHOD_TABLE)
 # the warping methods analyze a single lead and apply only to VT alarms
@@ -579,9 +583,10 @@ def classify_alarm(
     analyze a single lead.
 
     ``annotations`` replaces the built-in detectors (entries may be
-    None for channels without beats); ``banks`` supplies beat banks
-    for the bank methods (the self bank is built from the record
-    itself when absent); ``corpus`` is required for dtw-full.
+    None for channels without beats); ``banks`` holds the curated
+    ventricular and standard banks that dtw-vbank needs (dtw-self-min
+    and dtw-self-kl build the patient's bank from the record itself);
+    ``corpus`` is required for dtw-full.
     """
     if method not in METHOD_TABLE:
         raise UnsupportedMethod(f"unknown method {method!r}; choose from {', '.join(METHODS)}")

@@ -5,13 +5,13 @@ same banded DTW distance at the beat level (1 s radius): nearest
 neighbour against curated ventricular/standard banks, and two
 novelty rules that compare a beat against 20 of the patient's own
 pre-alarm beats (minimum-distance threshold, and KL divergence
-between distance histograms). Each is a :data:`BeatClassifier`:
-bound to a :class:`BankSet`, it checks that the banks it reads are
-there and returns a :class:`BeatRule`, the bank members to warp
-against and a rule that labels beats from their rows of distances
-to them. :func:`vt_labels_from_bank` warps all of a record's
-comparable beats against the members in one DTW call and applies the
-rule to the whole (beats x members) distance matrix.
+between distance histograms). Each classifier takes the banks it
+reads (the curated :class:`BankSet`, or the patient's bank and its
+:class:`NoveltyStats`) and returns a :class:`BeatRule`, the bank
+members to warp against and a rule that labels beats from their rows
+of distances to them. :func:`vt_labels_from_bank` warps all of a
+lead's comparable beats against the members in one DTW call and
+applies the rule to the whole (beats x members) distance matrix.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .beats import BEAT_MIN_S, BeatAnnotation, BeatLabel, BeatSegment, beat_segments, beat_slices
-from .dtw import BEAT_RADIUS, MATCH_RATE_HZ, BankLead, bank_lead, dtw_distances, znormalize
+from .dtw import BEAT_RADIUS, MATCH_RATE_HZ, BankLead, dtw_distances, znormalize
 from .errors import (
     BankTooSmall,
     DimensionMismatch,
@@ -34,7 +34,6 @@ from .errors import (
     TooFewBeats,
     ZeroVariance,
 )
-from .record_io import Record
 from .signal_quality import clean_window_metrics, is_clean
 # unused here: kept because perfbench/spans.py wraps beat_banks.dtw_distance and
 # beat_banks.resample_half, and its tracer test fails when a wrap point is missing
@@ -78,12 +77,10 @@ class NoveltyStats:
 
 @dataclass
 class BankSet:
-    """The banks a classification method may need, bundled for dispatch."""
+    """The curated banks of the dtw-vbank method."""
 
     ventricular: BeatBank | None = None
     standard: BeatBank | None = None
-    self_bank: BeatBank | None = None
-    stats: NoveltyStats | None = None
 
 
 def _beat_distances(a: list[np.ndarray], b: list[np.ndarray]) -> np.ndarray:
@@ -109,16 +106,23 @@ def _comparable_beats(
         yield pos, start, end, beat
 
 
-def extract_self_bank(record: Record | BankLead, annotation: BeatAnnotation, exclude_s: float) -> BeatBank:
+def _on_lead(lead: BankLead, annotation: BeatAnnotation) -> BeatAnnotation:
+    """``annotation``'s beats in the samples of ``lead``, its channel at
+    the match rate; beats on another channel raise ``ValueError``."""
+    if annotation.channel != lead.channel:
+        raise ValueError(f"bank lead is channel {lead.channel}, beats are on channel {annotation.channel}")
+    return BeatAnnotation(lead.channel, annotation.indices // lead.factor)
+
+
+def extract_self_bank(lead: BankLead, annotation: BeatAnnotation, exclude_s: float) -> BeatBank:
     """Collect the patient's own recent clean beats, newest first.
 
-    Scans 10 s sections backward, starting before the alarm section
-    (the final ``exclude_s`` seconds stay out: they may contain the
-    event being adjudicated, and banked beats must never be the beats
-    under test). A section contributes its interior beats only when
-    its clean-signal metrics pass, so every banked beat comes from
-    trustworthy signal. ``record`` may be the lead already at the match
-    rate (:func:`bank_lead`).
+    Scans 10 s sections of ``lead`` (:func:`bank_lead`) backward,
+    starting before the alarm section (the final ``exclude_s`` seconds
+    stay out: they may contain the event being adjudicated, and banked
+    beats must never be the beats under test). A section contributes
+    its interior beats only when its clean-signal metrics pass, so
+    every banked beat comes from trustworthy signal.
 
     Raises
     ------
@@ -126,10 +130,9 @@ def extract_self_bank(record: Record | BankLead, annotation: BeatAnnotation, exc
         Fewer than :data:`SELF_BANK_SIZE` beats survived; carries the
         count found.
     """
-    ch = annotation.channel
-    rec, _, factor = bank_lead(record, ch)
+    rec = lead.record
     section = int(SECTION_S * MATCH_RATE_HZ)
-    at_match_rate = BeatAnnotation(ch, annotation.indices // factor)
+    at_match_rate = _on_lead(lead, annotation)
     samples = rec.samples[0]
 
     beats: list[np.ndarray] = []
@@ -290,9 +293,6 @@ def _labels(ventricular: np.ndarray) -> list[BeatLabel]:
     return [BeatLabel.VENTRICULAR if v else BeatLabel.NORMAL for v in ventricular.tolist()]
 
 
-BeatClassifier = Callable[[BankSet], BeatRule]
-
-
 def classify_beat_vbank(banks: BankSet) -> BeatRule:
     """Label of the nearest beat across the ventricular and standard
     banks; ties go ventricular."""
@@ -307,16 +307,9 @@ def classify_beat_vbank(banks: BankSet) -> BeatRule:
     return BeatRule(banks.ventricular.beats + banks.standard.beats, label)
 
 
-def _patient_bank(banks: BankSet) -> tuple[BeatBank, NoveltyStats]:
-    if not banks.self_bank or banks.stats is None:
-        raise EmptyBank("self-bank classification needs the patient bank and its statistics")
-    return banks.self_bank, banks.stats
-
-
-def classify_beat_self_min(banks: BankSet) -> BeatRule:
+def classify_beat_self_min(bank: BeatBank, stats: NoveltyStats) -> BeatRule:
     """Ventricular iff the minimum distance to the patient bank exceeds
     mu + sigma."""
-    bank, stats = _patient_bank(banks)
 
     def label(rows: np.ndarray) -> list[BeatLabel]:
         return _labels(rows.min(axis=1) > stats.mu_min + stats.sigma_min)
@@ -324,10 +317,9 @@ def classify_beat_self_min(banks: BankSet) -> BeatRule:
     return BeatRule(bank.beats, label)
 
 
-def classify_beat_self_kl(banks: BankSet) -> BeatRule:
+def classify_beat_self_kl(bank: BeatBank, stats: NoveltyStats) -> BeatRule:
     """Ventricular iff the beat's distance histogram diverges from the
     patient bank's."""
-    bank, stats = _patient_bank(banks)
     q = smooth_distribution(_histogram(stats.reference_distances, stats.bin_edges))
 
     def label(rows: np.ndarray) -> list[BeatLabel]:
@@ -344,27 +336,18 @@ def _distance_rows(beats: list[np.ndarray], members: list[np.ndarray]) -> np.nda
     return pairs.reshape(len(beats), len(members))
 
 
-def vt_labels_from_bank(
-    record: Record | BankLead,
-    annotation: BeatAnnotation,
-    classifier: BeatClassifier,
-    banks: BankSet,
-) -> BeatAnnotation:
-    """Label every annotated beat with ``classifier`` bound to ``banks``.
+def vt_labels_from_bank(lead: BankLead, annotation: BeatAnnotation, rule: BeatRule) -> BeatAnnotation:
+    """Label every annotated beat of ``lead`` (:func:`bank_lead`) with
+    ``rule``, from :func:`classify_beat_vbank`,
+    :func:`classify_beat_self_min` or :func:`classify_beat_self_kl`.
 
-    ``classifier`` is :func:`classify_beat_vbank`,
-    :func:`classify_beat_self_min` or :func:`classify_beat_self_kl`;
-    ``record`` may be the lead already at the match rate
-    (:func:`bank_lead`). Beats whose slice cannot be compared (flat,
-    out of length bounds, or containing gaps) come back Unknown; the
-    others are warped against the bank members in one batch.
+    Beats whose slice cannot be compared (flat, out of length bounds,
+    or containing gaps) come back Unknown; the others are warped
+    against the bank members in one batch.
     """
-    rec, _, factor = bank_lead(record, annotation.channel)
-    segments = beat_segments(BeatAnnotation(annotation.channel, annotation.indices // factor))
-    rule = classifier(banks)
-
+    segments = beat_segments(_on_lead(lead, annotation))
     labels = [BeatLabel.UNKNOWN] * len(segments)
-    comparable = list(_comparable_beats(rec.samples[0], segments))
+    comparable = list(_comparable_beats(lead.record.samples[0], segments))
     rows = _distance_rows([beat for *_, beat in comparable], rule.members)
     for (pos, *_), label in zip(comparable, rule.label(rows)):
         labels[pos] = label

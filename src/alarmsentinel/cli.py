@@ -21,7 +21,7 @@ from pathlib import Path
 from .alarm_logic import DTW_METHODS, METHODS, Thresholds, Verdict, analysis_lead, classify_alarm, detect_annotations
 from .beat_banks import bank_novelty_stats, classify_beat_vbank, extract_self_bank, load_bank_dir, save_bank
 from .beats import import_annotations
-from .dtw import TrainingCorpus, corpus_from_records, load_corpus_cache, save_corpus_cache
+from .dtw import TrainingCorpus, bank_lead, corpus_from_records, load_corpus_cache, save_corpus_cache
 from .errors import AlarmSentinelError, EmptyBank, EmptyCorpus, InsufficientCleanBeats
 from .evaluation import per_arrhythmia_report, train_test_split
 from .record_io import Arrhythmia, load_record, load_manifest
@@ -54,17 +54,14 @@ def _annotations_for(record, directory: str | None):
     return annotations
 
 
-def _resolve_workers(requested: int | None) -> int:
-    return max(1, requested or min(8, os.cpu_count() or 1))
-
-
 def _corpus_for(args, train) -> TrainingCorpus:
     """The dtw-full corpus: the ``--corpus-cache`` file, else built from
     the training manifest rows; written to ``--save-corpus-cache``."""
     if args.corpus_cache:
         corpus = load_corpus_cache(args.corpus_cache, lead=args.lead)
     else:
-        labelled = [(load_record(e.record), e.truth) for e in train]
+        # one record decoded at a time: the corpus keeps only each one's match window
+        labelled = ((load_record(e.record), e.truth) for e in train)
         corpus = corpus_from_records(labelled, lead=args.lead, skip_errors=True)
     if len(corpus) == 0:
         raise EmptyCorpus("training corpus is empty")
@@ -178,6 +175,8 @@ def _adjudicate_in_worker(entry) -> dict:
 
 
 def cmd_evaluate(args) -> int:
+    if args.workers is not None and args.workers < 1:
+        return _fail(f"--workers must be at least 1, got {args.workers}")
     manifest = load_manifest(args.manifest)
     unknown = [e.record for e in manifest if e.truth is None]
     if unknown:
@@ -203,7 +202,7 @@ def cmd_evaluate(args) -> int:
         rows = test
 
     run = _run_for(args, train)
-    workers = min(_resolve_workers(args.workers), len(rows))
+    workers = min(args.workers or min(8, os.cpu_count() or 1), len(rows))
     if workers > 1:
         # forked workers inherit the run's inputs; only rows cross processes
         try:
@@ -260,7 +259,7 @@ def cmd_bank(args) -> int:
         if annotation is None:
             return _fail(f"no beats found on channel {args.lead}")
         try:
-            bank = extract_self_bank(record, annotation, exclude_s=Thresholds().analysis_window_s)
+            bank = extract_self_bank(bank_lead(record, lead_idx), annotation, exclude_s=Thresholds().analysis_window_s)
         except InsufficientCleanBeats as exc:
             print(f"error: {exc} (found {exc.found})", file=sys.stderr)
             return 3
@@ -315,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--csv", help="also write a per-class metrics CSV")
     e.add_argument("--split", help="manifest listing the training records (DTW methods)")
     e.add_argument("--split-seed", type=int, default=2015, help="seed for the 2:1 train/test split")
-    e.add_argument("--workers", type=int, help="worker processes (fork, so POSIX only)")
+    e.add_argument("--workers", type=int, help="worker processes, at least 1 (fork, so POSIX only); "
+                   "default: the CPU count, at most 8")
     e.add_argument("--assert-latency-ms", type=float, help="fail if any record takes longer")
     e.set_defaults(fn=cmd_evaluate)
 

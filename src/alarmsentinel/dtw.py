@@ -23,7 +23,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .errors import (
     EmptySequence,
     InsufficientData,
     IoFailure,
+    NonFiniteSample,
     UnsupportedRate,
     ZeroVariance,
 )
@@ -139,6 +140,8 @@ def dtw_distances(a, b, radii) -> np.ndarray:
     ------
     EmptySequence
         An input of some pair has no samples.
+    NonFiniteSample
+        An input of some pair holds a NaN or an infinity.
     ValueError
         The counts differ, or a band radius is negative.
     BandInfeasible
@@ -171,6 +174,8 @@ def dtw_distances(a, b, radii) -> np.ndarray:
         for column, k in enumerate(part.tolist()):
             padded_a[:n[k], column] = a[k]
             padded_b[:m[k], column] = b[k]
+        if not (np.isfinite(padded_a).all() and np.isfinite(padded_b).all()):
+            raise NonFiniteSample("DTW inputs must be finite")
         out[part] = _dtw_core(padded_a, padded_b, n[part], m[part], radii[part])
     return np.sqrt(out)
 
@@ -189,20 +194,13 @@ class BankLead(NamedTuple):
     factor: int  # source rate over match rate: source sample indices divide by it
 
 
-def bank_lead(record: Record | BankLead, channel: int) -> BankLead:
+def bank_lead(record: Record, channel: int) -> BankLead:
     """One channel of the record at the match rate.
 
     Only that channel is filtered, but over the whole record, so its
-    samples match those of a resample of every channel. A
-    :class:`BankLead` of that channel passes through unchanged, so a
-    caller that builds a self bank and then labels beats resamples
-    once. A record at neither the match rate nor twice it raises
-    :class:`UnsupportedRate`.
+    samples match those of a resample of every channel. A record at
+    neither the match rate nor twice it raises :class:`UnsupportedRate`.
     """
-    if isinstance(record, BankLead):
-        if record.channel != channel:
-            raise ValueError(f"bank lead is channel {record.channel}, beats are on channel {channel}")
-        return record
     if record.sample_rate == MATCH_RATE_HZ:
         return BankLead(single_channel(record, channel), channel, 1)
     if record.sample_rate == 2 * MATCH_RATE_HZ:
@@ -250,11 +248,11 @@ def extract_alarm_lead(record: Record, lead: str = "II") -> np.ndarray:
 
 
 def corpus_from_records(
-    labelled: list[tuple[Record, bool]],
+    labelled: Iterable[tuple[Record, bool]],
     lead: str = "II",
     skip_errors: bool = False,
 ) -> TrainingCorpus:
-    """Build a matching corpus from (record, is_true_alarm) pairs."""
+    """Build a matching corpus from (record, is_true_alarm) pairs, read once and in order."""
     entries: list[CorpusEntry] = []
     for record, truth in labelled:
         try:

@@ -69,6 +69,10 @@ class EmptySequence(AlarmSentinelError):
     """DTW input sequence has no samples."""
 
 
+class NonFiniteSample(AlarmSentinelError):
+    """DTW input sequence holds a NaN or an infinity."""
+
+
 class BandInfeasible(AlarmSentinelError):
     """Length difference exceeds the warping band radius."""
 

@@ -26,12 +26,14 @@ from alarmsentinel.alarm_logic import (
     spectral_vt_labels,
 )
 from alarmsentinel.beats import BeatAnnotation, BeatLabel, detect_qrs
-from alarmsentinel.dtw import corpus_from_records
+from alarmsentinel.dtw import CorpusEntry, corpus_from_records
 from alarmsentinel.errors import (
     CannotDecide,
+    EmptyBank,
     EmptyCorpus,
     InsufficientData,
     InvalidConfig,
+    NonFiniteSample,
     UnknownArrhythmia,
     UnsupportedMethod,
 )
@@ -42,7 +44,7 @@ from alarmsentinel.signal_quality import (
     QualityReport,
     channel_validity,
 )
-from alarmsentinel.synthkit import SynthSpec, generate
+from alarmsentinel.synthkit import SynthSpec, generate, surrogate_banks
 
 
 def make_record(channels=("II",), fs=250.0, n=4000, arrhythmia=Arrhythmia.VTACH, is_true=True):
@@ -594,6 +596,24 @@ class TestClassifyAlarm:
         with pytest.raises(EmptyCorpus):
             classify_alarm(rec, "dtw-full")
 
+    def test_vbank_needs_banks_whatever_the_beats(self, vt_suite, banks):
+        # the banks are bound before the window's beats are segmented, so
+        # two beats in the window do not turn a missing bank into a note
+        rec = next(r for _, r, t in vt_suite if t.expected_true)
+        annotations = detect_annotations(rec)
+        start = rec.alarm.alarm_index - int(Thresholds().analysis_window_s * rec.sample_rate)
+        lead = annotations[0]
+        before = lead.indices[lead.indices < start]
+        annotations[0] = BeatAnnotation(0, np.concatenate([before, [start + 10, start + 400]]))
+        verdict = classify_alarm(rec, "dtw-vbank", banks=banks, annotations=annotations)
+        assert verdict.evidence[-1].to_dict() == {
+            "channel": "", "test": "vtach_too_few_beats", "outcome": True, "witnesses": {"beats": 2.0},
+        }
+        for empty in (None, type(banks)()):
+            with pytest.raises(EmptyBank):
+                classify_alarm(rec, "dtw-vbank", banks=empty, annotations=annotations)
+
+
     def test_fail_safe_without_ecg(self, suite):
         rec = next(
             r for s, r, t in suite
@@ -628,6 +648,30 @@ class TestClassifyAlarm:
         assert all(set(e) == {"channel", "test", "outcome", "witnesses"} for e in d["evidence"])
         gate_rows = [e for e in d["evidence"] if e["test"] == "regular_activity"]
         assert len(gate_rows) == sinus_record.n_channels
+
+
+class TestNonFiniteMatchInputs:
+    """A NaN in an in-memory bank member or corpus entry raises
+    NonFiniteSample instead of dismissing a true VT alarm."""
+
+    @pytest.fixture(scope="class")
+    def true_vt(self):
+        return generate(SynthSpec(name="vt", arrhythmia=Arrhythmia.VTACH, event=True, seed=20003))[0]
+
+    def test_nan_bank_member(self, true_vt):
+        banks = surrogate_banks(seed=0)
+        assert classify_alarm(true_vt, "dtw-vbank", banks=banks).is_true_alarm is True
+        banks.standard.beats[0] = np.full(60, np.nan)
+        with pytest.raises(NonFiniteSample):
+            classify_alarm(true_vt, "dtw-vbank", banks=banks)
+
+    def test_nan_corpus_entry(self, true_vt):
+        specs = [SynthSpec(f"c{seed}", Arrhythmia.VTACH, event=seed % 2 == 0, seed=seed) for seed in range(40000, 40006)]
+        corpus = corpus_from_records([(record, truth.expected_true) for record, truth in map(generate, specs)])
+        assert classify_alarm(true_vt, "dtw-full", corpus=corpus).is_true_alarm is True
+        corpus.entries.insert(0, CorpusEntry(np.full(1250, np.nan), False))
+        with pytest.raises(NonFiniteSample):
+            classify_alarm(true_vt, "dtw-full", corpus=corpus)
 
 
 class TestTooShortForTheResampler:

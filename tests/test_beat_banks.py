@@ -16,7 +16,6 @@ from alarmsentinel.beat_banks import (
     _bin_counts,
     _distance_rows,
     _kl_rows,
-    bank_lead,
     bank_novelty_stats,
     classify_beat_self_kl,
     classify_beat_self_min,
@@ -31,7 +30,7 @@ from alarmsentinel.beat_banks import (
     vt_labels_from_bank,
 )
 from alarmsentinel.beats import BeatAnnotation, BeatLabel, detect_qrs
-from alarmsentinel.dtw import znormalize
+from alarmsentinel.dtw import bank_lead, znormalize
 from alarmsentinel.errors import (
     BankTooSmall,
     DimensionMismatch,
@@ -41,7 +40,7 @@ from alarmsentinel.errors import (
     NotNormalized,
 )
 from alarmsentinel.record_io import Arrhythmia
-from alarmsentinel.synthkit import SynthSpec, generate, narrow_template, wide_template
+from alarmsentinel.synthkit import SynthSpec, generate, narrow_template, surrogate_banks, wide_template
 
 ANALYSIS_WINDOW_S = Thresholds().analysis_window_s
 
@@ -71,7 +70,7 @@ class TestSelfBankExtraction:
     def test_exactly_twenty_normalized_beats(self, vt_true_record):
         rec, _ = vt_true_record
         ann = detect_qrs(rec.samples[0], rec.sample_rate)
-        bank = extract_self_bank(rec, ann, ANALYSIS_WINDOW_S)
+        bank = extract_self_bank(bank_lead(rec, ann.channel), ann, ANALYSIS_WINDOW_S)
         assert len(bank) == 20
         assert bank.kind is BankKind.SELF
         for beat in bank.beats:
@@ -81,7 +80,7 @@ class TestSelfBankExtraction:
     def test_beats_come_from_before_the_alarm_section(self, vt_true_record):
         rec, _ = vt_true_record
         ann = detect_qrs(rec.samples[0], rec.sample_rate)
-        bank = extract_self_bank(rec, ann, exclude_s=16.0)
+        bank = extract_self_bank(bank_lead(rec, ann.channel), ann, exclude_s=16.0)
         cutoff = rec.alarm.alarm_index // 2 - int(16.0 * 125.0)  # bank works at 125 Hz
         for _, start, end in bank.provenance:
             assert end <= cutoff + 1
@@ -89,29 +88,26 @@ class TestSelfBankExtraction:
     def test_newest_sections_first(self, vt_true_record):
         rec, _ = vt_true_record
         ann = detect_qrs(rec.samples[0], rec.sample_rate)
-        bank = extract_self_bank(rec, ann, ANALYSIS_WINDOW_S)
+        bank = extract_self_bank(bank_lead(rec, ann.channel), ann, ANALYSIS_WINDOW_S)
         starts = [s for _, s, _ in bank.provenance]
         # within the scan the first banked beat is the most recent one
         assert starts[0] == max(starts)
 
-    def test_lead_at_bank_rate_gives_the_same_bank(self, vt_true_record):
+    def test_beats_on_another_channel_are_rejected(self, vt_true_record):
         rec, _ = vt_true_record
         ann = detect_qrs(rec.samples[0], rec.sample_rate)
-        lead = bank_lead(rec, ann.channel)
-        assert bank_lead(lead, ann.channel) is lead
-        from_lead = extract_self_bank(lead, ann, ANALYSIS_WINDOW_S)
-        from_record = extract_self_bank(rec, ann, ANALYSIS_WINDOW_S)
-        assert from_lead.provenance == from_record.provenance
-        assert all(np.array_equal(x, y) for x, y in zip(from_lead.beats, from_record.beats))
-        with pytest.raises(ValueError):
-            bank_lead(lead, ann.channel + 1)
+        lead = bank_lead(rec, ann.channel + 1)
+        with pytest.raises(ValueError, match="bank lead is channel 1, beats are on channel 0"):
+            extract_self_bank(lead, ann, ANALYSIS_WINDOW_S)
+        with pytest.raises(ValueError, match="bank lead is channel 1, beats are on channel 0"):
+            vt_labels_from_bank(lead, ann, classify_beat_vbank(surrogate_banks(seed=0)))
 
     def test_noisy_record_fails_with_count(self):
         spec = SynthSpec(name="noisy", arrhythmia=Arrhythmia.VTACH, event=False, noise_mv=3.0, seed=5)
         rec, _ = generate(spec)
         ann = detect_qrs(rec.samples[0], rec.sample_rate)
         with pytest.raises(InsufficientCleanBeats) as exc_info:
-            extract_self_bank(rec, ann, ANALYSIS_WINDOW_S)
+            extract_self_bank(bank_lead(rec, ann.channel), ann, ANALYSIS_WINDOW_S)
         assert exc_info.value.found == 0
 
 
@@ -216,7 +212,7 @@ class TestBeatClassifiers:
         # The mu + sigma thresholds intentionally flag a small tail of honest
         # beats, so single draws prove nothing; count over a fixed cohort.
         bank = noisy_bank("narrow")
-        rule = classifier(BankSet(self_bank=bank, stats=bank_novelty_stats(bank)))
+        rule = classifier(bank, bank_novelty_stats(bank))
         narrow = sum(
             label_beat(rule, template_beat("narrow", noise=0.02, seed=100 + s)) is BeatLabel.VENTRICULAR
             for s in range(30)
@@ -242,7 +238,7 @@ class TestBeatClassifiers:
         bank = BeatBank(BankKind.SELF, [member.copy() for _ in range(20)])
         stats = bank_novelty_stats(bank)  # mu = sigma = 0
         assert stats.mu_min == 0.0 and stats.sigma_min == 0.0
-        rule = classify_beat_self_min(BankSet(self_bank=bank, stats=stats))
+        rule = classify_beat_self_min(bank, stats)
         assert label_beat(rule, raw) is BeatLabel.NORMAL
         assert label_beat(rule, template_beat("wide")) is BeatLabel.VENTRICULAR
 
@@ -366,11 +362,10 @@ class TestMatrixRulesMatchTheLoops:
         self_bank = BeatBank(BankKind.SELF, [np.zeros(1)] * n)
         members = [np.zeros(1)] * n
         vbank = BankSet(BeatBank(BankKind.VENTRICULAR, members[:n_ventricular]), BeatBank(BankKind.STANDARD, members))
-        bank_set = BankSet(self_bank=self_bank, stats=stats)
         for method, rule in (
             ("vbank", classify_beat_vbank(vbank)),
-            ("self-min", classify_beat_self_min(bank_set)),
-            ("self-kl", classify_beat_self_kl(bank_set)),
+            ("self-min", classify_beat_self_min(self_bank, stats)),
+            ("self-kl", classify_beat_self_kl(self_bank, stats)),
         ):
             assert rule.label(rows) == labels_loop(method, rows, n_ventricular, stats), method
         counts = _bin_counts(rows, edges)
@@ -413,24 +408,25 @@ class TestVtLabelsFromBank:
         ),
     }
 
+    @staticmethod
+    def rules(lead, ann, banks):
+        """Each bank method's rule: vbank on the curated banks, the self
+        methods on the lead's own bank and its statistics."""
+        self_bank = extract_self_bank(lead, ann, ANALYSIS_WINDOW_S)
+        stats = bank_novelty_stats(self_bank)
+        return {
+            "vbank": classify_beat_vbank(banks),
+            "self-min": classify_beat_self_min(self_bank, stats),
+            "self-kl": classify_beat_self_kl(self_bank, stats),
+        }
+
     def test_methods_label_the_run(self, vt_true_record, banks):
         rec, truth = vt_true_record
         ann = detect_qrs(rec.samples[0], rec.sample_rate)
-        self_bank = extract_self_bank(rec, ann, ANALYSIS_WINDOW_S)
-        bank_set = BankSet(
-            ventricular=banks.ventricular,
-            standard=banks.standard,
-            self_bank=self_bank,
-            stats=bank_novelty_stats(self_bank),
-        )
+        lead = bank_lead(rec, ann.channel)
         run = [t for t, l in zip(truth.beat_times, truth.beat_labels) if l is BeatLabel.VENTRICULAR]
-        classifiers = {
-            "vbank": classify_beat_vbank,
-            "self-min": classify_beat_self_min,
-            "self-kl": classify_beat_self_kl,
-        }
-        for method, classifier in classifiers.items():
-            labelled = vt_labels_from_bank(rec, ann, classifier, bank_set)
+        for method, rule in self.rules(lead, ann, banks).items():
+            labelled = vt_labels_from_bank(lead, ann, rule)
             assert labelled.labels is not None
             assert "".join(label.value for label in labelled.labels) == self.EXPECTED[method]
             hits = 0
@@ -449,29 +445,21 @@ class TestVtLabelsFromBank:
         # after each gap gets a longer slice that can still be compared.
         rec, _ = vt_true_record
         ann = detect_qrs(rec.samples[0], rec.sample_rate)
-        self_bank = extract_self_bank(rec, ann, ANALYSIS_WINDOW_S)
-        bank_set = BankSet(banks.ventricular, banks.standard, self_bank, bank_novelty_stats(self_bank))
-        classifiers = {
-            "vbank": classify_beat_vbank,
-            "self-min": classify_beat_self_min,
-            "self-kl": classify_beat_self_kl,
-        }
+        lead = bank_lead(rec, ann.channel)
         kept = np.delete(np.arange(ann.count), [61, 62, 63, 101, 102, 103])
         thinned = BeatAnnotation(ann.channel, ann.indices[kept])
         reshaped = {60, 64, 100, 104}  # the beats either side of each gap
-        for method, classifier in classifiers.items():
-            labels = vt_labels_from_bank(rec, thinned, classifier, bank_set).labels
+        for method, rule in self.rules(lead, ann, banks).items():
+            labels = vt_labels_from_bank(lead, thinned, rule).labels
             unknown = [int(kept[pos]) for pos, label in enumerate(labels) if label is BeatLabel.UNKNOWN]
             assert unknown == [60, 100], method
             for pos, beat in enumerate(kept):
                 if beat not in reshaped:
                     assert labels[pos].value == self.EXPECTED[method][beat], (method, beat)
 
-    def test_vbank_needs_banks(self, vt_true_record):
-        rec, _ = vt_true_record
-        ann = detect_qrs(rec.samples[0], rec.sample_rate)
+    def test_vbank_needs_banks(self):
         with pytest.raises(EmptyBank):
-            vt_labels_from_bank(rec, ann, classify_beat_vbank, BankSet())
+            classify_beat_vbank(BankSet())
 
 
 class TestBeatFiles:

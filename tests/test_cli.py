@@ -3,6 +3,7 @@ import os
 import signal
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -152,6 +153,34 @@ class TestClassifyCommand:
         assert rc2 == rc
         assert json.loads(capsys.readouterr().out) == first
 
+    def test_dtw_full_corpus_decodes_one_training_record_at_a_time(self, tmp_path, capsys, monkeypatch):
+        # a decoded record is a few MB, so the corpus build must not hold
+        # the whole training split at once
+        specs = [SynthSpec(f"t{seed}", Arrhythmia.VTACH, event=seed % 2 == 0, seed=seed) for seed in range(5)]
+        headers = [write_record(generate(spec)[0], tmp_path) for spec in specs]
+        manifest = tmp_path / "train.csv"
+        rows = [f"{h},{Arrhythmia.VTACH.value},{'true' if i % 2 == 0 else 'false'}" for i, h in enumerate(headers[:4])]
+        manifest.write_text("record,arrhythmia,label\n" + "\n".join(rows) + "\n")
+        decoded, alive_at_load = [], []
+        load = cli.load_record
+
+        def tracked(path):
+            record = load(path)
+            decoded.append(weakref.ref(record))
+            alive_at_load.append(sum(ref() is not None for ref in decoded))
+            return record
+
+        monkeypatch.setattr(cli, "load_record", tracked)
+        args = ["classify", str(headers[4]), "--method", "dtw-full", "--train-manifest", str(manifest)]
+        assert main(args) in (0, 1)
+        assert len(alive_at_load) == 5  # four training records, then the query
+        assert max(alive_at_load) <= 2
+        capsys.readouterr()
+
+        manifest.write_text(manifest.read_text() + f"{tmp_path / 'gone.hea'},{Arrhythmia.VTACH.value},true\n")
+        assert main(args) == 2
+        assert "gone.hea" in capsys.readouterr().err
+
     def test_short_vfib_window_fails_safe(self, tmp_path, capsys):
         rec, _ = generate(SynthSpec(name="vfshort", arrhythmia=Arrhythmia.VFIB, event=False, seed=4))
         rec.alarm = AlarmMeta(Arrhythmia.VFIB, False, int(2.5 * rec.sample_rate))
@@ -220,6 +249,13 @@ class TestEvaluateCommand:
         assert a["split"] is None
         assert len(a["records"]) == 10
         assert a["metrics"]["overall"]["counts"]["tp"] + a["metrics"]["overall"]["counts"]["fn"] == 5
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_two(self, small_suite, tmp_path, capsys, workers):
+        out = tmp_path / "r.json"
+        assert main(["evaluate", "--manifest", str(small_suite[1]), "--workers", workers, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --workers must be at least 1, got {workers}\n"
+        assert not out.exists()
 
     def test_dead_worker_is_an_error(self, small_suite, tmp_path, capsys, monkeypatch):
         victim = entry_for(small_suite[1], truth=True)

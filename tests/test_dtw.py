@@ -30,6 +30,7 @@ from alarmsentinel.errors import (
     EmptySequence,
     InsufficientData,
     IoFailure,
+    NonFiniteSample,
     UnsupportedRate,
     ZeroVariance,
 )
@@ -193,6 +194,23 @@ class TestDtwDistances:
     def test_counts_must_match(self):
         with pytest.raises(ValueError):
             dtw_distances([np.ones(3)] * 2, [np.ones(3)], 1)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    @pytest.mark.parametrize("budget", [None, 20])
+    def test_non_finite_sample_anywhere_raises(self, monkeypatch, value, side, budget):
+        # a NaN distance would be the first argmin and an infinite one never
+        # the nearest; with a 20-slot budget the bad pair is in the last of
+        # eight parts of two pairs
+        if budget is not None:
+            monkeypatch.setattr(dtw, "SWEEP_SLOTS", budget)
+        rng = np.random.default_rng(13)
+        a = [rng.uniform(-1, 1, 6) for _ in range(15)]
+        b = [rng.uniform(-1, 1, 7) for _ in range(15)]
+        bad = (a if side == "a" else b)[-1]
+        bad[3] = value
+        with pytest.raises(NonFiniteSample):
+            dtw_distances(a, b, 2)
 
     def test_concurrent_calls_keep_their_own_buffers(self):
         # library callers may adjudicate on threads, and numpy releases the

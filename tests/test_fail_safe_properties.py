@@ -6,13 +6,30 @@ bursts, flat stretches, truncation, an alarm in the first seconds of the
 record, and a missing lead II. The rule methods see every class; the four
 DTW methods see the ventricular tachycardia records, with surrogate beat
 banks and a corpus built from a suite of another seed.
+
+The matching methods' own inputs are damaged too: curated bank members
+for dtw-vbank, corpus entries for dtw-full. A NaN, infinite or empty one
+must raise a named error wherever the method warps against it, and a
+record it never reaches (the gate dismissed the alarm) keeps its verdict.
 """
+from dataclasses import replace
+
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from alarmsentinel.alarm_logic import DTW_METHODS, classify_alarm
-from alarmsentinel.dtw import corpus_from_records
+from alarmsentinel.beat_banks import BankSet, BeatBank
+from alarmsentinel.dtw import TrainingCorpus, corpus_from_records
+from alarmsentinel.errors import (
+    BandInfeasible,
+    EmptyBank,
+    EmptyCorpus,
+    EmptySequence,
+    NonFiniteSample,
+    UnsupportedMethod,
+)
 from alarmsentinel.record_io import AlarmMeta, Arrhythmia, Record
 from alarmsentinel.synthkit import generate, suite_specs, surrogate_banks
 
@@ -83,3 +100,100 @@ def test_damaged_records_never_raise_and_fail_safe(index, changes, method):
 )
 def test_dtw_methods_on_damaged_vt_records_never_raise_and_fail_safe(index, changes, method):
     _check(VT_RECORDS[index], changes, method, banks=BANKS, corpus=CORPUS)
+
+
+# the errors a caller's inputs may raise; anything else out of classify_alarm is a defect
+CALLER_ERRORS = (UnsupportedMethod, EmptyBank, EmptyCorpus, BandInfeasible)
+BAD_INPUT_ERRORS = (NonFiniteSample, EmptySequence) + CALLER_ERRORS
+CLEAN = {
+    (index, method): classify_alarm(record, method, banks=BANKS, corpus=CORPUS).to_dict()
+    for index, record in enumerate(VT_RECORDS)
+    for method in ("dtw-vbank", "dtw-full")
+}
+NON_FINITE = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}
+
+
+def _damage(values: np.ndarray, kind: str, at: int) -> np.ndarray:
+    values = values.copy()
+    if len(values) == 0:  # damaged once already
+        return values
+    if kind in NON_FINITE:
+        values[at % len(values)] = NON_FINITE[kind]
+    elif kind == "flat":
+        values[:] = values[at % len(values)]
+    elif kind == "empty":
+        values = values[:0]
+    else:  # "length": resized to ``at`` samples, repeating the start
+        values = np.resize(values, at)
+    return values
+
+
+def _unreadable(sequences) -> bool:
+    return any(len(x) == 0 or not np.isfinite(x).all() for x in sequences)
+
+
+@st.composite
+def damaged_banks(draw) -> BankSet:
+    banks = {"ventricular": list(BANKS.ventricular.beats), "standard": list(BANKS.standard.beats)}
+    for bank, member, kind, at in draw(st.lists(st.tuples(
+        st.sampled_from(sorted(banks)),
+        st.integers(0, 10**6),
+        st.sampled_from(["nan", "inf", "-inf", "empty", "flat"]),
+        st.integers(0, 10**6),
+    ), min_size=1, max_size=3)):
+        beats = banks[bank]
+        if beats:
+            beats[member % len(beats)] = _damage(beats[member % len(beats)], kind, at)
+    return BankSet(
+        BeatBank(BANKS.ventricular.kind, banks["ventricular"]), BeatBank(BANKS.standard.kind, banks["standard"])
+    )
+
+
+@st.composite
+def damaged_corpora(draw) -> TrainingCorpus:
+    entries = list(CORPUS.entries)
+    shape = draw(st.sampled_from(["all", "one", "opposite twins"]))
+    if shape == "one":
+        entries = [draw(st.sampled_from(entries))]
+    elif shape == "opposite twins":  # one entry twice, under both labels
+        original = draw(st.sampled_from(entries))
+        twin = replace(original, is_true_alarm=not original.is_true_alarm)
+        entries.insert(draw(st.integers(0, len(entries))), twin)
+    for entry, kind, at in draw(st.lists(st.tuples(
+        st.integers(0, 10**6),
+        st.sampled_from(["nan", "inf", "-inf", "empty", "length"]),
+        st.integers(1, 2500),
+    ), max_size=2)):
+        k = entry % len(entries)
+        entries[k] = replace(entries[k], values=_damage(entries[k].values, kind, at))
+    return TrainingCorpus(entries)
+
+
+def _check_inputs(index: int, method: str, unreadable: bool, **inputs) -> None:
+    clean = CLEAN[index, method]
+    if unreadable and not clean["gate_fired"]:
+        with pytest.raises(BAD_INPUT_ERRORS):
+            classify_alarm(VT_RECORDS[index], method, **inputs)
+        return
+    try:
+        verdict = classify_alarm(VT_RECORDS[index], method, **inputs)
+    except CALLER_ERRORS:
+        return
+    if clean["gate_fired"]:  # the damaged input was never read
+        assert verdict.to_dict() == clean
+    if any(e.channel == "" for e in verdict.evidence):
+        assert verdict.is_true_alarm is True
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(index=st.integers(0, len(VT_RECORDS) - 1), banks=damaged_banks())
+def test_vbank_on_damaged_banks_raises_named_errors_or_fails_safe(index, banks):
+    unreadable = _unreadable(banks.ventricular.beats + banks.standard.beats)
+    _check_inputs(index, "dtw-vbank", unreadable, banks=banks)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(index=st.integers(0, len(VT_RECORDS) - 1), corpus=damaged_corpora())
+def test_dtw_full_on_damaged_corpora_raises_named_errors_or_fails_safe(index, corpus):
+    unreadable = _unreadable([e.values for e in corpus.entries])
+    _check_inputs(index, "dtw-full", unreadable, corpus=corpus)
