@@ -91,13 +91,9 @@ from .record_io import (
 )
 from .signal_quality import (
     CleanMetrics,
-    InvalidInterval,
-    InvalidReason,
     QualityReport,
     assess_quality,
-    channel_validity,
     clean_window_metrics,
-    detect_invalid_segments,
     is_clean,
 )
 from .synthkit import GroundTruth, SynthSpec, generate, generate_suite, suite_specs, surrogate_banks

@@ -55,6 +55,7 @@ from .errors import (
     InsufficientCleanBeats,
     InsufficientData,
     InvalidConfig,
+    LengthMismatch,
     MissingLead,
     TooFewBeats,
     UnknownArrhythmia,
@@ -226,7 +227,7 @@ def regular_activity(
     evidence: list[ChannelEvidence] = []
     for i, ch in enumerate(record.channels):
         witnesses: dict[str, float] = {"validity": quality.validity[i]}
-        ann = annotations[i] if i < len(annotations) else None
+        ann = annotations[i]
         regular = False
         if ann is not None:
             beats_in = ann.within(*quality.window)
@@ -582,8 +583,9 @@ def classify_alarm(
     DTW methods apply only to ventricular tachycardia alarms and
     analyze a single lead.
 
-    ``annotations`` replaces the built-in detectors (entries may be
-    None for channels without beats); ``banks`` holds the curated
+    ``annotations`` replaces the built-in detectors: one entry per
+    channel, entry ``i`` on channel ``i`` or None for a channel without
+    beats (:class:`LengthMismatch` otherwise); ``banks`` holds the curated
     ventricular and standard banks that dtw-vbank needs (dtw-self-min
     and dtw-self-kl build the patient's bank from the record itself);
     ``corpus`` is required for dtw-full.
@@ -595,6 +597,12 @@ def classify_alarm(
         raise UnknownArrhythmia(f"record {record.name!r} carries no arrhythmia tag")
     if method in DTW_METHODS and arrhythmia is not Arrhythmia.VTACH:
         raise UnsupportedMethod(f"{method} is defined only for ventricular tachycardia alarms")
+    if annotations is not None:
+        if len(annotations) != record.n_channels:
+            raise LengthMismatch(f"{len(annotations)} annotation entries for {record.n_channels} channels")
+        for i, ann in enumerate(annotations):
+            if ann is not None and ann.channel != i:
+                raise LengthMismatch(f"annotation entry {i} is on channel {ann.channel}")
 
     config = config or Thresholds()
     end = record.alarm.alarm_index

@@ -283,6 +283,8 @@ def cmd_bank(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if args.per_class < 1:
+        return _fail(f"--per-class must be at least 1, got {args.per_class}")
     manifest_path = generate_suite(args.out, seed=args.seed, per_class=args.per_class)
     print(f"suite written, manifest at {manifest_path}")
     return 0

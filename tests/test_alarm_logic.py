@@ -33,17 +33,13 @@ from alarmsentinel.errors import (
     EmptyCorpus,
     InsufficientData,
     InvalidConfig,
+    LengthMismatch,
     NonFiniteSample,
     UnknownArrhythmia,
     UnsupportedMethod,
 )
 from alarmsentinel.record_io import AlarmMeta, Arrhythmia, ChannelMeta, Record, channel_kind
-from alarmsentinel.signal_quality import (
-    InvalidInterval,
-    InvalidReason,
-    QualityReport,
-    channel_validity,
-)
+from alarmsentinel.signal_quality import QualityReport
 from alarmsentinel.synthkit import SynthSpec, generate, surrogate_banks
 
 
@@ -57,11 +53,7 @@ def clean_quality(record, window=None, validity=None):
     """A report without invalid samples over ``window`` (the whole record
     by default)."""
     v = list(validity) if validity is not None else [1.0] * record.n_channels
-    return QualityReport(
-        window=window or (0, record.n_samples),
-        invalid=[[] for _ in range(record.n_channels)],
-        validity=v,
-    )
+    return QualityReport(window=window or (0, record.n_samples), validity=v)
 
 
 def ann(indices, channel=0, labels=None):
@@ -161,16 +153,12 @@ class TestMostReliableChannel:
 
 
 class TestRegularActivity:
-    def setup_case(self, indices, fs=250.0, invalid=None):
+    def setup_case(self, indices, fs=250.0, validity=1.0):
         """A report over the record's 16 s analysis window, as
-        classify_alarm builds it, with ``invalid`` screened out."""
+        classify_alarm builds it, with ``validity`` on the one channel."""
         rec = make_record(fs=fs)
         window = (rec.n_samples - int(16.0 * fs), rec.n_samples)
-        q = clean_quality(rec, window)
-        if invalid:
-            q.invalid[0] = invalid
-            q.validity[0] = channel_validity(invalid, *window)
-        return rec, [ann(indices)], q
+        return rec, [ann(indices)], clean_quality(rec, window, validity=[validity])
 
     def test_steady_rhythm_is_regular(self):
         rec, anns, q = self.setup_case(np.arange(100, 4000, 200))
@@ -206,8 +194,7 @@ class TestRegularActivity:
 
     def test_any_invalid_sample_disqualifies(self):
         idx = np.arange(100, 4000, 200)
-        bad = [InvalidInterval(500, 510, InvalidReason.FLAT_LINE)]
-        rec, anns, q = self.setup_case(idx, invalid=bad)
+        rec, anns, q = self.setup_case(idx, validity=1.0 - 1 / 4000)  # one invalid sample in the window
         assert gate_outcomes(rec, anns, q)[1] is False
 
     def test_missing_annotation_is_not_regular(self):
@@ -648,6 +635,37 @@ class TestClassifyAlarm:
         assert all(set(e) == {"channel", "test", "outcome", "witnesses"} for e in d["evidence"])
         gate_rows = [e for e in d["evidence"] if e["test"] == "regular_activity"]
         assert len(gate_rows) == sinus_record.n_channels
+
+
+class TestSuppliedAnnotations:
+    """Supplied annotations hold one entry per channel, entry i on
+    channel i, for every stage alike."""
+
+    @pytest.fixture(scope="class")
+    def asystole(self):
+        record, _ = generate(SynthSpec(name="asys", arrhythmia=Arrhythmia.ASYSTOLE, event=True, seed=11))
+        return record, detect_annotations(record)
+
+    @pytest.mark.parametrize(
+        "resize", [lambda a: a[:1], lambda a: [], lambda a: a + [None]], ids=["short", "empty", "extra"]
+    )
+    def test_entry_count_must_match_the_channels(self, asystole, resize):
+        record, annotations = asystole
+        supplied = resize(annotations)
+        with pytest.raises(LengthMismatch, match=f"{len(supplied)} annotation entries for 4 channels"):
+            classify_alarm(record, annotations=supplied)
+
+    def test_entry_must_sit_on_its_channel(self, asystole):
+        record, annotations = asystole
+        swapped = [annotations[1], annotations[0], *annotations[2:]]
+        with pytest.raises(LengthMismatch, match="entry 0 is on channel 1"):
+            classify_alarm(record, annotations=swapped)
+
+    def test_matching_entries_give_the_detected_verdict(self, asystole):
+        record, annotations = asystole
+        detected = classify_alarm(record).to_dict()
+        assert classify_alarm(record, annotations=annotations).to_dict() == detected
+        assert classify_alarm(record, annotations=[None] * record.n_channels).is_true_alarm is True
 
 
 class TestNonFiniteMatchInputs:

@@ -23,6 +23,14 @@ def small_suite(tmp_path_factory):
     return out, out / "manifest.csv"
 
 
+@pytest.mark.parametrize("per_class", ["0", "-2"])
+def test_synth_per_class_below_one_exits_two(tmp_path, capsys, per_class):
+    out = tmp_path / "suite"
+    assert main(["synth", "--out", str(out), "--per-class", per_class]) == 2
+    assert capsys.readouterr().err == f"error: --per-class must be at least 1, got {per_class}\n"
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def bank_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("cli_banks")

@@ -4,7 +4,9 @@ The cases cover what the benchmark references do not: ``baseline`` and
 ``improved`` on the whole synthetic suite, rule-path false alarms that a
 missing-data burst keeps away from the regular-activity gate, and every
 fail-safe note, reached by record surgery (dropped channels, an early
-``alarm_index``, NaN bursts, noisy records) and the surrogate beat banks.
+``alarm_index``, NaN bursts, noisy records, a 12-sample record) and the
+surrogate beat banks; a second test reads every literal note in
+``alarm_logic`` and fails when no golden verdict ends on it.
 The bank-method and dtw-full fail-safes fire before any beat pair or
 signal pair is warped. The ``warped`` cases label every beat of one true
 and one false VT record with each bank method, and two dtw-full cases
@@ -17,16 +19,18 @@ evidence entry with its witnesses rounded to 12 significant digits.
 ``python tests/test_golden_verdicts.py`` rewrites the JSON file. Do that
 only for a deliberate change of behaviour, and say so in CHANGES.md.
 """
+import ast
 import json
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
+from alarmsentinel import alarm_logic
 from alarmsentinel.alarm_logic import classify_alarm, detect_annotations
 from alarmsentinel.beats import BeatAnnotation
 from alarmsentinel.dtw import corpus_from_records
-from alarmsentinel.record_io import Arrhythmia, Record
+from alarmsentinel.record_io import AlarmMeta, Arrhythmia, ChannelMeta, Record, channel_kind
 from alarmsentinel.synthkit import SynthSpec, generate, suite_specs, surrogate_banks
 
 GOLDEN_PATH = Path(__file__).with_name("golden_verdicts.json")
@@ -67,6 +71,14 @@ def _keep(record, names):
     return Record(record.name, record.sample_rate, [record.channels[i] for i in keep], record.samples[keep].copy(), record.alarm)
 
 
+def _tiny():
+    """12 samples at 250 Hz on II and ABP: shorter than the resampler's
+    anti-alias filter padding."""
+    metas = [ChannelMeta(name, channel_kind(name), "mV", 200.0, 0, "") for name in ("II", "ABP")]
+    samples = np.random.default_rng(0).normal(0.0, 0.5, (2, 12))
+    return Record("tiny", 250.0, metas, samples, AlarmMeta(Arrhythmia.VTACH, True, 12))
+
+
 def _cases():
     """``{name: (record factory, method, keyword arguments)}``."""
     A = Arrhythmia
@@ -101,6 +113,7 @@ def _cases():
             lambda a=arrhythmia: _record(a, True, 540, channels=("RESP",)), "improved", {}
         )
     cases["vfib_no_ecg"] = (lambda: _keep(_record(A.VFIB, True, 541), ("ABP", "PLETH")), "improved", {})
+    cases["vfib_window_too_short"] = (lambda: _early(_record(A.VFIB, True, 531), 2.0), "improved", {})
     for method in ("baseline", "improved"):
         cases[f"vtach_no_votes/gapped-abp/{method}"] = (
             lambda: _burst(_keep(_record(A.VTACH, True, 542), ("ABP",))), method, {}
@@ -124,6 +137,9 @@ def _cases():
         )
     cases["vtach_too_few_beats/dtw-vbank"] = (
         lambda: _early(_record(A.VTACH, True, 548), 1.0), "dtw-vbank", {"banks": banks}
+    )
+    cases["bank_lead_too_short/dtw-vbank"] = (
+        _tiny, "dtw-vbank", {"banks": banks, "annotations": [BeatAnnotation(0, np.array([1, 5, 9])), None]}
     )
     # lead II cut to three beats 5 s apart: every slice is too long, so every label is Unknown
     sparse = _record(A.VTACH, True, 91)
@@ -173,6 +189,35 @@ def test_golden_verdicts():
     assert sorted(got) == sorted(expected)
     changed = [name for name in expected if got[name] != expected[name]]
     assert not changed, f"{len(changed)} verdicts changed, first {changed[0]}: {got[changed[0]]}"
+
+
+def _literal_notes() -> set[str]:
+    """Every note that ``alarm_logic`` raises as ``CannotDecide("...")``."""
+    tree = ast.parse(Path(alarm_logic.__file__).read_text())
+    return {
+        node.args[0].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "CannotDecide"
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+        and isinstance(node.args[0].value, str)
+    }
+
+
+def test_every_fail_safe_note_is_pinned():
+    """A note is pinned when some golden verdict ends on it (the note is
+    the ``test`` of an evidence entry without a channel)."""
+    pinned = {
+        e["test"]
+        for verdict in json.loads(GOLDEN_PATH.read_text()).values()
+        for e in verdict["evidence"]
+        if e["channel"] == ""
+    }
+    notes = _literal_notes()
+    assert len(notes) >= 10
+    assert notes <= pinned, f"notes no golden case reaches: {sorted(notes - pinned)}"
 
 
 if __name__ == "__main__":

@@ -19,17 +19,12 @@ from alarmsentinel.signal_quality import (
     NOISE_FRACTION_MAX,
     NOISE_WINDOW_S,
     CleanMetrics,
-    InvalidInterval,
-    InvalidReason,
     QualityReport,
     assess_quality,
-    channel_validity,
     clean_window_metrics,
-    detect_invalid_segments,
     is_clean,
-    merge_intervals,
 )
-from alarmsentinel.signal_quality import _band_power, _flat_spans, _noise_spans
+from alarmsentinel.signal_quality import _band_power, _flat_mask, _invalid_mask, _noise_mask
 
 FS = 250.0
 
@@ -39,99 +34,50 @@ def sine(freq, seconds=16.0, fs=FS, amp=1.0):
     return amp * np.sin(2 * np.pi * freq * t)
 
 
+def invalid_row(x, kind, fs=FS):
+    """The screen's invalid mask of one channel."""
+    return _invalid_mask(np.asarray(x, dtype=np.float64)[np.newaxis], [kind], fs)[0]
+
+
 class TestInvalidSegments:
     def test_clean_signal_has_none(self):
         x = sine(10) * 0.8
-        assert detect_invalid_segments(x, ChannelKind.ECG, FS) == []
+        assert not invalid_row(x, ChannelKind.ECG).any()
 
     def test_missing_data(self):
         x = sine(10)
         x[100:200] = np.nan
-        ivs = detect_invalid_segments(x, ChannelKind.ECG, FS)
-        assert any(iv.reason is InvalidReason.MISSING_DATA and iv.start == 100 and iv.end == 200 for iv in ivs)
+        assert np.flatnonzero(invalid_row(x, ChannelKind.ECG)).tolist() == list(range(100, 200))
 
     def test_ecg_out_of_range(self):
         x = sine(10)
         x[50:60] = 11.0  # beyond the 10 mV physiologic bound
-        ivs = detect_invalid_segments(x, ChannelKind.ECG, FS)
-        assert any(iv.reason is InvalidReason.OUT_OF_RANGE and iv.start == 50 for iv in ivs)
+        assert np.flatnonzero(invalid_row(x, ChannelKind.ECG)).tolist() == list(range(50, 60))
         # exactly at the bound is still valid
         x[50:60] = 10.0
-        assert not any(iv.reason is InvalidReason.OUT_OF_RANGE for iv in detect_invalid_segments(x, ChannelKind.ECG, FS))
+        assert not invalid_row(x, ChannelKind.ECG).any()
 
     def test_abp_bounds_are_exclusive(self):
         x = np.full(4000, 80.0) + sine(1, seconds=16)
         x[100:150] = 0.0  # pressure at or below zero is non-physiologic
         x[200:250] = 300.0
-        ivs = detect_invalid_segments(x, ChannelKind.ABP, FS)
-        reasons = {(iv.start, iv.reason) for iv in ivs}
-        assert (100, InvalidReason.OUT_OF_RANGE) in reasons
-        assert (200, InvalidReason.OUT_OF_RANGE) in reasons
+        mask = invalid_row(x, ChannelKind.ABP)
+        assert np.flatnonzero(mask).tolist() == list(range(100, 150)) + list(range(200, 250))
 
     def test_flat_line(self):
         x = sine(10)
         x[1000:2000] = 0.42
-        ivs = detect_invalid_segments(x, ChannelKind.ECG, FS)
-        flats = [iv for iv in ivs if iv.reason is InvalidReason.FLAT_LINE]
-        assert flats, "a 4 s constant stretch must be flagged"
-        assert flats[0].start >= 900 and flats[0].end <= 2100
+        flat = np.flatnonzero(invalid_row(x, ChannelKind.ECG))
+        assert len(flat), "a 4 s constant stretch must be flagged"
+        assert flat[0] >= 900 and flat[-1] < 2100
 
     def test_spectral_noise(self):
         rng = np.random.default_rng(0)
         x = sine(10, amp=0.05)
         x[2000:3000] += rng.normal(0, 1.0, 1000)  # broadband noise burst
-        ivs = detect_invalid_segments(x, ChannelKind.ECG, FS)
-        assert any(iv.reason is InvalidReason.SPECTRAL_NOISE for iv in ivs)
-
-
-class TestMergeIntervals:
-    def test_overlap_merges_keeping_earliest_reason(self):
-        merged = merge_intervals([
-            InvalidInterval(0, 100, InvalidReason.OUT_OF_RANGE),
-            InvalidInterval(50, 150, InvalidReason.FLAT_LINE),
-        ])
-        assert merged == [InvalidInterval(0, 150, InvalidReason.OUT_OF_RANGE)]
-
-    def test_priority_wins_at_same_start(self):
-        merged = merge_intervals([
-            InvalidInterval(0, 80, InvalidReason.SPECTRAL_NOISE),
-            InvalidInterval(0, 100, InvalidReason.MISSING_DATA),
-        ])
-        assert merged[0].reason is InvalidReason.MISSING_DATA
-
-    def test_touching_same_reason_fuses(self):
-        merged = merge_intervals([
-            InvalidInterval(0, 50, InvalidReason.FLAT_LINE),
-            InvalidInterval(50, 90, InvalidReason.FLAT_LINE),
-        ])
-        assert merged == [InvalidInterval(0, 90, InvalidReason.FLAT_LINE)]
-
-    def test_touching_different_reasons_stay_separate(self):
-        merged = merge_intervals([
-            InvalidInterval(0, 50, InvalidReason.FLAT_LINE),
-            InvalidInterval(50, 90, InvalidReason.MISSING_DATA),
-        ])
-        assert len(merged) == 2
-
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 200), st.integers(1, 60), st.sampled_from(list(InvalidReason))),
-            max_size=12,
-        )
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_merged_intervals_are_sorted_and_disjoint(self, raw):
-        intervals = [InvalidInterval(s, s + w, r) for s, w, r in raw]
-        merged = merge_intervals(intervals)
-        for a, b in zip(merged, merged[1:]):
-            assert a.end <= b.start
-            if a.end == b.start:
-                assert a.reason is not b.reason
-        total = sum(iv.end - iv.start for iv in merged)
-        mask = np.zeros(400, dtype=bool)
-        for iv in intervals:
-            mask[iv.start : iv.end] = True
-        assert total == int(mask.sum())
+        # the burst fills two whole 2 s blocks, and only ECG channels are screened for noise
+        assert np.flatnonzero(invalid_row(x, ChannelKind.ECG)).tolist() == list(range(2000, 3000))
+        assert not invalid_row(x, ChannelKind.RESP).any()
 
 
 class TestSpectra:
@@ -287,26 +233,19 @@ class TestCleanMetrics:
 
 
 class TestValidity:
-    def test_channel_validity(self):
-        ivs = [InvalidInterval(0, 100, InvalidReason.FLAT_LINE), InvalidInterval(300, 500, InvalidReason.MISSING_DATA)]
-        assert channel_validity(ivs, 0, 1000) == pytest.approx(0.7)
-        assert channel_validity(ivs, 500, 1000) == 1.0
-        assert channel_validity([], 0, 10) == 1.0
-
     def test_assess_quality_offsets_to_record_coordinates(self, sinus_record):
         rec = sinus_record
         rec = type(rec)(rec.name, rec.sample_rate, rec.channels, rec.samples.copy(), rec.alarm)
         rec.samples[0, 20000:20100] = np.nan
+        rec.samples[0, 10000:10100] = np.nan  # outside the window
         report = assess_quality(rec, window=(19000, 21000))
         assert report.window == (19000, 21000)
-        target = [iv for iv in report.invalid[0] if iv.reason is InvalidReason.MISSING_DATA]
-        assert target and target[0].start == 20000 and target[0].end == 20100
         assert report.validity[0] == pytest.approx(1 - 100 / 2000)
+        assert report.validity[1:] == [1.0] * (rec.n_channels - 1)
 
     def test_clean_record_fully_valid(self, sinus_record):
         report = assess_quality(sinus_record)
         assert all(v == 1.0 for v in report.validity)
-        assert all(not ivs for ivs in report.invalid)
 
 
 # The one-channel, window-by-window rules the matrix screen replaces, kept as oracles.
@@ -363,9 +302,17 @@ def noise_spans_loop(x, fs):
     return mask_spans_loop(noisy)
 
 
-def invalid_segments_loop(x, kind, fs):
-    """One channel's screen, rule by rule."""
-    found = [InvalidInterval(s, e, InvalidReason.MISSING_DATA) for s, e in mask_spans_loop(np.isnan(x))]
+def paint(spans, n):
+    """A length-``n`` mask that is True on each half-open span."""
+    mask = np.zeros(n, dtype=bool)
+    for s, e in spans:
+        mask[s:e] = True
+    return mask
+
+
+def invalid_mask_loop(x, kind, fs):
+    """One channel's screen, rule by rule, painted on one mask."""
+    spans = mask_spans_loop(np.isnan(x))
     with np.errstate(invalid="ignore"):
         if kind is ChannelKind.ABP:
             bad = (x <= 0.0) | (x >= ABP_MAX_MMHG)
@@ -374,25 +321,21 @@ def invalid_segments_loop(x, kind, fs):
         else:
             bad = np.zeros(len(x), dtype=bool)
     bad &= ~np.isnan(x)
-    found += [InvalidInterval(s, e, InvalidReason.OUT_OF_RANGE) for s, e in mask_spans_loop(bad)]
-    found += [InvalidInterval(s, e, InvalidReason.FLAT_LINE) for s, e in flat_spans_loop(x, fs)]
+    spans += mask_spans_loop(bad) + flat_spans_loop(x, fs)
     if kind is ChannelKind.ECG:
-        found += [InvalidInterval(s, e, InvalidReason.SPECTRAL_NOISE) for s, e in noise_spans_loop(x, fs)]
-    return merge_intervals(found)
+        spans += noise_spans_loop(x, fs)
+    return paint(spans, len(x))
 
 
 def assess_quality_loop(record, window=None):
-    """The report channel by channel, in record coordinates."""
+    """The (channels, samples) invalid mask of the window, channel by
+    channel, and the report it gives."""
     start, end = window if window is not None else (0, record.n_samples)
-    report = QualityReport(window=(start, end))
-    for i, ch in enumerate(record.channels):
-        intervals = invalid_segments_loop(record.samples[i, start:end], ch.kind, record.sample_rate)
-        for iv in intervals:
-            iv.start += start
-            iv.end += start
-        report.invalid.append(intervals)
-        report.validity.append(channel_validity(intervals, start, end))
-    return report
+    mask = np.array([
+        invalid_mask_loop(record.samples[i, start:end], ch.kind, record.sample_rate)
+        for i, ch in enumerate(record.channels)
+    ])
+    return mask, QualityReport((start, end), [1.0 - int(row.sum()) / (end - start) for row in mask])
 
 
 @st.composite
@@ -438,8 +381,8 @@ class TestArrayRulesMatchTheLoops:
     def test_noise_spans(self, signal):
         x, fs = signal
         with mock.patch.object(signal_quality, "periodogram", wraps=periodogram) as spectrum:
-            (got,) = _noise_spans(x[np.newaxis], fs)
-        assert got == noise_spans_loop(x, fs)
+            (got,) = _noise_mask(x[np.newaxis], fs)
+        np.testing.assert_array_equal(got, paint(noise_spans_loop(x, fs), len(x)))
         # one spectrum call per channel, and a block with a gap never reaches it
         assert spectrum.call_count <= 1
         for call in spectrum.call_args_list:
@@ -451,29 +394,28 @@ class TestArrayRulesMatchTheLoops:
     @settings(max_examples=150, deadline=None)
     def test_flat_spans(self, signal):
         x, fs = signal
-        assert _flat_spans(x[np.newaxis], fs) == [flat_spans_loop(x, fs)]
+        (got,) = _flat_mask(x[np.newaxis], fs)
+        np.testing.assert_array_equal(got, paint(flat_spans_loop(x, fs), len(x)))
 
     def test_dead_lead_reports_without_a_warning(self, sinus_record):
         rec = sinus_record
         samples = rec.samples.copy()
         samples[1] = np.nan
         dead = type(rec)(rec.name, rec.sample_rate, rec.channels, samples, rec.alarm)
-        rows_loop = lambda x, fs: [flat_spans_loop(row, fs) for row in x]  # noqa: E731
-        with mock.patch.object(signal_quality, "_flat_spans", rows_loop):
-            expected = assess_quality(dead)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = assess_quality(dead)
-        assert report == expected
-        assert report.invalid[1] == [InvalidInterval(0, samples.shape[1], InvalidReason.MISSING_DATA)]
         assert report.validity[1] == 0.0
+        assert report == assess_quality_loop(dead)[1]
 
     def test_flat_then_noise_trips_both_rules(self):
         """A flat stretch then broadband noise trips both rules."""
         fs = 250.0
         x = np.concatenate([np.full(700, 0.3), np.random.default_rng(1).normal(0.0, 1.0, 1100)])
-        assert [noise_spans_loop(x, fs)] == _noise_spans(x[np.newaxis], fs) == [[(500, 1500)]]
-        assert [flat_spans_loop(x, fs)] == _flat_spans(x[np.newaxis], fs) == [[(0, 686)]]
+        assert noise_spans_loop(x, fs) == [(500, 1500)]
+        np.testing.assert_array_equal(_noise_mask(x[np.newaxis], fs), [paint([(500, 1500)], len(x))])
+        assert flat_spans_loop(x, fs) == [(0, 686)]
+        np.testing.assert_array_equal(_flat_mask(x[np.newaxis], fs), [paint([(0, 686)], len(x))])
 
 
 _BASELINES = {
@@ -546,20 +488,24 @@ class TestMatrixScreenMatchesPerChannel:
         record, window = drawn
         with mock.patch.object(signal_quality, "periodogram", wraps=periodogram) as spectrum:
             report = assess_quality(record, window)
-        assert report == assess_quality_loop(record, window)
+        mask, expected = assess_quality_loop(record, window)
+        assert report == expected
+        assert all(type(v) is float for v in report.validity)
         assert spectrum.call_count <= 1  # one spectrum call over the ECG blocks of every channel
         start, end = report.window
-        for i, ch in enumerate(record.channels):
-            x = record.samples[i, start:end]
-            assert detect_invalid_segments(x, ch.kind, record.sample_rate) == invalid_segments_loop(x, ch.kind, record.sample_rate)
+        kinds = [ch.kind for ch in record.channels]
+        np.testing.assert_array_equal(_invalid_mask(record.samples[:, start:end], kinds, record.sample_rate), mask)
+        # each channel screened alone gives its row of the matrix screen
+        for row, kind, x in zip(mask, kinds, record.samples[:, start:end]):
+            np.testing.assert_array_equal(_invalid_mask(x[np.newaxis], [kind], record.sample_rate)[0], row)
 
     def test_rows_are_screened_apart(self):
         """A row's spans never leak into its neighbours."""
         x = np.zeros((3, 1200))
         x[0, :600] = np.nan
         x[2, 1100:] = np.nan
-        assert _noise_spans(x, 250.0) == [[], [], []]
+        assert not _noise_mask(x, 250.0).any()
         # a flat window holds no gap, and the 2 s windows step by 62 samples
-        assert _flat_spans(x, 250.0) == [flat_spans_loop(row, 250.0) for row in x] == [
-            [(620, 1200)], [(0, 1200)], [(0, 1058)],
-        ]
+        spans = [[(620, 1200)], [(0, 1200)], [(0, 1058)]]
+        assert [flat_spans_loop(row, 250.0) for row in x] == spans
+        np.testing.assert_array_equal(_flat_mask(x, 250.0), [paint(row, 1200) for row in spans])
