@@ -59,8 +59,6 @@ from .dtw import (
     dtw_distance,
     dtw_distances,
     extract_alarm_lead,
-    load_corpus_cache,
-    save_corpus_cache,
     znormalize,
 )
 from .errors import AlarmSentinelError, CannotDecide, InsufficientCleanBeats, UnsupportedMethod

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import multiprocessing
 import os
 import sys
@@ -21,7 +22,7 @@ from pathlib import Path
 from .alarm_logic import DTW_METHODS, METHODS, Thresholds, Verdict, analysis_lead, classify_alarm, detect_annotations
 from .beat_banks import bank_novelty_stats, classify_beat_vbank, extract_self_bank, load_bank_dir, save_bank
 from .beats import import_annotations
-from .dtw import TrainingCorpus, bank_lead, corpus_from_records, load_corpus_cache, save_corpus_cache
+from .dtw import TrainingCorpus, bank_lead, corpus_from_records
 from .errors import AlarmSentinelError, EmptyBank, EmptyCorpus, InsufficientCleanBeats
 from .evaluation import per_arrhythmia_report, train_test_split
 from .record_io import Arrhythmia, load_record, load_manifest
@@ -55,18 +56,15 @@ def _annotations_for(record, directory: str | None):
 
 
 def _corpus_for(args, train) -> TrainingCorpus:
-    """The dtw-full corpus: the ``--corpus-cache`` file, else built from
-    the training manifest rows; written to ``--save-corpus-cache``."""
-    if args.corpus_cache:
-        corpus = load_corpus_cache(args.corpus_cache, lead=args.lead)
-    else:
-        # one record decoded at a time: the corpus keeps only each one's match window
-        labelled = ((load_record(e.record), e.truth) for e in train)
-        corpus = corpus_from_records(labelled, lead=args.lead, skip_errors=True)
+    """The dtw-full corpus, built from the training manifest rows; each
+    row left out of it is named on stderr."""
+    # one record decoded at a time: the corpus keeps only each one's match window
+    labelled = ((load_record(e.record), e.truth) for e in train)
+    corpus = corpus_from_records(labelled, lead=args.lead, skip_errors=True)
+    for record, error in corpus.skipped:
+        print(f"warning: {record}: {error}", file=sys.stderr)
     if len(corpus) == 0:
         raise EmptyCorpus("training corpus is empty")
-    if args.save_corpus_cache:
-        save_corpus_cache(corpus, args.save_corpus_cache)
     return corpus
 
 
@@ -96,12 +94,10 @@ def _verdict(path: str, run: tuple) -> Verdict:
 
 def cmd_classify(args) -> int:
     train = []
-    if args.method == "dtw-full" and not args.corpus_cache:
+    if args.method == "dtw-full":
         if not args.train_manifest:
-            return _fail("--method dtw-full requires --corpus-cache or --train-manifest")
-        # the corpus cache stores no class column, so keep the corpus
-        # VT-only here just like evaluate does; the record under test
-        # must not be its own neighbour
+            return _fail("--method dtw-full requires --train-manifest to build its corpus from")
+        # the corpus holds VT alarms only, and never the record under test
         query = Path(args.record).resolve()
         train = [
             e for e in load_manifest(args.train_manifest)
@@ -177,6 +173,9 @@ def _adjudicate_in_worker(entry) -> dict:
 def cmd_evaluate(args) -> int:
     if args.workers is not None and args.workers < 1:
         return _fail(f"--workers must be at least 1, got {args.workers}")
+    budget = args.assert_latency_ms
+    if budget is not None and not (math.isfinite(budget) and budget > 0):
+        return _fail(f"--assert-latency-ms must be a finite number above 0, got {budget}")
     manifest = load_manifest(args.manifest)
     unknown = [e.record for e in manifest if e.truth is None]
     if unknown:
@@ -202,6 +201,10 @@ def cmd_evaluate(args) -> int:
         rows = test
 
     run = _run_for(args, train)
+    corpus = run[3]
+    if corpus is not None:
+        split_info["corpus"] = len(corpus)
+        split_info["skipped"] = [{"record": record, "error": error} for record, error in corpus.skipped]
     workers = min(args.workers or min(8, os.cpu_count() or 1), len(rows))
     if workers > 1:
         # forked workers inherit the run's inputs; only rows cross processes
@@ -243,8 +246,8 @@ def cmd_evaluate(args) -> int:
     print(f"report written to {args.out}")
     if args.csv:
         Path(args.csv).write_text(_report_csv(report))
-    if args.assert_latency_ms is not None and max(latencies) > args.assert_latency_ms:
-        return _fail(f"latency budget exceeded: {max(latencies):.1f} ms > {args.assert_latency_ms} ms")
+    if budget is not None and max(latencies) > budget:
+        return _fail(f"latency budget exceeded: {max(latencies):.1f} ms > {budget} ms")
     return 0
 
 
@@ -299,8 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key = value file overriding test thresholds")
         p.add_argument("--bank-dir", help="directory of beat files (V/N labels)")
         p.add_argument("--annotations", help="directory of <record>.ch<i>.txt annotation files")
-        p.add_argument("--corpus-cache", help="binary corpus cache for dtw-full")
-        p.add_argument("--save-corpus-cache", help="write the built corpus cache here")
         p.add_argument("--lead", default="II", help="lead for single-lead DTW methods")
 
     c = sub.add_parser("classify", help="adjudicate one record")

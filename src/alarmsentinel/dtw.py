@@ -20,9 +20,7 @@ sweep. :func:`dtw_distances` is the one entry point;
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -33,8 +31,8 @@ from .errors import (
     EmptyCorpus,
     EmptySequence,
     InsufficientData,
-    IoFailure,
     NonFiniteSample,
+    UnsupportedMethod,
     UnsupportedRate,
     ZeroVariance,
 )
@@ -212,26 +210,21 @@ def bank_lead(record: Record, channel: int) -> BankLead:
 class CorpusEntry:
     values: np.ndarray  # z-normalized pre-alarm sequence at the match rate
     is_true_alarm: bool
-    lead: str = "II"
-    arrhythmia: Arrhythmia = Arrhythmia.VTACH
     record: str = ""
 
 
 @dataclass
 class TrainingCorpus:
+    """Labelled pre-alarm windows of ventricular tachycardia alarms, all
+    on one lead; ``skipped`` names each record left out of it, with the
+    error that left it out."""
+
     entries: list[CorpusEntry] = field(default_factory=list)
+    lead: str = "II"
+    skipped: list[tuple[str, str]] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def subset(self, lead: str | None = None, arrhythmia: Arrhythmia | None = None) -> "TrainingCorpus":
-        kept = [
-            e
-            for e in self.entries
-            if (lead is None or e.lead.lower() == lead.lower())
-            and (arrhythmia is None or e.arrhythmia is arrhythmia)
-        ]
-        return TrainingCorpus(kept)
 
 
 def extract_alarm_lead(record: Record, lead: str = "II") -> np.ndarray:
@@ -252,110 +245,46 @@ def corpus_from_records(
     lead: str = "II",
     skip_errors: bool = False,
 ) -> TrainingCorpus:
-    """Build a matching corpus from (record, is_true_alarm) pairs, read once and in order."""
-    entries: list[CorpusEntry] = []
+    """Build a matching corpus on one lead from (record, is_true_alarm)
+    pairs of ventricular tachycardia alarms, read once and in order.
+
+    A record tagged with another arrhythmia raises
+    :class:`UnsupportedMethod`, as ``classify_alarm`` does for dtw-full.
+    With ``skip_errors``, a record that raises any package error is left
+    out and listed in the corpus's ``skipped``.
+    """
+    corpus = TrainingCorpus(lead=lead)
     for record, truth in labelled:
         try:
+            arrhythmia = record.alarm.arrhythmia
+            if arrhythmia not in (None, Arrhythmia.VTACH):
+                raise UnsupportedMethod(
+                    f"dtw-full is defined only for ventricular tachycardia alarms, not {arrhythmia.value}"
+                )
             values = extract_alarm_lead(record, lead=lead)
-        except AlarmSentinelError:
-            if skip_errors:
-                continue
-            raise
-        arrhythmia = record.alarm.arrhythmia or Arrhythmia.VTACH
-        entries.append(CorpusEntry(values, bool(truth), lead, arrhythmia, record.name))
-    return TrainingCorpus(entries)
+        except AlarmSentinelError as exc:
+            if not skip_errors:
+                raise
+            corpus.skipped.append((record.name, str(exc)))
+            continue
+        corpus.entries.append(CorpusEntry(values, bool(truth), record.name))
+    return corpus
 
 
 def classify_full_signal(record: Record, corpus: TrainingCorpus, lead: str = "II") -> tuple[bool, int, float]:
     """Label, index and distance of the nearest labelled pre-alarm signal.
 
-    Entries for the record's arrhythmia on the lead are searched, or
-    every entry on the lead when none matches the arrhythmia; with no
-    entry on the lead, :class:`EmptyCorpus` is raised. The index is the
-    entry's position in the searched pool, and ties go to the earliest
+    Every entry of the corpus is searched. An empty corpus, or one built
+    on another lead than ``lead``, raises :class:`EmptyCorpus`. The index
+    is the entry's position in the corpus, and ties go to the earliest
     entry. The regular-activity gate is not applied here; the gated
     pipeline is ``alarm_logic.classify_alarm`` with method dtw-full.
     """
     sequence = extract_alarm_lead(record, lead=lead)
-    pool = corpus.subset(lead=lead, arrhythmia=record.alarm.arrhythmia)
-    if len(pool) == 0:
-        pool = corpus.subset(lead=lead)
-    if len(pool) == 0:
+    if len(corpus) == 0:
         raise EmptyCorpus("nearest-neighbour search over an empty corpus")
-    distances = dtw_distances([sequence] * len(pool), [e.values for e in pool.entries], FULL_SIGNAL_RADIUS)
+    if corpus.lead.lower() != lead.lower():
+        raise EmptyCorpus(f"the corpus is on lead {corpus.lead}, not on lead {lead}")
+    distances = dtw_distances([sequence] * len(corpus), [e.values for e in corpus.entries], FULL_SIGNAL_RADIUS)
     best = int(np.argmin(distances))  # the first minimum
-    return pool.entries[best].is_true_alarm, best, float(distances[best])
-
-
-_MAGIC_LABELS = (0, 1)
-
-
-def save_corpus_cache(corpus: TrainingCorpus, path: str | Path) -> Path:
-    """Write the corpus as a flat binary cache.
-
-    Layout: entry count (u32 LE), then per entry a label byte
-    (1 = true alarm), the sequence length (u32 LE), and the samples as
-    little-endian float64.
-    """
-    path = Path(path)
-    chunks = [struct.pack("<I", len(corpus.entries))]
-    for e in corpus.entries:
-        chunks.append(struct.pack("<BI", 1 if e.is_true_alarm else 0, len(e.values)))
-        chunks.append(np.asarray(e.values, dtype="<f8").tobytes())
-    try:
-        path.write_bytes(b"".join(chunks))
-    except OSError as exc:
-        raise IoFailure(f"cannot write corpus cache {path}: {exc}") from None
-    return path
-
-
-def load_corpus_cache(
-    path: str | Path,
-    lead: str = "II",
-    arrhythmia: Arrhythmia = Arrhythmia.VTACH,
-) -> TrainingCorpus:
-    """Read a cache written by :func:`save_corpus_cache`.
-
-    Raises
-    ------
-    IoFailure
-        The file cannot be read, is malformed, holds a non-finite
-        sample, or holds an entry that is not one match window long.
-    """
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise IoFailure(f"cannot read corpus cache {path}: {exc}") from None
-
-    def fail(msg: str):
-        raise IoFailure(f"corrupt corpus cache {path}: {msg}")
-
-    if len(raw) < 4:
-        fail("missing entry count")
-    (count,) = struct.unpack_from("<I", raw, 0)
-    offset = 4
-    entries: list[CorpusEntry] = []
-    for i in range(count):
-        if offset + 5 > len(raw):
-            fail(f"truncated at entry {i}")
-        label, length = struct.unpack_from("<BI", raw, offset)
-        offset += 5
-        if label not in _MAGIC_LABELS:
-            fail(f"bad label byte {label} at entry {i}")
-        end = offset + 8 * length
-        if end > len(raw):
-            fail(f"truncated samples at entry {i}")
-        values = np.frombuffer(raw[offset:end], dtype="<f8").copy()
-        if not np.isfinite(values).all():
-            fail(f"non-finite sample at entry {i}")
-        offset = end
-        entries.append(CorpusEntry(values, bool(label), lead, arrhythmia))
-    if offset != len(raw):
-        fail(f"{len(raw) - offset} trailing bytes")
-    # every entry must be a match window, or the full-signal band cannot align it with a query
-    expected = round(MATCH_SECONDS * MATCH_RATE_HZ)
-    for i, e in enumerate(entries):
-        if len(e.values) != expected:
-            fail(f"entry {i} has {len(e.values)} samples, a match window has {expected}")
-    return TrainingCorpus(entries)
+    return corpus.entries[best].is_true_alarm, best, float(distances[best])

@@ -431,7 +431,7 @@ def load_manifest(path: str | Path) -> Manifest:
         raise IoFailure(f"cannot read manifest {path}: {exc}") from None
 
     entries: list[ManifestEntry] = []
-    seen: set[str] = set()
+    seen: set[Path] = set()
     rows = list(csv.reader(text.splitlines()))
     for row_no, row in enumerate(rows):
         if not row or all(not f.strip() for f in row):
@@ -447,11 +447,13 @@ def load_manifest(path: str | Path) -> Manifest:
             arrhythmia = parse_arrhythmia(arr)
         except UnknownArrhythmia as exc:
             raise MalformedRow(f"row {row_no + 1}: {exc}") from None
-        resolved = str((path.parent / rec).resolve()) if not Path(rec).is_absolute() else rec
-        if resolved in seen:
+        # one file under two spellings is a duplicate too, or a split could train on a record it tests
+        target = (path.parent / rec).resolve()
+        if target in seen:
             raise DuplicateEntry(f"record listed twice: {rec}")
-        seen.add(resolved)
-        entries.append(ManifestEntry(resolved, arrhythmia, _LABELS[label.lower()]))
+        seen.add(target)
+        listed = rec if Path(rec).is_absolute() else str(target)
+        entries.append(ManifestEntry(listed, arrhythmia, _LABELS[label.lower()]))
     return Manifest(entries)
 
 

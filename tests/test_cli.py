@@ -1,16 +1,19 @@
+import argparse
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from alarmsentinel import cli
 from alarmsentinel.cli import main
-from alarmsentinel.record_io import AlarmMeta, Arrhythmia, load_manifest
+from alarmsentinel.record_io import AlarmMeta, Arrhythmia, load_manifest, load_record
 from alarmsentinel.synthkit import SynthSpec, generate, surrogate_banks
 from alarmsentinel.beat_banks import save_bank
 from alarmsentinel.record_io import write_record
@@ -144,22 +147,28 @@ class TestClassifyCommand:
         assert main(["classify", record, "--method", "dtw-full"]) == 2
         assert "corpus" in capsys.readouterr().err
 
-    def test_dtw_full_with_manifest_and_cache(self, small_suite, tmp_path, capsys):
+    def test_dtw_full_with_manifest(self, small_suite, capsys):
+        # the query is a row of its own training manifest
         record = entry_for(small_suite[1], truth=True, arrhythmia=Arrhythmia.VTACH)
-        cache = tmp_path / "corpus.bin"
-        rc = main([
-            "classify", record, "--method", "dtw-full",
-            "--train-manifest", str(small_suite[1]),
-            "--save-corpus-cache", str(cache),
-        ])
-        assert rc in (0, 1)
-        assert cache.exists()
-        first = json.loads(capsys.readouterr().out)
-        (nearest,) = [e for e in first["evidence"] if e["test"] == "nearest_neighbor"]
+        assert main(["classify", record, "--method", "dtw-full", "--train-manifest", str(small_suite[1])]) in (0, 1)
+        out, err = capsys.readouterr()
+        assert err == ""
+        (nearest,) = [e for e in json.loads(out)["evidence"] if e["test"] == "nearest_neighbor"]
         assert nearest["witnesses"]["distance"] > 0.0  # the record is not its own neighbour
-        rc2 = main(["classify", record, "--method", "dtw-full", "--corpus-cache", str(cache)])
-        assert rc2 == rc
-        assert json.loads(capsys.readouterr().out) == first
+
+    def test_dtw_full_warns_of_each_skipped_training_row(self, tmp_path, capsys):
+        specs = [SynthSpec(f"w{seed}", Arrhythmia.VTACH, event=seed % 2 == 0, seed=seed) for seed in range(3)]
+        specs[1] = replace(specs[1], channels=("V", "ABP", "PLETH"))  # no lead II
+        headers = [write_record(generate(spec)[0], tmp_path) for spec in specs]
+        manifest = tmp_path / "train.csv"
+        rows = [f"{h},{Arrhythmia.VTACH.value},{'true' if i % 2 == 0 else 'false'}" for i, h in enumerate(headers[:2])]
+        manifest.write_text("record,arrhythmia,label\n" + "\n".join(rows) + "\n")
+        args = ["classify", str(headers[2]), "--method", "dtw-full", "--train-manifest", str(manifest)]
+        assert main(args) in (0, 1)
+        out, err = capsys.readouterr()
+        (warning,) = err.splitlines()
+        assert warning.startswith("warning: w1: ") and "II" in warning
+        assert json.loads(out)["evidence"][-1]["witnesses"]["neighbor"] == 0.0  # the one entry built
 
     def test_dtw_full_corpus_decodes_one_training_record_at_a_time(self, tmp_path, capsys, monkeypatch):
         # a decoded record is a few MB, so the corpus build must not hold
@@ -202,13 +211,8 @@ class TestClassifyCommand:
         rec.samples = rec.samples[:, :12].copy()
         rec.alarm = AlarmMeta(Arrhythmia.VTACH, False, 12)
         header = write_record(rec, tmp_path)
-        cache = tmp_path / "c.bin"
-        assert main([
-            "classify", entry_for(small_suite[1], truth=True, arrhythmia=Arrhythmia.VTACH), "--method", "dtw-full",
-            "--train-manifest", str(small_suite[1]), "--save-corpus-cache", str(cache),
-        ]) in (0, 1)
-        capsys.readouterr()
-        assert main(["classify", str(header), "--method", "dtw-full", "--corpus-cache", str(cache)]) == 1
+        args = ["classify", str(header), "--method", "dtw-full", "--train-manifest", str(small_suite[1])]
+        assert main(args) == 1
         out, err = capsys.readouterr()
         assert err == ""
         assert json.loads(out)["evidence"][-1]["test"] == "dtw_full_no_signal"
@@ -353,6 +357,24 @@ class TestEvaluateCommand:
         tested = {r["record"] for r in payload["records"]}
         assert vt[0].record not in tested
 
+    def test_dtw_full_reports_skipped_training_rows(self, tmp_path, capsys):
+        specs = [SynthSpec(f"e{seed}", Arrhythmia.VTACH, event=seed % 2 == 0, seed=seed) for seed in range(6)]
+        specs[1] = replace(specs[1], channels=("V", "ABP", "PLETH"))  # no lead II
+        headers = [write_record(generate(spec)[0], tmp_path) for spec in specs]
+        rows = [f"{h},{Arrhythmia.VTACH.value},{'true' if i % 2 == 0 else 'false'}" for i, h in enumerate(headers)]
+        manifest, split = tmp_path / "all.csv", tmp_path / "train.csv"
+        manifest.write_text("record,arrhythmia,label\n" + "\n".join(rows) + "\n")
+        split.write_text("record,arrhythmia,label\n" + "\n".join(rows[:4]) + "\n")
+        out = tmp_path / "r.json"
+        args = ["evaluate", "--manifest", str(manifest), "--method", "dtw-full", "--split", str(split)]
+        assert main(args + ["--workers", "1", "--out", str(out)]) == 0
+        (warning,) = capsys.readouterr().err.splitlines()
+        assert warning.startswith("warning: e1: ")
+        info = json.loads(out.read_text())["split"]
+        (skipped,) = info.pop("skipped")
+        assert skipped == {"record": "e1", "error": warning.removeprefix("warning: e1: ")}
+        assert info == {"seed": None, "train": 4, "test": 2, "corpus": 3}
+
     def test_unknown_labels_rejected(self, small_suite, tmp_path, capsys):
         original = small_suite[1].read_text().splitlines()
         flipped = [original[0]] + [
@@ -372,6 +394,21 @@ class TestEvaluateCommand:
         assert rc == 2
         assert "latency budget exceeded" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("budget", ["nan", "inf", "0", "-1"])
+    def test_latency_budget_must_be_finite_and_positive(self, small_suite, tmp_path, capsys, monkeypatch, budget):
+        # nan compares False against every latency, so it used to pass any run
+        def never(path):
+            raise AssertionError(f"read {path} before the budget was checked")
+
+        monkeypatch.setattr(cli, "load_record", never)
+        out = tmp_path / "r.json"
+        args = ["evaluate", "--manifest", str(small_suite[1]), "--out", str(out), "--assert-latency-ms", budget]
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            f"error: --assert-latency-ms must be a finite number above 0, got {float(budget)}\n"
+        )
+        assert not out.exists()
+
     def test_config_override_lands_in_report(self, small_suite, tmp_path):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("asystole_gap_s = 2.5\n")
@@ -379,6 +416,48 @@ class TestEvaluateCommand:
         rc = main(["evaluate", "--manifest", str(small_suite[1]), "--config", str(cfg), "--out", str(out)])
         assert rc == 0
         assert json.loads(out.read_text())["config"]["asystole_gap_s"] == 2.5
+
+
+@pytest.fixture
+def corpus_records(monkeypatch):
+    """Names of the records given to every dtw-full corpus build."""
+    seen = []
+    build = cli.corpus_from_records
+
+    def capture(labelled, **kwargs):
+        return build(((seen.append(record.name) or record, truth) for record, truth in labelled), **kwargs)
+
+    monkeypatch.setattr(cli, "corpus_from_records", capture)
+    return seen
+
+
+class TestCorpusLeavesOutTheRecordsUnderTest:
+    """No dtw-full corpus holds a record it is used to adjudicate."""
+
+    @pytest.mark.parametrize("spelling", ["as listed", "through a parent"])
+    def test_classify_a_row_of_the_train_manifest(self, small_suite, corpus_records, capsys, spelling):
+        record = Path(entry_for(small_suite[1], truth=False, arrhythmia=Arrhythmia.VTACH))
+        query = record if spelling == "as listed" else record.parent / ".." / record.parent.name / record.name
+        args = ["classify", str(query), "--method", "dtw-full", "--train-manifest", str(small_suite[1])]
+        assert main(args) in (0, 1)
+        capsys.readouterr()
+        assert corpus_records == [load_record(e.record).name for e in load_manifest(small_suite[1])
+                                  if e.arrhythmia is Arrhythmia.VTACH and e.record != str(record)]
+
+    @pytest.mark.parametrize("explicit_split", [False, True])
+    def test_evaluate(self, small_suite, corpus_records, tmp_path, capsys, explicit_split):
+        out = tmp_path / "r.json"
+        args = ["evaluate", "--manifest", str(small_suite[1]), "--method", "dtw-full", "--out", str(out)]
+        if explicit_split:
+            train = entry_for(small_suite[1], truth=True, arrhythmia=Arrhythmia.VTACH)
+            split = tmp_path / "train.csv"
+            split.write_text(f"record,arrhythmia,label\n{train},{Arrhythmia.VTACH.value},true\n")
+            args += ["--split", str(split)]
+        assert main(args) == 0
+        capsys.readouterr()
+        tested = {load_record(r["record"]).name for r in json.loads(out.read_text())["records"]}
+        assert corpus_records and tested
+        assert tested.isdisjoint(corpus_records)
 
 
 class TestBankCommand:
@@ -422,3 +501,20 @@ class TestBankCommand:
         assert done.returncode == 2
         assert done.stdout == ""
         assert done.stderr.splitlines() == [f"error: beat file {d / 'odd.txt'} has a non-finite sample"]
+
+
+def _parser_options(parser):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parser_options(sub)
+        else:
+            yield from action.option_strings
+
+
+def test_readme_names_every_option_and_no_other():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme)) - {"--no-build-isolation"}  # pip's flag
+    options = set(_parser_options(cli.build_parser())) - {"-h", "--help"}
+    assert sorted(named - options) == [], "README names options the command line lacks"
+    assert sorted(options - named) == [], "command-line options README does not name"

@@ -20,8 +20,6 @@ from alarmsentinel.dtw import (
     dtw_distance,
     dtw_distances,
     extract_alarm_lead,
-    load_corpus_cache,
-    save_corpus_cache,
     znormalize,
 )
 from alarmsentinel.errors import (
@@ -29,8 +27,8 @@ from alarmsentinel.errors import (
     EmptyCorpus,
     EmptySequence,
     InsufficientData,
-    IoFailure,
     NonFiniteSample,
+    UnsupportedMethod,
     UnsupportedRate,
     ZeroVariance,
 )
@@ -341,8 +339,8 @@ class TestNearestNeighbour:
         samples = self.SHAPES[shape][np.newaxis].copy()
         return Record("query", 125.0, channels, samples, AlarmMeta(arrhythmia, None, 1250))
 
-    def entry(self, shape, label, arrhythmia=Arrhythmia.VTACH, lead="II"):
-        return CorpusEntry(znormalize(self.SHAPES[shape]), label, lead, arrhythmia)
+    def entry(self, shape, label):
+        return CorpusEntry(znormalize(self.SHAPES[shape]), label)
 
     def test_nearest_label(self):
         corpus = TrainingCorpus([self.entry("slow", False), self.entry("fast", True), self.entry("ramp", False)])
@@ -357,28 +355,18 @@ class TestNearestNeighbour:
         corpus = TrainingCorpus([self.entry("slow", False), self.entry("fast", True), self.entry("slow", True)])
         assert classify_full_signal(self.record("slow"), corpus)[:2] == (False, 0)
 
-    def test_index_is_within_the_searched_pool(self):
-        # only the VT entries on lead II are searched; the witness counts within them
-        corpus = TrainingCorpus([
-            self.entry("fast", False, Arrhythmia.ASYSTOLE),
-            self.entry("fast", False, lead="V"),
-            self.entry("slow", False),
-            self.entry("fast", True),
-        ])
-        assert classify_full_signal(self.record("fast"), corpus)[:2] == (True, 1)
-
-    def test_falls_back_to_other_arrhythmias(self):
-        corpus = TrainingCorpus([
-            self.entry("slow", False, Arrhythmia.ASYSTOLE),
-            self.entry("fast", True, Arrhythmia.BRADYCARDIA),
-        ])
-        assert classify_full_signal(self.record("fast"), corpus)[:2] == (True, 1)
+    def test_query_arrhythmia_does_not_narrow_the_search(self):
+        # every entry is a VT alarm on the corpus's lead, so the whole corpus is searched
+        corpus = TrainingCorpus([self.entry("slow", False), self.entry("fast", True)])
+        assert classify_full_signal(self.record("fast", Arrhythmia.ASYSTOLE), corpus)[:2] == (True, 1)
 
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
             classify_full_signal(self.record("fast"), TrainingCorpus())
-        with pytest.raises(EmptyCorpus):  # no entry on the lead
-            classify_full_signal(self.record("fast"), TrainingCorpus([self.entry("fast", True, lead="V")]))
+        with pytest.raises(EmptyCorpus):  # a corpus on another lead
+            classify_full_signal(self.record("fast"), TrainingCorpus([self.entry("fast", True)], lead="V"))
+        corpus = TrainingCorpus([self.entry("fast", True)], lead="ii")  # lead names match in any case
+        assert classify_full_signal(self.record("fast"), corpus)[:2] == (True, 0)
 
 
 class TestExtractAlarmLead:
@@ -411,22 +399,23 @@ class TestExtractAlarmLead:
 
 
 class TestCorpus:
-    def test_subset_filters(self):
-        corpus = TrainingCorpus([
-            CorpusEntry(np.zeros(3), True, "II", Arrhythmia.VTACH),
-            CorpusEntry(np.zeros(3), False, "V", Arrhythmia.VTACH),
-            CorpusEntry(np.zeros(3), False, "II", Arrhythmia.ASYSTOLE),
-        ])
-        assert len(corpus.subset(lead="II")) == 2
-        assert len(corpus.subset(lead="ii", arrhythmia=Arrhythmia.VTACH)) == 1
-        assert len(corpus.subset()) == 3
-
     def test_corpus_from_records(self, vt_suite):
         labelled = [(r, t.expected_true) for _, r, t in vt_suite[:4]]
         corpus = corpus_from_records(labelled)
         assert len(corpus) == 4
         assert [e.is_true_alarm for e in corpus.entries] == [t for _, t in labelled]
-        assert all(e.arrhythmia is Arrhythmia.VTACH for e in corpus.entries)
+        assert [e.record for e in corpus.entries] == [r.name for r, _ in labelled]
+        assert corpus.lead == "II" and corpus.skipped == []
+
+    def test_refuses_other_arrhythmias(self, vt_suite, sinus_record):
+        # sinus_record carries an asystole alarm, which dtw-full does not adjudicate
+        _, good, truth = vt_suite[0]
+        labelled = [(sinus_record, False), (good, truth.expected_true)]
+        with pytest.raises(UnsupportedMethod, match="ventricular tachycardia"):
+            corpus_from_records(labelled)
+        corpus = corpus_from_records(labelled, skip_errors=True)
+        assert [e.record for e in corpus.entries] == [good.name]
+        assert [name for name, _ in corpus.skipped] == [sinus_record.name]
 
     def test_skip_errors(self, vt_suite, sinus_record):
         _, good, truth = vt_suite[0]
@@ -436,6 +425,8 @@ class TestCorpus:
             corpus_from_records(labelled)
         corpus = corpus_from_records(labelled, skip_errors=True)
         assert len(corpus) == 1
+        ((name, error),) = corpus.skipped
+        assert name == bad.name and "Hz" in error
 
     def test_skip_errors_skips_a_record_too_short_to_resample(self, vt_suite):
         _, good, truth = vt_suite[0]
@@ -445,56 +436,3 @@ class TestCorpus:
             corpus_from_records(labelled)
         corpus = corpus_from_records(labelled, skip_errors=True)
         assert [e.record for e in corpus.entries] == [good.name]
-
-
-class TestCorpusCache:
-    def test_roundtrip(self, tmp_path, vt_suite):
-        labelled = [(r, t.expected_true) for _, r, t in vt_suite[:3]]
-        corpus = corpus_from_records(labelled)
-        path = save_corpus_cache(corpus, tmp_path / "corpus.bin")
-        back = load_corpus_cache(path)
-        assert len(back) == len(corpus)
-        for a, b in zip(corpus.entries, back.entries):
-            assert a.is_true_alarm == b.is_true_alarm
-            assert np.array_equal(a.values, b.values)
-
-    def test_truncated_rejected(self, tmp_path, vt_suite):
-        labelled = [(r, t.expected_true) for _, r, t in vt_suite[:2]]
-        path = save_corpus_cache(corpus_from_records(labelled), tmp_path / "c.bin")
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-9])
-        with pytest.raises(IoFailure):
-            load_corpus_cache(path)
-
-    def test_trailing_bytes_rejected(self, tmp_path, vt_suite):
-        labelled = [(r, t.expected_true) for _, r, t in vt_suite[:2]]
-        path = save_corpus_cache(corpus_from_records(labelled), tmp_path / "c.bin")
-        path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(IoFailure):
-            load_corpus_cache(path)
-
-    def test_bad_label_rejected(self, tmp_path):
-        corpus = TrainingCorpus([CorpusEntry(np.zeros(4), True)])
-        path = save_corpus_cache(corpus, tmp_path / "c.bin")
-        raw = bytearray(path.read_bytes())
-        raw[4] = 7  # label byte of the first entry
-        path.write_bytes(bytes(raw))
-        with pytest.raises(IoFailure):
-            load_corpus_cache(path)
-
-    def test_non_finite_rejected(self, tmp_path):
-        # a NaN sample makes the entry's distance NaN, which np.argmin in classify_full_signal would pick
-        for bad in (np.nan, np.inf, -np.inf):
-            entries = [CorpusEntry(np.array([1.0, 0.0, -1.0]), False), CorpusEntry(np.array([0.5, bad, -0.5]), True)]
-            path = save_corpus_cache(TrainingCorpus(entries), tmp_path / "c.bin")
-            with pytest.raises(IoFailure, match="non-finite"):
-                load_corpus_cache(path)
-
-    def test_wrong_length_rejected(self, tmp_path):
-        # a short entry made dtw-full raise BandInfeasible, an empty one EmptySequence
-        window = np.linspace(-1.0, 1.0, 1250)
-        for length in (0, 10):
-            entries = [CorpusEntry(window, False), CorpusEntry(np.linspace(-1.0, 1.0, length), True)]
-            path = save_corpus_cache(TrainingCorpus(entries), tmp_path / "c.bin")
-            with pytest.raises(IoFailure, match=f"entry 1 has {length} samples"):
-                load_corpus_cache(path)

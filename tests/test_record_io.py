@@ -382,6 +382,12 @@ class TestManifest:
         with pytest.raises(DuplicateEntry):
             load_manifest(tmp_path / "m.csv")
 
+    def test_duplicate_record_under_another_absolute_spelling(self, tmp_path):
+        alias = tmp_path / ".." / tmp_path.name / "rec.hea"
+        (tmp_path / "m.csv").write_text(f"{tmp_path / 'rec.hea'},vtach,true\n{alias},vtach,true\n")
+        with pytest.raises(DuplicateEntry):
+            load_manifest(tmp_path / "m.csv")
+
     def test_suite_manifest(self, suite_dir):
         _, manifest_path = suite_dir
         manifest = load_manifest(manifest_path)
