@@ -199,13 +199,26 @@ def most_reliable_channel(record: Record, quality: QualityReport, candidates: li
     return min(candidates, key=key)
 
 
-def analysis_lead(record: Record, lead: str) -> int | None:
-    """The named lead, else the first ECG channel; None when neither exists."""
+def analysis_beats(record: Record, annotations: list[BeatAnnotation | None], lead: str) -> tuple[BankLead, BeatAnnotation]:
+    """The bank methods' lead at the match rate, and its beats: the named
+    lead, else the first ECG channel. Cannot decide without either
+    (``vtach_no_ecg``), without beats on it (``vtach_no_annotations``),
+    or when it is too short for the anti-alias filter
+    (``bank_lead_too_short``)."""
     try:
-        return record.channel_index(lead)
+        channel = record.channel_index(lead)
     except MissingLead:
         ecg = record.channels_of_kind(ChannelKind.ECG)
-        return ecg[0] if ecg else None
+        if not ecg:
+            raise CannotDecide("vtach_no_ecg") from None
+        channel = ecg[0]
+    ann = annotations[channel]
+    if ann is None:
+        raise CannotDecide("vtach_no_annotations")
+    try:
+        return bank_lead(record, channel), ann
+    except InsufficientData:
+        raise CannotDecide("bank_lead_too_short", samples=float(record.n_samples)) from None
 
 
 def regular_activity(
@@ -389,36 +402,14 @@ def _ventricular_run_hr(beats_in: BeatAnnotation, fs: float, config: Thresholds)
     return best_hr > config.vt_hr, float(best_run), best_hr
 
 
-def _vtach_votes(
-    ctx: AlarmContext,
-    labelled: list[BeatAnnotation | None],
-    include_abp: bool,
-) -> list[ChannelEvidence]:
-    """One vote per labelled ECG channel (a fast ventricular run) and,
-    with ``include_abp``, per gap-free pressure channel (a collapsed
-    pulse). Unlabelled ECG channels, and those whose beats in the
-    window are all Unknown, abstain."""
-    record, (start, end) = ctx.record, ctx.quality.window
-    votes: list[ChannelEvidence] = []
-    for i, ch in enumerate(record.channels):
-        ann = labelled[i]
-        if ch.kind is ChannelKind.ECG and ann is not None and ann.labels is not None:
-            beats_in = ann.within(start, end)
-            if all(label is BeatLabel.UNKNOWN for label in beats_in.labels):
-                continue  # no beat could be compared
-            positive, run, hr = _ventricular_run_hr(beats_in, record.sample_rate, ctx.config)
-            votes.append(
-                ChannelEvidence(ch.name, "vtach_ecg", positive, {"ventricular_run": run, "run_hr": hr})
-            )
-        elif ch.kind is ChannelKind.ABP and include_abp:
-            segment = record.samples[i, start:end]
-            if np.isnan(segment).any() or len(segment) == 0:
-                continue  # no vote from a channel with gaps
-            std = float(np.std(segment))
-            votes.append(
-                ChannelEvidence(ch.name, "vtach_abp", std < ctx.config.vt_abp_std, {"abp_std": std})
-            )
-    return votes
+def _ecg_vote(name: str, labelled: BeatAnnotation, fs: float, config: Thresholds) -> list[ChannelEvidence]:
+    """The ``vtach_ecg`` vote of one lead's labelled window beats (a
+    fast ventricular run votes for the alarm); no vote when every beat
+    is Unknown."""
+    if all(label is BeatLabel.UNKNOWN for label in labelled.labels):
+        return []  # no beat could be compared
+    positive, run, hr = _ventricular_run_hr(labelled, fs, config)
+    return [ChannelEvidence(name, "vtach_ecg", positive, {"ventricular_run": run, "run_hr": hr})]
 
 
 def spectral_vt_labels(record: Record, annotation: BeatAnnotation) -> BeatAnnotation:
@@ -435,16 +426,25 @@ def spectral_vt_labels(record: Record, annotation: BeatAnnotation) -> BeatAnnota
 
 
 def _spectral_votes(ctx: AlarmContext) -> list[ChannelEvidence]:
-    """Spectral beat labels on every ECG channel; pressure votes too."""
-    labelled = list(ctx.annotations)
-    for i in ctx.record.channels_of_kind(ChannelKind.ECG):
-        if labelled[i] is None:
-            continue
-        try:
-            labelled[i] = spectral_vt_labels(ctx.record, labelled[i].within(*ctx.quality.window))
-        except TooFewBeats:  # too few beats to segment: the channel abstains
-            labelled[i] = None
-    return _vtach_votes(ctx, labelled, include_abp=True)
+    """A vote per ECG channel from the spectral labels of its window
+    beats, and per gap-free pressure channel (a collapsed pulse)."""
+    record, (start, end) = ctx.record, ctx.quality.window
+    votes: list[ChannelEvidence] = []
+    for i, ch in enumerate(record.channels):
+        ann = ctx.annotations[i]
+        if ch.kind is ChannelKind.ECG and ann is not None:
+            try:
+                labelled = spectral_vt_labels(record, ann.within(start, end))
+            except TooFewBeats:  # too few beats to segment: the channel abstains
+                continue
+            votes += _ecg_vote(ch.name, labelled, record.sample_rate, ctx.config)
+        elif ch.kind is ChannelKind.ABP:
+            segment = record.samples[i, start:end]
+            if np.isnan(segment).any() or len(segment) == 0:
+                continue  # no vote from a channel with gaps
+            std = float(np.std(segment))
+            votes.append(ChannelEvidence(ch.name, "vtach_abp", std < ctx.config.vt_abp_std, {"abp_std": std}))
+    return votes
 
 
 def _curated_rule(classify: Callable[..., BeatRule], ctx: AlarmContext, *_) -> BeatRule:
@@ -467,30 +467,21 @@ def _bank_votes(
 ) -> list[ChannelEvidence]:
     """Labels from ``classify``, bound to its banks by ``bind``
     (:func:`_curated_rule` or :func:`_self_rule`), on the single
-    analysis lead; pressure does not vote. The lead is brought to the
-    match rate once, for the bank and the labels alike.
+    analysis lead (:func:`analysis_beats`); pressure does not vote, nor
+    does a named lead that is not ECG. The lead is brought to the match
+    rate once, for the bank and the labels alike.
     """
-    record = ctx.record
-    lead = analysis_lead(record, ctx.lead)
-    if lead is None:
-        raise CannotDecide("vtach_no_ecg")
-    ann = ctx.annotations[lead]
-    if ann is None:
-        raise CannotDecide("vtach_no_annotations")
-
-    try:
-        at_match_rate = bank_lead(record, lead)
-    except InsufficientData:  # too short for the anti-alias filter
-        raise CannotDecide("bank_lead_too_short", samples=float(record.n_samples)) from None
-    rule = bind(classify, ctx, at_match_rate, ann)
+    lead, ann = analysis_beats(ctx.record, ctx.annotations, ctx.lead)
+    rule = bind(classify, ctx, lead, ann)
     beats_in = ann.within(*ctx.quality.window)
     try:
-        labels = vt_labels_from_bank(at_match_rate, beats_in, rule)
+        labels = vt_labels_from_bank(lead, beats_in, rule)
     except TooFewBeats:
         raise CannotDecide("vtach_too_few_beats", beats=float(beats_in.count)) from None
-    labelled: list[BeatAnnotation | None] = [None] * record.n_channels
-    labelled[lead] = labels
-    return _vtach_votes(ctx, labelled, include_abp=False)
+    channel = ctx.record.channels[lead.channel]
+    if channel.kind is not ChannelKind.ECG:
+        return []
+    return _ecg_vote(channel.name, labels, ctx.record.sample_rate, ctx.config)
 
 
 def _nearest_signal(ctx: AlarmContext) -> list[ChannelEvidence]:

@@ -19,11 +19,11 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict
 from pathlib import Path
 
-from .alarm_logic import DTW_METHODS, METHODS, Thresholds, Verdict, analysis_lead, classify_alarm, detect_annotations
+from .alarm_logic import DTW_METHODS, METHODS, Thresholds, Verdict, analysis_beats, classify_alarm, detect_annotations
 from .beat_banks import bank_novelty_stats, classify_beat_vbank, extract_self_bank, load_bank_dir, save_bank
 from .beats import import_annotations
-from .dtw import TrainingCorpus, bank_lead, corpus_from_records
-from .errors import AlarmSentinelError, EmptyBank, EmptyCorpus, InsufficientCleanBeats
+from .dtw import TrainingCorpus, corpus_from_records
+from .errors import AlarmSentinelError, CannotDecide, EmptyBank, EmptyCorpus, InsufficientCleanBeats
 from .evaluation import per_arrhythmia_report, train_test_split
 from .record_io import Arrhythmia, load_record, load_manifest
 from .synthkit import generate_suite
@@ -190,9 +190,14 @@ def cmd_evaluate(args) -> int:
         if not rows:
             return _fail("no ventricular tachycardia rows for a DTW method")
         if args.split:
-            train_paths = {e.record for e in load_manifest(args.split)}
-            train = [e for e in rows if e.record in train_paths]
-            test = [e for e in rows if e.record not in train_paths]
+            # rows match by the file they name, whatever the spelling of its path
+            listed = {Path(e.record).resolve() for e in manifest}
+            train_paths = {Path(e.record).resolve(): e.record for e in load_manifest(args.split)}
+            stray = [spelling for path, spelling in train_paths.items() if path not in listed]
+            if stray:
+                return _fail(f"split row names no --manifest row: {stray[0]}")
+            train = [e for e in rows if Path(e.record).resolve() in train_paths]
+            test = [e for e in rows if Path(e.record).resolve() not in train_paths]
         else:
             train, test = train_test_split(rows, seed=args.split_seed)
         if not test:
@@ -254,15 +259,12 @@ def cmd_evaluate(args) -> int:
 def cmd_bank(args) -> int:
     if args.bank_cmd == "build-self":
         record = load_record(args.record)
-        annotations = _annotations_for(record, args.annotations)
-        lead_idx = analysis_lead(record, args.lead)
-        if lead_idx is None:
-            return _fail(f"record {record.name} has no ECG channel")
-        annotation = annotations[lead_idx]
-        if annotation is None:
-            return _fail(f"no beats found on channel {args.lead}")
         try:
-            bank = extract_self_bank(bank_lead(record, lead_idx), annotation, exclude_s=Thresholds().analysis_window_s)
+            lead, annotation = analysis_beats(record, _annotations_for(record, args.annotations), args.lead)
+        except CannotDecide as exc:
+            return _fail(f"cannot build a bank from record {record.name}: {exc.note}")
+        try:
+            bank = extract_self_bank(lead, annotation, exclude_s=Thresholds().analysis_window_s)
         except InsufficientCleanBeats as exc:
             print(f"error: {exc} (found {exc.found})", file=sys.stderr)
             return 3

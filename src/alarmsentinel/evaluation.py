@@ -8,7 +8,7 @@ undefined (None), never coerced to 0 or 1.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence, TypeVar
 
 from .errors import EmptyCounts
@@ -60,15 +60,7 @@ class MetricsRow:
     counts: ConfusionCounts
 
     def to_dict(self) -> dict:
-        return {
-            "sensitivity": self.sensitivity,
-            "specificity": self.specificity,
-            "ppv": self.ppv,
-            "npv": self.npv,
-            "f1": self.f1,
-            "challenge_score": self.challenge_score,
-            "counts": {"tp": self.counts.tp, "tn": self.counts.tn, "fp": self.counts.fp, "fn": self.counts.fn},
-        }
+        return asdict(self)
 
 
 def _ratio(num: int, den: int) -> float | None:

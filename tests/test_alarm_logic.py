@@ -11,9 +11,9 @@ from alarmsentinel import alarm_logic
 from alarmsentinel.alarm_logic import (
     AlarmContext,
     Thresholds,
+    _ecg_vote,
     _vf_windows,
     _vfib_detail,
-    _vtach_votes,
     check_asystole,
     check_bradycardia,
     check_tachycardia,
@@ -424,9 +424,7 @@ class TestVtach:
     def run_vote(self, indices, pattern):
         """The ECG vote on beats carrying the given N/V labels."""
         labels = [BeatLabel.VENTRICULAR if c == "V" else BeatLabel.NORMAL for c in pattern]
-        a = ann(indices, labels=labels)
-        rec = make_record()
-        return fired(_vtach_votes(context(rec, [a]), [a], include_abp=True))
+        return fired(_ecg_vote("II", ann(indices, labels=labels), 250.0, Thresholds()))
 
     def test_fast_run_fires(self):
         idx = np.arange(0, 875, 125)  # RR 0.5 s -> 4-beat windows at 120 bpm
@@ -461,6 +459,19 @@ class TestVtach:
         rec.samples[0] = 80.0
         rec.samples[0, 100] = np.nan
         assert cannot_decide(check_vtach, context(rec, [None])) == "vtach_no_votes"
+
+
+def test_only_an_ecg_bank_lead_votes():
+    """A bank method labels the beats of a pressure lead too, but only an
+    ECG lead votes."""
+    record = generate(SynthSpec(name="vt", arrhythmia=Arrhythmia.VTACH, event=True, seed=560))[0]
+    start = record.alarm.alarm_index - int(round(6.0 * record.sample_rate))
+    # a NaN burst keeps the regular-activity gate off
+    record.samples[:, start : start + int(round(0.8 * record.sample_rate))] = np.nan
+    for lead, check in (("ABP", ("", "vtach_no_votes")), ("II", ("II", "vtach_ecg"))):
+        verdict = classify_alarm(record, "dtw-vbank", banks=surrogate_banks(0), lead=lead)
+        assert verdict.gate_fired is False
+        assert [(e.channel, e.test) for e in verdict.evidence[record.n_channels:]] == [check]
 
 
 class TestSpectralVtLabelsIntegration:

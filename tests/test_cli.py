@@ -357,6 +357,36 @@ class TestEvaluateCommand:
         tested = {r["record"] for r in payload["records"]}
         assert vt[0].record not in tested
 
+    @pytest.mark.parametrize("missing", [False, True])
+    def test_split_rows_match_manifest_rows_by_file(self, tmp_path, capsys, monkeypatch, missing):
+        recs = tmp_path / "recs"
+        recs.mkdir()
+        specs = [SynthSpec(f"v{seed}", Arrhythmia.VTACH, event=seed % 2 == 0, seed=seed) for seed in range(4)]
+        headers = [write_record(generate(spec)[0], recs) for spec in specs]
+        rows = [f"{h},{Arrhythmia.VTACH.value},{'true' if i % 2 == 0 else 'false'}" for i, h in enumerate(headers)]
+        manifest, split = tmp_path / "all.csv", tmp_path / "train.csv"
+        manifest.write_text("record,arrhythmia,label\n" + "\n".join(rows) + "\n")
+        # v0 as the manifest spells it, v1 through a parent directory
+        train = [rows[0], f"{recs / '..' / recs.name / headers[1].name},{Arrhythmia.VTACH.value},false"]
+        if missing:
+            train.append(f"{recs / 'gone.hea'},{Arrhythmia.VTACH.value},true")
+        split.write_text("record,arrhythmia,label\n" + "\n".join(train) + "\n")
+        read = []
+        monkeypatch.setattr(cli, "load_record", lambda path: read.append(path) or load_record(path))
+        out = tmp_path / "r.json"
+        args = ["evaluate", "--manifest", str(manifest), "--method", "dtw-self-min", "--split", str(split)]
+        rc = main(args + ["--workers", "1", "--out", str(out)])
+        if missing:
+            assert rc == 2
+            assert capsys.readouterr().err == f"error: split row names no --manifest row: {recs / 'gone.hea'}\n"
+            assert read == [] and not out.exists()
+        else:
+            assert rc == 0
+            capsys.readouterr()
+            payload = json.loads(out.read_text())
+            assert payload["split"] == {"seed": None, "train": 2, "test": 2}
+            assert [r["record"] for r in payload["records"]] == [str(h) for h in headers[2:]]
+
     def test_dtw_full_reports_skipped_training_rows(self, tmp_path, capsys):
         specs = [SynthSpec(f"e{seed}", Arrhythmia.VTACH, event=seed % 2 == 0, seed=seed) for seed in range(6)]
         specs[1] = replace(specs[1], channels=("V", "ABP", "PLETH"))  # no lead II
@@ -475,6 +505,25 @@ class TestBankCommand:
         rc = main(["bank", "build-self", "--record", str(header), "--out", str(tmp_path / "b")])
         assert rc == 3
         assert "found 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["vtach_no_ecg", "vtach_no_annotations", "bank_lead_too_short"])
+    def test_build_self_names_the_lead_rule_that_fails(self, tmp_path, capsys, case):
+        channels = {"vtach_no_ecg": ("ABP", "PLETH"), "vtach_no_annotations": ("II", "RESP")}.get(case, ("II",))
+        rec, _ = generate(SynthSpec(name="lead", arrhythmia=Arrhythmia.VTACH, event=False, seed=5, channels=channels))
+        args = ["bank", "build-self", "--out", str(tmp_path / "b")]
+        if case == "vtach_no_annotations":
+            args += ["--lead", "RESP"]
+        if case == "bank_lead_too_short":
+            # beats supplied on a record too short for the anti-alias filter
+            rec.samples = rec.samples[:, :12].copy()
+            rec.alarm = AlarmMeta(Arrhythmia.VTACH, False, 12)
+            (tmp_path / "lead.ch0.txt").write_text("1\n5\n9\n")
+            args += ["--annotations", str(tmp_path)]
+        header = write_record(rec, tmp_path)
+        assert main(args + ["--record", str(header)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: cannot build a bank from record lead: {case}\n"
+        assert not (tmp_path / "b").exists()
 
     def test_inspect_prints_novelty_stats(self, small_suite, tmp_path, capsys):
         record = entry_for(small_suite[1], truth=False, arrhythmia=Arrhythmia.VTACH)

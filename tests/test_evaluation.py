@@ -71,6 +71,9 @@ class TestMetricSuite:
         d = metric_suite(ConfusionCounts(1, 1, 1, 1)).to_dict()
         assert d["challenge_score"] == 0.25
         assert d["counts"] == {"tp": 1, "tn": 1, "fp": 1, "fn": 1}
+        # the report JSON keeps this key order
+        assert list(d) == ["sensitivity", "specificity", "ppv", "npv", "f1", "challenge_score", "counts"]
+        assert list(d["counts"]) == ["tp", "tn", "fp", "fn"]
 
 
 class TestPerArrhythmiaReport:

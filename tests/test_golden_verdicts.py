@@ -191,19 +191,23 @@ def test_golden_verdicts():
     assert not changed, f"{len(changed)} verdicts changed, first {changed[0]}: {got[changed[0]]}"
 
 
+# the position of the literal note among each call's arguments:
+# ``_rate_check`` raises ``CannotDecide(test, ...)`` with its ``test``
+NOTE_ARGUMENT = {"CannotDecide": 0, "_rate_check": 1}
+
+
 def _literal_notes() -> set[str]:
-    """Every note that ``alarm_logic`` raises as ``CannotDecide("...")``."""
+    """Every note that ``alarm_logic`` raises as ``CannotDecide("...")``
+    or hands to ``_rate_check`` as its ``test``."""
     tree = ast.parse(Path(alarm_logic.__file__).read_text())
-    return {
-        node.args[0].value
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "CannotDecide"
-        and node.args
-        and isinstance(node.args[0], ast.Constant)
-        and isinstance(node.args[0].value, str)
-    }
+    notes = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in NOTE_ARGUMENT:
+            pos = NOTE_ARGUMENT[node.func.id]
+            arg = node.args[pos] if len(node.args) > pos else None
+            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                notes.add(arg.value)
+    return notes
 
 
 def test_every_fail_safe_note_is_pinned():
