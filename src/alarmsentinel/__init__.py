@@ -61,7 +61,7 @@ from .dtw import (
     extract_alarm_lead,
     znormalize,
 )
-from .errors import AlarmSentinelError, CannotDecide, InsufficientCleanBeats, UnsupportedMethod
+from .errors import AlarmSentinelError, CannotDecide, FailSafe, InsufficientCleanBeats, UnsupportedMethod
 from .evaluation import (
     ConfusionCounts,
     MetricsReport,

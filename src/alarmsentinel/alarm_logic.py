@@ -8,9 +8,9 @@ so a verdict can be audited.
 
 A deliberate asymmetry runs through everything here: when a check
 cannot be evaluated (too few beats, no usable channel, bank
-construction failed), it raises :class:`CannotDecide` and
-:func:`classify_alarm` lets the alarm through as true. False
-negatives are the dangerous direction.
+construction failed), it raises :class:`CannotDecide` with a
+:class:`FailSafe` note and :func:`classify_alarm` lets the alarm
+through as true. False negatives are the dangerous direction.
 """
 from __future__ import annotations
 
@@ -52,6 +52,7 @@ from .dtw import BankLead, TrainingCorpus, bank_lead, classify_full_signal
 from .errors import (
     CannotDecide,
     EmptyCorpus,
+    FailSafe,
     InsufficientCleanBeats,
     InsufficientData,
     InvalidConfig,
@@ -114,7 +115,7 @@ class Thresholds:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Thresholds":
-        """Read ``key = value`` lines; unknown keys are errors."""
+        """Read ``key = value`` lines; unknown and repeated keys are errors."""
         overrides = {}
         for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
             line = line.split("#", 1)[0].strip()
@@ -123,6 +124,8 @@ class Thresholds:
             if "=" not in line:
                 raise InvalidConfig(f"config line {line_no}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
+            if key in overrides:
+                raise InvalidConfig(f"config line {line_no}: key {key!r} is set twice")
             overrides[key] = value
         return cls().update(overrides)
 
@@ -210,15 +213,15 @@ def analysis_beats(record: Record, annotations: list[BeatAnnotation | None], lea
     except MissingLead:
         ecg = record.channels_of_kind(ChannelKind.ECG)
         if not ecg:
-            raise CannotDecide("vtach_no_ecg") from None
+            raise CannotDecide(FailSafe.VTACH_NO_ECG) from None
         channel = ecg[0]
     ann = annotations[channel]
     if ann is None:
-        raise CannotDecide("vtach_no_annotations")
+        raise CannotDecide(FailSafe.VTACH_NO_ANNOTATIONS)
     try:
         return bank_lead(record, channel), ann
     except InsufficientData:
-        raise CannotDecide("bank_lead_too_short", samples=float(record.n_samples)) from None
+        raise CannotDecide(FailSafe.BANK_LEAD_TOO_SHORT, samples=float(record.n_samples)) from None
 
 
 def regular_activity(
@@ -280,22 +283,23 @@ def check_asystole(ctx: AlarmContext) -> list[ChannelEvidence]:
     candidates = [i for i in range(record.n_channels) if ctx.annotations[i] is not None]
     best = most_reliable_channel(record, ctx.quality, candidates)
     if best is None:
-        raise CannotDecide("asystole_no_channel")
+        raise CannotDecide(FailSafe.ASYSTOLE_NO_CHANNEL)
     fs = record.sample_rate
     gap = _longest_gap_samples(ctx.annotations[best], ctx.quality.window)
     fired = gap >= ctx.config.asystole_gap_s * fs
     return [ChannelEvidence(record.channels[best].name, "asystole_gap", fired, {"longest_gap_s": gap / fs})]
 
 
-def _rate_check(ctx: AlarmContext, test: str, beats_per_window: int, pick_min: bool) -> list[ChannelEvidence]:
-    record, config = ctx.record, ctx.config
+def _rate_check(ctx: AlarmContext, note: FailSafe, beats_per_window: int, pick_min: bool) -> list[ChannelEvidence]:
+    """Rate evidence named ``note``, which is also the note when no channel has beats."""
+    record, config, test = ctx.record, ctx.config, note.value
     candidates = [
         i for i in range(record.n_channels)
         if ctx.annotations[i] is not None and record.channels[i].kind in (ChannelKind.ECG, ChannelKind.ABP, ChannelKind.PPG)
     ]
     best = most_reliable_channel(record, ctx.quality, candidates)
     if best is None:
-        raise CannotDecide(test, reason_no_channel=1.0)
+        raise CannotDecide(note, reason_no_channel=1.0)
     name = record.channels[best].name
     beats_in = ctx.annotations[best].within(*ctx.quality.window)
     if beats_in.count < beats_per_window:
@@ -311,13 +315,13 @@ def _rate_check(ctx: AlarmContext, test: str, beats_per_window: int, pick_min: b
 def check_bradycardia(ctx: AlarmContext) -> list[ChannelEvidence]:
     """Fires iff the most reliable channel's slowest 4-beat window is
     under the threshold (or it has too few beats to say)."""
-    return _rate_check(ctx, "bradycardia_hr", ctx.config.brady_beats, pick_min=True)
+    return _rate_check(ctx, FailSafe.BRADYCARDIA_HR, ctx.config.brady_beats, pick_min=True)
 
 
 def check_tachycardia(ctx: AlarmContext) -> list[ChannelEvidence]:
     """Fires iff the fastest 17-beat window exceeds the threshold (or
     there are too few beats to say)."""
-    return _rate_check(ctx, "tachycardia_hr", ctx.config.tachy_beats, pick_min=False)
+    return _rate_check(ctx, FailSafe.TACHYCARDIA_HR, ctx.config.tachy_beats, pick_min=False)
 
 
 def _vf_windows(windows: np.ndarray, fs: float, config: Thresholds) -> np.ndarray:
@@ -377,10 +381,10 @@ def check_vfib(ctx: AlarmContext) -> list[ChannelEvidence]:
     record, (start, end) = ctx.record, ctx.quality.window
     best = most_reliable_channel(record, ctx.quality, record.channels_of_kind(ChannelKind.ECG))
     if best is None:
-        raise CannotDecide("vfib_no_ecg")
+        raise CannotDecide(FailSafe.VFIB_NO_ECG)
     fs = record.sample_rate
     if end - start < int(round(ctx.config.vf_min_duration_s * fs)):
-        raise CannotDecide("vfib_window_too_short", window_s=(end - start) / fs)
+        raise CannotDecide(FailSafe.VFIB_WINDOW_TOO_SHORT, window_s=(end - start) / fs)
     fired, witnesses = _vfib_detail(record.samples[best, start:end], fs, ctx.config)
     return [ChannelEvidence(record.channels[best].name, "vfib_dominance", fired, witnesses)]
 
@@ -458,7 +462,7 @@ def _self_rule(classify: Callable[..., BeatRule], ctx: AlarmContext, lead: BankL
     try:
         bank = extract_self_bank(lead, ann, exclude_s=ctx.config.analysis_window_s)
     except InsufficientCleanBeats as exc:
-        raise CannotDecide("self_bank_failed", clean_beats_found=float(exc.found)) from None
+        raise CannotDecide(FailSafe.SELF_BANK_FAILED, clean_beats_found=float(exc.found)) from None
     return classify(bank, bank_novelty_stats(bank))
 
 
@@ -477,7 +481,7 @@ def _bank_votes(
     try:
         labels = vt_labels_from_bank(lead, beats_in, rule)
     except TooFewBeats:
-        raise CannotDecide("vtach_too_few_beats", beats=float(beats_in.count)) from None
+        raise CannotDecide(FailSafe.VTACH_TOO_FEW_BEATS, beats=float(beats_in.count)) from None
     channel = ctx.record.channels[lead.channel]
     if channel.kind is not ChannelKind.ECG:
         return []
@@ -485,14 +489,14 @@ def _bank_votes(
 
 
 def _nearest_signal(ctx: AlarmContext) -> list[ChannelEvidence]:
-    """The label of the nearest labelled pre-alarm signal on the lead."""
+    """The label of the nearest labelled pre-alarm signal on the corpus's lead."""
     if ctx.corpus is None:
         raise EmptyCorpus("dtw-full needs a training corpus")
     try:
-        label, index, distance = classify_full_signal(ctx.record, ctx.corpus, lead=ctx.lead)
+        label, index, distance = classify_full_signal(ctx.record, ctx.corpus)
     except (MissingLead, InsufficientData, ZeroVariance):  # no lead, too short, all missing or flat
-        raise CannotDecide("dtw_full_no_signal") from None
-    return [ChannelEvidence(ctx.lead, "nearest_neighbor", label, {"distance": distance, "neighbor": float(index)})]
+        raise CannotDecide(FailSafe.DTW_FULL_NO_SIGNAL) from None
+    return [ChannelEvidence(ctx.corpus.lead, "nearest_neighbor", label, {"distance": distance, "neighbor": float(index)})]
 
 
 class Method(NamedTuple):
@@ -526,7 +530,7 @@ def check_vtach(ctx: AlarmContext) -> list[ChannelEvidence]:
     judged."""
     votes = METHOD_TABLE[ctx.method].vt_evidence(ctx)
     if not votes:
-        raise CannotDecide("vtach_no_votes")
+        raise CannotDecide(FailSafe.VTACH_NO_VOTES)
     return votes
 
 
@@ -579,7 +583,8 @@ def classify_alarm(
     beats (:class:`LengthMismatch` otherwise); ``banks`` holds the curated
     ventricular and standard banks that dtw-vbank needs (dtw-self-min
     and dtw-self-kl build the patient's bank from the record itself);
-    ``corpus`` is required for dtw-full.
+    ``corpus`` is required for dtw-full, which reads the record on the
+    corpus's lead; ``lead`` names the bank methods' lead.
     """
     if method not in METHOD_TABLE:
         raise UnsupportedMethod(f"unknown method {method!r}; choose from {', '.join(METHODS)}")

@@ -23,7 +23,7 @@ from .alarm_logic import DTW_METHODS, METHODS, Thresholds, Verdict, analysis_bea
 from .beat_banks import bank_novelty_stats, classify_beat_vbank, extract_self_bank, load_bank_dir, save_bank
 from .beats import import_annotations
 from .dtw import TrainingCorpus, corpus_from_records
-from .errors import AlarmSentinelError, CannotDecide, EmptyBank, EmptyCorpus, InsufficientCleanBeats
+from .errors import AlarmSentinelError, CannotDecide, EmptyBank, EmptyCorpus, InsufficientCleanBeats, MalformedRow
 from .evaluation import per_arrhythmia_report, train_test_split
 from .record_io import Arrhythmia, load_record, load_manifest
 from .synthkit import generate_suite
@@ -82,10 +82,15 @@ def _run_for(args, train) -> tuple:
     return args.method, config, banks, corpus, args.annotations, args.lead
 
 
-def _verdict(path: str, run: tuple) -> Verdict:
-    """The verdict on the record at ``path`` under ``run`` (:func:`_run_for`)."""
+def _verdict(path: str, run: tuple, arrhythmia: Arrhythmia | None = None) -> Verdict:
+    """The verdict on the record at ``path`` under ``run`` (:func:`_run_for`).
+    A record whose header tags another class than ``arrhythmia`` (its
+    manifest row's class) is a :class:`MalformedRow`."""
     method, config, banks, corpus, annotation_dir, lead = run
     record = load_record(path)
+    tagged = record.alarm.arrhythmia
+    if arrhythmia is not None and tagged is not None and tagged is not arrhythmia:
+        raise MalformedRow(f"manifest row says {arrhythmia.value}, record header says {tagged.value}")
     annotations = _annotations_for(record, annotation_dir)
     return classify_alarm(
         record, method=method, config=config, banks=banks, corpus=corpus, annotations=annotations, lead=lead
@@ -150,7 +155,7 @@ def _adjudicate(entry, run) -> dict:
     }
     started = time.perf_counter()
     try:
-        verdict = _verdict(entry.record, run)
+        verdict = _verdict(entry.record, run, entry.arrhythmia)
     except AlarmSentinelError as exc:
         # a record that cannot be adjudicated keeps its alarm
         return {**row, "decision": "true_alarm", "error": str(exc)}

@@ -271,20 +271,19 @@ def corpus_from_records(
     return corpus
 
 
-def classify_full_signal(record: Record, corpus: TrainingCorpus, lead: str = "II") -> tuple[bool, int, float]:
-    """Label, index and distance of the nearest labelled pre-alarm signal.
+def classify_full_signal(record: Record, corpus: TrainingCorpus) -> tuple[bool, int, float]:
+    """Label, index and distance of the nearest labelled pre-alarm signal,
+    with the query read on the corpus's lead.
 
-    Every entry of the corpus is searched. An empty corpus, or one built
-    on another lead than ``lead``, raises :class:`EmptyCorpus`. The index
-    is the entry's position in the corpus, and ties go to the earliest
-    entry. The regular-activity gate is not applied here; the gated
-    pipeline is ``alarm_logic.classify_alarm`` with method dtw-full.
+    Every entry of the corpus is searched. An empty corpus raises
+    :class:`EmptyCorpus`. The index is the entry's position in the
+    corpus, and ties go to the earliest entry. The regular-activity gate
+    is not applied here; the gated pipeline is
+    ``alarm_logic.classify_alarm`` with method dtw-full.
     """
-    sequence = extract_alarm_lead(record, lead=lead)
+    sequence = extract_alarm_lead(record, lead=corpus.lead)
     if len(corpus) == 0:
         raise EmptyCorpus("nearest-neighbour search over an empty corpus")
-    if corpus.lead.lower() != lead.lower():
-        raise EmptyCorpus(f"the corpus is on lead {corpus.lead}, not on lead {lead}")
     distances = dtw_distances([sequence] * len(corpus), [e.values for e in corpus.entries], FULL_SIGNAL_RADIUS)
     best = int(np.argmin(distances))  # the first minimum
     return corpus.entries[best].is_true_alarm, best, float(distances[best])

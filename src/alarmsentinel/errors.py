@@ -1,8 +1,10 @@
-"""Exception types raised across the alarm engine.
+"""Exception types raised across the alarm engine, and :class:`FailSafe`,
+the closed set of notes that :class:`CannotDecide` carries.
 
 Everything derives from :class:`AlarmSentinelError` so callers can catch
 engine failures without swallowing programming errors.
 """
+from enum import Enum
 
 
 class AlarmSentinelError(Exception):
@@ -34,7 +36,7 @@ class InsufficientData(AlarmSentinelError):
 
 
 class MalformedRow(AlarmSentinelError):
-    """Manifest row does not match the expected shape."""
+    """Manifest row does not match the expected shape, or its record."""
 
 
 class DuplicateEntry(AlarmSentinelError):
@@ -97,16 +99,38 @@ class InsufficientCleanBeats(AlarmSentinelError):
         self.found = found
 
 
+class FailSafe(str, Enum):
+    """Every reason a check that cannot decide keeps the alarm: the
+    closed set of fail-safe notes, each value the ``test`` of a
+    verdict's last evidence entry."""
+
+    ASYSTOLE_NO_CHANNEL = "asystole_no_channel"
+    BRADYCARDIA_HR = "bradycardia_hr"
+    TACHYCARDIA_HR = "tachycardia_hr"
+    VFIB_NO_ECG = "vfib_no_ecg"
+    VFIB_WINDOW_TOO_SHORT = "vfib_window_too_short"
+    VTACH_NO_ECG = "vtach_no_ecg"
+    VTACH_NO_ANNOTATIONS = "vtach_no_annotations"
+    BANK_LEAD_TOO_SHORT = "bank_lead_too_short"
+    SELF_BANK_FAILED = "self_bank_failed"
+    VTACH_TOO_FEW_BEATS = "vtach_too_few_beats"
+    DTW_FULL_NO_SIGNAL = "dtw_full_no_signal"
+    VTACH_NO_VOTES = "vtach_no_votes"
+
+
 class CannotDecide(AlarmSentinelError):
     """An arrhythmia check cannot be evaluated on this record.
 
-    Carries ``note``, the test name of the fail-safe evidence, and
+    Takes a :class:`FailSafe` member and carries ``note``, its plain
+    string value (the test name of the fail-safe evidence), and
     ``witnesses``. The adjudication turns it into a true alarm.
     """
 
-    def __init__(self, note: str, **witnesses: float):
-        super().__init__(note)
-        self.note = note
+    def __init__(self, note: FailSafe, **witnesses: float):
+        if not isinstance(note, FailSafe):
+            raise TypeError(f"CannotDecide takes a FailSafe member, not {note!r}")
+        super().__init__(note.value)
+        self.note = note.value
         self.witnesses = witnesses
 
 

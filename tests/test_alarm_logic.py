@@ -31,6 +31,7 @@ from alarmsentinel.errors import (
     CannotDecide,
     EmptyBank,
     EmptyCorpus,
+    FailSafe,
     InsufficientData,
     InvalidConfig,
     LengthMismatch,
@@ -107,6 +108,13 @@ class TestConfigHandling:
         with pytest.raises(ValueError, match="expected 'key = value'"):
             Thresholds.from_file(p)
 
+    def test_from_file_rejects_a_repeated_key(self, tmp_path):
+        # the last value used to win silently
+        p = tmp_path / "twice.cfg"
+        p.write_text("brady_hr = 40\n# slower\nbrady_hr = 50\n")
+        with pytest.raises(InvalidConfig, match="config line 3: key 'brady_hr' is set twice"):
+            Thresholds.from_file(p)
+
     def test_non_numeric_value_rejected(self):
         with pytest.raises(InvalidConfig, match="brady_hr"):
             Thresholds().update({"brady_hr": "slow"})
@@ -132,6 +140,18 @@ class TestConfigHandling:
             Thresholds().update({name: value})
         with pytest.raises(InvalidConfig, match=name):
             Thresholds(**{name: float(value)})
+
+
+class TestFailSafe:
+    def test_cannot_decide_takes_only_a_fail_safe_member(self):
+        with pytest.raises(TypeError, match="FailSafe"):
+            CannotDecide("vtach_no_votes")
+
+    def test_note_is_the_plain_value(self):
+        # verdict JSON and CLI messages print the value, never ``FailSafe.VTACH_NO_VOTES``
+        exc = CannotDecide(FailSafe.VTACH_NO_VOTES, beats=2.0)
+        assert type(exc.note) is str and exc.note == str(exc) == "vtach_no_votes"
+        assert exc.witnesses == {"beats": 2.0}
 
 
 class TestMostReliableChannel:

@@ -13,10 +13,10 @@ import pytest
 
 from alarmsentinel import cli
 from alarmsentinel.cli import main
-from alarmsentinel.record_io import AlarmMeta, Arrhythmia, load_manifest, load_record
+from alarmsentinel.record_io import AlarmMeta, Arrhythmia, Manifest, ManifestEntry, load_manifest, load_record
 from alarmsentinel.synthkit import SynthSpec, generate, surrogate_banks
 from alarmsentinel.beat_banks import save_bank
-from alarmsentinel.record_io import write_record
+from alarmsentinel.record_io import write_manifest, write_record
 
 
 @pytest.fixture(scope="module")
@@ -220,7 +220,7 @@ class TestClassifyCommand:
     @pytest.mark.parametrize(
         "line",
         ["brady_hr 50", "brady_hr = slow", "brady_rate = 50", "brady_beats = 1", "brady_hr = nan",
-         "analysis_window_s = nan", "vt_hr = inf"],
+         "analysis_window_s = nan", "vt_hr = inf", "brady_hr = 40\nbrady_hr = 50"],
     )
     def test_bad_config_exits_two(self, small_suite, tmp_path, capsys, line):
         # exit 1 would read as "true alarm"
@@ -285,6 +285,29 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert "error:" in err and "worker process died" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "tag, error",
+        [("#Asystole\n", "manifest row says Ventricular_Tachycardia, record header says Asystole"),
+         ("", "record 'a100s' carries no arrhythmia tag")],
+        ids=["another-class", "untagged"],
+    )
+    def test_row_of_another_class_than_its_header_is_an_error(self, small_suite, tmp_path, capsys, tag, error):
+        # the header's class picks the check and the row's class files the verdict, so they must agree
+        for suffix in (".hea", ".dat"):
+            (tmp_path / f"a100s{suffix}").write_bytes((small_suite[0] / f"a100s{suffix}").read_bytes())
+        header = tmp_path / "a100s.hea"
+        header.write_text(header.read_text().replace("#Asystole\n", tag))
+        rows = [e for e in load_manifest(small_suite[1]) if e.arrhythmia is Arrhythmia.VTACH]
+        manifest, out = tmp_path / "relabelled.csv", tmp_path / "r.json"
+        write_manifest(Manifest(rows + [ManifestEntry(str(header), Arrhythmia.VTACH, True)]), manifest)
+        assert main(["evaluate", "--manifest", str(manifest), "--workers", "1", "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert f"{len(rows) + 1} records, 1 failed" in captured.out
+        assert captured.err == f"warning: {header}: {error}\n"
+        (row,) = [r for r in json.loads(out.read_text())["records"] if "error" in r]
+        assert row == {"record": str(header), "arrhythmia": "Ventricular_Tachycardia", "truth": "true_alarm",
+                       "decision": "true_alarm", "error": error}
 
     def test_unreadable_record_counts_as_true_alarm(self, small_suite, tmp_path, capsys):
         corrupt = tmp_path / "corrupt.hea"

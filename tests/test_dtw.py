@@ -27,6 +27,7 @@ from alarmsentinel.errors import (
     EmptyCorpus,
     EmptySequence,
     InsufficientData,
+    MissingLead,
     NonFiniteSample,
     UnsupportedMethod,
     UnsupportedRate,
@@ -363,7 +364,7 @@ class TestNearestNeighbour:
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
             classify_full_signal(self.record("fast"), TrainingCorpus())
-        with pytest.raises(EmptyCorpus):  # a corpus on another lead
+        with pytest.raises(MissingLead):  # the query is read on the corpus's lead, which the record lacks
             classify_full_signal(self.record("fast"), TrainingCorpus([self.entry("fast", True)], lead="V"))
         corpus = TrainingCorpus([self.entry("fast", True)], lead="ii")  # lead names match in any case
         assert classify_full_signal(self.record("fast"), corpus)[:2] == (True, 0)

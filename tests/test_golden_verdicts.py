@@ -5,8 +5,8 @@ The cases cover what the benchmark references do not: ``baseline`` and
 missing-data burst keeps away from the regular-activity gate, and every
 fail-safe note, reached by record surgery (dropped channels, an early
 ``alarm_index``, NaN bursts, noisy records, a 12-sample record) and the
-surrogate beat banks; a second test reads every literal note in
-``alarm_logic`` and fails when no golden verdict ends on it.
+surrogate beat banks; a second test fails when some
+:class:`~alarmsentinel.errors.FailSafe` note ends no golden verdict.
 The bank-method and dtw-full fail-safes fire before any beat pair or
 signal pair is warped. The ``warped`` cases label every beat of one true
 and one false VT record with each bank method, and two dtw-full cases
@@ -19,17 +19,16 @@ evidence entry with its witnesses rounded to 12 significant digits.
 ``python tests/test_golden_verdicts.py`` rewrites the JSON file. Do that
 only for a deliberate change of behaviour, and say so in CHANGES.md.
 """
-import ast
 import json
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from alarmsentinel import alarm_logic
 from alarmsentinel.alarm_logic import classify_alarm, detect_annotations
 from alarmsentinel.beats import BeatAnnotation
 from alarmsentinel.dtw import corpus_from_records
+from alarmsentinel.errors import FailSafe
 from alarmsentinel.record_io import AlarmMeta, Arrhythmia, ChannelMeta, Record, channel_kind
 from alarmsentinel.synthkit import SynthSpec, generate, suite_specs, surrogate_banks
 
@@ -191,25 +190,6 @@ def test_golden_verdicts():
     assert not changed, f"{len(changed)} verdicts changed, first {changed[0]}: {got[changed[0]]}"
 
 
-# the position of the literal note among each call's arguments:
-# ``_rate_check`` raises ``CannotDecide(test, ...)`` with its ``test``
-NOTE_ARGUMENT = {"CannotDecide": 0, "_rate_check": 1}
-
-
-def _literal_notes() -> set[str]:
-    """Every note that ``alarm_logic`` raises as ``CannotDecide("...")``
-    or hands to ``_rate_check`` as its ``test``."""
-    tree = ast.parse(Path(alarm_logic.__file__).read_text())
-    notes = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in NOTE_ARGUMENT:
-            pos = NOTE_ARGUMENT[node.func.id]
-            arg = node.args[pos] if len(node.args) > pos else None
-            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-                notes.add(arg.value)
-    return notes
-
-
 def test_every_fail_safe_note_is_pinned():
     """A note is pinned when some golden verdict ends on it (the note is
     the ``test`` of an evidence entry without a channel)."""
@@ -219,7 +199,7 @@ def test_every_fail_safe_note_is_pinned():
         for e in verdict["evidence"]
         if e["channel"] == ""
     }
-    notes = _literal_notes()
+    notes = {n.value for n in FailSafe}
     assert len(notes) >= 10
     assert notes <= pinned, f"notes no golden case reaches: {sorted(notes - pinned)}"
 
