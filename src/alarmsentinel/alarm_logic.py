@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from itertools import groupby
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -48,7 +48,7 @@ from .beat_banks import (
     extract_self_bank,
     vt_labels_from_bank,
 )
-from .dtw import BankLead, TrainingCorpus, bank_lead, classify_full_signal
+from .dtw import DEFAULT_LEAD, BankLead, TrainingCorpus, bank_lead, classify_full_signal
 from .errors import (
     CannotDecide,
     EmptyCorpus,
@@ -175,7 +175,7 @@ class AlarmContext:
     method: str = "improved"
     banks: BankSet | None = None
     corpus: TrainingCorpus | None = None
-    lead: str = "II"
+    lead: str = DEFAULT_LEAD
 
 
 _KIND_PRIORITY = {
@@ -543,12 +543,22 @@ CHECKS: dict[Arrhythmia, Callable[[AlarmContext], list[ChannelEvidence]]] = {
 }
 
 
-def detect_annotations(record: Record) -> list[BeatAnnotation | None]:
-    """Beat annotations for every channel the detectors understand."""
+def detect_annotations(record: Record, given: Mapping[int, BeatAnnotation | None] | None = None) -> list[BeatAnnotation | None]:
+    """Beat annotations per channel: the ``given`` entry (None for no beats)
+    where there is one, detector output elsewhere. A key that is no channel,
+    or an entry on another channel than its key, is a :class:`LengthMismatch`."""
+    given = given or {}
+    for i, ann in given.items():
+        if i not in range(record.n_channels):
+            raise LengthMismatch(f"annotation key {i!r} is no channel of {record.n_channels}")
+        if ann is not None and ann.channel != i:
+            raise LengthMismatch(f"annotation entry {i} is on channel {ann.channel}")
     annotations: list[BeatAnnotation | None] = []
     for i, ch in enumerate(record.channels):
         try:
-            if ch.kind is ChannelKind.ECG:
+            if i in given:
+                annotations.append(given[i])
+            elif ch.kind is ChannelKind.ECG:
                 annotations.append(detect_qrs(record.samples[i], record.sample_rate, channel=i))
             elif ch.kind in (ChannelKind.ABP, ChannelKind.PPG):
                 annotations.append(detect_pulses(record.samples[i], record.sample_rate, channel=i))
@@ -565,8 +575,8 @@ def classify_alarm(
     config: Thresholds | None = None,
     banks: BankSet | None = None,
     corpus: TrainingCorpus | None = None,
-    annotations: list[BeatAnnotation | None] | None = None,
-    lead: str = "II",
+    annotations: Mapping[int, BeatAnnotation | None] | None = None,
+    lead: str = DEFAULT_LEAD,
 ) -> Verdict:
     """Adjudicate one alarm record end to end.
 
@@ -578,9 +588,9 @@ def classify_alarm(
     DTW methods apply only to ventricular tachycardia alarms and
     analyze a single lead.
 
-    ``annotations`` replaces the built-in detectors: one entry per
-    channel, entry ``i`` on channel ``i`` or None for a channel without
-    beats (:class:`LengthMismatch` otherwise); ``banks`` holds the curated
+    ``annotations`` maps a channel to its beats, or to None for no
+    beats, in place of the detectors (:func:`detect_annotations`); the
+    channels it does not key are detected. ``banks`` holds the curated
     ventricular and standard banks that dtw-vbank needs (dtw-self-min
     and dtw-self-kl build the patient's bank from the record itself);
     ``corpus`` is required for dtw-full, which reads the record on the
@@ -593,12 +603,6 @@ def classify_alarm(
         raise UnknownArrhythmia(f"record {record.name!r} carries no arrhythmia tag")
     if method in DTW_METHODS and arrhythmia is not Arrhythmia.VTACH:
         raise UnsupportedMethod(f"{method} is defined only for ventricular tachycardia alarms")
-    if annotations is not None:
-        if len(annotations) != record.n_channels:
-            raise LengthMismatch(f"{len(annotations)} annotation entries for {record.n_channels} channels")
-        for i, ann in enumerate(annotations):
-            if ann is not None and ann.channel != i:
-                raise LengthMismatch(f"annotation entry {i} is on channel {ann.channel}")
 
     config = config or Thresholds()
     end = record.alarm.alarm_index
@@ -606,8 +610,7 @@ def classify_alarm(
     if window[0] >= window[1]:
         raise InsufficientData(f"record {record.name!r} has no samples in its analysis window {window}")
     quality = assess_quality(record, window)
-    if annotations is None:
-        annotations = detect_annotations(record)
+    annotations = detect_annotations(record, annotations)
 
     evidence, gate = regular_activity(record, annotations, quality, config)
     if gate:

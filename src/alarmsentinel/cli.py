@@ -22,10 +22,10 @@ from pathlib import Path
 from .alarm_logic import DTW_METHODS, METHODS, Thresholds, Verdict, analysis_beats, classify_alarm, detect_annotations
 from .beat_banks import bank_novelty_stats, classify_beat_vbank, extract_self_bank, load_bank_dir, save_bank
 from .beats import import_annotations
-from .dtw import TrainingCorpus, corpus_from_records
+from .dtw import DEFAULT_LEAD, TrainingCorpus, corpus_from_records
 from .errors import AlarmSentinelError, CannotDecide, EmptyBank, EmptyCorpus, InsufficientCleanBeats, MalformedRow
 from .evaluation import per_arrhythmia_report, train_test_split
-from .record_io import Arrhythmia, load_record, load_manifest
+from .record_io import Arrhythmia, load_manifest, load_record, parse_header
 from .synthkit import generate_suite
 
 
@@ -40,19 +40,13 @@ def _config_from(args) -> Thresholds:
     return Thresholds()
 
 
-def _annotations_for(record, directory: str | None):
-    """Detector output, overridden per channel by files in a directory.
-
-    Channel ``i`` of record ``name`` is read from ``<name>.ch<i>.txt``
-    when that file exists.
-    """
-    annotations = detect_annotations(record)
-    if directory:
-        for i in range(record.n_channels):
-            path = Path(directory) / f"{record.name}.ch{i}.txt"
-            if path.exists():
-                annotations[i] = import_annotations(path, record, channel=i)
-    return annotations
+def _annotation_files(record, directory: str | None) -> dict:
+    """Beats read from ``<name>.ch<i>.txt`` files in a directory, keyed
+    by channel ``i``; a channel without a file is no key."""
+    if not directory:
+        return {}
+    paths = {i: Path(directory) / f"{record.name}.ch{i}.txt" for i in range(record.n_channels)}
+    return {i: import_annotations(path, record, channel=i) for i, path in paths.items() if path.exists()}
 
 
 def _corpus_for(args, train) -> TrainingCorpus:
@@ -68,9 +62,9 @@ def _corpus_for(args, train) -> TrainingCorpus:
     return corpus
 
 
-def _run_for(args, train) -> tuple:
-    """What every adjudication of a command shares: ``(method, config,
-    banks, corpus, annotation directory, lead)``. ``train`` holds the
+def _run_for(args, train) -> tuple[dict, str | None]:
+    """What every adjudication of a command shares: ``classify_alarm``'s
+    keyword arguments and the annotation directory. ``train`` holds the
     manifest rows a dtw-full corpus is built from."""
     config = _config_from(args)
     banks = load_bank_dir(args.bank_dir) if args.bank_dir else None
@@ -79,22 +73,33 @@ def _run_for(args, train) -> tuple:
             raise EmptyBank("--method dtw-vbank requires --bank-dir")
         classify_beat_vbank(banks)  # both banks must be populated before any record is read
     corpus = _corpus_for(args, train) if args.method == "dtw-full" else None
-    return args.method, config, banks, corpus, args.annotations, args.lead
+    kwargs = {"method": args.method, "config": config, "banks": banks, "corpus": corpus, "lead": args.lead}
+    return kwargs, args.annotations
+
+
+def _class_mismatch(arrhythmia: Arrhythmia, tagged: Arrhythmia) -> MalformedRow:
+    return MalformedRow(f"manifest row says {arrhythmia.value}, record header says {tagged.value}")
+
+
+def _header_tag(path: str) -> Arrhythmia | None:
+    """The class a record's header tags, read from the header text alone;
+    None for a header that cannot be read."""
+    try:
+        return parse_header(Path(path).read_text())[4].arrhythmia
+    except (AlarmSentinelError, OSError, UnicodeDecodeError):
+        return None
 
 
 def _verdict(path: str, run: tuple, arrhythmia: Arrhythmia | None = None) -> Verdict:
     """The verdict on the record at ``path`` under ``run`` (:func:`_run_for`).
     A record whose header tags another class than ``arrhythmia`` (its
     manifest row's class) is a :class:`MalformedRow`."""
-    method, config, banks, corpus, annotation_dir, lead = run
+    kwargs, annotation_dir = run
     record = load_record(path)
     tagged = record.alarm.arrhythmia
     if arrhythmia is not None and tagged is not None and tagged is not arrhythmia:
-        raise MalformedRow(f"manifest row says {arrhythmia.value}, record header says {tagged.value}")
-    annotations = _annotations_for(record, annotation_dir)
-    return classify_alarm(
-        record, method=method, config=config, banks=banks, corpus=corpus, annotations=annotations, lead=lead
-    )
+        raise _class_mismatch(arrhythmia, tagged)
+    return classify_alarm(record, annotations=_annotation_files(record, annotation_dir), **kwargs)
 
 
 def cmd_classify(args) -> int:
@@ -146,21 +151,26 @@ def _report_csv(report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _adjudicate(entry, run) -> dict:
-    """One manifest row's report row under ``run`` (:func:`_run_for`)."""
-    row = {
+def _row(entry, **fields) -> dict:
+    """A manifest row's report row, with ``fields`` after its own."""
+    return {
         "record": entry.record,
         "arrhythmia": entry.arrhythmia.value,
         "truth": "true_alarm" if entry.truth else "false_alarm",
+        **fields,
     }
+
+
+def _adjudicate(entry, run) -> dict:
+    """One manifest row's report row under ``run`` (:func:`_run_for`)."""
     started = time.perf_counter()
     try:
         verdict = _verdict(entry.record, run, entry.arrhythmia)
     except AlarmSentinelError as exc:
         # a record that cannot be adjudicated keeps its alarm
-        return {**row, "decision": "true_alarm", "error": str(exc)}
+        return _row(entry, decision="true_alarm", error=str(exc))
     latency_ms = (time.perf_counter() - started) * 1000.0
-    return {**row, "latency_ms": latency_ms, **verdict.to_dict()}
+    return _row(entry, latency_ms=latency_ms, **verdict.to_dict())
 
 
 _worker_run = None  # the run's inputs inside an evaluate worker process
@@ -189,8 +199,13 @@ def cmd_evaluate(args) -> int:
     if not rows:
         return _fail("manifest is empty")
 
-    train, split_info = [], None
+    train, split_info, refused = [], None, []
     if args.method in DTW_METHODS:
+        # a VT record filed under another class keeps its alarm as an error row, in neither split
+        refused = [
+            _row(e, decision="true_alarm", error=str(_class_mismatch(e.arrhythmia, Arrhythmia.VTACH))) for e in rows
+            if e.arrhythmia is not Arrhythmia.VTACH and _header_tag(e.record) is Arrhythmia.VTACH
+        ]
         rows = [e for e in rows if e.arrhythmia is Arrhythmia.VTACH]
         if not rows:
             return _fail("no ventricular tachycardia rows for a DTW method")
@@ -211,7 +226,8 @@ def cmd_evaluate(args) -> int:
         rows = test
 
     run = _run_for(args, train)
-    corpus = run[3]
+    kwargs, _ = run
+    corpus = kwargs["corpus"]
     if corpus is not None:
         split_info["corpus"] = len(corpus)
         split_info["skipped"] = [{"record": record, "error": error} for record, error in corpus.skipped]
@@ -228,6 +244,9 @@ def cmd_evaluate(args) -> int:
             return _fail("a worker process died before every record was adjudicated")
     else:
         results = [_adjudicate(entry, run) for entry in rows]
+    # every row in manifest order, refused ones included
+    by_record = {r["record"]: r for r in results + refused}
+    results = [by_record[e.record] for e in manifest if e.record in by_record]
 
     failed = [r for r in results if "error" in r]
     ok = [r for r in results if "error" not in r]
@@ -245,7 +264,7 @@ def cmd_evaluate(args) -> int:
     payload = {
         "method": args.method,
         "lead": args.lead,
-        "config": asdict(run[1]),
+        "config": asdict(kwargs["config"]),
         "split": split_info,
         "records": results,
         "metrics": report.to_dict(),
@@ -265,7 +284,8 @@ def cmd_bank(args) -> int:
     if args.bank_cmd == "build-self":
         record = load_record(args.record)
         try:
-            lead, annotation = analysis_beats(record, _annotations_for(record, args.annotations), args.lead)
+            annotations = detect_annotations(record, _annotation_files(record, args.annotations))
+            lead, annotation = analysis_beats(record, annotations, args.lead)
         except CannotDecide as exc:
             return _fail(f"cannot build a bank from record {record.name}: {exc.note}")
         try:
@@ -309,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key = value file overriding test thresholds")
         p.add_argument("--bank-dir", help="directory of beat files (V/N labels)")
         p.add_argument("--annotations", help="directory of <record>.ch<i>.txt annotation files")
-        p.add_argument("--lead", default="II", help="lead for single-lead DTW methods")
+        p.add_argument("--lead", default=DEFAULT_LEAD, help="lead for single-lead DTW methods")
 
     c = sub.add_parser("classify", help="adjudicate one record")
     c.add_argument("record", help="path to the record header")
@@ -334,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     bs = bank_sub.add_parser("build-self", help="extract a patient's own beat bank")
     bs.add_argument("--record", required=True)
     bs.add_argument("--out", required=True)
-    bs.add_argument("--lead", default="II")
+    bs.add_argument("--lead", default=DEFAULT_LEAD)
     bs.add_argument("--annotations", help="directory of annotation files")
     bs.set_defaults(fn=cmd_bank)
     bi = bank_sub.add_parser("inspect", help="print novelty statistics of a bank directory")

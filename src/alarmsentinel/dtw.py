@@ -39,6 +39,7 @@ from .errors import (
 from .record_io import Arrhythmia, Record, bridge_gaps, pre_alarm_window, resample_half, single_channel
 
 MATCH_RATE_HZ = 125.0  # the one rate of every DTW method, beat banks included
+DEFAULT_LEAD = "II"  # the single lead the DTW methods read unless told another
 MATCH_SECONDS = 10.0
 FULL_SIGNAL_RADIUS = 250  # 2 s at 125 Hz
 BEAT_RADIUS = 125  # 1 s at 125 Hz
@@ -220,14 +221,14 @@ class TrainingCorpus:
     error that left it out."""
 
     entries: list[CorpusEntry] = field(default_factory=list)
-    lead: str = "II"
+    lead: str = DEFAULT_LEAD
     skipped: list[tuple[str, str]] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.entries)
 
 
-def extract_alarm_lead(record: Record, lead: str = "II") -> np.ndarray:
+def extract_alarm_lead(record: Record, lead: str = DEFAULT_LEAD) -> np.ndarray:
     """The last :data:`MATCH_SECONDS` before the alarm on one lead, at
     the match rate (:func:`bank_lead`), z-normalized. Missing samples
     are bridged by linear interpolation before normalization.
@@ -242,7 +243,7 @@ def extract_alarm_lead(record: Record, lead: str = "II") -> np.ndarray:
 
 def corpus_from_records(
     labelled: Iterable[tuple[Record, bool]],
-    lead: str = "II",
+    lead: str = DEFAULT_LEAD,
     skip_errors: bool = False,
 ) -> TrainingCorpus:
     """Build a matching corpus on one lead from (record, is_true_alarm)

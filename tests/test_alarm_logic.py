@@ -618,11 +618,10 @@ class TestClassifyAlarm:
         # the banks are bound before the window's beats are segmented, so
         # two beats in the window do not turn a missing bank into a note
         rec = next(r for _, r, t in vt_suite if t.expected_true)
-        annotations = detect_annotations(rec)
         start = rec.alarm.alarm_index - int(Thresholds().analysis_window_s * rec.sample_rate)
-        lead = annotations[0]
+        lead = detect_annotations(rec)[0]
         before = lead.indices[lead.indices < start]
-        annotations[0] = BeatAnnotation(0, np.concatenate([before, [start + 10, start + 400]]))
+        annotations = {0: BeatAnnotation(0, np.concatenate([before, [start + 10, start + 400]]))}
         verdict = classify_alarm(rec, "dtw-vbank", banks=banks, annotations=annotations)
         assert verdict.evidence[-1].to_dict() == {
             "channel": "", "test": "vtach_too_few_beats", "outcome": True, "witnesses": {"beats": 2.0},
@@ -669,26 +668,24 @@ class TestClassifyAlarm:
 
 
 class TestSuppliedAnnotations:
-    """Supplied annotations hold one entry per channel, entry i on
-    channel i, for every stage alike."""
+    """Supplied annotations map a channel to its beats (None for none),
+    key i on channel i, for every stage alike; the channels without a
+    key are detected."""
 
     @pytest.fixture(scope="class")
     def asystole(self):
         record, _ = generate(SynthSpec(name="asys", arrhythmia=Arrhythmia.ASYSTOLE, event=True, seed=11))
-        return record, detect_annotations(record)
+        return record, dict(enumerate(detect_annotations(record)))
 
-    @pytest.mark.parametrize(
-        "resize", [lambda a: a[:1], lambda a: [], lambda a: a + [None]], ids=["short", "empty", "extra"]
-    )
-    def test_entry_count_must_match_the_channels(self, asystole, resize):
+    @pytest.mark.parametrize("key", [4, -1, "0"], ids=["extra", "negative", "text"])
+    def test_key_must_name_a_channel(self, asystole, key):
         record, annotations = asystole
-        supplied = resize(annotations)
-        with pytest.raises(LengthMismatch, match=f"{len(supplied)} annotation entries for 4 channels"):
-            classify_alarm(record, annotations=supplied)
+        with pytest.raises(LengthMismatch, match=f"annotation key {key!r} is no channel of 4"):
+            classify_alarm(record, annotations={**annotations, key: None})
 
     def test_entry_must_sit_on_its_channel(self, asystole):
         record, annotations = asystole
-        swapped = [annotations[1], annotations[0], *annotations[2:]]
+        swapped = {**annotations, 0: annotations[1], 1: annotations[0]}
         with pytest.raises(LengthMismatch, match="entry 0 is on channel 1"):
             classify_alarm(record, annotations=swapped)
 
@@ -696,7 +693,17 @@ class TestSuppliedAnnotations:
         record, annotations = asystole
         detected = classify_alarm(record).to_dict()
         assert classify_alarm(record, annotations=annotations).to_dict() == detected
-        assert classify_alarm(record, annotations=[None] * record.n_channels).is_true_alarm is True
+        assert classify_alarm(record, annotations={}).to_dict() == detected
+        assert classify_alarm(record, annotations={0: annotations[0]}).to_dict() == detected
+        assert classify_alarm(record, annotations=dict.fromkeys(range(record.n_channels))).is_true_alarm is True
+
+    def test_only_the_channels_without_a_key_are_detected(self, asystole):
+        record, annotations = asystole
+        with mock.patch.object(alarm_logic, "detect_qrs", wraps=detect_qrs) as qrs:
+            got = detect_annotations(record, {0: annotations[0], 2: None})
+        assert [c.kwargs["channel"] for c in qrs.call_args_list] == [1]
+        assert got[0] is annotations[0] and got[2] is None
+        assert got[1].indices.tolist() == annotations[1].indices.tolist()
 
 
 class TestNonFiniteMatchInputs:
@@ -738,7 +745,7 @@ class TestTooShortForTheResampler:
     @pytest.mark.parametrize("with_beats", [False, True])
     def test_every_dtw_method_fails_safe(self, tiny, vt_suite, banks, method, with_beats):
         corpus = corpus_from_records([(r, t.expected_true) for _, r, t in vt_suite[:2]])
-        annotations = [ann([1, 5, 9]), None] if with_beats else None
+        annotations = {0: ann([1, 5, 9]), 1: None} if with_beats else None
         verdict = classify_alarm(tiny, method, banks=banks, corpus=corpus, annotations=annotations)
         assert verdict.is_true_alarm is True and verdict.gate_fired is False
         note = verdict.evidence[-1]

@@ -8,10 +8,11 @@ import sys
 import weakref
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from alarmsentinel import cli
+from alarmsentinel import alarm_logic, cli
 from alarmsentinel.cli import main
 from alarmsentinel.record_io import AlarmMeta, Arrhythmia, Manifest, ManifestEntry, load_manifest, load_record
 from alarmsentinel.synthkit import SynthSpec, generate, surrogate_banks
@@ -244,6 +245,16 @@ class TestClassifyCommand:
         assert main(["classify", record, "--annotations", str(ann_dir)]) == 0
         assert json.loads(capsys.readouterr().out)["gate_fired"] is True
 
+    def test_a_channel_with_a_file_is_never_detected(self, small_suite, tmp_path, capsys):
+        record = entry_for(small_suite[1], truth=True, arrhythmia=Arrhythmia.VTACH)
+        name = record.rsplit("/", 1)[-1].removesuffix(".hea")
+        assert [ch.name for ch in load_record(record).channels] == ["II", "V", "ABP", "PLETH"]
+        (tmp_path / f"{name}.ch0.txt").write_text("\n".join(str(i) for i in range(100, 30000, 200)) + "\n")
+        with mock.patch.object(alarm_logic, "detect_qrs", wraps=alarm_logic.detect_qrs) as qrs:
+            assert main(["classify", record, "--annotations", str(tmp_path)]) in (0, 1)
+        capsys.readouterr()
+        assert [c.kwargs["channel"] for c in qrs.call_args_list] == [1]
+
 
 class TestEvaluateCommand:
     def test_report_schema_and_determinism(self, small_suite, tmp_path, capsys):
@@ -308,6 +319,35 @@ class TestEvaluateCommand:
         (row,) = [r for r in json.loads(out.read_text())["records"] if "error" in r]
         assert row == {"record": str(header), "arrhythmia": "Ventricular_Tachycardia", "truth": "true_alarm",
                        "decision": "true_alarm", "error": error}
+
+    def test_dtw_method_reports_a_vt_record_filed_under_another_class(self, tmp_path, capsys):
+        # the VT filter reads the row's class, so a VT record filed elsewhere used to vanish from the report
+        assert main(["synth", "--out", str(tmp_path), "--per-class", "4", "--seed", "7"]) == 0
+        capsys.readouterr()
+        manifest = tmp_path / "manifest.csv"
+        entries = list(load_manifest(manifest))
+        (k,) = [k for k, e in enumerate(entries) if Path(e.record).name == "v100s.hea"]
+        entries[k] = replace(entries[k], arrhythmia=Arrhythmia.ASYSTOLE)
+        # rows whose header cannot be read stay left out
+        unreadable = [tmp_path / "malformed.hea", tmp_path / "binary.hea"]
+        unreadable[0].write_text("not a header\n")
+        unreadable[1].write_bytes(b"\xff\xfe not text\n")
+        write_manifest(Manifest(entries + [ManifestEntry(str(h), Arrhythmia.ASYSTOLE, False) for h in unreadable]), manifest)
+        out = tmp_path / "r.json"
+        args = ["evaluate", "--manifest", str(manifest), "--method", "dtw-self-min", "--workers", "1", "--out", str(out)]
+        assert main(args) == 0
+        error = "manifest row says Asystole, record header says Ventricular_Tachycardia"
+        captured = capsys.readouterr()
+        assert captured.err == f"warning: {entries[k].record}: {error}\n"
+        assert "2 records, 1 failed" in captured.out
+        payload = json.loads(out.read_text())
+        assert payload["split"] == {"seed": 2015, "train": 2, "test": 1}
+        reported = [r["record"] for r in payload["records"]]
+        assert reported == [e.record for e in entries if e.record in reported]  # manifest order
+        assert payload["records"][reported.index(entries[k].record)] == {
+            "record": entries[k].record, "arrhythmia": "Asystole",
+            "truth": "true_alarm" if entries[k].truth else "false_alarm", "decision": "true_alarm", "error": error,
+        }
 
     def test_unreadable_record_counts_as_true_alarm(self, small_suite, tmp_path, capsys):
         corrupt = tmp_path / "corrupt.hea"

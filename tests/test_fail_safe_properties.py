@@ -7,6 +7,12 @@ record, and a missing lead II. The rule methods see every class; the four
 DTW methods see the ventricular tachycardia records, with surrogate beat
 banks and a corpus built from a suite of another seed.
 
+A header can also carry a wrong rate, so records are relabelled to other
+rates too. A rate too low for the QRS band filter raises
+UnsupportedRate for every method, and the DTW methods, which match at
+125 Hz, raise it at every rate but 125 and 250 Hz unless the gate has
+already dismissed the alarm.
+
 The matching methods' own inputs are damaged too: curated bank members
 for dtw-vbank, corpus entries for dtw-full. A NaN, infinite or empty one
 must raise a named error wherever the method warps against it, and a
@@ -19,9 +25,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from alarmsentinel.alarm_logic import DTW_METHODS, classify_alarm
+from alarmsentinel.alarm_logic import DTW_METHODS, METHODS, classify_alarm
 from alarmsentinel.beat_banks import BankSet, BeatBank
-from alarmsentinel.dtw import TrainingCorpus, corpus_from_records
+from alarmsentinel.beats import QRS_BAND_HZ
+from alarmsentinel.dtw import MATCH_RATE_HZ, TrainingCorpus, corpus_from_records
 from alarmsentinel.errors import (
     BandInfeasible,
     EmptyBank,
@@ -29,6 +36,7 @@ from alarmsentinel.errors import (
     EmptySequence,
     NonFiniteSample,
     UnsupportedMethod,
+    UnsupportedRate,
 )
 from alarmsentinel.record_io import AlarmMeta, Arrhythmia, Record
 from alarmsentinel.synthkit import generate, suite_specs, surrogate_banks
@@ -68,6 +76,8 @@ def _mutate(record: Record, mutation: tuple) -> Record:
     elif kind == "early":
         # the record format puts the alarm at sample 1 or later
         alarm = AlarmMeta(alarm.arrhythmia, alarm.truth, min(max(1, int(mutation[1] * fs)), samples.shape[1]))
+    elif kind == "rate":  # the same samples under another header rate
+        fs = mutation[1]
     else:
         keep = [i for i, ch in enumerate(channels) if ch.name.lower() != "ii"]
         samples, channels = samples[keep], [channels[i] for i in keep]
@@ -100,6 +110,51 @@ def test_damaged_records_never_raise_and_fail_safe(index, changes, method):
 )
 def test_dtw_methods_on_damaged_vt_records_never_raise_and_fail_safe(index, changes, method):
     _check(VT_RECORDS[index], changes, method, banks=BANKS, corpus=CORPUS)
+
+
+# the QRS band's upper edge must lie below the Nyquist frequency
+LOWEST_RATE_HZ = 2 * QRS_BAND_HZ[1]
+MATCH_RATES_HZ = (MATCH_RATE_HZ, 2 * MATCH_RATE_HZ)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    index=st.integers(0, len(RECORDS) - 1),
+    changes=st.lists(mutations, max_size=2),
+    rate=st.floats(LOWEST_RATE_HZ, 1000.0, exclude_min=True),
+    method=st.sampled_from(["baseline", "improved"]),
+)
+def test_rule_methods_at_any_rate_the_filters_allow_never_raise_and_fail_safe(index, changes, rate, method):
+    _check(RECORDS[index], changes + [("rate", rate)], method)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    index=st.integers(0, len(VT_RECORDS) - 1),
+    rate=st.floats(1.0, LOWEST_RATE_HZ),
+    method=st.sampled_from(METHODS),
+)
+def test_a_rate_too_low_for_the_filters_raises_unsupported_rate(index, rate, method):
+    with pytest.raises(UnsupportedRate):
+        classify_alarm(_mutate(VT_RECORDS[index], ("rate", rate)), method, banks=BANKS, corpus=CORPUS)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    index=st.integers(0, len(VT_RECORDS) - 1),
+    rate=st.one_of(st.sampled_from(MATCH_RATES_HZ), st.floats(1.0, 1000.0)),
+    method=st.sampled_from(DTW_METHODS),
+)
+def test_dtw_methods_raise_unsupported_rate_off_the_match_rates(index, rate, method):
+    record = _mutate(VT_RECORDS[index], ("rate", rate))
+    if rate in MATCH_RATES_HZ:
+        _check(record, [], method, banks=BANKS, corpus=CORPUS)
+        return
+    try:
+        verdict = classify_alarm(record, method, banks=BANKS, corpus=CORPUS)
+    except UnsupportedRate:
+        return
+    assert verdict.gate_fired and verdict.is_true_alarm is False
 
 
 # the errors a caller's inputs may raise; anything else out of classify_alarm is a defect

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from alarmsentinel.alarm_logic import classify_alarm, detect_annotations
+from alarmsentinel.alarm_logic import classify_alarm
 from alarmsentinel.beats import BeatAnnotation
 from alarmsentinel.dtw import corpus_from_records
 from alarmsentinel.errors import FailSafe
@@ -138,12 +138,11 @@ def _cases():
         lambda: _early(_record(A.VTACH, True, 548), 1.0), "dtw-vbank", {"banks": banks}
     )
     cases["bank_lead_too_short/dtw-vbank"] = (
-        _tiny, "dtw-vbank", {"banks": banks, "annotations": [BeatAnnotation(0, np.array([1, 5, 9])), None]}
+        _tiny, "dtw-vbank", {"banks": banks, "annotations": {0: BeatAnnotation(0, np.array([1, 5, 9])), 1: None}}
     )
     # lead II cut to three beats 5 s apart: every slice is too long, so every label is Unknown
     sparse = _record(A.VTACH, True, 91)
-    annotations = detect_annotations(sparse)
-    annotations[0] = BeatAnnotation(0, sparse.alarm.alarm_index - np.array([14, 9, 4]) * int(sparse.sample_rate))
+    annotations = {0: BeatAnnotation(0, sparse.alarm.alarm_index - np.array([14, 9, 4]) * int(sparse.sample_rate))}
     cases["vtach_no_votes/unknown-beats/dtw-vbank"] = (
         lambda: sparse, "dtw-vbank", {"banks": banks, "annotations": annotations}
     )
