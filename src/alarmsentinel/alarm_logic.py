@@ -53,6 +53,7 @@ from .errors import (
     CannotDecide,
     EmptyCorpus,
     FailSafe,
+    IndexOutOfBounds,
     InsufficientCleanBeats,
     InsufficientData,
     InvalidConfig,
@@ -64,8 +65,15 @@ from .errors import (
     WindowTooShort,
     ZeroVariance,
 )
-from .record_io import Arrhythmia, ChannelKind, Record
+from .record_io import Arrhythmia, ChannelKind, Record, read_text
 from .signal_quality import QualityReport, assess_quality
+
+
+# seconds of signal before the analysis window over which the detectors'
+# adaptive thresholds settle. Pan and Tompkins (IEEE TBME 1985) learn theirs
+# in 2 s; here 16 s still moves benchmark reference verdicts and 20 s moves
+# none, so 30 s leaves a margin
+DETECT_WARMUP_S = 30.0
 
 
 @dataclass
@@ -117,7 +125,7 @@ class Thresholds:
     def from_file(cls, path: str | Path) -> "Thresholds":
         """Read ``key = value`` lines; unknown and repeated keys are errors."""
         overrides = {}
-        for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        for line_no, line in enumerate(read_text(path, "config").splitlines(), start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -502,11 +510,15 @@ def _nearest_signal(ctx: AlarmContext) -> list[ChannelEvidence]:
 class Method(NamedTuple):
     """What sets a method apart: the evidence it gathers for a VT alarm
     (for a bank method, its beat classifier and the banks it is bound
-    to: the curated banks, or a patient bank built from the lead), and
-    how the outcomes of a check's evidence combine into the verdict."""
+    to: the curated banks, or a patient bank built from the lead), how
+    the outcomes of a check's evidence combine into the verdict, and
+    whether it reads beats from the whole record (a patient bank scans
+    the lead's history back to the record's start) rather than from the
+    detection span (:data:`DETECT_WARMUP_S`)."""
 
     vt_evidence: Callable[[AlarmContext], list[ChannelEvidence]]
     combine: Callable[[Iterable[bool]], bool] = any
+    whole_record_beats: bool = False
 
 
 METHOD_TABLE: dict[str, Method] = {
@@ -514,8 +526,8 @@ METHOD_TABLE: dict[str, Method] = {
     "improved": Method(_spectral_votes),
     "dtw-full": Method(_nearest_signal),
     "dtw-vbank": Method(partial(_bank_votes, _curated_rule, classify_beat_vbank)),
-    "dtw-self-min": Method(partial(_bank_votes, _self_rule, classify_beat_self_min)),
-    "dtw-self-kl": Method(partial(_bank_votes, _self_rule, classify_beat_self_kl)),
+    "dtw-self-min": Method(partial(_bank_votes, _self_rule, classify_beat_self_min), whole_record_beats=True),
+    "dtw-self-kl": Method(partial(_bank_votes, _self_rule, classify_beat_self_kl), whole_record_beats=True),
 }
 METHODS = tuple(METHOD_TABLE)
 # the warping methods analyze a single lead and apply only to VT alarms
@@ -543,30 +555,42 @@ CHECKS: dict[Arrhythmia, Callable[[AlarmContext], list[ChannelEvidence]]] = {
 }
 
 
-def detect_annotations(record: Record, given: Mapping[int, BeatAnnotation | None] | None = None) -> list[BeatAnnotation | None]:
+def detect_annotations(
+    record: Record, given: Mapping[int, BeatAnnotation | None] | None = None, start: int = 0
+) -> list[BeatAnnotation | None]:
     """Beat annotations per channel: the ``given`` entry (None for no beats)
-    where there is one, detector output elsewhere. A key that is no channel,
-    or an entry on another channel than its key, is a :class:`LengthMismatch`."""
+    where there is one, detector output elsewhere. The detectors see the
+    channel from sample ``start`` to the record's end, and their beats come
+    back in record coordinates. A key that is no channel, or an entry on
+    another channel than its key, is a :class:`LengthMismatch`; a ``start``
+    outside the record is an :class:`IndexOutOfBounds`."""
     given = given or {}
     for i, ann in given.items():
         if i not in range(record.n_channels):
             raise LengthMismatch(f"annotation key {i!r} is no channel of {record.n_channels}")
         if ann is not None and ann.channel != i:
             raise LengthMismatch(f"annotation entry {i} is on channel {ann.channel}")
-    annotations: list[BeatAnnotation | None] = []
-    for i, ch in enumerate(record.channels):
-        try:
-            if i in given:
-                annotations.append(given[i])
-            elif ch.kind is ChannelKind.ECG:
-                annotations.append(detect_qrs(record.samples[i], record.sample_rate, channel=i))
-            elif ch.kind in (ChannelKind.ABP, ChannelKind.PPG):
-                annotations.append(detect_pulses(record.samples[i], record.sample_rate, channel=i))
-            else:
-                annotations.append(None)
-        except WindowTooShort:
-            annotations.append(None)
-    return annotations
+    if not 0 <= start <= record.n_samples:
+        raise IndexOutOfBounds(f"detection start {start} outside record of {record.n_samples}")
+    return [given[i] if i in given else _detected(record, i, start) for i in range(record.n_channels)]
+
+
+def _detected(record: Record, channel: int, start: int) -> BeatAnnotation | None:
+    """The detector's beats on ``channel`` from sample ``start`` on, in
+    record coordinates; None for a channel kind without a detector, or a
+    span too short to detect on."""
+    kind = record.channels[channel].kind
+    if kind is ChannelKind.ECG:
+        detect = detect_qrs
+    elif kind in (ChannelKind.ABP, ChannelKind.PPG):
+        detect = detect_pulses
+    else:
+        return None
+    try:
+        found = detect(record.samples[channel, start:], record.sample_rate, channel=channel)
+    except WindowTooShort:
+        return None
+    return BeatAnnotation(channel, found.indices + start)
 
 
 def classify_alarm(
@@ -590,7 +614,9 @@ def classify_alarm(
 
     ``annotations`` maps a channel to its beats, or to None for no
     beats, in place of the detectors (:func:`detect_annotations`); the
-    channels it does not key are detected. ``banks`` holds the curated
+    channels it does not key are detected from :data:`DETECT_WARMUP_S`
+    before the window to the record's end, or over the whole record for
+    a method that builds a patient bank. ``banks`` holds the curated
     ventricular and standard banks that dtw-vbank needs (dtw-self-min
     and dtw-self-kl build the patient's bank from the record itself);
     ``corpus`` is required for dtw-full, which reads the record on the
@@ -610,7 +636,9 @@ def classify_alarm(
     if window[0] >= window[1]:
         raise InsufficientData(f"record {record.name!r} has no samples in its analysis window {window}")
     quality = assess_quality(record, window)
-    annotations = detect_annotations(record, annotations)
+    warmup = int(round(DETECT_WARMUP_S * record.sample_rate))
+    start = 0 if METHOD_TABLE[method].whole_record_beats else max(0, window[0] - warmup)
+    annotations = detect_annotations(record, annotations, start)
 
     evidence, gate = regular_activity(record, annotations, quality, config)
     if gate:

@@ -34,6 +34,7 @@ from .errors import (
     TooFewBeats,
     ZeroVariance,
 )
+from .record_io import read_text
 from .signal_quality import clean_window_metrics, is_clean
 # unused here: kept because perfbench/spans.py wraps beat_banks.dtw_distance and
 # beat_banks.resample_half, and its tracer test fails when a wrap point is missing
@@ -369,10 +370,7 @@ def save_beat_file(path: str | Path, values: np.ndarray, label: BeatLabel) -> Pa
 
 def load_beat_file(path: str | Path) -> tuple[np.ndarray, BeatLabel]:
     path = Path(path)
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise IoFailure(f"cannot read beat file {path}: {exc}") from None
+    lines = read_text(path, "beat file").splitlines()
     if not lines:
         raise IoFailure(f"beat file {path} is empty")
     header = dict(f.split("=", 1) for f in lines[0].split() if "=" in f)

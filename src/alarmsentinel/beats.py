@@ -19,12 +19,11 @@ from scipy.signal import filtfilt, find_peaks
 
 from .errors import (
     IndexOutOfBounds,
-    IoFailure,
     MalformedAnnotation,
     TooFewBeats,
     WindowTooShort,
 )
-from .record_io import Record, butter_filter
+from .record_io import Record, butter_filter, read_text
 
 MIN_DETECT_S = 2.0
 QRS_BAND_HZ = (5.0, 15.0)
@@ -133,10 +132,7 @@ def import_annotations(path: str | Path, record: Record, channel: int = 0) -> Be
         An index outside the record.
     """
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise IoFailure(f"cannot read annotations {path}: {exc}") from None
+    text = read_text(path, "annotations")
 
     indices: list[int] = []
     labels: list[BeatLabel] = []

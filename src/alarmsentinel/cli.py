@@ -25,7 +25,7 @@ from .beats import import_annotations
 from .dtw import DEFAULT_LEAD, TrainingCorpus, corpus_from_records
 from .errors import AlarmSentinelError, CannotDecide, EmptyBank, EmptyCorpus, InsufficientCleanBeats, MalformedRow
 from .evaluation import per_arrhythmia_report, train_test_split
-from .record_io import Arrhythmia, load_manifest, load_record, parse_header
+from .record_io import Arrhythmia, load_manifest, load_record, parse_header, read_text
 from .synthkit import generate_suite
 
 
@@ -85,8 +85,8 @@ def _header_tag(path: str) -> Arrhythmia | None:
     """The class a record's header tags, read from the header text alone;
     None for a header that cannot be read."""
     try:
-        return parse_header(Path(path).read_text())[4].arrhythmia
-    except (AlarmSentinelError, OSError, UnicodeDecodeError):
+        return parse_header(read_text(path, "header"))[4].arrhythmia
+    except AlarmSentinelError:
         return None
 
 

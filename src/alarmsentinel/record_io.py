@@ -263,14 +263,19 @@ def encode_samples(analog: np.ndarray, channels: list[ChannelMeta]) -> bytes:
     return counts.T.tobytes()
 
 
+def read_text(path: str | Path, what: str) -> str:
+    """The text of a UTF-8 file. A file that cannot be read, or is not
+    UTF-8, is an :class:`IoFailure` naming ``what`` and the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoFailure(f"cannot read {what} {path}: {exc}") from None
+
+
 def load_record(header_path: str | Path) -> Record:
     """Load a record given the path to its header file."""
     header_path = Path(header_path)
-    try:
-        text = header_path.read_text()
-    except OSError as exc:
-        raise IoFailure(f"cannot read header {header_path}: {exc}") from None
-    name, rate, n_samples, channels, alarm = parse_header(text)
+    name, rate, n_samples, channels, alarm = parse_header(read_text(header_path, "header"))
 
     dat_names = {ch.file for ch in channels}
     if len(dat_names) != 1:
@@ -425,10 +430,7 @@ def load_manifest(path: str | Path) -> Manifest:
         If two rows name the same record.
     """
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise IoFailure(f"cannot read manifest {path}: {exc}") from None
+    text = read_text(path, "manifest")
 
     entries: list[ManifestEntry] = []
     seen: set[Path] = set()

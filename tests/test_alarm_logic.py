@@ -9,6 +9,8 @@ from scipy.signal import periodogram
 
 from alarmsentinel import alarm_logic
 from alarmsentinel.alarm_logic import (
+    DETECT_WARMUP_S,
+    METHODS,
     AlarmContext,
     Thresholds,
     _ecg_vote,
@@ -25,13 +27,14 @@ from alarmsentinel.alarm_logic import (
     regular_activity,
     spectral_vt_labels,
 )
-from alarmsentinel.beats import BeatAnnotation, BeatLabel, detect_qrs
+from alarmsentinel.beats import BeatAnnotation, BeatLabel, detect_pulses, detect_qrs
 from alarmsentinel.dtw import CorpusEntry, corpus_from_records
 from alarmsentinel.errors import (
     CannotDecide,
     EmptyBank,
     EmptyCorpus,
     FailSafe,
+    IndexOutOfBounds,
     InsufficientData,
     InvalidConfig,
     LengthMismatch,
@@ -704,6 +707,64 @@ class TestSuppliedAnnotations:
         assert [c.kwargs["channel"] for c in qrs.call_args_list] == [1]
         assert got[0] is annotations[0] and got[2] is None
         assert got[1].indices.tolist() == annotations[1].indices.tolist()
+
+
+class TestDetectionSpan:
+    """The detectors run from DETECT_WARMUP_S before the analysis window
+    to the record's end; the methods that build a patient bank read the
+    whole record. Beats come back in record coordinates."""
+
+    SPAN, WHOLE = "span", "whole"
+    EXPECTED = {
+        "baseline": SPAN, "improved": SPAN, "dtw-full": SPAN, "dtw-vbank": SPAN,
+        "dtw-self-min": WHOLE, "dtw-self-kl": WHOLE,
+    }
+
+    @pytest.fixture(scope="class")
+    def true_vt(self):
+        return generate(SynthSpec(name="vt", arrhythmia=Arrhythmia.VTACH, event=True, seed=20003))[0]
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        specs = [SynthSpec(f"c{seed}", Arrhythmia.VTACH, event=seed % 2 == 0, seed=seed) for seed in (40000, 40001)]
+        corpus = corpus_from_records([(record, truth.expected_true) for record, truth in map(generate, specs)])
+        return {"banks": surrogate_banks(seed=0), "corpus": corpus}
+
+    @staticmethod
+    def detected_lengths(record, method, **inputs) -> list[int]:
+        """The number of samples each detector call saw."""
+        with mock.patch.object(alarm_logic, "detect_qrs", wraps=detect_qrs) as qrs, \
+                mock.patch.object(alarm_logic, "detect_pulses", wraps=detect_pulses) as pulses:
+            classify_alarm(record, method, **inputs)
+        return [len(call.args[0]) for call in qrs.call_args_list + pulses.call_args_list]
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_detectors_see_the_span_or_the_whole_record(self, true_vt, inputs, method):
+        n, fs = true_vt.n_samples, true_vt.sample_rate
+        start = n - int(round(Thresholds().analysis_window_s * fs)) - int(round(DETECT_WARMUP_S * fs))
+        expected = n - start if self.EXPECTED[method] == self.SPAN else n
+        # II and V through the QRS detector, ABP and PLETH through the pulse detector
+        assert self.detected_lengths(true_vt, method, **inputs) == [expected] * 4
+
+    def test_a_record_shorter_than_window_and_warm_up_is_detected_whole(self):
+        record, _ = generate(SynthSpec(name="short", arrhythmia=Arrhythmia.VTACH, event=True, seed=5, duration_s=40.0))
+        assert record.n_samples < (Thresholds().analysis_window_s + DETECT_WARMUP_S) * record.sample_rate
+        assert self.detected_lengths(record, "improved") == [record.n_samples] * 4
+
+    def test_beats_come_back_in_record_coordinates(self, true_vt):
+        start, fs = 20000, true_vt.sample_rate
+        found = detect_annotations(true_vt, start=start)
+        for i, detect in enumerate([detect_qrs, detect_qrs, detect_pulses, detect_pulses]):
+            alone = detect(true_vt.samples[i, start:], fs, channel=i)
+            assert found[i].channel == i
+            assert found[i].indices.tolist() == (alone.indices + start).tolist()
+            assert found[i].indices.min() >= start
+
+    @pytest.mark.parametrize("start", [-1, 30001])
+    def test_start_outside_the_record(self, true_vt, start):
+        assert true_vt.n_samples == 30000
+        with pytest.raises(IndexOutOfBounds, match=f"detection start {start} outside record of 30000"):
+            detect_annotations(true_vt, start=start)
 
 
 class TestNonFiniteMatchInputs:

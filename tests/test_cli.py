@@ -108,6 +108,25 @@ class TestClassifyCommand:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    def test_non_utf8_header_exits_two(self, tmp_path, capsys):
+        # a UnicodeDecodeError used to escape with a traceback, and exit 1 reads as "true alarm"
+        header = tmp_path / "bin.hea"
+        header.write_bytes(b"\xff\xfe\x00bad")
+        assert main(["classify", str(header)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read header {header}: 'utf-8' codec")
+        assert captured.err.count("\n") == 1
+
+    def test_non_utf8_config_exits_two(self, small_suite, tmp_path, capsys):
+        record = entry_for(small_suite[1], truth=True, arrhythmia=Arrhythmia.BRADYCARDIA)
+        cfg = tmp_path / "bin.cfg"
+        cfg.write_bytes(b"brady_hr = \xff50\n")
+        assert main(["classify", record, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read config {cfg}:")
+
     @pytest.mark.parametrize("rate", ["0.5", "1e-300", "30"])
     def test_rate_too_low_for_the_filters_exits_two(self, tmp_path, capsys, rate):
         # scipy's filter design used to raise ValueError, and classify exited 1
@@ -364,6 +383,28 @@ class TestEvaluateCommand:
         before = json.loads(clean.read_text())["metrics"]["overall"]["counts"]
         after = payload["metrics"]["overall"]["counts"]
         assert after == {**before, "fp": before["fp"] + 1}
+
+    def test_non_utf8_record_is_an_error_row(self, small_suite, tmp_path, capsys):
+        # the UnicodeDecodeError of one row used to end the whole run with a traceback
+        binary = tmp_path / "bin.hea"
+        binary.write_bytes(b"\xff\xfe\x00bad")
+        manifest = small_suite[0] / "manifest_binary.csv"
+        manifest.write_text(small_suite[1].read_text().rstrip("\n") + f"\n{binary},asystole,false\n")
+        out = tmp_path / "r.json"
+        assert main(["evaluate", "--manifest", str(manifest), "--workers", "1", "--out", str(out)]) == 0
+        assert f"warning: {binary}: cannot read header {binary}:" in capsys.readouterr().err
+        (row,) = [r for r in json.loads(out.read_text())["records"] if "error" in r]
+        assert row["record"] == str(binary) and row["decision"] == "true_alarm"
+
+    def test_non_utf8_manifest_exits_two(self, tmp_path, capsys):
+        manifest = tmp_path / "bin.csv"
+        manifest.write_bytes(b"\xff\xfe\x00bad\n")
+        out = tmp_path / "r.json"
+        assert main(["evaluate", "--manifest", str(manifest), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read manifest {manifest}:")
+        assert not out.exists()
 
     def test_csv_output(self, small_suite, tmp_path):
         out = tmp_path / "r.json"

@@ -17,6 +17,10 @@ The matching methods' own inputs are damaged too: curated bank members
 for dtw-vbank, corpus entries for dtw-full. A NaN, infinite or empty one
 must raise a named error wherever the method warps against it, and a
 record it never reaches (the gate dismissed the alarm) keeps its verdict.
+
+Beats are detected only from DETECT_WARMUP_S before the analysis window,
+so an artifact older than that leaves every verdict as it was, except for
+the methods that build a patient bank from the lead's history.
 """
 from dataclasses import replace
 
@@ -78,6 +82,11 @@ def _mutate(record: Record, mutation: tuple) -> Record:
         alarm = AlarmMeta(alarm.arrhythmia, alarm.truth, min(max(1, int(mutation[1] * fs)), samples.shape[1]))
     elif kind == "rate":  # the same samples under another header rate
         fs = mutation[1]
+    elif kind == "artifact":  # N(0, 3) noise on every channel, from before_s before the alarm
+        _, before_s, length_s, seed = mutation
+        start = max(0, alarm.alarm_index - int(before_s * fs))
+        stop = start + int(length_s * fs)
+        samples[:, start:stop] += np.random.default_rng(seed).normal(0.0, 3.0, samples[:, start:stop].shape)
     else:
         keep = [i for i, ch in enumerate(channels) if ch.name.lower() != "ii"]
         samples, channels = samples[keep], [channels[i] for i in keep]
@@ -252,3 +261,22 @@ def test_vbank_on_damaged_banks_raises_named_errors_or_fails_safe(index, banks):
 def test_dtw_full_on_damaged_corpora_raises_named_errors_or_fails_safe(index, corpus):
     unreadable = _unreadable([e.values for e in corpus.entries])
     _check_inputs(index, "dtw-full", unreadable, corpus=corpus)
+
+
+# 120 s records of three other seeds, five classes, true and false alarms
+SPAN_SEEDS = (100, 101, 102)
+# noise from 70 s to 60 s before the alarm, before the detection span (16 s window plus 30 s warm-up)
+ARTIFACT = ("artifact", 70.0, 10.0, 0)
+
+
+@pytest.mark.parametrize("seed", SPAN_SEEDS)
+def test_an_artifact_before_the_detection_span_changes_no_verdict(seed):
+    for spec in suite_specs(seed=seed, per_class=2):
+        record = generate(spec)[0]
+        damaged = _mutate(record, ARTIFACT)
+        methods = ["baseline", "improved"]
+        if spec.arrhythmia is Arrhythmia.VTACH:
+            methods += ["dtw-vbank", "dtw-full"]
+        for method in methods:
+            clean = classify_alarm(record, method, banks=BANKS, corpus=CORPUS).to_dict()
+            assert classify_alarm(damaged, method, banks=BANKS, corpus=CORPUS).to_dict() == clean, (spec.name, method)

@@ -3,9 +3,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from alarmsentinel.alarm_logic import Thresholds
+from alarmsentinel.beat_banks import load_beat_file
+from alarmsentinel.beats import import_annotations
 from alarmsentinel.errors import (
     DuplicateEntry,
     InsufficientData,
+    IoFailure,
     MalformedHeader,
     MalformedRow,
     MissingLead,
@@ -394,3 +398,29 @@ class TestManifest:
         assert len(manifest.entries) == 50
         trues = sum(1 for e in manifest if e.truth)
         assert trues == 25
+
+
+class TestTextFiles:
+    """Every text reader turns an unreadable or non-UTF-8 file into an
+    IoFailure naming the file; a UnicodeDecodeError used to escape."""
+
+    READERS = {
+        "header": load_record,
+        "manifest": load_manifest,
+        "annotations": lambda path: import_annotations(path, make_record()),
+        "beat file": load_beat_file,
+        "config": Thresholds.from_file,
+    }
+
+    @pytest.mark.parametrize("what", READERS)
+    def test_non_utf8_file(self, tmp_path, what):
+        path = tmp_path / "bin.txt"
+        path.write_bytes(b"\xff\xfe\x00bad")
+        with pytest.raises(IoFailure, match=f"cannot read {what} {path}: 'utf-8' codec"):
+            self.READERS[what](path)
+
+    @pytest.mark.parametrize("what", READERS)
+    def test_missing_file(self, tmp_path, what):
+        path = tmp_path / "ghost.txt"
+        with pytest.raises(IoFailure, match=f"cannot read {what} {path}"):
+            self.READERS[what](path)
