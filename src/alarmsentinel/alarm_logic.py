@@ -69,10 +69,9 @@ from .record_io import Arrhythmia, ChannelKind, Record, read_text
 from .signal_quality import QualityReport, assess_quality
 
 
-# seconds of signal before the analysis window over which the detectors'
-# adaptive thresholds settle. Pan and Tompkins (IEEE TBME 1985) learn theirs
-# in 2 s; here 16 s still moves benchmark reference verdicts and 20 s moves
-# none, so 30 s leaves a margin
+# seconds before the analysis window in which the detectors' thresholds settle
+# (Pan and Tompkins, IEEE TBME 1985, learn theirs in 2 s; 16 s moves benchmark
+# verdicts, 20 s none), and the self bank's history: three 10 s sections
 DETECT_WARMUP_S = 30.0
 
 
@@ -510,15 +509,12 @@ def _nearest_signal(ctx: AlarmContext) -> list[ChannelEvidence]:
 class Method(NamedTuple):
     """What sets a method apart: the evidence it gathers for a VT alarm
     (for a bank method, its beat classifier and the banks it is bound
-    to: the curated banks, or a patient bank built from the lead), how
-    the outcomes of a check's evidence combine into the verdict, and
-    whether it reads beats from the whole record (a patient bank scans
-    the lead's history back to the record's start) rather than from the
-    detection span (:data:`DETECT_WARMUP_S`)."""
+    to: the curated banks, or a patient bank built from the lead's beats
+    in the span every method detects, :func:`detection_start`), and how
+    a check's evidence combines into the verdict."""
 
     vt_evidence: Callable[[AlarmContext], list[ChannelEvidence]]
     combine: Callable[[Iterable[bool]], bool] = any
-    whole_record_beats: bool = False
 
 
 METHOD_TABLE: dict[str, Method] = {
@@ -526,8 +522,8 @@ METHOD_TABLE: dict[str, Method] = {
     "improved": Method(_spectral_votes),
     "dtw-full": Method(_nearest_signal),
     "dtw-vbank": Method(partial(_bank_votes, _curated_rule, classify_beat_vbank)),
-    "dtw-self-min": Method(partial(_bank_votes, _self_rule, classify_beat_self_min), whole_record_beats=True),
-    "dtw-self-kl": Method(partial(_bank_votes, _self_rule, classify_beat_self_kl), whole_record_beats=True),
+    "dtw-self-min": Method(partial(_bank_votes, _self_rule, classify_beat_self_min)),
+    "dtw-self-kl": Method(partial(_bank_votes, _self_rule, classify_beat_self_kl)),
 }
 METHODS = tuple(METHOD_TABLE)
 # the warping methods analyze a single lead and apply only to VT alarms
@@ -553,6 +549,13 @@ CHECKS: dict[Arrhythmia, Callable[[AlarmContext], list[ChannelEvidence]]] = {
     Arrhythmia.VFIB: check_vfib,
     Arrhythmia.VTACH: check_vtach,
 }
+
+
+def detection_start(record: Record, config: Thresholds) -> int:
+    """The first sample the detectors see: :data:`DETECT_WARMUP_S` before
+    the analysis window, or the record's start."""
+    fs = record.sample_rate
+    return max(0, record.alarm.alarm_index - int(round(config.analysis_window_s * fs)) - int(round(DETECT_WARMUP_S * fs)))
 
 
 def detect_annotations(
@@ -615,10 +618,10 @@ def classify_alarm(
     ``annotations`` maps a channel to its beats, or to None for no
     beats, in place of the detectors (:func:`detect_annotations`); the
     channels it does not key are detected from :data:`DETECT_WARMUP_S`
-    before the window to the record's end, or over the whole record for
-    a method that builds a patient bank. ``banks`` holds the curated
-    ventricular and standard banks that dtw-vbank needs (dtw-self-min
-    and dtw-self-kl build the patient's bank from the record itself);
+    before the window to the record's end (:func:`detection_start`), for
+    every method. ``banks`` holds the curated ventricular and standard
+    banks that dtw-vbank needs (dtw-self-min and dtw-self-kl build the
+    patient's bank from the beats of that span before the window);
     ``corpus`` is required for dtw-full, which reads the record on the
     corpus's lead; ``lead`` names the bank methods' lead.
     """
@@ -636,9 +639,7 @@ def classify_alarm(
     if window[0] >= window[1]:
         raise InsufficientData(f"record {record.name!r} has no samples in its analysis window {window}")
     quality = assess_quality(record, window)
-    warmup = int(round(DETECT_WARMUP_S * record.sample_rate))
-    start = 0 if METHOD_TABLE[method].whole_record_beats else max(0, window[0] - warmup)
-    annotations = detect_annotations(record, annotations, start)
+    annotations = detect_annotations(record, annotations, detection_start(record, config))
 
     evidence, gate = regular_activity(record, annotations, quality, config)
     if gate:

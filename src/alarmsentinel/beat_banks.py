@@ -118,12 +118,12 @@ def _on_lead(lead: BankLead, annotation: BeatAnnotation) -> BeatAnnotation:
 def extract_self_bank(lead: BankLead, annotation: BeatAnnotation, exclude_s: float) -> BeatBank:
     """Collect the patient's own recent clean beats, newest first.
 
-    Scans 10 s sections of ``lead`` (:func:`bank_lead`) backward,
-    starting before the alarm section (the final ``exclude_s`` seconds
-    stay out: they may contain the event being adjudicated, and banked
-    beats must never be the beats under test). A section contributes
-    its interior beats only when its clean-signal metrics pass, so
-    every banked beat comes from trustworthy signal.
+    Scans 10 s sections of ``lead`` (:func:`bank_lead`) backward, from
+    before the alarm section (the final ``exclude_s`` seconds stay out:
+    they may hold the event being adjudicated, and banked beats must
+    never be the beats under test) down to the lead's first beat. A
+    section contributes its interior beats only when its clean-signal
+    metrics pass, so every banked beat comes from trustworthy signal.
 
     Raises
     ------
@@ -139,7 +139,8 @@ def extract_self_bank(lead: BankLead, annotation: BeatAnnotation, exclude_s: flo
     beats: list[np.ndarray] = []
     provenance: list[tuple[str, int, int]] = []
     sec_end = rec.alarm.alarm_index - int(round(exclude_s * MATCH_RATE_HZ))
-    while sec_end - section >= 0 and len(beats) < SELF_BANK_SIZE:
+    first = int(at_match_rate.indices.min()) if at_match_rate.count else sec_end  # a section ending by then holds no beat
+    while sec_end - section >= 0 and sec_end > first and len(beats) < SELF_BANK_SIZE:
         sec_start = sec_end - section
         window = samples[sec_start:sec_end]
         try:

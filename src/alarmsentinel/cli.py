@@ -19,7 +19,9 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict
 from pathlib import Path
 
-from .alarm_logic import DTW_METHODS, METHODS, Thresholds, Verdict, analysis_beats, classify_alarm, detect_annotations
+from .alarm_logic import (
+    DTW_METHODS, METHODS, Thresholds, Verdict, analysis_beats, classify_alarm, detect_annotations, detection_start,
+)
 from .beat_banks import bank_novelty_stats, classify_beat_vbank, extract_self_bank, load_bank_dir, save_bank
 from .beats import import_annotations
 from .dtw import DEFAULT_LEAD, TrainingCorpus, corpus_from_records
@@ -282,14 +284,15 @@ def cmd_evaluate(args) -> int:
 
 def cmd_bank(args) -> int:
     if args.bank_cmd == "build-self":
-        record = load_record(args.record)
+        record, config = load_record(args.record), Thresholds()
+        given = _annotation_files(record, args.annotations)
         try:
-            annotations = detect_annotations(record, _annotation_files(record, args.annotations))
+            annotations = detect_annotations(record, given, detection_start(record, config))
             lead, annotation = analysis_beats(record, annotations, args.lead)
         except CannotDecide as exc:
             return _fail(f"cannot build a bank from record {record.name}: {exc.note}")
         try:
-            bank = extract_self_bank(lead, annotation, exclude_s=Thresholds().analysis_window_s)
+            bank = extract_self_bank(lead, annotation, exclude_s=config.analysis_window_s)
         except InsufficientCleanBeats as exc:
             print(f"error: {exc} (found {exc.found})", file=sys.stderr)
             return 3

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import periodogram
 
-from alarmsentinel import alarm_logic
+from alarmsentinel import alarm_logic, beat_banks
 from alarmsentinel.alarm_logic import (
     DETECT_WARMUP_S,
     METHODS,
@@ -23,12 +23,14 @@ from alarmsentinel.alarm_logic import (
     check_vtach,
     classify_alarm,
     detect_annotations,
+    detection_start,
     most_reliable_channel,
     regular_activity,
     spectral_vt_labels,
 )
 from alarmsentinel.beats import BeatAnnotation, BeatLabel, detect_pulses, detect_qrs
-from alarmsentinel.dtw import CorpusEntry, corpus_from_records
+from alarmsentinel.beat_banks import SECTION_S
+from alarmsentinel.dtw import MATCH_RATE_HZ, CorpusEntry, corpus_from_records
 from alarmsentinel.errors import (
     CannotDecide,
     EmptyBank,
@@ -43,7 +45,7 @@ from alarmsentinel.errors import (
     UnsupportedMethod,
 )
 from alarmsentinel.record_io import AlarmMeta, Arrhythmia, ChannelMeta, Record, channel_kind
-from alarmsentinel.signal_quality import QualityReport
+from alarmsentinel.signal_quality import QualityReport, clean_window_metrics
 from alarmsentinel.synthkit import SynthSpec, generate, surrogate_banks
 
 
@@ -711,14 +713,8 @@ class TestSuppliedAnnotations:
 
 class TestDetectionSpan:
     """The detectors run from DETECT_WARMUP_S before the analysis window
-    to the record's end; the methods that build a patient bank read the
-    whole record. Beats come back in record coordinates."""
-
-    SPAN, WHOLE = "span", "whole"
-    EXPECTED = {
-        "baseline": SPAN, "improved": SPAN, "dtw-full": SPAN, "dtw-vbank": SPAN,
-        "dtw-self-min": WHOLE, "dtw-self-kl": WHOLE,
-    }
+    to the record's end, for every method, and a patient bank reads no
+    section before that span. Beats come back in record coordinates."""
 
     @pytest.fixture(scope="class")
     def true_vt(self):
@@ -739,12 +735,25 @@ class TestDetectionSpan:
         return [len(call.args[0]) for call in qrs.call_args_list + pulses.call_args_list]
 
     @pytest.mark.parametrize("method", METHODS)
-    def test_detectors_see_the_span_or_the_whole_record(self, true_vt, inputs, method):
+    def test_every_method_detects_the_span(self, true_vt, inputs, method):
         n, fs = true_vt.n_samples, true_vt.sample_rate
         start = n - int(round(Thresholds().analysis_window_s * fs)) - int(round(DETECT_WARMUP_S * fs))
-        expected = n - start if self.EXPECTED[method] == self.SPAN else n
+        assert detection_start(true_vt, Thresholds()) == start
         # II and V through the QRS detector, ABP and PLETH through the pulse detector
-        assert self.detected_lengths(true_vt, method, **inputs) == [expected] * 4
+        assert self.detected_lengths(true_vt, method, **inputs) == [n - start] * 4
+
+    @pytest.mark.parametrize("method", ["dtw-self-min", "dtw-self-kl"])
+    def test_a_failing_self_bank_screens_only_the_sections_in_the_span(self, method):
+        """On a noisy 300 s record the bank finds too few clean beats. It
+        screens the three 10 s sections between the span's start and the
+        window, and none of the 25 older ones, which hold no detected beat."""
+        spec = SynthSpec(name="long", arrhythmia=Arrhythmia.VTACH, event=False, seed=546, noise_mv=3.0, duration_s=300.0)
+        record = generate(spec)[0]
+        with mock.patch.object(beat_banks, "clean_window_metrics", wraps=clean_window_metrics) as screen:
+            verdict = classify_alarm(record, method)
+        assert verdict.evidence[-1].test == "self_bank_failed" and verdict.is_true_alarm is True
+        section = int(SECTION_S * MATCH_RATE_HZ)
+        assert [len(call.args[0]) for call in screen.call_args_list] == [section] * 3
 
     def test_a_record_shorter_than_window_and_warm_up_is_detected_whole(self):
         record, _ = generate(SynthSpec(name="short", arrhythmia=Arrhythmia.VTACH, event=True, seed=5, duration_s=40.0))

@@ -18,9 +18,11 @@ for dtw-vbank, corpus entries for dtw-full. A NaN, infinite or empty one
 must raise a named error wherever the method warps against it, and a
 record it never reaches (the gate dismissed the alarm) keeps its verdict.
 
-Beats are detected only from DETECT_WARMUP_S before the analysis window,
-so an artifact older than that leaves every verdict as it was, except for
-the methods that build a patient bank from the lead's history.
+Every method, the patient bank of dtw-self-min and dtw-self-kl
+included, reads beats only from DETECT_WARMUP_S before the analysis
+window, so an artifact older than that leaves every verdict as it was.
+A true VT alarm with too little history before its window for a
+patient bank keeps the alarm under both self-bank methods.
 """
 from dataclasses import replace
 
@@ -80,6 +82,10 @@ def _mutate(record: Record, mutation: tuple) -> Record:
     elif kind == "early":
         # the record format puts the alarm at sample 1 or later
         alarm = AlarmMeta(alarm.arrhythmia, alarm.truth, min(max(1, int(mutation[1] * fs)), samples.shape[1]))
+    elif kind == "history":  # only ``seconds`` of record before the alarm
+        cut = max(0, alarm.alarm_index - int(mutation[1] * fs))
+        samples = samples[:, cut:]
+        alarm = AlarmMeta(alarm.arrhythmia, alarm.truth, alarm.alarm_index - cut)
     elif kind == "rate":  # the same samples under another header rate
         fs = mutation[1]
     elif kind == "artifact":  # N(0, 3) noise on every channel, from before_s before the alarm
@@ -274,9 +280,24 @@ def test_an_artifact_before_the_detection_span_changes_no_verdict(seed):
     for spec in suite_specs(seed=seed, per_class=2):
         record = generate(spec)[0]
         damaged = _mutate(record, ARTIFACT)
-        methods = ["baseline", "improved"]
-        if spec.arrhythmia is Arrhythmia.VTACH:
-            methods += ["dtw-vbank", "dtw-full"]
+        methods = METHODS if spec.arrhythmia is Arrhythmia.VTACH else ["baseline", "improved"]
         for method in methods:
             clean = classify_alarm(record, method, banks=BANKS, corpus=CORPUS).to_dict()
             assert classify_alarm(damaged, method, banks=BANKS, corpus=CORPUS).to_dict() == clean, (spec.name, method)
+
+
+TRUE_VT_RECORDS = [record for record in VT_RECORDS if record.alarm.truth]
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    index=st.integers(0, len(TRUE_VT_RECORDS) - 1),
+    seconds=st.floats(20.0, 35.0),
+    method=st.sampled_from(["dtw-self-min", "dtw-self-kl"]),
+)
+def test_too_little_history_for_a_self_bank_keeps_a_true_vt_alarm(index, seconds, method):
+    """20-35 s before the alarm leave at most one 10 s section before the
+    16 s window, too few beats for a 20-beat patient bank."""
+    verdict = classify_alarm(_mutate(TRUE_VT_RECORDS[index], ("history", seconds)), method)
+    assert verdict.is_true_alarm is True and verdict.gate_fired is False
+    assert verdict.evidence[-1].channel == "" and verdict.evidence[-1].test == "self_bank_failed"

@@ -16,8 +16,10 @@ entry under the opposite label, which pins the earliest-entry tie rule.
 A verdict is compared whole: decision, ``gate_fired``, method, and every
 evidence entry with its witnesses rounded to 12 significant digits.
 
-``python tests/test_golden_verdicts.py`` rewrites the JSON file. Do that
-only for a deliberate change of behaviour, and say so in CHANGES.md.
+``python tests/test_golden_verdicts.py`` rewrites the JSON file and
+prints the name of every case whose verdict it changed, added or
+removed. Do that only for a deliberate change of behaviour, and list
+those cases in CHANGES.md.
 """
 import json
 from dataclasses import replace
@@ -204,5 +206,10 @@ def test_every_fail_safe_note_is_pinned():
 
 
 if __name__ == "__main__":
-    GOLDEN_PATH.write_text(json.dumps(_verdicts(), indent=1, sort_keys=True) + "\n")
+    old = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
+    new = _verdicts()
+    GOLDEN_PATH.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
+    for name in sorted(old.keys() | new.keys()):
+        if old.get(name) != new.get(name):
+            print(f"changed: {name}")
     print(f"wrote {GOLDEN_PATH}")
