@@ -22,7 +22,6 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import periodogram
 
 from .beats import (
     BEAT_MIN_S,
@@ -66,7 +65,7 @@ from .errors import (
     ZeroVariance,
 )
 from .record_io import Arrhythmia, ChannelKind, Record, read_text
-from .signal_quality import QualityReport, assess_quality
+from .signal_quality import QualityReport, _density, assess_quality
 
 
 # seconds before the analysis window in which the detectors' thresholds settle
@@ -334,7 +333,7 @@ def check_tachycardia(ctx: AlarmContext) -> list[ChannelEvidence]:
 def _vf_windows(windows: np.ndarray, fs: float, config: Thresholds) -> np.ndarray:
     """Which gap-free windows show one dominant 2-8 Hz oscillation, from
     one batched spectrum call."""
-    f, psd = periodogram(windows, fs=fs, detrend="constant", nfft=max(1024, windows.shape[1]), axis=-1)
+    f, psd = _density(windows, fs, "boxcar", max(1024, windows.shape[1]))
     band = (f >= 0.5) & (f <= 30.0)
     f_band = f[band]
     # contiguous rows sum in the same order as a single window's spectrum

@@ -8,6 +8,7 @@ roughly right far more than it needs textbook-grade detection.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -64,7 +65,27 @@ def _prepare(samples: np.ndarray, fs: float) -> np.ndarray:
     x = np.asarray(samples, dtype=np.float64)
     if len(x) < int(round(MIN_DETECT_S * fs)):
         raise WindowTooShort(f"need at least {MIN_DETECT_S} s of signal, got {len(x) / fs:.2f} s")
+    if np.isfinite(x).all():
+        return x
     return np.nan_to_num(x, nan=0.0)  # gaps contribute no beats
+
+
+def _percentiles(a: np.ndarray, qs: Sequence[float]) -> list[float]:
+    """``np.percentile(a, qs).tolist()`` for a non-empty 1-D array, from
+    one partition: numpy's ``linear`` rule, ``lo + (hi - lo) * g``, or
+    ``hi - (hi - lo) * (1 - g)`` when ``g >= 0.5``."""
+    last = len(a) - 1
+    spots = [last * (q / 100) for q in qs]
+    below = [math.floor(v) for v in spots]
+    part = np.partition(a, sorted({*below, *(min(i + 1, last) for i in below), last}))
+    if math.isnan(part[last]):  # a NaN sorts last, and numpy's percentiles are then NaN
+        return [math.nan] * len(qs)
+    out = []
+    for v, i in zip(spots, below):
+        lo, hi = float(part[i]), float(part[min(i + 1, last)])
+        g = v - i
+        out.append(hi - (hi - lo) * (1 - g) if g >= 0.5 else lo + (hi - lo) * g)
+    return out
 
 
 def detect_qrs(samples: np.ndarray, fs: float, channel: int = 0) -> BeatAnnotation:
@@ -86,7 +107,7 @@ def detect_qrs(samples: np.ndarray, fs: float, channel: int = 0) -> BeatAnnotati
         return BeatAnnotation(channel, np.empty(0, dtype=np.int64))
 
     heights = energy[peaks]
-    upper, lower = np.percentile(heights, [75, 25]).tolist()
+    upper, lower = _percentiles(heights, (75, 25))
     signal_level = 0.5 * upper
     noise_level = 0.1 * lower
     floor = 1e-10 + 0.01 * float(energy.max())
@@ -110,7 +131,7 @@ def detect_pulses(samples: np.ndarray, fs: float, channel: int = 0) -> BeatAnnot
     b, a = butter_filter(2, PULSE_LOWPASS_HZ, "low", fs)
     slope = np.gradient(filtfilt(b, a, x)) * fs
     positive = slope[slope > 0]
-    threshold = 0.4 * np.percentile(positive, 90) if len(positive) else 0.0
+    threshold = 0.4 * _percentiles(positive, (90,))[0] if len(positive) else 0.0
     peak = slope.max() if len(slope) else 0.0
     height = max(threshold, 0.05 * peak if peak > 0 else 0.0, 1e-9)
     onsets, _ = find_peaks(slope, height=height, distance=int(round(PULSE_REFRACTORY_S * fs)))

@@ -284,7 +284,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_bank(args) -> int:
     if args.bank_cmd == "build-self":
-        record, config = load_record(args.record), Thresholds()
+        record, config = load_record(args.record), _config_from(args)
         given = _annotation_files(record, args.annotations)
         try:
             annotations = detect_annotations(record, given, detection_start(record, config))
@@ -359,6 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     bs.add_argument("--out", required=True)
     bs.add_argument("--lead", default=DEFAULT_LEAD)
     bs.add_argument("--annotations", help="directory of annotation files")
+    bs.add_argument("--config", help="key = value file overriding test thresholds (analysis_window_s sets the bank's span)")
     bs.set_defaults(fn=cmd_bank)
     bi = bank_sub.add_parser("inspect", help="print novelty statistics of a bank directory")
     bi.add_argument("--bank-dir", required=True)

@@ -9,14 +9,21 @@ The hard rules are matrix-at-a-time: each rule runs once over the
 (channels x samples) window, every flat-line window of every channel
 is judged from running sums in one pass, and the gap-free 2 s noise
 blocks of all ECG channels are screened in one batched spectrum call.
+
+The noise screen, the VF check of :mod:`alarm_logic` and the clean
+metrics take their spectra from :func:`_density`, which does SciPy's
+periodogram/Welch arithmetic directly on ``scipy.fft.rfft``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.signal import periodogram, welch
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.fft import rfft, rfftfreq
+from scipy.signal import get_window
 
 from .errors import WindowTooShort, ZeroDenominator, ZeroVariance
 from .record_io import ChannelKind, Record
@@ -50,37 +57,80 @@ class QualityReport:
     validity: list[float]
 
 
+@cache
+def _density_window(n: int, fs: float, window: str) -> np.ndarray:
+    """SciPy's ``window`` of ``n`` samples, scaled so that squared
+    spectra read as a density: by ``1 / sqrt(sum(w**2) * fs)``, summed
+    with Python's ``sum`` as SciPy does."""
+    w = get_window(window, n)
+    w = w * (1 / np.sqrt(sum(w.real**2 + w.imag**2) / (1 / fs)))
+    w.setflags(write=False)
+    return w
+
+
+def _density(segments: np.ndarray, fs: float, window: str, nfft: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one-sided power spectral density of each row of ``segments``
+    (rows, samples), zero-padded to ``nfft``: the frequencies and one
+    spectrum per row.
+
+    Each row loses its mean, is multiplied by the scaled window, and
+    goes through one real FFT; the squared magnitudes of every bin but
+    DC and (for even ``nfft``) Nyquist are doubled. These are the
+    operations, in their order, of SciPy's ``periodogram`` (``boxcar``,
+    one segment per row) and of each segment of ``welch``, without the
+    per-call set-up of SciPy's short-time FFT.
+    """
+    n = segments.shape[-1]
+    detrended = segments - segments.mean(axis=-1, keepdims=True)
+    spectrum = rfft(detrended * _density_window(n, fs, window), n=nfft, axis=-1)
+    psd = spectrum.real**2 + spectrum.imag**2
+    psd[..., 1 : -1 if nfft % 2 == 0 else None] *= 2
+    return rfftfreq(nfft, 1 / fs), psd
+
+
 def _flat_mask(x: np.ndarray, fs: float) -> np.ndarray:
     """Flat-line samples of each row of a (rows, samples) window."""
     rows, n = x.shape
     flat = np.zeros((rows, n), dtype=bool)
     w = int(round(FLAT_WINDOW_S * fs))
-    nan = np.isnan(x)
-    # every window of an all-gap row belongs to the missing-data rule
-    live = np.flatnonzero(~nan.all(axis=1))
-    if w < 2 or n < w or len(live) == 0:
+    if w < 2 or n < w:
         return flat
-    x, nan = x[live], nan[live]
-    centred = x - np.nanmean(x, axis=1, keepdims=True)  # shift kills cancellation in the variance sums
-    filled = np.nan_to_num(centred, copy=False, nan=0.0)
-    # running sums along contiguous rows add in the same order as for one channel
-    c1 = np.zeros((len(live), n + 1))
-    np.cumsum(filled, axis=1, out=c1[:, 1:])
-    c2 = np.zeros((len(live), n + 1))
-    np.cumsum(filled * filled, axis=1, out=c2[:, 1:])
-    cn = np.zeros((len(live), n + 1), dtype=np.int64)
-    np.cumsum(nan, axis=1, out=cn[:, 1:])
+    nan = np.isnan(x)
+    gappy = bool(nan.any())
+    live = slice(None)
+    # taking out the row's mean kills cancellation in the variance sums
+    if gappy:
+        # every window of an all-gap row belongs to the missing-data rule
+        live = np.flatnonzero(~nan.all(axis=1))
+        if len(live) == 0:
+            return flat
+        x, nan = x[live], nan[live]
+        centred = np.nan_to_num(x - np.nanmean(x, axis=1, keepdims=True), copy=False, nan=0.0)
+    else:
+        centred = x - x.mean(axis=1, keepdims=True)  # nanmean's sum and count, bit for bit
     hop = max(1, w // 8)
     starts = np.arange(0, n - w + 1, hop)
     if starts[-1] != n - w:
         starts = np.append(starts, n - w)
     ends = starts + w
-    mean = (c1[:, ends] - c1[:, starts]) / w
-    var = np.maximum((c2[:, ends] - c2[:, starts]) / w - mean * mean, 0.0)
-    # the missing-data rule owns windows with gaps
-    row, window = np.nonzero((var < FLAT_VARIANCE_FLOOR) & (cn[:, ends] == cn[:, starts]))
+
+    def window_sums(a: np.ndarray) -> np.ndarray:
+        # running sums along contiguous rows add in the same order as for one channel
+        c = np.cumsum(a, axis=1)
+        before = c[:, starts - 1]
+        before[:, 0] = 0  # starts[0] is 0: nothing comes before it
+        return c[:, ends - 1] - before
+
+    mean = window_sums(centred) / w
+    var = np.maximum(window_sums(centred * centred) / w - mean * mean, 0.0)
+    flat_windows = var < FLAT_VARIANCE_FLOOR
+    if gappy:
+        flat_windows &= window_sums(nan) == 0  # the missing-data rule owns windows with gaps
+    row, window = np.nonzero(flat_windows)
+    if len(row) == 0:
+        return flat
     # a sample is flat when more flat windows open than close at or before it
-    opened = np.zeros((len(live), n + 1), dtype=np.int64)
+    opened = np.zeros((len(centred), n + 1), dtype=np.int64)
     np.add.at(opened, (row, starts[window]), 1)
     np.add.at(opened, (row, ends[window]), -1)
     flat[live] = np.cumsum(opened[:, :n], axis=1) > 0
@@ -100,7 +150,7 @@ def _noise_mask(x: np.ndarray, fs: float) -> np.ndarray:
     whole = np.flatnonzero(~np.isnan(blocks).any(axis=1))
     bad = np.zeros(len(blocks), dtype=bool)
     if len(whole):
-        f, psd = periodogram(blocks[whole], fs=fs, detrend="constant", axis=-1)
+        f, psd = _density(blocks[whole], fs, "boxcar", w)
         # contiguous rows sum in the same order as a single block's spectrum
         total = np.ascontiguousarray(psd[:, f > 0]).sum(axis=1)
         high = np.ascontiguousarray(psd[:, f > NOISE_EDGE_HZ]).sum(axis=1)
@@ -164,10 +214,10 @@ def clean_window_metrics(window: np.ndarray, fs: float) -> CleanMetrics:
     nperseg = int(round(CLEAN_SEGMENT_S * fs))
     if len(x) < nperseg:
         raise WindowTooShort(f"window of {len(x)} samples is shorter than one {nperseg}-sample segment")
-    f, psd = welch(
-        x, fs=fs, window="hann", nperseg=nperseg, noverlap=nperseg // 2,
-        detrend="constant", scaling="density",
-    )
+    segments = sliding_window_view(x, nperseg)[:: nperseg - nperseg // 2]
+    f, psd = _density(segments, fs, "hann", nperseg)
+    # SciPy averages each bin's segments along one contiguous row
+    psd = np.ascontiguousarray(psd.T).mean(axis=-1)
 
     def fraction(lo: float, hi: float, ref_lo: float, ref_hi: float) -> float:
         denom = _band_power(f, psd, ref_lo, ref_hi)

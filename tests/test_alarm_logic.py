@@ -45,7 +45,7 @@ from alarmsentinel.errors import (
     UnsupportedMethod,
 )
 from alarmsentinel.record_io import AlarmMeta, Arrhythmia, ChannelMeta, Record, channel_kind
-from alarmsentinel.signal_quality import QualityReport, clean_window_metrics
+from alarmsentinel.signal_quality import QualityReport, _density, clean_window_metrics
 from alarmsentinel.synthkit import SynthSpec, generate, surrogate_banks
 
 
@@ -423,7 +423,7 @@ class TestVfibMatchesTheLoop:
     def test_vfib_detail(self, signal):
         x, fs = signal
         config = Thresholds()
-        with mock.patch.object(alarm_logic, "periodogram", wraps=periodogram) as spectrum:
+        with mock.patch.object(alarm_logic, "_density", wraps=_density) as spectrum:
             got = _vfib_detail(x, fs, config)
         fired_, witnesses, flags = vfib_detail_loop(x, fs, config)
         assert got == (fired_, witnesses)

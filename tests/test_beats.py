@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import butter, filtfilt, find_peaks, periodogram
 
+from alarmsentinel.beats import _percentiles
 from alarmsentinel.beats import (
     PULSE_LOWPASS_HZ,
     QRS_BAND_HZ,
@@ -396,6 +397,32 @@ class TestQrsThresholdLoopMatchesTheOracle:
         x += rng.normal(0.0, noise, len(x))
         x[rng.random(len(x)) < 0.01] = np.nan
         assert np.array_equal(detect_qrs(x, fs).indices, detect_qrs_loop(x, fs))
+
+
+@st.composite
+def percentile_samples(draw):
+    """1 to 500 values drawn from a pool of 1 to 500 distinct ones: ties
+    when the pool is small, a constant array when it holds one."""
+    n = draw(st.integers(1, 500))
+    pool = draw(st.lists(st.floats(-1e9, 1e9, allow_nan=False), min_size=1, max_size=draw(st.integers(1, n))))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    return np.array(pool)[picks]
+
+
+class TestPercentilesMatchNumpy:
+    @given(percentile_samples(), st.sampled_from([(75, 25), (90,), (25,), (75,)]))
+    @example(np.array([3.5]), (75, 25))
+    @example(np.full(17, -2.0), (90,))
+    @example(np.array([1.0, 2.0]), (75, 25))
+    @example(np.array([0.1, -0.54, 0.36]), (75,))  # g = 0.5, where the two forms of the rule differ in the last bit
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical(self, a, qs):
+        assert _percentiles(a, qs) == np.percentile(a, list(qs)).tolist()
+
+    def test_nan_gives_nan(self):
+        a = np.array([1.0, np.nan, 2.0, 5.0])
+        assert all(np.isnan(v) for v in _percentiles(a, (75, 25)))
+        assert np.isnan(np.percentile(a, [75, 25])).all()
 
 
 class TestWithin:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from alarmsentinel import alarm_logic, cli
-from alarmsentinel.alarm_logic import classify_alarm
+from alarmsentinel.alarm_logic import Thresholds, classify_alarm
 from alarmsentinel.cli import main
 from alarmsentinel.record_io import AlarmMeta, Arrhythmia, Manifest, ManifestEntry, load_manifest, load_record
 from alarmsentinel.synthkit import SynthSpec, generate, surrogate_banks
@@ -608,28 +608,32 @@ class TestBankCommand:
     def test_build_self_writes_the_bank_the_self_methods_build(self, tmp_path, capsys, method):
         """Noise 70-60 s before the alarm, older than the detection span,
         changes the bank a whole-record detection would draw; build-self
-        and the method must still agree."""
+        and the method must still agree, also when ``--config`` moves the
+        analysis window and with it the span and the bank's excluded tail."""
         rec, _ = generate(SynthSpec(name="vt", arrhythmia=Arrhythmia.VTACH, event=True, seed=20003))
         noisy = slice(rec.alarm.alarm_index - int(70 * rec.sample_rate), rec.alarm.alarm_index - int(60 * rec.sample_rate))
         rec.samples[:, noisy] += np.random.default_rng(0).normal(0.0, 3.0, rec.samples[:, noisy].shape)
         header = write_record(rec, tmp_path)
-        assert main(["bank", "build-self", "--record", str(header), "--out", str(tmp_path / "cli")]) == 0
-        capsys.readouterr()
-        built = []
+        (tmp_path / "window20.cfg").write_text("analysis_window_s = 20\n")
+        for config, flags in [(Thresholds(), []), (Thresholds(analysis_window_s=20), ["--config", str(tmp_path / "window20.cfg")])]:
+            cli_dir, method_dir = tmp_path / f"cli{config.analysis_window_s:g}", tmp_path / f"method{config.analysis_window_s:g}"
+            assert main(["bank", "build-self", "--record", str(header), "--out", str(cli_dir), *flags]) == 0
+            capsys.readouterr()
+            built = []
 
-        def spy(*args, **kwargs):
-            built.append(extract_self_bank(*args, **kwargs))
-            return built[-1]
+            def spy(*args, **kwargs):
+                built.append(extract_self_bank(*args, **kwargs))
+                return built[-1]
 
-        with mock.patch.object(alarm_logic, "extract_self_bank", spy):
-            classify_alarm(load_record(header), method)
-        [bank] = built
-        (tmp_path / "method").mkdir()
-        save_bank(bank, tmp_path / "method", prefix="vt")
-        written = sorted(p.name for p in (tmp_path / "cli").iterdir())
-        assert written == sorted(p.name for p in (tmp_path / "method").iterdir()) and len(written) == 20
-        for name in written:
-            assert (tmp_path / "cli" / name).read_text() == (tmp_path / "method" / name).read_text()
+            with mock.patch.object(alarm_logic, "extract_self_bank", spy):
+                classify_alarm(load_record(header), method, config=config)
+            [bank] = built
+            method_dir.mkdir()
+            save_bank(bank, method_dir, prefix="vt")
+            written = sorted(p.name for p in cli_dir.iterdir())
+            assert written == sorted(p.name for p in method_dir.iterdir()) and len(written) == 20
+            for name in written:
+                assert (cli_dir / name).read_text() == (method_dir / name).read_text()
 
     def test_build_self_reports_too_few_clean_beats(self, tmp_path, capsys):
         spec = SynthSpec(name="grime", arrhythmia=Arrhythmia.VTACH, event=False, noise_mv=3.0, seed=5)

@@ -3,8 +3,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import periodogram, welch
 
 from alarmsentinel import signal_quality
@@ -24,9 +26,13 @@ from alarmsentinel.signal_quality import (
     clean_window_metrics,
     is_clean,
 )
-from alarmsentinel.signal_quality import _band_power, _flat_mask, _invalid_mask, _noise_mask
+from alarmsentinel.signal_quality import _band_power, _density, _flat_mask, _invalid_mask, _noise_mask
 
 FS = 250.0
+# SciPy 1.17 computes periodogram and welch with _density's operations in their
+# order, bit for bit; older releases (the 1.13 floor) scale the squared spectrum
+# rather than the window and may differ in the last bits
+SCIPY_SHARES_DENSITY_BITS = tuple(int(p) for p in scipy.__version__.split(".")[:2]) >= (1, 17)
 
 
 def sine(freq, seconds=16.0, fs=FS, amp=1.0):
@@ -84,15 +90,15 @@ class TestSpectra:
     def test_welch_peak_at_tone(self):
         seen = []
 
-        def spy(*args, **kwargs):
-            seen.append((kwargs["nperseg"], *welch(*args, **kwargs)))
+        def spy(segments, *args):
+            seen.append((segments.shape[-1], *_density(segments, *args)))
             return seen[-1][1:]
 
-        with mock.patch.object(signal_quality, "welch", spy):
+        with mock.patch.object(signal_quality, "_density", spy):
             clean_window_metrics(sine(10, fs=125.0), 125.0)
         ((nperseg, f, psd),) = seen
         assert nperseg == 500  # 4 s segments
-        assert abs(f[np.argmax(psd)] - 10.0) < 0.3
+        assert abs(f[np.argmax(psd.mean(axis=0))] - 10.0) < 0.3
 
     def test_welch_too_short(self):
         x = np.random.default_rng(1).normal(0.0, 1.0, 499)  # one sample short of a 4 s segment
@@ -105,11 +111,11 @@ class TestSpectra:
         assert clean_window_metrics(sine(25, fs=125.0), 125.0).baseline_wander > 0.98
 
     def test_band_fraction_zero_denominator(self):
-        def silent(x, fs, **kwargs):
-            f = np.arange(kwargs["nperseg"] // 2 + 1) * fs / kwargs["nperseg"]
-            return f, np.zeros(len(f))
+        def silent(segments, fs, window, nfft):
+            f = np.arange(nfft // 2 + 1) * fs / nfft
+            return f, np.zeros((len(segments), len(f)))
 
-        with mock.patch.object(signal_quality, "welch", silent), pytest.raises(ZeroDenominator):
+        with mock.patch.object(signal_quality, "_density", silent), pytest.raises(ZeroDenominator):
             clean_window_metrics(sine(10, fs=125.0), 125.0)
 
     def test_white_noise_fraction_tracks_bandwidth(self):
@@ -197,7 +203,11 @@ class TestCleanMetricsMatchTheOracle:
     @example(np.full(1250, np.nan))
     @settings(max_examples=150, deadline=None)
     def test_bit_identical_or_the_same_error(self, x):
-        assert metrics_or_error(clean_window_metrics, x) == metrics_or_error(clean_window_metrics_oracle, x)
+        got, expected = metrics_or_error(clean_window_metrics, x), metrics_or_error(clean_window_metrics_oracle, x)
+        if SCIPY_SHARES_DENSITY_BITS or not isinstance(got, bytes) or not isinstance(expected, bytes):
+            assert got == expected
+        else:
+            np.testing.assert_allclose(np.frombuffer(got), np.frombuffer(expected), rtol=1e-12, atol=1e-12)
 
 
 class TestCleanMetrics:
@@ -380,7 +390,7 @@ class TestArrayRulesMatchTheLoops:
     @settings(max_examples=150, deadline=None)
     def test_noise_spans(self, signal):
         x, fs = signal
-        with mock.patch.object(signal_quality, "periodogram", wraps=periodogram) as spectrum:
+        with mock.patch.object(signal_quality, "_density", wraps=_density) as spectrum:
             (got,) = _noise_mask(x[np.newaxis], fs)
         np.testing.assert_array_equal(got, paint(noise_spans_loop(x, fs), len(x)))
         # one spectrum call per channel, and a block with a gap never reaches it
@@ -486,7 +496,7 @@ class TestMatrixScreenMatchesPerChannel:
     @settings(max_examples=120, deadline=None)
     def test_report_matches_the_channel_loop(self, drawn):
         record, window = drawn
-        with mock.patch.object(signal_quality, "periodogram", wraps=periodogram) as spectrum:
+        with mock.patch.object(signal_quality, "_density", wraps=_density) as spectrum:
             report = assess_quality(record, window)
         mask, expected = assess_quality_loop(record, window)
         assert report == expected
@@ -509,3 +519,173 @@ class TestMatrixScreenMatchesPerChannel:
         spans = [[(620, 1200)], [(0, 1200)], [(0, 1058)]]
         assert [flat_spans_loop(row, 250.0) for row in x] == spans
         np.testing.assert_array_equal(_flat_mask(x, 250.0), [paint(row, 1200) for row in spans])
+
+
+def assert_same_density(got, expected):
+    """Bit for bit where SciPy shares _density's arithmetic, else to the last bits."""
+    (f, psd), (f_ref, psd_ref) = got, expected
+    np.testing.assert_array_equal(f, f_ref)
+    if SCIPY_SHARES_DENSITY_BITS:
+        np.testing.assert_array_equal(psd, psd_ref)
+    else:
+        # a bin that cancels (DC after the detrend) is held to the spectrum's scale
+        np.testing.assert_allclose(psd, psd_ref, rtol=1e-12, atol=1e-12 * np.abs(psd_ref).max())
+
+
+def welch_density(x, fs, nperseg):
+    """Welch's average as clean_window_metrics takes it from _density."""
+    f, psd = _density(sliding_window_view(x, nperseg)[:: nperseg - nperseg // 2], fs, "hann", nperseg)
+    return f, np.ascontiguousarray(psd.T).mean(axis=-1)
+
+
+class TestDensityMatchesScipy:
+    """_density against the SciPy calls it replaces, for the three
+    parameter sets of the package."""
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([125.0, 250.0]), st.integers(1, 16), st.floats(1e-3, 50.0))
+    @settings(max_examples=60, deadline=None)
+    def test_noise_blocks(self, seed, fs, rows, scale):
+        w = int(round(NOISE_WINDOW_S * fs))
+        blocks = np.random.default_rng(seed).normal(scale, scale, (rows, w))
+        assert_same_density(_density(blocks, fs, "boxcar", w), periodogram(blocks, fs=fs, detrend="constant", axis=-1))
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([125.0, 250.0]), st.integers(1, 16))
+    @settings(max_examples=60, deadline=None)
+    def test_vf_windows(self, seed, fs, rows):
+        win = int(round(2.0 * fs))
+        t = np.arange(win) / fs
+        rng = np.random.default_rng(seed)
+        windows = np.sin(2 * np.pi * rng.uniform(1.0, 10.0, (rows, 1)) * t) + rng.normal(0.0, 0.3, (rows, win))
+        expected = periodogram(windows, fs=fs, detrend="constant", nfft=max(1024, win), axis=-1)
+        assert_same_density(_density(windows, fs, "boxcar", max(1024, win)), expected)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(500, 4000))
+    @settings(max_examples=60, deadline=None)
+    def test_clean_metric_segments(self, seed, n):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(0.0, 1.0, n) + 2.0 * np.sin(2 * np.pi * rng.uniform(0.1, 30.0) * np.arange(n) / 125.0)
+        expected = welch(x, fs=125.0, window="hann", nperseg=500, noverlap=250, detrend="constant", scaling="density")
+        assert_same_density(welch_density(x, 125.0, 500), expected)
+
+    def test_nan_gives_nan_without_a_warning(self):
+        x = np.random.default_rng(0).normal(0.0, 1.0, (3, 1250))
+        x[0, 7] = np.nan
+        x[2] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, psd = _density(x[:, :250], 125.0, "boxcar", 250)
+            _, vf = _density(x[:, :250], 125.0, "boxcar", 1024)
+            _, averaged = welch_density(x[2], 125.0, 500)
+        assert np.isnan(psd[[0, 2]]).all() and np.isnan(vf[[0, 2]]).all() and np.isnan(averaged).all()
+        assert np.isfinite(psd[1]).all() and np.isfinite(vf[1]).all()
+
+
+# The screen as it ran on SciPy's periodogram, kept as an oracle: flat windows
+# from running sums written into a zero column, NaN counts for every window,
+# and the open/close bookkeeping whether or not any window is flat.
+def flat_mask_scipy(x, fs):
+    rows, n = x.shape
+    flat = np.zeros((rows, n), dtype=bool)
+    w = int(round(FLAT_WINDOW_S * fs))
+    nan = np.isnan(x)
+    live = np.flatnonzero(~nan.all(axis=1))
+    if w < 2 or n < w or len(live) == 0:
+        return flat
+    x, nan = x[live], nan[live]
+    filled = np.nan_to_num(x - np.nanmean(x, axis=1, keepdims=True), copy=False, nan=0.0)
+    c1 = np.zeros((len(live), n + 1))
+    np.cumsum(filled, axis=1, out=c1[:, 1:])
+    c2 = np.zeros((len(live), n + 1))
+    np.cumsum(filled * filled, axis=1, out=c2[:, 1:])
+    cn = np.zeros((len(live), n + 1), dtype=np.int64)
+    np.cumsum(nan, axis=1, out=cn[:, 1:])
+    hop = max(1, w // 8)
+    starts = np.arange(0, n - w + 1, hop)
+    if starts[-1] != n - w:
+        starts = np.append(starts, n - w)
+    ends = starts + w
+    mean = (c1[:, ends] - c1[:, starts]) / w
+    var = np.maximum((c2[:, ends] - c2[:, starts]) / w - mean * mean, 0.0)
+    row, window = np.nonzero((var < FLAT_VARIANCE_FLOOR) & (cn[:, ends] == cn[:, starts]))
+    opened = np.zeros((len(live), n + 1), dtype=np.int64)
+    np.add.at(opened, (row, starts[window]), 1)
+    np.add.at(opened, (row, ends[window]), -1)
+    flat[live] = np.cumsum(opened[:, :n], axis=1) > 0
+    return flat
+
+
+def noise_mask_scipy(x, fs):
+    rows, n = x.shape
+    noisy = np.zeros((rows, n), dtype=bool)
+    w = int(round(NOISE_WINDOW_S * fs))
+    if w < 8 or n < w:
+        return noisy
+    per_row = n // w
+    blocks = x[:, : per_row * w].reshape(rows * per_row, w)
+    whole = np.flatnonzero(~np.isnan(blocks).any(axis=1))
+    bad = np.zeros(len(blocks), dtype=bool)
+    if len(whole):
+        f, psd = periodogram(blocks[whole], fs=fs, detrend="constant", axis=-1)
+        total = np.ascontiguousarray(psd[:, f > 0]).sum(axis=1)
+        high = np.ascontiguousarray(psd[:, f > NOISE_EDGE_HZ]).sum(axis=1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            bad[whole] = (total > 0) & (high / total > NOISE_FRACTION_MAX)
+    noisy[:, : per_row * w] = np.repeat(bad.reshape(rows, per_row), w, axis=1)
+    return noisy
+
+
+def invalid_mask_scipy(x, kinds, fs):
+    is_abp = np.array([k is ChannelKind.ABP for k in kinds])[:, np.newaxis]
+    is_ecg = np.array([k is ChannelKind.ECG for k in kinds])[:, np.newaxis]
+    with np.errstate(invalid="ignore"):
+        bad = (is_abp & ((x <= 0.0) | (x >= ABP_MAX_MMHG))) | (is_ecg & (np.abs(x) > ECG_MAX_MV))
+    mask = np.isnan(x) | bad | flat_mask_scipy(x, fs)
+    ecg = np.flatnonzero(is_ecg[:, 0])
+    mask[ecg] |= noise_mask_scipy(x[ecg], fs)
+    return mask
+
+
+def screen_windows(record, rng):
+    """The record's 16 s window before the alarm, then copies with a flat
+    stretch, a NaN burst, an out-of-range run, N(0, 3) noise on one ECG
+    lead, an all-NaN row, and windows shorter than 2 s and than 8 samples."""
+    fs = record.sample_rate
+    end = record.alarm.alarm_index
+    x = record.samples[:, end - int(16 * fs) : end]
+    kinds = [ch.kind for ch in record.channels]
+    n = x.shape[1]
+    yield x
+    row = rng.integers(len(kinds))
+    start = rng.integers(0, n - int(4 * fs))
+    flat = x.copy()
+    flat[row, start : start + int(3 * fs)] = flat[row, start]
+    yield flat
+    gaps = x.copy()
+    gaps[row, start : start + rng.integers(1, int(3 * fs))] = np.nan
+    yield gaps
+    spikes = x.copy()
+    spikes[row, start : start + 40] = {ChannelKind.ECG: 12.0, ChannelKind.ABP: 320.0}.get(kinds[row], -5.0)
+    yield spikes
+    noisy = x.copy()
+    lead = rng.choice([i for i, k in enumerate(kinds) if k is ChannelKind.ECG])
+    noisy[lead] += rng.normal(0.0, 3.0, n)
+    yield noisy
+    dead = x.copy()
+    dead[row] = np.nan
+    yield dead
+    yield x[:, : int(1.5 * fs)]
+    yield x[:, :5]
+
+
+class TestScreenMatchesTheScipyOracle:
+    def test_suite_windows_at_both_rates(self, suite):
+        rng = np.random.default_rng(23)
+        checked = 0
+        for spec, record, _ in suite:
+            kinds = [ch.kind for ch in record.channels]
+            for x in screen_windows(record, rng):
+                # every other sample is the same window at 125 Hz
+                for window, fs in ((x, record.sample_rate), (x[:, ::2], record.sample_rate / 2)):
+                    np.testing.assert_array_equal(_invalid_mask(window, kinds, fs), invalid_mask_scipy(window, kinds, fs))
+                    checked += 1
+        assert checked == 16 * len(suite)
