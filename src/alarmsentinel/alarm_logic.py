@@ -52,11 +52,11 @@ from .errors import (
     CannotDecide,
     EmptyCorpus,
     FailSafe,
-    IndexOutOfBounds,
     InsufficientCleanBeats,
     InsufficientData,
     InvalidConfig,
     LengthMismatch,
+    MalformedAnnotation,
     MissingLead,
     TooFewBeats,
     UnknownArrhythmia,
@@ -105,6 +105,8 @@ class Thresholds:
             # a NaN threshold compares False both ways, so its check would never fire
             if isinstance(value, float) and not np.isfinite(value):
                 raise InvalidConfig(f"{f.name} must be finite, got {value}")
+        if self.analysis_window_s <= 0:
+            raise InvalidConfig(f"analysis_window_s must be above 0, got {self.analysis_window_s}")
 
     def update(self, overrides: dict) -> "Thresholds":
         """A copy with ``overrides`` cast to the field types."""
@@ -395,44 +397,47 @@ def check_vfib(ctx: AlarmContext) -> list[ChannelEvidence]:
     return [ChannelEvidence(record.channels[best].name, "vfib_dominance", fired, witnesses)]
 
 
-def _ventricular_run_hr(beats_in: BeatAnnotation, fs: float, config: Thresholds) -> tuple[bool, float, float]:
-    """Longest run of consecutive ventricular labels, and the fastest
-    ``vt_beats``-beat window inside any run."""
+def _ventricular_run_hr(
+    beats: BeatAnnotation, labels: list[BeatLabel], fs: float, config: Thresholds
+) -> tuple[bool, float, float]:
+    """Longest run of consecutive ventricular ``labels`` of ``beats``, and
+    the fastest ``vt_beats``-beat window inside any run."""
     best_run = 0
     best_hr = 0.0
     pos = 0
-    for ventricular, group in groupby(beats_in.labels or [], key=lambda label: label is BeatLabel.VENTRICULAR):
+    for ventricular, group in groupby(labels, key=lambda label: label is BeatLabel.VENTRICULAR):
         length = len(list(group))
         if ventricular:
             best_run = max(best_run, length)
             if length >= config.vt_beats:
-                run = BeatAnnotation(beats_in.channel, beats_in.indices[pos : pos + length])
+                run = BeatAnnotation(beats.channel, beats.indices[pos : pos + length])
                 best_hr = max(best_hr, float(window_heart_rate(run, fs, config.vt_beats).max()))
         pos += length
     return best_hr > config.vt_hr, float(best_run), best_hr
 
 
-def _ecg_vote(name: str, labelled: BeatAnnotation, fs: float, config: Thresholds) -> list[ChannelEvidence]:
-    """The ``vtach_ecg`` vote of one lead's labelled window beats (a
-    fast ventricular run votes for the alarm); no vote when every beat
-    is Unknown."""
-    if all(label is BeatLabel.UNKNOWN for label in labelled.labels):
+def _ecg_vote(
+    name: str, beats: BeatAnnotation, labels: list[BeatLabel], fs: float, config: Thresholds
+) -> list[ChannelEvidence]:
+    """The ``vtach_ecg`` vote of one lead's window beats and their labels
+    (a fast ventricular run votes for the alarm); no vote when every
+    beat is Unknown."""
+    if all(label is BeatLabel.UNKNOWN for label in labels):
         return []  # no beat could be compared
-    positive, run, hr = _ventricular_run_hr(labelled, fs, config)
+    positive, run, hr = _ventricular_run_hr(beats, labels, fs, config)
     return [ChannelEvidence(name, "vtach_ecg", positive, {"ventricular_run": run, "run_hr": hr})]
 
 
-def spectral_vt_labels(record: Record, annotation: BeatAnnotation) -> BeatAnnotation:
-    """Label each beat Normal/Ventricular from its slice's band power;
-    a beat without a usable slice is Unknown."""
+def spectral_vt_labels(record: Record, annotation: BeatAnnotation) -> list[BeatLabel]:
+    """The label of each beat, in order: Normal/Ventricular from its
+    slice's band power, or Unknown without a usable slice."""
     fs = record.sample_rate
     segments = beat_segments(annotation)
     channel = record.samples[annotation.channel]
     # no upper length bound: a clamped slice is never longer than the record
     slices = [slice_ for _, _, slice_ in beat_slices(channel, segments, int(round(BEAT_MIN_S * fs)), record.n_samples)]
     found = iter(spectral_labels([x for x in slices if x is not None], fs))
-    labels = [BeatLabel.UNKNOWN if x is None else next(found) for x in slices]
-    return BeatAnnotation(annotation.channel, annotation.indices.copy(), labels)
+    return [BeatLabel.UNKNOWN if x is None else next(found) for x in slices]
 
 
 def _spectral_votes(ctx: AlarmContext) -> list[ChannelEvidence]:
@@ -443,11 +448,12 @@ def _spectral_votes(ctx: AlarmContext) -> list[ChannelEvidence]:
     for i, ch in enumerate(record.channels):
         ann = ctx.annotations[i]
         if ch.kind is ChannelKind.ECG and ann is not None:
+            beats_in = ann.within(start, end)
             try:
-                labelled = spectral_vt_labels(record, ann.within(start, end))
+                labels = spectral_vt_labels(record, beats_in)
             except TooFewBeats:  # too few beats to segment: the channel abstains
                 continue
-            votes += _ecg_vote(ch.name, labelled, record.sample_rate, ctx.config)
+            votes += _ecg_vote(ch.name, beats_in, labels, record.sample_rate, ctx.config)
         elif ch.kind is ChannelKind.ABP:
             segment = record.samples[i, start:end]
             if np.isnan(segment).any() or len(segment) == 0:
@@ -491,7 +497,7 @@ def _bank_votes(
     channel = ctx.record.channels[lead.channel]
     if channel.kind is not ChannelKind.ECG:
         return []
-    return _ecg_vote(channel.name, labels, ctx.record.sample_rate, ctx.config)
+    return _ecg_vote(channel.name, beats_in, labels, ctx.record.sample_rate, ctx.config)
 
 
 def _nearest_signal(ctx: AlarmContext) -> list[ChannelEvidence]:
@@ -550,30 +556,36 @@ CHECKS: dict[Arrhythmia, Callable[[AlarmContext], list[ChannelEvidence]]] = {
 }
 
 
+def _window(record: Record, config: Thresholds) -> tuple[int, int]:
+    """The ``analysis_window_s`` before the alarm, clamped at the record's start."""
+    end = record.alarm.alarm_index
+    return max(0, end - int(round(config.analysis_window_s * record.sample_rate))), end
+
+
 def detection_start(record: Record, config: Thresholds) -> int:
     """The first sample the detectors see: :data:`DETECT_WARMUP_S` before
     the analysis window, or the record's start."""
-    fs = record.sample_rate
-    return max(0, record.alarm.alarm_index - int(round(config.analysis_window_s * fs)) - int(round(DETECT_WARMUP_S * fs)))
+    return max(0, _window(record, config)[0] - int(round(DETECT_WARMUP_S * record.sample_rate)))
 
 
 def detect_annotations(
-    record: Record, given: Mapping[int, BeatAnnotation | None] | None = None, start: int = 0
+    record: Record, given: Mapping[int, BeatAnnotation | None] | None = None, config: Thresholds | None = None
 ) -> list[BeatAnnotation | None]:
     """Beat annotations per channel: the ``given`` entry (None for no beats)
-    where there is one, detector output elsewhere. The detectors see the
-    channel from sample ``start`` to the record's end, and their beats come
-    back in record coordinates. A key that is no channel, or an entry on
-    another channel than its key, is a :class:`LengthMismatch`; a ``start``
-    outside the record is an :class:`IndexOutOfBounds`."""
+    where there is one, detector output elsewhere, from
+    :func:`detection_start` under ``config`` to the record's end, in record
+    coordinates. A key that is no channel, or an entry on another channel
+    than its key, is a :class:`LengthMismatch`; an entry that does not
+    strictly increase, a :class:`MalformedAnnotation`."""
     given = given or {}
     for i, ann in given.items():
         if i not in range(record.n_channels):
             raise LengthMismatch(f"annotation key {i!r} is no channel of {record.n_channels}")
         if ann is not None and ann.channel != i:
             raise LengthMismatch(f"annotation entry {i} is on channel {ann.channel}")
-    if not 0 <= start <= record.n_samples:
-        raise IndexOutOfBounds(f"detection start {start} outside record of {record.n_samples}")
+        if ann is not None and (np.diff(ann.indices) <= 0).any():
+            raise MalformedAnnotation(f"annotation entry {i} ({record.channels[i].name}): beats must strictly increase")
+    start = detection_start(record, config or Thresholds())
     return [given[i] if i in given else _detected(record, i, start) for i in range(record.n_channels)]
 
 
@@ -615,10 +627,8 @@ def classify_alarm(
     analyze a single lead.
 
     ``annotations`` maps a channel to its beats, or to None for no
-    beats, in place of the detectors (:func:`detect_annotations`); the
-    channels it does not key are detected from :data:`DETECT_WARMUP_S`
-    before the window to the record's end (:func:`detection_start`), for
-    every method. ``banks`` holds the curated ventricular and standard
+    beats; :func:`detect_annotations` detects the channels it does not
+    key over the same span for every method. ``banks`` holds the curated ventricular and standard
     banks that dtw-vbank needs (dtw-self-min and dtw-self-kl build the
     patient's bank from the beats of that span before the window);
     ``corpus`` is required for dtw-full, which reads the record on the
@@ -633,12 +643,11 @@ def classify_alarm(
         raise UnsupportedMethod(f"{method} is defined only for ventricular tachycardia alarms")
 
     config = config or Thresholds()
-    end = record.alarm.alarm_index
-    window = (max(0, end - int(round(config.analysis_window_s * record.sample_rate))), end)
+    window = _window(record, config)
     if window[0] >= window[1]:
         raise InsufficientData(f"record {record.name!r} has no samples in its analysis window {window}")
     quality = assess_quality(record, window)
-    annotations = detect_annotations(record, annotations, detection_start(record, config))
+    annotations = detect_annotations(record, annotations, config)
 
     evidence, gate = regular_activity(record, annotations, quality, config)
     if gate:
@@ -648,7 +657,7 @@ def classify_alarm(
     try:
         found = CHECKS[arrhythmia](ctx)
     except CannotDecide as exc:
-        note = ChannelEvidence("", exc.note, True, exc.witnesses)
-        return Verdict(is_true_alarm=True, gate_fired=False, evidence=evidence + [note], method=method)
-    decision = METHOD_TABLE[method].combine(e.outcome for e in found)
+        found, decision = [ChannelEvidence("", exc.note, True, exc.witnesses)], True
+    else:
+        decision = METHOD_TABLE[method].combine(e.outcome for e in found)
     return Verdict(is_true_alarm=decision, gate_fired=False, evidence=evidence + found, method=method)

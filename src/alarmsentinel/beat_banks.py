@@ -338,14 +338,14 @@ def _distance_rows(beats: list[np.ndarray], members: list[np.ndarray]) -> np.nda
     return pairs.reshape(len(beats), len(members))
 
 
-def vt_labels_from_bank(lead: BankLead, annotation: BeatAnnotation, rule: BeatRule) -> BeatAnnotation:
-    """Label every annotated beat of ``lead`` (:func:`bank_lead`) with
-    ``rule``, from :func:`classify_beat_vbank`,
+def vt_labels_from_bank(lead: BankLead, annotation: BeatAnnotation, rule: BeatRule) -> list[BeatLabel]:
+    """The label of every annotated beat of ``lead`` (:func:`bank_lead`),
+    in the beats' order, from ``rule``: :func:`classify_beat_vbank`,
     :func:`classify_beat_self_min` or :func:`classify_beat_self_kl`.
 
     Beats whose slice cannot be compared (flat, out of length bounds,
-    or containing gaps) come back Unknown; the others are warped
-    against the bank members in one batch.
+    or containing gaps) are Unknown; the others are warped against the
+    bank members in one batch.
     """
     segments = beat_segments(_on_lead(lead, annotation))
     labels = [BeatLabel.UNKNOWN] * len(segments)
@@ -353,7 +353,7 @@ def vt_labels_from_bank(lead: BankLead, annotation: BeatAnnotation, rule: BeatRu
     rows = _distance_rows([beat for *_, beat in comparable], rule.members)
     for (pos, *_), label in zip(comparable, rule.label(rows)):
         labels[pos] = label
-    return BeatAnnotation(annotation.channel, annotation.indices.copy(), labels)
+    return labels
 
 
 def save_beat_file(path: str | Path, values: np.ndarray, label: BeatLabel) -> Path:

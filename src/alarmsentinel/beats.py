@@ -44,11 +44,10 @@ class BeatLabel(Enum):
 
 @dataclass
 class BeatAnnotation:
-    """Beat positions on one channel, with optional per-beat labels."""
+    """Beat positions on one channel."""
 
     channel: int
     indices: np.ndarray  # strictly increasing sample positions
-    labels: list[BeatLabel] | None = None
 
     @property
     def count(self) -> int:
@@ -57,8 +56,7 @@ class BeatAnnotation:
     def within(self, start: int, end: int) -> "BeatAnnotation":
         """Restrict to beats with start <= index < end."""
         keep = (self.indices >= start) & (self.indices < end)
-        labels = [l for l, k in zip(self.labels, keep) if k] if self.labels is not None else None
-        return BeatAnnotation(self.channel, self.indices[keep], labels)
+        return BeatAnnotation(self.channel, self.indices[keep])
 
 
 def _prepare(samples: np.ndarray, fs: float) -> np.ndarray:
@@ -138,12 +136,10 @@ def detect_pulses(samples: np.ndarray, fs: float, channel: int = 0) -> BeatAnnot
     return BeatAnnotation(channel, onsets.astype(np.int64))
 
 
-_LABEL_CODES = {"N": BeatLabel.NORMAL, "V": BeatLabel.VENTRICULAR}
-
-
 def import_annotations(path: str | Path, record: Record, channel: int = 0) -> BeatAnnotation:
     """Read an external annotation file: one beat per line, ``index``
-    or ``index label`` with label N or V.
+    or ``index label`` with label N or V. A label is checked, not kept:
+    every method labels the beats itself.
 
     Raises
     ------
@@ -156,8 +152,6 @@ def import_annotations(path: str | Path, record: Record, channel: int = 0) -> Be
     text = read_text(path, "annotations")
 
     indices: list[int] = []
-    labels: list[BeatLabel] = []
-    any_label = False
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -173,19 +167,10 @@ def import_annotations(path: str | Path, record: Record, channel: int = 0) -> Be
             raise IndexOutOfBounds(f"{path.name}:{line_no}: index {idx} outside record of {record.n_samples}")
         if indices and idx <= indices[-1]:
             raise MalformedAnnotation(f"{path.name}:{line_no}: indices must be strictly increasing")
-        if len(fields) == 2:
-            if fields[1] not in _LABEL_CODES:
-                raise MalformedAnnotation(f"{path.name}:{line_no}: unknown label {fields[1]!r}")
-            labels.append(_LABEL_CODES[fields[1]])
-            any_label = True
-        else:
-            labels.append(BeatLabel.UNKNOWN)
+        if len(fields) == 2 and fields[1] not in ("N", "V"):
+            raise MalformedAnnotation(f"{path.name}:{line_no}: unknown label {fields[1]!r}")
         indices.append(idx)
-    return BeatAnnotation(
-        channel,
-        np.asarray(indices, dtype=np.int64),
-        labels if any_label else None,
-    )
+    return BeatAnnotation(channel, np.asarray(indices, dtype=np.int64))
 
 
 def window_heart_rate(annotation: BeatAnnotation, fs: float, k: int) -> np.ndarray:

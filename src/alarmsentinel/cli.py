@@ -20,7 +20,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .alarm_logic import (
-    DTW_METHODS, METHODS, Thresholds, Verdict, analysis_beats, classify_alarm, detect_annotations, detection_start,
+    DTW_METHODS, METHODS, Thresholds, Verdict, analysis_beats, classify_alarm, detect_annotations,
 )
 from .beat_banks import bank_novelty_stats, classify_beat_vbank, extract_self_bank, load_bank_dir, save_bank
 from .beats import import_annotations
@@ -287,7 +287,7 @@ def cmd_bank(args) -> int:
         record, config = load_record(args.record), _config_from(args)
         given = _annotation_files(record, args.annotations)
         try:
-            annotations = detect_annotations(record, given, detection_start(record, config))
+            annotations = detect_annotations(record, given, config)
             lead, annotation = analysis_beats(record, annotations, args.lead)
         except CannotDecide as exc:
             return _fail(f"cannot build a bank from record {record.name}: {exc.note}")

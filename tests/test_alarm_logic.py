@@ -36,10 +36,10 @@ from alarmsentinel.errors import (
     EmptyBank,
     EmptyCorpus,
     FailSafe,
-    IndexOutOfBounds,
     InsufficientData,
     InvalidConfig,
     LengthMismatch,
+    MalformedAnnotation,
     NonFiniteSample,
     UnknownArrhythmia,
     UnsupportedMethod,
@@ -62,8 +62,8 @@ def clean_quality(record, window=None, validity=None):
     return QualityReport(window=window or (0, record.n_samples), validity=v)
 
 
-def ann(indices, channel=0, labels=None):
-    return BeatAnnotation(channel, np.asarray(indices, dtype=np.int64), labels)
+def ann(indices, channel=0):
+    return BeatAnnotation(channel, np.asarray(indices, dtype=np.int64))
 
 
 def context(record, annotations, quality=None, window=(0, 4000)):
@@ -449,7 +449,7 @@ class TestVtach:
     def run_vote(self, indices, pattern):
         """The ECG vote on beats carrying the given N/V labels."""
         labels = [BeatLabel.VENTRICULAR if c == "V" else BeatLabel.NORMAL for c in pattern]
-        return fired(_ecg_vote("II", ann(indices, labels=labels), 250.0, Thresholds()))
+        return fired(_ecg_vote("II", ann(indices), labels, 250.0, Thresholds()))
 
     def test_fast_run_fires(self):
         idx = np.arange(0, 875, 125)  # RR 0.5 s -> 4-beat windows at 120 bpm
@@ -505,16 +505,16 @@ class TestSpectralVtLabelsIntegration:
         rec, truth = generate(spec)
         a = detect_qrs(rec.samples[0], rec.sample_rate)
         window = (rec.n_samples - 4000, rec.n_samples)
-        labelled = spectral_vt_labels(rec, a.within(*window))
-        v_count = sum(1 for l in labelled.labels if l is BeatLabel.VENTRICULAR)
-        assert v_count >= 4
+        beats_in = a.within(*window)
+        labels = spectral_vt_labels(rec, beats_in)
+        assert len(labels) == beats_in.count
+        assert labels.count(BeatLabel.VENTRICULAR) >= 4
 
     def test_sinus_record_has_no_ventricular_labels(self, sinus_record):
         rec = sinus_record
         a = detect_qrs(rec.samples[0], rec.sample_rate)
         window = (rec.n_samples - 4000, rec.n_samples)
-        labelled = spectral_vt_labels(rec, a.within(*window))
-        assert BeatLabel.VENTRICULAR not in labelled.labels
+        assert BeatLabel.VENTRICULAR not in spectral_vt_labels(rec, a.within(*window))
 
     def test_gap_slice_is_unknown(self, sinus_record):
         rec = sinus_record
@@ -524,8 +524,7 @@ class TestSpectralVtLabelsIntegration:
         beats_in = a.within(*window)
         mid = int(beats_in.indices[len(beats_in.indices) // 2])
         rec.samples[0, mid - 2 : mid + 2] = np.nan
-        labelled = spectral_vt_labels(rec, beats_in)
-        assert BeatLabel.UNKNOWN in labelled.labels
+        assert BeatLabel.UNKNOWN in spectral_vt_labels(rec, beats_in)
 
 
 class TestDetectAnnotations:
@@ -702,6 +701,16 @@ class TestSuppliedAnnotations:
         assert classify_alarm(record, annotations={0: annotations[0]}).to_dict() == detected
         assert classify_alarm(record, annotations=dict.fromkeys(range(record.n_channels))).is_true_alarm is True
 
+    def test_entry_must_strictly_increase(self):
+        """Doubled beats on lead II of a true bradycardia alarm halve its
+        RR intervals; read as given, they would dismiss the alarm at 56.6 bpm."""
+        record, truth = generate(SynthSpec(name="brady", arrhythmia=Arrhythmia.BRADYCARDIA, event=True, seed=3))
+        assert truth.expected_true and classify_alarm(record).is_true_alarm is True
+        beats = detect_annotations(record)[0].indices
+        doubled = BeatAnnotation(0, np.sort(np.concatenate([beats, beats])))
+        with pytest.raises(MalformedAnnotation, match=r"annotation entry 0 \(II\): beats must strictly increase"):
+            classify_alarm(record, annotations={0: doubled})
+
     def test_only_the_channels_without_a_key_are_detected(self, asystole):
         record, annotations = asystole
         with mock.patch.object(alarm_logic, "detect_qrs", wraps=detect_qrs) as qrs:
@@ -761,19 +770,16 @@ class TestDetectionSpan:
         assert self.detected_lengths(record, "improved") == [record.n_samples] * 4
 
     def test_beats_come_back_in_record_coordinates(self, true_vt):
-        start, fs = 20000, true_vt.sample_rate
-        found = detect_annotations(true_vt, start=start)
+        # a 10 s window ends at the alarm, sample 30000, and the 30 s warm-up starts 7500 samples before it
+        config, fs = Thresholds(analysis_window_s=10.0), true_vt.sample_rate
+        start = detection_start(true_vt, config)
+        assert start == 20000
+        found = detect_annotations(true_vt, config=config)
         for i, detect in enumerate([detect_qrs, detect_qrs, detect_pulses, detect_pulses]):
             alone = detect(true_vt.samples[i, start:], fs, channel=i)
             assert found[i].channel == i
             assert found[i].indices.tolist() == (alone.indices + start).tolist()
             assert found[i].indices.min() >= start
-
-    @pytest.mark.parametrize("start", [-1, 30001])
-    def test_start_outside_the_record(self, true_vt, start):
-        assert true_vt.n_samples == 30000
-        with pytest.raises(IndexOutOfBounds, match=f"detection start {start} outside record of 30000"):
-            detect_annotations(true_vt, start=start)
 
 
 class TestNonFiniteMatchInputs:

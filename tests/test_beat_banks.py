@@ -426,12 +426,11 @@ class TestVtLabelsFromBank:
         lead = bank_lead(rec, ann.channel)
         run = [t for t, l in zip(truth.beat_times, truth.beat_labels) if l is BeatLabel.VENTRICULAR]
         for method, rule in self.rules(lead, ann, banks).items():
-            labelled = vt_labels_from_bank(lead, ann, rule)
-            assert labelled.labels is not None
-            assert "".join(label.value for label in labelled.labels) == self.EXPECTED[method]
+            labels = vt_labels_from_bank(lead, ann, rule)
+            assert "".join(label.value for label in labels) == self.EXPECTED[method]
             hits = 0
             for t in run:
-                for idx, label in zip(labelled.indices, labelled.labels):
+                for idx, label in zip(ann.indices, labels):
                     if abs(idx / rec.sample_rate - t) < 0.1 and label is BeatLabel.VENTRICULAR:
                         hits += 1
                         break
@@ -450,7 +449,7 @@ class TestVtLabelsFromBank:
         thinned = BeatAnnotation(ann.channel, ann.indices[kept])
         reshaped = {60, 64, 100, 104}  # the beats either side of each gap
         for method, rule in self.rules(lead, ann, banks).items():
-            labels = vt_labels_from_bank(lead, thinned, rule).labels
+            labels = vt_labels_from_bank(lead, thinned, rule)
             unknown = [int(kept[pos]) for pos, label in enumerate(labels) if label is BeatLabel.UNKNOWN]
             assert unknown == [60, 100], method
             for pos, beat in enumerate(kept):

@@ -2,6 +2,7 @@ import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -117,14 +118,15 @@ class TestImportAnnotations:
         path = self.write(tmp_path, "# beat list\n100\n350\n600\n")
         ann = import_annotations(path, rec, channel=0)
         assert list(ann.indices) == [100, 350, 600]
-        assert ann.labels is None
 
     def test_labels(self, tmp_path, beat_record):
+        """N and V labels are accepted and not kept: an annotation is positions only."""
         rec, _ = beat_record
         path = self.write(tmp_path, "100 N\n350 V\n600\n")
         ann = import_annotations(path, rec, channel=1)
         assert ann.channel == 1
-        assert ann.labels == [BeatLabel.NORMAL, BeatLabel.VENTRICULAR, BeatLabel.UNKNOWN]
+        assert list(ann.indices) == [100, 350, 600]
+        assert [f.name for f in fields(ann)] == ["channel", "indices"]
 
     def test_must_increase(self, tmp_path, beat_record):
         rec, _ = beat_record
@@ -426,8 +428,7 @@ class TestPercentilesMatchNumpy:
 
 
 class TestWithin:
-    def test_filters_labels_with_positions(self):
-        ann = BeatAnnotation(0, np.array([10, 20, 30, 40]), [BeatLabel.NORMAL, BeatLabel.VENTRICULAR, BeatLabel.NORMAL, BeatLabel.UNKNOWN])
-        sub = ann.within(15, 40)
+    def test_keeps_the_positions_in_the_half_open_range(self):
+        sub = BeatAnnotation(3, np.array([10, 20, 30, 40])).within(15, 40)
+        assert sub.channel == 3
         assert list(sub.indices) == [20, 30]
-        assert sub.labels == [BeatLabel.VENTRICULAR, BeatLabel.NORMAL]

@@ -242,7 +242,8 @@ class TestClassifyCommand:
     @pytest.mark.parametrize(
         "line",
         ["brady_hr 50", "brady_hr = slow", "brady_rate = 50", "brady_beats = 1", "brady_hr = nan",
-         "analysis_window_s = nan", "vt_hr = inf", "brady_hr = 40\nbrady_hr = 50"],
+         "analysis_window_s = nan", "analysis_window_s = 0", "analysis_window_s = -16", "vt_hr = inf",
+         "brady_hr = 40\nbrady_hr = 50"],
     )
     def test_bad_config_exits_two(self, small_suite, tmp_path, capsys, line):
         # exit 1 would read as "true alarm"
@@ -634,6 +635,17 @@ class TestBankCommand:
             assert written == sorted(p.name for p in method_dir.iterdir()) and len(written) == 20
             for name in written:
                 assert (cli_dir / name).read_text() == (method_dir / name).read_text()
+
+    @pytest.mark.parametrize("value", ["0", "-16"])
+    def test_build_self_rejects_a_window_not_above_zero(self, tmp_path, capsys, value):
+        rec, _ = generate(SynthSpec(name="vt", arrhythmia=Arrhythmia.VTACH, event=True, seed=20003))
+        header = write_record(rec, tmp_path)
+        cfg = tmp_path / "window.cfg"
+        cfg.write_text(f"analysis_window_s = {value}\n")
+        assert main(["bank", "build-self", "--record", str(header), "--out", str(tmp_path / "b"), "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: analysis_window_s must be above 0, got {float(value)}\n"
+        assert not (tmp_path / "b").exists()
 
     def test_build_self_reports_too_few_clean_beats(self, tmp_path, capsys):
         spec = SynthSpec(name="grime", arrhythmia=Arrhythmia.VTACH, event=False, noise_mv=3.0, seed=5)

@@ -14,24 +14,32 @@ UnsupportedRate for every method, and the DTW methods, which match at
 already dismissed the alarm.
 
 The matching methods' own inputs are damaged too: curated bank members
-for dtw-vbank, corpus entries for dtw-full. A NaN, infinite or empty one
-must raise a named error wherever the method warps against it, and a
-record it never reaches (the gate dismissed the alarm) keeps its verdict.
+for dtw-vbank (also cut to 1-3 samples, or at 250 Hz, twice as many
+samples as a match-rate beat), corpus entries for dtw-full. A NaN,
+infinite or empty one must raise a named error wherever the method warps
+against it, and a record it never reaches (the gate dismissed the alarm)
+keeps its verdict.
 
 Every method, the patient bank of dtw-self-min and dtw-self-kl
 included, reads beats only from DETECT_WARMUP_S before the analysis
 window, so an artifact older than that leaves every verdict as it was.
 A true VT alarm with too little history before its window for a
-patient bank keeps the alarm under both self-bank methods.
+patient bank keeps the alarm under both self-bank methods, and so does
+one whose lead II is held flat before its window, however the patient
+bank skips the flat signal: a flat 10 s section, a clean section with
+fewer than three beats, or a flat beat slice.
 """
+from contextlib import contextmanager
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from alarmsentinel.alarm_logic import DTW_METHODS, METHODS, classify_alarm
+from alarmsentinel import beat_banks
+from alarmsentinel.alarm_logic import DTW_METHODS, METHODS, classify_alarm, detect_annotations
 from alarmsentinel.beat_banks import BankSet, BeatBank
 from alarmsentinel.beats import QRS_BAND_HZ
 from alarmsentinel.dtw import MATCH_RATE_HZ, TrainingCorpus, corpus_from_records
@@ -41,8 +49,10 @@ from alarmsentinel.errors import (
     EmptyCorpus,
     EmptySequence,
     NonFiniteSample,
+    TooFewBeats,
     UnsupportedMethod,
     UnsupportedRate,
+    ZeroVariance,
 )
 from alarmsentinel.record_io import AlarmMeta, Arrhythmia, Record
 from alarmsentinel.synthkit import generate, suite_specs, surrogate_banks
@@ -193,6 +203,10 @@ def _damage(values: np.ndarray, kind: str, at: int) -> np.ndarray:
         values[:] = values[at % len(values)]
     elif kind == "empty":
         values = values[:0]
+    elif kind == "short":  # 1 to 3 samples
+        values = values[: 1 + at % 3]
+    elif kind == "250 Hz":  # twice as many samples, as at twice the match rate
+        values = np.interp(np.arange(2 * len(values)) / 2, np.arange(len(values)), values)
     else:  # "length": resized to ``at`` samples, repeating the start
         values = np.resize(values, at)
     return values
@@ -208,7 +222,7 @@ def damaged_banks(draw) -> BankSet:
     for bank, member, kind, at in draw(st.lists(st.tuples(
         st.sampled_from(sorted(banks)),
         st.integers(0, 10**6),
-        st.sampled_from(["nan", "inf", "-inf", "empty", "flat"]),
+        st.sampled_from(["nan", "inf", "-inf", "empty", "flat", "short", "250 Hz"]),
         st.integers(0, 10**6),
     ), min_size=1, max_size=3)):
         beats = banks[bank]
@@ -301,3 +315,51 @@ def test_too_little_history_for_a_self_bank_keeps_a_true_vt_alarm(index, seconds
     verdict = classify_alarm(_mutate(TRUE_VT_RECORDS[index], ("history", seconds)), method)
     assert verdict.is_true_alarm is True and verdict.gate_fired is False
     assert verdict.evidence[-1].channel == "" and verdict.evidence[-1].test == "self_bank_failed"
+
+
+TRUE_VT_SPECS = [spec for spec in suite_specs(seed=7, per_class=4) if spec.arrhythmia is Arrhythmia.VTACH and spec.event]
+
+
+@contextmanager
+def _raised(name: str):
+    """The errors that calls of ``beat_banks.<name>`` raise inside the block."""
+    errors = []
+    original = getattr(beat_banks, name)
+
+    def spy(*args, **kwargs):
+        try:
+            return original(*args, **kwargs)
+        except Exception as exc:
+            errors.append(type(exc))
+            raise
+
+    with mock.patch.object(beat_banks, name, spy):
+        yield errors
+
+
+@pytest.mark.parametrize("method", ["dtw-self-min", "dtw-self-kl"])
+@pytest.mark.parametrize(
+    "rate, before_s, length_s, given, skip",
+    [
+        # the second 10 s section before the 16 s window, exactly: at 125 Hz the bank reads it unfiltered
+        (125.0, 36.0, 10.0, False, ("clean_window_metrics", ZeroVariance)),
+        # all but 1.5 s of that section: a clean section with one or two beats
+        (250.0, 36.0, 8.5, False, ("beat_segments", TooFewBeats)),
+        # supplied beats go on through the flat stretch, and their slices are flat
+        (125.0, 34.0, 6.0, True, ("znormalize", ZeroVariance)),
+        # at 250 Hz the anti-alias filter leaves rounding ripple on the flat section
+        (250.0, 36.0, 10.0, False, None),
+    ],
+    ids=["flat-section", "two-beat-section", "flat-beat-slices", "flat-section-at-250-Hz"],
+)
+def test_a_lead_held_flat_before_the_window_keeps_a_true_vt_alarm(method, rate, before_s, length_s, given, skip):
+    record = generate(replace(TRUE_VT_SPECS[1], sample_rate=rate))[0]
+    annotations = {0: detect_annotations(record)[0]} if given else None
+    damaged = _mutate(record, ("flat", before_s, length_s, 0))
+    if skip is None:
+        verdict = classify_alarm(damaged, method, annotations=annotations)
+    else:  # the input reaches the skip path it is named for
+        with _raised(skip[0]) as errors:
+            verdict = classify_alarm(damaged, method, annotations=annotations)
+        assert skip[1] in errors
+    assert verdict.is_true_alarm is True and verdict.gate_fired is False

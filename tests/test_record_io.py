@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +12,8 @@ from alarmsentinel.errors import (
     DuplicateEntry,
     InsufficientData,
     IoFailure,
+    LengthMismatch,
+    MalformedAnnotation,
     MalformedHeader,
     MalformedRow,
     MissingLead,
@@ -424,3 +428,110 @@ class TestTextFiles:
         path = tmp_path / "ghost.txt"
         with pytest.raises(IoFailure, match=f"cannot read {what} {path}"):
             self.READERS[what](path)
+
+
+def _rejects(call, error, message):
+    """``call()`` raises ``error`` with ``message`` in its text."""
+    with pytest.raises(error, match=re.escape(message)):
+        call()
+
+
+class TestRejectPaths:
+    """Every external-input parser names what it rejects: one table per parser."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty header"),
+            (" \n\n", "empty header"),
+            (HEADER.replace("v131l 2 250 75000", "v131l two 250 75000"), "bad numeric field on line 1"),
+            (HEADER.replace("v131l 2 250 75000", "v131l 2 250 7.5e4"), "bad numeric field on line 1"),
+            (HEADER.replace("v131l 2 250 75000", "v131l 2 0 75000"), "sample rate and length must be positive"),
+            (HEADER.replace("v131l 2 250 75000", "v131l 2 -250 75000"), "sample rate and length must be positive"),
+            (HEADER.replace("v131l 2 250 75000", "v131l 2 250 0"), "sample rate and length must be positive"),
+            ("v131l 3 250 75000\nv131l.dat 16 200 0 mV II\n", "header declares 3 signals but has too few lines"),
+            (HEADER.replace("16 200 0 mV", "16 2x0 0 mV"), "bad calibration field"),
+            (HEADER.replace("16 200 0 mV", "16 200 0.5 mV"), "bad calibration field"),
+            (HEADER + "#ALARM_AT\n", "bad alarm position comment: 'ALARM_AT'"),
+            (HEADER + "#ALARM_AT 70000 70001\n", "bad alarm position comment: 'ALARM_AT 70000 70001'"),
+            (HEADER + "#ALARM_AT 7e4\n", "alarm position must be an integer: 'ALARM_AT 7e4'"),
+        ],
+        ids=["empty", "blank", "text-count", "float-length", "zero-rate", "negative-rate", "zero-length",
+             "too-few-signal-lines", "bad-gain", "float-baseline", "alarm-at-alone", "alarm-at-two-values",
+             "alarm-at-not-integer"],
+    )
+    def test_parse_header(self, text, message):
+        _rejects(lambda: parse_header(text), MalformedHeader, message)
+
+    @pytest.mark.parametrize(
+        "case, error, message",
+        [
+            ("two signal files", MalformedHeader, "all signals must share one file, got ['a.dat', 'b.dat']"),
+            ("missing signal file", IoFailure, "cannot read signal file"),
+            ("short payload", LengthMismatch, "signal file holds 9998 bytes, header implies 10000"),
+            ("long payload", LengthMismatch, "signal file holds 10002 bytes, header implies 10000"),
+        ],
+    )
+    def test_load_record(self, tmp_path, case, error, message):
+        header = write_record(make_record(), tmp_path)
+        dat = tmp_path / "rec0.dat"
+        if case == "two signal files":
+            lines = header.read_text().splitlines()
+            lines[1] = lines[1].replace("rec0.dat", "a.dat")
+            lines[2] = lines[2].replace("rec0.dat", "b.dat")
+            header.write_text("\n".join(lines) + "\n")
+        elif case == "missing signal file":
+            dat.unlink()
+        else:
+            raw = dat.read_bytes()
+            dat.write_bytes(raw[:-2] if case == "short payload" else raw + b"\x00\x00")
+        _rejects(lambda: load_record(header), error, message)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("rec.hea,Torsades,true\n", "row 1: unrecognised arrhythmia name: 'Torsades'"),
+            ("record,arrhythmia,label\nrec.hea,Asystole,true\nrec2.hea,,false\n", "row 3: unrecognised arrhythmia name: ''"),
+            ("rec.hea,Asystole,true,extra\n", "row 1: expected 3 fields, got 4"),
+            ("rec.hea,Asystole,maybe\n", "row 1: unknown label 'maybe'"),
+        ],
+        ids=["unknown-arrhythmia", "empty-arrhythmia", "four-fields", "unknown-label"],
+    )
+    def test_load_manifest(self, tmp_path, text, message):
+        (tmp_path / "m.csv").write_text(text)
+        _rejects(lambda: load_manifest(tmp_path / "m.csv"), MalformedRow, message)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "is empty"),
+            ("fs=250 label=N\n0.5\n", "has a bad header: 'fs=250 label=N'"),
+            ("fs=125 label=X\n0.5\n", "has a bad header: 'fs=125 label=X'"),
+            ("fs=125\n0.5\n", "has a bad header: 'fs=125'"),
+            ("0.5\n0.6\n", "has a bad header: '0.5'"),
+            ("fs=125 label=V\n", "has no samples"),
+            ("fs=125 label=V\n\n  \n", "has no samples"),
+            ("fs=125 label=N\n0.5\nabc\n", "has a bad sample line"),
+        ],
+        ids=["empty", "wrong-rate", "unknown-label", "no-label", "no-header", "header-only", "blank-samples",
+             "bad-sample"],
+    )
+    def test_load_beat_file(self, tmp_path, text, message):
+        path = tmp_path / "b.txt"
+        path.write_text(text)
+        _rejects(lambda: load_beat_file(path), IoFailure, message)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("100 N\n200 V extra\n", "ann.txt:2: expected 'index [label]'"),
+            ("100 N\n200 Q\n", "ann.txt:2: unknown label 'Q'"),
+            ("100 n\n", "ann.txt:1: unknown label 'n'"),
+            ("100\n# comment\n50\n", "ann.txt:3: indices must be strictly increasing"),
+        ],
+        ids=["third-field", "unknown-label", "lower-case-label", "decreasing"],
+    )
+    def test_import_annotations(self, tmp_path, text, message):
+        path = tmp_path / "ann.txt"
+        path.write_text(text)
+        _rejects(lambda: import_annotations(path, make_record()), MalformedAnnotation, message)
