@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.fft import rfft, rfftfreq
-from scipy.signal import filtfilt, find_peaks
+from scipy.signal import find_peaks
 
 from .errors import (
     IndexOutOfBounds,
@@ -24,7 +24,7 @@ from .errors import (
     TooFewBeats,
     WindowTooShort,
 )
-from .record_io import Record, butter_filter, read_text
+from .record_io import Record, butter_filter, read_text, zero_phase
 
 MIN_DETECT_S = 2.0
 QRS_BAND_HZ = (5.0, 15.0)
@@ -94,8 +94,7 @@ def detect_qrs(samples: np.ndarray, fs: float, channel: int = 0) -> BeatAnnotati
     noise + 0.25 * (signal - noise), with a 200 ms refractory spacing.
     """
     x = _prepare(samples, fs)
-    b, a = butter_filter(2, QRS_BAND_HZ, "band", fs)
-    filt = filtfilt(b, a, x)
+    filt = zero_phase(butter_filter(2, QRS_BAND_HZ, "band", fs), x)
     w = int(round(QRS_INTEGRATE_S * fs))
     energy = np.convolve(np.gradient(filt) ** 2, np.ones(w) / w, mode="same")
 
@@ -126,8 +125,7 @@ def detect_qrs(samples: np.ndarray, fs: float, channel: int = 0) -> BeatAnnotati
 def detect_pulses(samples: np.ndarray, fs: float, channel: int = 0) -> BeatAnnotation:
     """Detect pulse onsets (steep upstrokes) in ABP or PPG."""
     x = _prepare(samples, fs)
-    b, a = butter_filter(2, PULSE_LOWPASS_HZ, "low", fs)
-    slope = np.gradient(filtfilt(b, a, x)) * fs
+    slope = np.gradient(zero_phase(butter_filter(2, PULSE_LOWPASS_HZ, "low", fs), x)) * fs
     positive = slope[slope > 0]
     threshold = 0.4 * _percentiles(positive, (90,))[0] if len(positive) else 0.0
     peak = slope.max() if len(slope) else 0.0

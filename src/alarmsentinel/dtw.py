@@ -37,6 +37,7 @@ from .errors import (
     ZeroVariance,
 )
 from .record_io import Arrhythmia, Record, bridge_gaps, pre_alarm_window, resample_half, single_channel
+from .signal_quality import spread
 
 MATCH_RATE_HZ = 125.0  # the one rate of every DTW method, beat banks included
 DEFAULT_LEAD = "II"  # the single lead the DTW methods read unless told another
@@ -121,9 +122,11 @@ def _dtw_core(a: np.ndarray, b: np.ndarray, n: np.ndarray, m: np.ndarray, radii:
 
 
 def znormalize(values: np.ndarray) -> np.ndarray:
-    """Shift to zero mean and scale to unit standard deviation."""
+    """Shift to zero mean and scale to unit standard deviation; a
+    sequence constant up to rounding (:func:`signal_quality.spread`)
+    raises :class:`ZeroVariance`."""
     x = np.asarray(values, dtype=np.float64)
-    sigma = float(np.std(x))
+    sigma = spread(x)
     if sigma == 0.0 or not np.isfinite(sigma):
         raise ZeroVariance("cannot z-normalize a constant sequence")
     return (x - np.mean(x)) / sigma

@@ -41,6 +41,8 @@ CLEAN_POWER_RATIO_MIN = 0.9
 CLEAN_KURTOSIS_MIN = 4.0
 # 2 s segments resolve the 1 Hz wander edge too coarsely: slow wander leaks into the passband
 CLEAN_SEGMENT_S = 4.0
+# a spread at or below this share of the largest magnitude is rounding, not signal
+FLAT_SPREAD_FLOOR = 1e-12
 
 
 class CleanMetrics(NamedTuple):
@@ -189,6 +191,19 @@ def _band_power(f: np.ndarray, psd: np.ndarray, lo: float, hi: float) -> float:
     return float(np.trapezoid(ys, xs))
 
 
+def spread(x: np.ndarray) -> float:
+    """Standard deviation of ``x``, read as 0.0 at or below
+    :data:`FLAT_SPREAD_FLOOR` times ``max |x|``.
+
+    A stretch held flat comes out of the anti-alias filter with rounding
+    ripple near 1e-17; a real signal in 16-bit counts spreads about 1e-3
+    or more. A NaN or an infinity in ``x`` leaves the spread as NumPy
+    reads it.
+    """
+    sigma = float(np.std(x))
+    return 0.0 if sigma <= FLAT_SPREAD_FLOOR * float(np.max(np.abs(x), initial=0.0)) else sigma
+
+
 def clean_window_metrics(window: np.ndarray, fs: float) -> CleanMetrics:
     """Baseline-wander score, QRS-band power ratio, and kurtosis.
 
@@ -201,14 +216,14 @@ def clean_window_metrics(window: np.ndarray, fs: float) -> CleanMetrics:
     Raises
     ------
     ZeroVariance
-        If the window is constant.
+        If the window is constant, up to rounding (:func:`spread`).
     WindowTooShort
         If the window holds less than one segment.
     ZeroDenominator
         If a reference band holds no power.
     """
     x = np.asarray(window, dtype=np.float64)
-    sigma = float(np.std(x))
+    sigma = spread(x)
     if sigma == 0.0:
         raise ZeroVariance("metrics undefined on a constant window")
     nperseg = int(round(CLEAN_SEGMENT_S * fs))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.signal import butter, filtfilt, find_peaks, periodogram
+from scipy.signal import butter, filtfilt, find_peaks, lfilter_zi, periodogram
 
 from alarmsentinel.beats import _percentiles
 from alarmsentinel.beats import (
@@ -286,16 +286,18 @@ class TestFiltersDesignedOnce:
         ]
         if fs == 250.0:  # the resampler's anti-alias filter
             designs.append((butter_filter(4, 50.0, "low", fs), butter(4, 50.0 / nyq, btype="low")))
-        for (b, a), (b_fresh, a_fresh) in designs:
-            assert np.array_equal(b, b_fresh) and np.array_equal(a, a_fresh)
+        for design, (b_fresh, a_fresh) in designs:
+            assert np.array_equal(design.b, b_fresh) and np.array_equal(design.a, a_fresh)
+            assert np.array_equal(design.zi, lfilter_zi(b_fresh, a_fresh))
 
     def test_shared_and_read_only(self):
-        b, a = butter_filter(2, QRS_BAND_HZ, "band", 250.0)
-        assert butter_filter(2, QRS_BAND_HZ, "band", 250.0)[0] is b
-        for coefficients in (b, a):
-            assert not coefficients.flags.writeable
+        design = butter_filter(2, QRS_BAND_HZ, "band", 250.0)
+        again = butter_filter(2, QRS_BAND_HZ, "band", 250.0)
+        for array, shared in zip(design, again):
+            assert shared is array
+            assert not array.flags.writeable
             with pytest.raises(ValueError):
-                coefficients[0] = 0.0
+                array[0] = 0.0
 
     def test_threads_match_one_thread(self, beat_record):
         rec, _ = beat_record
@@ -321,12 +323,13 @@ class TestFiltersDesignedOnce:
 
 
 def detect_qrs_loop(samples, fs):
-    """The QRS detector with its threshold loop on numpy scalars, as it
-    ran before the loop moved to Python floats; kept as the oracle."""
+    """The QRS detector with its threshold loop on numpy scalars and
+    SciPy's ``filtfilt``, as it ran before the loop moved to Python
+    floats and the filter to ``zero_phase``; kept as the oracle."""
     x = np.nan_to_num(np.asarray(samples, dtype=np.float64), nan=0.0)
-    b, a = butter_filter(2, QRS_BAND_HZ, "band", fs)
+    design = butter_filter(2, QRS_BAND_HZ, "band", fs)
     w = int(round(QRS_INTEGRATE_S * fs))
-    energy = np.convolve(np.gradient(filtfilt(b, a, x)) ** 2, np.ones(w) / w, mode="same")
+    energy = np.convolve(np.gradient(filtfilt(design.b, design.a, x)) ** 2, np.ones(w) / w, mode="same")
     spacing = int(round(QRS_REFRACTORY_S * fs))
     peaks, _ = find_peaks(energy, distance=spacing)
     if len(peaks) == 0:
@@ -382,9 +385,9 @@ class TestQrsThresholdLoopMatchesTheOracle:
 
     def test_peaks_of_equal_height(self):
         x = equal_height_train()
-        b, a = butter_filter(2, QRS_BAND_HZ, "band", 250.0)
+        design = butter_filter(2, QRS_BAND_HZ, "band", 250.0)
         w = int(round(QRS_INTEGRATE_S * 250.0))
-        energy = np.convolve(np.gradient(filtfilt(b, a, x)) ** 2, np.ones(w) / w, mode="same")
+        energy = np.convolve(np.gradient(filtfilt(design.b, design.a, x)) ** 2, np.ones(w) / w, mode="same")
         heights = energy[find_peaks(energy, distance=int(round(QRS_REFRACTORY_S * 250.0)))[0]]
         assert len(np.unique(heights)) < len(heights)  # the tie is really there
         got = detect_qrs(x, 250.0).indices

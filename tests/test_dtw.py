@@ -322,6 +322,12 @@ class TestZnormalize:
         with pytest.raises(ZeroVariance):
             znormalize(np.full(100, 2.5))
 
+    def test_constant_up_to_rounding_rejected(self):
+        x = np.full(1250, 0.18)
+        assert np.std(x) > 0.0  # the mean rounds away from 0.18
+        with pytest.raises(ZeroVariance):
+            znormalize(x)
+
 
 class TestNearestNeighbour:
     """classify_full_signal: the nearest corpus entry on the lead."""

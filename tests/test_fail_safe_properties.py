@@ -347,10 +347,12 @@ def _raised(name: str):
         (250.0, 36.0, 8.5, False, ("beat_segments", TooFewBeats)),
         # supplied beats go on through the flat stretch, and their slices are flat
         (125.0, 34.0, 6.0, True, ("znormalize", ZeroVariance)),
-        # at 250 Hz the anti-alias filter leaves rounding ripple on the flat section
+        # the anti-alias filter leaves rounding ripple on the slices, which still reads as flat
+        (250.0, 34.0, 6.0, True, ("znormalize", ZeroVariance)),
+        # the anti-alias filter's edge transients reach into the section, so it is not flat
         (250.0, 36.0, 10.0, False, None),
     ],
-    ids=["flat-section", "two-beat-section", "flat-beat-slices", "flat-section-at-250-Hz"],
+    ids=["flat-section", "two-beat-section", "flat-beat-slices", "flat-beat-slices-at-250-Hz", "flat-section-at-250-Hz"],
 )
 def test_a_lead_held_flat_before_the_window_keeps_a_true_vt_alarm(method, rate, before_s, length_s, given, skip):
     record = generate(replace(TRUE_VT_SPECS[1], sample_rate=rate))[0]

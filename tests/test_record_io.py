@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.signal import filtfilt
 
 from alarmsentinel.alarm_logic import Thresholds
 from alarmsentinel.beat_banks import load_beat_file
-from alarmsentinel.beats import import_annotations
+from alarmsentinel.beats import PULSE_LOWPASS_HZ, QRS_BAND_HZ, import_annotations
 from alarmsentinel.errors import (
     DuplicateEntry,
     InsufficientData,
@@ -42,6 +43,7 @@ from alarmsentinel.record_io import (
     resample_half,
     write_manifest,
     write_record,
+    zero_phase,
 )
 
 HEADER = """\
@@ -315,7 +317,7 @@ class TestResample:
             resample_half(make_record(fs=fs))
 
     def test_not_longer_than_the_filter_pad_is_insufficient(self):
-        # the order-4 low-pass has 5 coefficients a side, and filtfilt pads 3 * 5 samples
+        # the order-4 low-pass has 5 coefficients a side, and zero_phase pads 3 * 5 samples
         with pytest.raises(InsufficientData, match="more than 15"):
             resample_half(make_record(n=15))
         assert resample_half(make_record(n=16)).n_samples == 8
@@ -330,8 +332,51 @@ class TestButterFilter:
             butter_filter(2, edges, "low" if isinstance(edges, float) else "band", fs)
 
     def test_edge_just_below_nyquist_designs(self):
-        b, a = butter_filter(2, (5.0, 15.0), "band", 30.5)
-        assert np.isfinite(b).all() and np.isfinite(a).all()
+        design = butter_filter(2, (5.0, 15.0), "band", 30.5)
+        assert all(np.isfinite(array).all() for array in design)
+
+
+# every design the package filters with: the detectors' QRS band-pass and
+# pulse low-pass at both rates, and the resampler's anti-alias low-pass
+DESIGNS = [
+    (2, QRS_BAND_HZ, "band", 125.0),
+    (2, QRS_BAND_HZ, "band", 250.0),
+    (2, PULSE_LOWPASS_HZ, "low", 125.0),
+    (2, PULSE_LOWPASS_HZ, "low", 250.0),
+    (4, 50.0, "low", 250.0),
+]
+
+
+@st.composite
+def filter_inputs(draw):
+    design = butter_filter(*draw(st.sampled_from(DESIGNS)))
+    n = draw(st.integers(design.pad + 1, 30_000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "constant", "ramp", "large"]))
+    if kind == "random":
+        x = rng.normal(0.0, 1.0, n)
+    elif kind == "constant":
+        x = np.full(n, rng.normal(0.0, 100.0))
+    elif kind == "ramp":
+        x = rng.normal(0.0, 10.0) + rng.normal(0.0, 0.1) * np.arange(n)
+    else:  # the full 16-bit count range
+        x = rng.uniform(-32767.0, 32767.0, n)
+    return design, x
+
+
+class TestZeroPhase:
+    @given(filter_inputs())
+    @settings(max_examples=60, deadline=None)
+    @example((butter_filter(4, 50.0, "low", 250.0), np.arange(16.0)))
+    def test_equals_scipy_filtfilt(self, case):
+        design, x = case
+        assert np.array_equal(zero_phase(design, x), filtfilt(design.b, design.a, x))
+
+    @pytest.mark.parametrize("args", DESIGNS)
+    def test_not_longer_than_the_pad_raises(self, args):
+        design = butter_filter(*args)
+        with pytest.raises(ValueError, match=f"more than {design.pad}"):
+            zero_phase(design, np.ones(design.pad))
 
 
 class TestPreAlarmWindow:

@@ -11,7 +11,7 @@ from scipy.signal import periodogram, welch
 
 from alarmsentinel import signal_quality
 from alarmsentinel.errors import AlarmSentinelError, WindowTooShort, ZeroDenominator, ZeroVariance
-from alarmsentinel.record_io import AlarmMeta, ChannelKind, ChannelMeta, Record
+from alarmsentinel.record_io import AlarmMeta, ChannelKind, ChannelMeta, Record, butter_filter, zero_phase
 from alarmsentinel.signal_quality import (
     ABP_MAX_MMHG,
     ECG_MAX_MV,
@@ -25,6 +25,7 @@ from alarmsentinel.signal_quality import (
     assess_quality,
     clean_window_metrics,
     is_clean,
+    spread,
 )
 from alarmsentinel.signal_quality import _band_power, _density, _flat_mask, _invalid_mask, _noise_mask
 
@@ -151,7 +152,7 @@ def clean_window_metrics_oracle(window, fs):
     """The clean metrics composed from the two oracles above."""
     x = np.asarray(window, dtype=np.float64)
     sigma = float(np.std(x))
-    if sigma == 0.0:
+    if sigma <= 1e-12 * np.max(np.abs(x)):  # constant up to rounding
         raise ZeroVariance("metrics undefined on a constant window")
     spectrum = welch_psd_oracle(x, fs, segment_seconds=4.0)
     wander = 1.0 - band_fraction_oracle(spectrum, 0.0, 1.0, 0.0, 40.0)
@@ -232,6 +233,12 @@ class TestCleanMetrics:
         with pytest.raises(ZeroVariance):
             clean_window_metrics(np.full(2000, 1.0), 125.0)
 
+    def test_constant_up_to_rounding_is_zero_variance(self):
+        x = np.full(1250, 0.18)
+        assert np.std(x) > 0.0  # the mean rounds away from 0.18
+        with pytest.raises(ZeroVariance):
+            clean_window_metrics(x, 125.0)
+
     def test_is_clean_thresholds(self):
         assert is_clean(CleanMetrics(0.75, 0.9, 4.0))  # thresholds are inclusive
         assert not is_clean(CleanMetrics(0.74, 0.9, 4.0))
@@ -240,6 +247,27 @@ class TestCleanMetrics:
 
     def test_nan_metric_fails_closed(self):
         assert not is_clean(CleanMetrics(float("nan"), 0.95, 5.0))
+
+
+class TestSpread:
+    def test_rounding_of_a_constant_reads_as_zero(self):
+        for value in (0.18, -3.7, 1e4):
+            assert spread(np.full(1250, value)) == 0.0
+        assert spread(np.zeros(10)) == 0.0
+
+    def test_anti_alias_ripple_on_a_flat_stretch_reads_as_zero(self):
+        rng = np.random.default_rng(5)
+        x = np.concatenate((rng.normal(0.0, 1.0, 500), np.full(2500, 0.4), rng.normal(0.0, 1.0, 500)))
+        flat = zero_phase(butter_filter(4, 50.0, "low", 250.0), x)[1000:2500]  # away from the edge transients
+        assert np.std(flat) > 0.0
+        assert spread(flat) == 0.0
+
+    def test_a_small_signal_on_a_large_offset_keeps_its_spread(self):
+        x = 500.0 + 1e-3 * sine(10.0, seconds=4.0)  # one count of a 16-bit signal in mV
+        assert spread(x) == float(np.std(x)) > 0.0
+
+    def test_non_finite_left_as_numpy_reads_it(self):
+        assert np.isnan(spread(np.array([1.0, np.nan, 2.0])))
 
 
 class TestValidity:
