@@ -84,6 +84,24 @@ class BankSet:
     standard: BeatBank | None = None
 
 
+def _single(beats: list[np.ndarray]) -> list[np.ndarray]:
+    """``beats`` in single precision, so :func:`dtw_distances` sweeps
+    them in float32, on half the bytes per cell of float64.
+
+    Records hold 16-bit counts, and float32 rounds a z-normalized sample
+    at about 6e-8 of its value, far below one count. Against the float64
+    sweep, a beat-pair distance d moved by at most 5.1e-7 * (1 + d) over
+    9,000 drawn z-normalized pairs of 25-250 samples at
+    :data:`BEAT_RADIUS` (random, random-walk, spiked, and one shape under
+    noise down to 1e-6), so the bound is 1e-6 * (1 + d): relative for
+    distant beats, absolute for near-copies, where the rounding of each
+    sample rather than the shapes sets the difference. Banks keep their
+    beats in float64; each caller casts every distinct beat once, not
+    once per pair.
+    """
+    return [beat.astype(np.float32) for beat in beats]
+
+
 def _beat_distances(a: list[np.ndarray], b: list[np.ndarray]) -> np.ndarray:
     # beats of very different lengths would make the band infeasible;
     # widen it just enough so every pair stays comparable
@@ -182,7 +200,8 @@ def bank_novelty_stats(bank: BeatBank) -> NoveltyStats:
         raise BankTooSmall(f"novelty statistics need at least 3 beats, have {n}")
 
     iu, ju = np.triu_indices(n, k=1)
-    reference = _beat_distances([bank.beats[i] for i in iu], [bank.beats[j] for j in ju])
+    beats = _single(bank.beats)
+    reference = _beat_distances([beats[i] for i in iu], [beats[j] for j in ju])
     dist = np.zeros((n, n))
     dist[iu, ju] = dist[ju, iu] = reference
     others = dist[~np.eye(n, dtype=bool)].reshape(n, n - 1)  # row i: beat i against the others, in order
@@ -334,6 +353,7 @@ def classify_beat_self_kl(bank: BeatBank, stats: NoveltyStats) -> BeatRule:
 def _distance_rows(beats: list[np.ndarray], members: list[np.ndarray]) -> np.ndarray:
     """Distances of every beat to every member, one row per beat, from
     one DTW call."""
+    beats, members = _single(beats), _single(members)
     pairs = _beat_distances([x for x in beats for _ in members], members * len(beats))
     return pairs.reshape(len(beats), len(members))
 

@@ -15,8 +15,12 @@ other stale slot is read again. A batch whose buffers would pass
 :data:`SWEEP_SLOTS` slots is swept in the fewest parts under it, each
 padded to its own longest pair, so the buffers stay in cache; every
 pair's recurrence is its own, so the parts give the same bits as one
-sweep. :func:`dtw_distances` is the one entry point;
-:func:`dtw_distance` is its one-pair form.
+sweep. A batch whose every input is float32 is swept in float32, on
+half the bytes per cell; any other batch in float64. Either way the
+distances come back as float64. Only the beat banks pass float32
+(``beat_banks._single`` says why), so the full-signal search and every
+other caller keep float64. :func:`dtw_distances` is the one entry
+point; :func:`dtw_distance` is its one-pair form.
 """
 from __future__ import annotations
 
@@ -52,7 +56,9 @@ BEAT_RADIUS = 125  # 1 s at 125 Hz
 # 12-23% faster in parts under this budget and the smaller ones the same;
 # in total, budgets of 32,000 to 64,000 were within 2.5% of each other,
 # 24,000 was 3% slower (each part pays the per-diagonal overhead again),
-# and no split 6% slower.
+# and no split 6% slower. A float32 sweep holds half the bytes per slot,
+# but one budget serves both precisions: the bank methods ran no faster
+# with float32 sweeps under 96,000 slots (BENCH_26.json).
 SWEEP_SLOTS = 48_000
 
 
@@ -60,13 +66,15 @@ def _dtw_core(a: np.ndarray, b: np.ndarray, n: np.ndarray, m: np.ndarray, radii:
     """Squared banded DTW cost of K pairs, swept over the anti-diagonals i + j = t.
 
     ``a`` is (max n, K) and ``b`` is (max m, K): column k holds pair k,
-    zero-padded. Slot s of a diagonal holds cell (s - 1, t - s + 1) of
-    every pair; slot 0 stands for the virtual cell (-1, -1), which is 0
-    before the first diagonal and infinite after it. Cells outside the
-    widest band stay infinite, and a cell outside a narrower pair's own
-    band is set to infinity. Padded cells hold junk, but no cell of a
-    pair depends on a cell past its own last row or column. Pair k ends
-    at slot n_k of diagonal n_k + m_k - 2.
+    zero-padded. Both share one dtype, float32 or float64, and every
+    buffer is allocated in it; the costs come back as float64. Slot s
+    of a diagonal holds cell (s - 1, t - s + 1) of every pair; slot 0
+    stands for the virtual cell (-1, -1), which is 0 before the first
+    diagonal and infinite after it. Cells outside the widest band stay
+    infinite, and a cell outside a narrower pair's own band is set to
+    infinity. Padded cells hold junk, but no cell of a pair depends on a
+    cell past its own last row or column. Pair k ends at slot n_k of
+    diagonal n_k + m_k - 2.
 
     Three diagonal buffers rotate, and the arithmetic runs in place: the
     local cost in one scratch row, the minimum of the three predecessors
@@ -97,11 +105,11 @@ def _dtw_core(a: np.ndarray, b: np.ndarray, n: np.ndarray, m: np.ndarray, radii:
     los = np.maximum(np.maximum(diagonals - m_max + 1, (diagonals - radius + 1) // 2), 0)
     his = np.minimum(np.minimum(diagonals, (diagonals + radius) // 2), n_max - 1)
     out = np.empty(k)
-    before = np.full((n_max + 1, k), np.inf)  # diagonal t - 2
+    before = np.full((n_max + 1, k), np.inf, dtype=a.dtype)  # diagonal t - 2
     before[0] = 0.0
-    last = np.full((n_max + 1, k), np.inf)  # diagonal t - 1
-    cur = np.full((n_max + 1, k), np.inf)  # diagonal t, once written
-    cost = np.empty((n_max, k))
+    last = np.full((n_max + 1, k), np.inf, dtype=a.dtype)  # diagonal t - 1
+    cur = np.full((n_max + 1, k), np.inf, dtype=a.dtype)  # diagonal t, once written
+    cost = np.empty((n_max, k), dtype=a.dtype)
     subtract, multiply, minimum, add = np.subtract, np.multiply, np.minimum, np.add
     for t, lo, hi in zip(diagonals.tolist(), los.tolist(), his.tolist()):
         d = cost[:hi + 1 - lo]
@@ -136,7 +144,10 @@ def dtw_distances(a, b, radii) -> np.ndarray:
     """Banded DTW distances of the pairs (a[k], b[k]), one sweep for all.
 
     ``a`` and ``b`` are sequences of 1-D sequences of equal count;
-    ``radii`` holds one band radius per pair, or one for all.
+    ``radii`` holds one band radius per pair, or one for all. The sweep
+    runs in float32 when every input sequence is float32, and in float64
+    otherwise; the distances are float64, the square roots of the
+    swept costs.
 
     Raises
     ------
@@ -150,8 +161,9 @@ def dtw_distances(a, b, radii) -> np.ndarray:
         The length difference of some pair exceeds its band radius, so
         no warping path exists.
     """
-    a = [np.asarray(x, dtype=np.float64) for x in a]
-    b = [np.asarray(x, dtype=np.float64) for x in b]
+    a = [np.asarray(x) for x in a]
+    b = [np.asarray(x) for x in b]
+    dtype = np.float32 if all(x.dtype == np.float32 for x in (*a, *b)) else np.float64
     if len(a) != len(b):
         raise ValueError(f"{len(a)} first sequences against {len(b)} second sequences")
     radii = np.broadcast_to(np.asarray(radii, dtype=np.int64), (len(a),))
@@ -171,8 +183,8 @@ def dtw_distances(a, b, radii) -> np.ndarray:
     out = np.empty(len(a))
     per_part = max(1, SWEEP_SLOTS // int(n.max() + 1))
     for part in np.array_split(np.arange(len(a)), -(-len(a) // per_part)):
-        padded_a = np.zeros((n[part].max(), len(part)))
-        padded_b = np.zeros((m[part].max(), len(part)))
+        padded_a = np.zeros((n[part].max(), len(part)), dtype=dtype)
+        padded_b = np.zeros((m[part].max(), len(part)), dtype=dtype)
         for column, k in enumerate(part.tolist()):
             padded_a[:n[k], column] = a[k]
             padded_b[:m[k], column] = b[k]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alarmsentinel import beat_banks
-from alarmsentinel.alarm_logic import Thresholds
+from alarmsentinel.alarm_logic import Thresholds, _window, analysis_beats, detect_annotations
 from alarmsentinel.beat_banks import (
     KL_EPSILON,
     BankKind,
@@ -30,6 +30,7 @@ from alarmsentinel.beat_banks import (
     vt_labels_from_bank,
 )
 from alarmsentinel.beats import BeatAnnotation, BeatLabel, detect_qrs
+from alarmsentinel.cli import main
 from alarmsentinel.dtw import bank_lead, znormalize
 from alarmsentinel.errors import (
     BankTooSmall,
@@ -39,7 +40,7 @@ from alarmsentinel.errors import (
     IoFailure,
     NotNormalized,
 )
-from alarmsentinel.record_io import Arrhythmia
+from alarmsentinel.record_io import Arrhythmia, load_record, write_record
 from alarmsentinel.synthkit import SynthSpec, generate, narrow_template, surrogate_banks, wide_template
 
 ANALYSIS_WINDOW_S = Thresholds().analysis_window_s
@@ -459,6 +460,86 @@ class TestVtLabelsFromBank:
     def test_vbank_needs_banks(self):
         with pytest.raises(EmptyBank):
             classify_beat_vbank(BankSet())
+
+
+def vt_spec(k: int) -> SynthSpec:
+    """The k-th of a seeded spread of VT records: heart rate, run length
+    and rate, QRS and ventricular width, noise, baseline wander and
+    sample rate all vary."""
+    rng = np.random.default_rng(26_000 + k)
+    return SynthSpec(
+        name=f"vt{k}",
+        arrhythmia=Arrhythmia.VTACH,
+        event=k % 2 == 0,
+        heart_rate=float(rng.uniform(55.0, 110.0)),
+        vt_beats=int(rng.integers(4, 13)),
+        vt_rate=float(rng.uniform(110.0, 180.0)),
+        qrs_width_ms=float(rng.uniform(60.0, 110.0)),
+        vent_width_ms=float(rng.uniform(120.0, 180.0)),
+        noise_mv=float(rng.choice([0.005, 0.01, 0.03, 0.08])),
+        baseline_wander_mv=float(rng.choice([0.0, 0.05, 0.1])),  # 0.3 mV leaves no clean section
+        sample_rate=float(rng.choice([125.0, 250.0])),
+        seed=26_000 + k,
+    )
+
+
+class TestSinglePrecisionLabels:
+    """Beats are warped in float32; every window beat must get the label
+    the float64 distances of the same beats give it."""
+
+    def test_labels_match_the_float64_sweep(self, banks):
+        config = Thresholds()
+        banked = 0
+        for k in range(30):
+            record, _ = generate(vt_spec(k))
+            lead, ann = analysis_beats(record, detect_annotations(record, None, config), "II")
+            beats_in = ann.within(*_window(record, config))
+            labels = {}
+            for precision in ("single", "double"):
+                with mock.patch.object(beat_banks, "_single", (lambda beats: beats) if precision == "double" else beat_banks._single):
+                    rules = {"vbank": classify_beat_vbank(banks)}
+                    try:
+                        self_bank = extract_self_bank(lead, ann, config.analysis_window_s)
+                    except InsufficientCleanBeats:
+                        pass
+                    else:
+                        stats = bank_novelty_stats(self_bank)
+                        rules["self-min"] = classify_beat_self_min(self_bank, stats)
+                        rules["self-kl"] = classify_beat_self_kl(self_bank, stats)
+                    labels[precision] = {method: vt_labels_from_bank(lead, beats_in, rule) for method, rule in rules.items()}
+            assert labels["single"] == labels["double"], k
+            assert all(labels["single"].values()), k
+            banked += "self-min" in labels["single"]
+        # 20 of the 30 records build a patient bank, so the self rules are compared too
+        assert banked >= 15, banked
+
+
+class TestBanksStayDouble:
+    """Only the sweep is single precision: a bank's beats, and the files
+    written from them, stay float64."""
+
+    def test_self_bank_and_loaded_banks_are_float64(self, vt_true_record, banks, tmp_path):
+        rec, _ = vt_true_record
+        ann = detect_qrs(rec.samples[0], rec.sample_rate)
+        bank = extract_self_bank(bank_lead(rec, ann.channel), ann, ANALYSIS_WINDOW_S)
+        save_bank(banks.ventricular, tmp_path, prefix="v")
+        save_bank(banks.standard, tmp_path, prefix="n")
+        loaded = load_bank_dir(tmp_path)
+        for beat in bank.beats + loaded.ventricular.beats + loaded.standard.beats:
+            assert beat.dtype == np.float64
+
+    def test_build_self_writes_the_float64_slices(self, vt_true_record, tmp_path, capsys):
+        header = write_record(vt_true_record[0], tmp_path)
+        assert main(["bank", "build-self", "--record", str(header), "--out", str(tmp_path / "bank")]) == 0
+        capsys.readouterr()
+        rec, config = load_record(header), Thresholds()  # the 16-bit counts the command read
+        lead, ann = analysis_beats(rec, detect_annotations(rec, None, config), "II")
+        bank = extract_self_bank(lead, ann, config.analysis_window_s)
+        files = sorted((tmp_path / "bank").glob("*.txt"))
+        assert len(files) == len(bank.provenance) == 20
+        for path, (_, start, end) in zip(files, bank.provenance):
+            beat = znormalize(lead.record.samples[0][start:end])
+            assert path.read_text().splitlines()[1:] == [repr(float(v)) for v in beat], path.name
 
 
 class TestBeatFiles:

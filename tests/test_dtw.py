@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from alarmsentinel import dtw
 from alarmsentinel.dtw import (
+    BEAT_RADIUS,
     FULL_SIGNAL_RADIUS,
     SWEEP_SLOTS,
     CorpusEntry,
@@ -37,9 +38,10 @@ from alarmsentinel.record_io import AlarmMeta, Arrhythmia, ChannelKind, ChannelM
 
 
 def dtw_oracle(a, b, radius):
-    """Reference banded DTW: full matrix, no pruning tricks."""
+    """Reference banded DTW: full matrix, no pruning tricks, in the
+    inputs' precision (float32 only when both are float32)."""
     n, m = len(a), len(b)
-    D = np.full((n, m), np.inf)
+    D = np.full((n, m), np.inf, dtype=np.result_type(a, b))
     for i in range(n):
         for j in range(max(0, i - radius), min(m, i + radius + 1)):
             cost = (a[i] - b[j]) ** 2
@@ -230,11 +232,13 @@ class TestDtwDistances:
 
 
 def one_sweep(a, b, radii):
-    """All pairs in one _dtw_core sweep, padded to the longest pair: what
-    dtw_distances computed before it split large batches."""
+    """All pairs in one _dtw_core sweep, padded to the longest pair in the
+    inputs' precision: what dtw_distances computed before it split large
+    batches."""
     n = np.array([len(x) for x in a])
     m = np.array([len(y) for y in b])
-    padded_a, padded_b = np.zeros((n.max(), len(a))), np.zeros((m.max(), len(b)))
+    dtype = np.result_type(*a, *b)
+    padded_a, padded_b = np.zeros((n.max(), len(a)), dtype=dtype), np.zeros((m.max(), len(b)), dtype=dtype)
     for k, (x, y) in enumerate(zip(a, b)):
         padded_a[: len(x), k] = x
         padded_b[: len(y), k] = y
@@ -309,6 +313,101 @@ class TestSplitSweeps:
         assert got.tobytes() == expected.tobytes()
         assert len(parts) == -(-960 // (SWEEP_SLOTS // 125)) > 1
         assert all((rows + 1) * k <= SWEEP_SLOTS for rows, k in parts)
+
+
+def single(seqs):
+    return [x.astype(np.float32) for x in seqs]
+
+
+class TestSinglePrecision:
+    """A batch whose every input is float32 is swept in float32, any other
+    in float64; the distances come back as float64 either way."""
+
+    def swept_dtypes(self, monkeypatch):
+        """Spy on _dtw_core; return the list it fills with each part's dtype."""
+        dtypes = []
+
+        def spy(a, b, n, m, radii):
+            dtypes.append(a.dtype)
+            return _dtw_core(a, b, n, m, radii)
+
+        monkeypatch.setattr(dtw, "_dtw_core", spy)
+        return dtypes
+
+    def test_ragged_batch_matches_the_float32_oracle(self, monkeypatch):
+        # the ragged pairs include radius 0 and mixed radii
+        rng = np.random.default_rng(17)
+        dtypes = self.swept_dtypes(monkeypatch)
+        for count in (1, 2, 40):
+            a, b, radii = TestDtwDistances().ragged(rng, count)
+            a, b = single(a), single(b)
+            got = dtw_distances(a, b, radii)
+            assert got.dtype == np.float64
+            assert list(got) == [dtw_oracle(x, y, r) for x, y, r in zip(a, b, radii)]
+        assert dtypes == [np.float32] * 3
+
+    @pytest.mark.parametrize("budget", [None, 200])
+    def test_split_and_unsplit_match_one_sweep_and_the_oracle(self, monkeypatch, budget):
+        rng = np.random.default_rng(18)
+        a, b, radii = TestSplitSweeps().batch(rng, 47, 40)
+        a, b = single(a), single(b)
+        expected = one_sweep(a, b, radii)
+        parts = TestSplitSweeps().sweeps(monkeypatch, budget=budget)
+        got = dtw_distances(a, b, radii)
+        assert len(parts) == (1 if budget is None else -(-47 // (200 // 41)))
+        assert got.tobytes() == expected.tobytes()
+        assert list(got) == [dtw_oracle(x, y, r) for x, y, r in zip(a, b, radii)]
+
+    @pytest.mark.parametrize("mixed", ["a", "b", "one pair"])
+    def test_mixed_batch_sweeps_in_float64(self, monkeypatch, mixed):
+        rng = np.random.default_rng(20)
+        a, b, radii = TestDtwDistances().ragged(rng, 30)
+        a32, b32 = single(a), single(b)
+        # float32 to float64 is exact, so today's bits are those of the widened inputs
+        expected = dtw_distances([x.astype(np.float64) for x in a32], [y.astype(np.float64) for y in b32], radii)
+        if mixed == "a":
+            a32 = [x.astype(np.float64) for x in a32]
+        elif mixed == "b":
+            b32[7] = b32[7].astype(np.float64)
+        else:
+            a32[0], b32[0] = a32[0].astype(np.float64), b32[0].astype(np.float64)
+        dtypes = self.swept_dtypes(monkeypatch)
+        assert dtw_distances(a32, b32, radii).tobytes() == expected.tobytes()
+        assert dtypes == [np.float64]
+
+    def test_other_inputs_sweep_in_float64(self, monkeypatch):
+        dtypes = self.swept_dtypes(monkeypatch)
+        assert dtw_distance([0, 1, 2], [0, 2], 1) == dtw_oracle(np.array([0.0, 1.0, 2.0]), np.array([0.0, 2.0]), 1)
+        assert dtw_distance(np.ones(3, dtype=np.float16), np.zeros(3, dtype=np.float32), 1) == math.sqrt(3.0)
+        assert dtypes == [np.float64, np.float64]
+
+    @given(
+        st.integers(25, 250),
+        st.integers(25, 250),
+        st.sampled_from(["normal", "walk", "spike", "shape"]),
+        st.sampled_from([1e-1, 1e-3, 1e-6]),
+        st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_beat_pairs_agree_with_the_float64_sweep(self, n, m, kind, noise, seed):
+        # the bound stated where beat_banks chooses single precision
+        rng = np.random.default_rng(seed)
+        if kind == "normal":
+            x, y = rng.normal(size=n), rng.normal(size=m)
+        elif kind == "walk":
+            x, y = np.cumsum(rng.normal(size=n)), np.cumsum(rng.normal(size=m))
+        elif kind == "spike":
+            x, y = rng.normal(0, 0.01, n), rng.normal(0, 0.01, m)
+            x[n // 2] += 1.0
+            y[rng.integers(m)] += 1.0
+        else:  # one shape under noise: near-copies at the smallest noise
+            f = rng.uniform(0.5, 5.0)
+            x = np.sin(f * np.linspace(0, 6, n)) + rng.normal(0, noise, n)
+            y = np.sin(f * np.linspace(0, 6, m)) + rng.normal(0, noise, m)
+        x, y = znormalize(x), znormalize(y)
+        radius = max(BEAT_RADIUS, abs(n - m))
+        double = dtw_distance(x, y, radius)
+        assert abs(dtw_distance(x.astype(np.float32), y.astype(np.float32), radius) - double) <= 1e-6 * (1.0 + double)
 
 
 class TestZnormalize:
