@@ -12,6 +12,10 @@ signal pair is warped. The ``warped`` cases label every beat of one true
 and one false VT record with each bank method, and two dtw-full cases
 search a corpus, one of them with an exact duplicate of the nearest
 entry under the opposite label, which pins the earliest-entry tie rule.
+Single cases pin branches nothing else reaches: beat pairs warped under
+a band widened to their length gap, the bank methods' fallback to the
+first ECG channel, a record already at the match rate, a pressure lead
+named for the bank methods, and a lead held flat inside the window.
 
 A verdict is compared whole: decision, ``gate_fired``, method, and every
 evidence entry with its witnesses rounded to 12 significant digits.
@@ -70,6 +74,13 @@ def _keep(record, names):
     """Drop every channel not named."""
     keep = [i for i, ch in enumerate(record.channels) if ch.name in names]
     return Record(record.name, record.sample_rate, [record.channels[i] for i in keep], record.samples[keep].copy(), record.alarm)
+
+
+def _flat(record, start_s=10.0, length_s=3.0):
+    """Lead II held at one value for ``length_s``, ``start_s`` before the alarm."""
+    start = record.alarm.alarm_index - int(round(start_s * record.sample_rate))
+    record.samples[0, start : start + int(round(length_s * record.sample_rate))] = record.samples[0, start]
+    return record
 
 
 def _tiny():
@@ -172,6 +183,23 @@ def _cases():
         label = "true" if truth else "false"
         for method, kwargs in (("dtw-vbank", {"banks": banks}), ("dtw-self-min", {}), ("dtw-self-kl", {})):
             cases[f"warped/{method}/{label}"] = (lambda t=truth, s=seed: _burst(_record(A.VTACH, t, s)), method, kwargs)
+    # at 35 bpm the beat slices outgrow the 81-sample surrogate members by more
+    # than BEAT_RADIUS, so their pairs are warped under a band widened to the gap
+    for truth in (True, False):
+        cases[f"widened-band/dtw-vbank/{'true' if truth else 'false'}"] = (
+            lambda t=truth: _record(A.VTACH, t, 601, heart_rate=35.0), "dtw-vbank", {"banks": banks}
+        )
+    # without lead II the bank methods read the first ECG channel, V
+    cases["first-ecg-fallback/dtw-vbank"] = (
+        lambda: _keep(_record(A.VTACH, True, 602), ("V", "ABP", "PLETH")), "dtw-vbank", {"banks": banks}
+    )
+    # a record already at the match rate: bank_lead takes it as it is
+    for method, kwargs in (("dtw-vbank", {"banks": banks}), ("dtw-self-min", {})):
+        cases[f"rate-125/{method}"] = (lambda: _record(A.VTACH, True, 603, sample_rate=125.0), method, kwargs)
+        # a pressure lead is warped but gives no vote (dtw-self-min finds no clean ECG section)
+        cases[f"pressure-lead/{method}"] = (lambda: _record(A.VTACH, True, 604), method, {**kwargs, "lead": "ABP"})
+    # 3 s of lead II held flat inside the window: its validity witnesses the flat-line screen
+    cases["flat-ii/TACHYCARDIA/improved"] = (lambda: _flat(_record(A.TACHYCARDIA, False, 605)), "improved", {})
     # the nearest entry and its exact duplicate carry opposite labels: the earliest entry wins
     tied = corpus_from_records([(_record(A.VTACH, True, 554), True), (_record(A.VTACH, False, 551), False)])
     tied.entries.append(replace(tied.entries[0], values=tied.entries[0].values.copy(), is_true_alarm=False))
