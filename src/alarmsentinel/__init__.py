@@ -43,7 +43,6 @@ from .beat_banks import (
 from .beats import (
     BeatAnnotation,
     BeatLabel,
-    BeatSegment,
     beat_segments,
     classify_beat_spectral,
     detect_pulses,

@@ -107,6 +107,19 @@ class Thresholds:
                 raise InvalidConfig(f"{f.name} must be finite, got {value}")
         if self.analysis_window_s <= 0:
             raise InvalidConfig(f"analysis_window_s must be above 0, got {self.analysis_window_s}")
+        # each of these leaves a check that can never fire, which turns every true alarm false
+        if self.vf_dominant_lo_hz >= self.vf_dominant_hi_hz:
+            raise InvalidConfig(
+                f"vf_dominant_lo_hz must be below vf_dominant_hi_hz, got {self.vf_dominant_lo_hz} and {self.vf_dominant_hi_hz}"
+            )
+        if self.vf_concentration > 1:
+            raise InvalidConfig(f"vf_concentration is a share of power, at most 1, got {self.vf_concentration}")
+        if self.brady_hr <= 0:
+            raise InvalidConfig(f"brady_hr must be above 0, got {self.brady_hr}")
+        if self.asystole_gap_s > self.analysis_window_s:
+            raise InvalidConfig(
+                f"asystole_gap_s must be at most analysis_window_s ({self.analysis_window_s}), got {self.asystole_gap_s}"
+            )
 
     def update(self, overrides: dict) -> "Thresholds":
         """A copy with ``overrides`` cast to the field types."""

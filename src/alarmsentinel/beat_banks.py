@@ -1,11 +1,12 @@
 """Beat-bank classifiers: representative banks and self-beat novelty.
 
 Three ways to decide whether a beat is ventricular, all built on the
-same banded DTW distance at the beat level (1 s radius): nearest
-neighbour against curated ventricular/standard banks, and two
-novelty rules that compare a beat against 20 of the patient's own
-pre-alarm beats (minimum-distance threshold, and KL divergence
-between distance histograms). Each classifier takes the banks it
+same banded DTW distance at the beat level (1 s radius, which
+:func:`dtw_distances` widens to a pair's length gap): nearest neighbour
+against curated ventricular/standard banks, and two novelty rules that
+compare a beat against 20 of the patient's own pre-alarm beats
+(minimum-distance threshold, and KL divergence between distance
+histograms). Each classifier takes the banks it
 reads (the curated :class:`BankSet`, or the patient's bank and its
 :class:`NoveltyStats`) and returns a :class:`BeatRule`, the bank
 members to warp against and a rule that labels beats from their rows
@@ -18,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .beats import BEAT_MIN_S, BeatAnnotation, BeatLabel, BeatSegment, beat_segments, beat_slices
+from .beats import BEAT_MIN_S, BeatAnnotation, BeatLabel, beat_segments, beat_slices
 from .dtw import BEAT_RADIUS, MATCH_RATE_HZ, BankLead, dtw_distances, znormalize
 from .errors import (
     BankTooSmall,
@@ -102,19 +103,13 @@ def _single(beats: list[np.ndarray]) -> list[np.ndarray]:
     return [beat.astype(np.float32) for beat in beats]
 
 
-def _beat_distances(a: list[np.ndarray], b: list[np.ndarray]) -> np.ndarray:
-    # beats of very different lengths would make the band infeasible;
-    # widen it just enough so every pair stays comparable
-    gaps = np.abs(np.array([len(x) for x in a]) - np.array([len(y) for y in b]))
-    return dtw_distances(a, b, np.maximum(BEAT_RADIUS, gaps))
-
-
 def _comparable_beats(
-    samples: np.ndarray, segments: Iterable[BeatSegment]
+    samples: np.ndarray, segments: tuple[np.ndarray, np.ndarray]
 ) -> Iterator[tuple[int, int, int, np.ndarray]]:
-    """``(position, start, end, z-normalized slice)`` of each segment
-    whose slice can be compared: :func:`beat_slices` keeps it and it is
-    not flat."""
+    """``(position, start, end, z-normalized slice)`` of each segment of
+    ``segments``, the ``(starts, ends)`` of :func:`beat_segments`, whose
+    slice can be compared: :func:`beat_slices` keeps it and it is not
+    flat."""
     for pos, (start, end, slice_) in enumerate(beat_slices(samples, segments, BEAT_MIN_SAMPLES, BEAT_MAX_SAMPLES)):
         if slice_ is None:
             continue
@@ -168,10 +163,10 @@ def extract_self_bank(lead: BankLead, annotation: BeatAnnotation, exclude_s: flo
             continue
         if is_clean(metrics):
             try:
-                segments = beat_segments(at_match_rate.within(sec_start, sec_end))
+                starts, ends = beat_segments(at_match_rate.within(sec_start, sec_end))
             except TooFewBeats:  # a section with fewer than three beats has no interior
-                segments = []
-            interior = reversed(segments[1:-1])  # newest first
+                starts = ends = np.empty(0, dtype=np.int64)
+            interior = starts[-2:0:-1], ends[-2:0:-1]  # newest first
             for _, s, e, beat in _comparable_beats(samples, interior):
                 beats.append(beat)
                 provenance.append((rec.name, s, e))
@@ -201,7 +196,7 @@ def bank_novelty_stats(bank: BeatBank) -> NoveltyStats:
 
     iu, ju = np.triu_indices(n, k=1)
     beats = _single(bank.beats)
-    reference = _beat_distances([beats[i] for i in iu], [beats[j] for j in ju])
+    reference = dtw_distances([beats[i] for i in iu], [beats[j] for j in ju], BEAT_RADIUS)
     dist = np.zeros((n, n))
     dist[iu, ju] = dist[ju, iu] = reference
     others = dist[~np.eye(n, dtype=bool)].reshape(n, n - 1)  # row i: beat i against the others, in order
@@ -354,7 +349,7 @@ def _distance_rows(beats: list[np.ndarray], members: list[np.ndarray]) -> np.nda
     """Distances of every beat to every member, one row per beat, from
     one DTW call."""
     beats, members = _single(beats), _single(members)
-    pairs = _beat_distances([x for x in beats for _ in members], members * len(beats))
+    pairs = dtw_distances([x for x in beats for _ in members], members * len(beats), BEAT_RADIUS)
     return pairs.reshape(len(beats), len(members))
 
 
@@ -368,7 +363,7 @@ def vt_labels_from_bank(lead: BankLead, annotation: BeatAnnotation, rule: BeatRu
     bank members in one batch.
     """
     segments = beat_segments(_on_lead(lead, annotation))
-    labels = [BeatLabel.UNKNOWN] * len(segments)
+    labels = [BeatLabel.UNKNOWN] * annotation.count
     comparable = list(_comparable_beats(lead.record.samples[0], segments))
     rows = _distance_rows([beat for *_, beat in comparable], rule.members)
     for (pos, *_), label in zip(comparable, rule.label(rows)):

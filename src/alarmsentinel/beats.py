@@ -4,7 +4,10 @@ The QRS detector is the classic band-pass / differentiate / square /
 integrate chain with an adaptive two-level threshold; the pulse
 detector looks for steep upstrokes in pressure-like signals. Both are
 deliberately simple: alarm adjudication needs beat positions that are
-roughly right far more than it needs textbook-grade detection.
+roughly right far more than it needs textbook-grade detection. The
+span each beat owns is a pair of positions too: :func:`beat_segments`
+gives the starts and ends of all beats as two int64 arrays, and
+:func:`beat_slices` cuts them from a channel.
 """
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.fft import rfft, rfftfreq
@@ -186,53 +189,41 @@ def window_heart_rate(annotation: BeatAnnotation, fs: float, k: int) -> np.ndarr
     return 60.0 * (k - 1) / spans
 
 
-@dataclass
-class BeatSegment:
-    """Half-open slice [start, end) owned by the beat at ``beat``."""
-
-    beat: int
-    start: int
-    end: int
-
-
-def beat_segments(annotation: BeatAnnotation) -> list[BeatSegment]:
-    """Split the beat train into per-beat slices.
+def beat_segments(annotation: BeatAnnotation) -> tuple[np.ndarray, np.ndarray]:
+    """Split the beat train into per-beat slices: beat i owns the
+    half-open span ``[starts[i], ends[i])`` of the two int64 arrays.
 
     Each beat owns from a third of the preceding interval before it to
-    two thirds of the following interval after it. The first and last
-    beats have only one neighbouring interval, which stands in on both
-    sides. Consecutive segments share boundaries exactly, so they tile
-    the span without gaps or overlap.
+    two thirds of the following interval after it, each rounded to the
+    nearest sample. The first and last beats have only one neighbouring
+    interval, which stands in on both sides. Consecutive segments share
+    boundaries exactly, so they tile the span without gaps or overlap.
     """
-    idx = annotation.indices
-    n = len(idx)
-    if n < 3:
-        raise TooFewBeats(f"segmentation needs at least 3 beats, have {n}")
-    segments: list[BeatSegment] = []
-    for i in range(n):
-        prev_gap = int(idx[i] - idx[i - 1]) if i > 0 else int(idx[1] - idx[0])
-        next_gap = int(idx[i + 1] - idx[i]) if i < n - 1 else int(idx[n - 1] - idx[n - 2])
-        start = int(idx[i]) - int(round(prev_gap / 3.0))
-        end = int(idx[i]) + int(round(2.0 * next_gap / 3.0))
-        segments.append(BeatSegment(int(idx[i]), start, end))
-    return segments
+    idx = annotation.indices.astype(np.int64)  # unsigned positions must not wrap below 0
+    if len(idx) < 3:
+        raise TooFewBeats(f"segmentation needs at least 3 beats, have {len(idx)}")
+    gaps = np.diff(idx)
+    starts = idx - np.round(np.concatenate((gaps[:1], gaps)) / 3.0).astype(np.int64)
+    ends = idx + np.round(2.0 * np.concatenate((gaps, gaps[-1:])) / 3.0).astype(np.int64)
+    return starts, ends
 
 
 def beat_slices(
     samples: np.ndarray,
-    segments: Iterable[BeatSegment],
+    segments: tuple[np.ndarray, np.ndarray],
     min_len: int,
     max_len: int,
 ) -> Iterator[tuple[int, int, np.ndarray | None]]:
-    """Each segment clamped to ``samples`` as ``(start, end, slice)``.
+    """Each segment of ``segments``, the ``(starts, ends)`` of
+    :func:`beat_segments`, clamped to ``samples`` as
+    ``(start, end, slice)``.
 
     The slice is None when the clamped length falls outside
     ``[min_len, max_len]`` or the slice contains a gap (NaN): such a
     beat cannot be compared.
     """
-    for seg in segments:
-        start = max(seg.start, 0)
-        end = min(seg.end, len(samples))
+    starts, ends = segments
+    for start, end in zip(np.maximum(starts, 0).tolist(), np.minimum(ends, len(samples)).tolist()):
         slice_ = samples[start:end]
         if not min_len <= end - start <= max_len or np.isnan(slice_).any():
             yield start, end, None

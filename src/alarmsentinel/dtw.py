@@ -1,8 +1,11 @@
 """Banded dynamic time warping and nearest-neighbour alarm matching.
 
 Distances use squared local cost accumulated under a fixed band
-(|i - j| <= radius) with the square root taken at the end, so radius 0
-on equal-length inputs degenerates to plain Euclidean distance. The
+(|i - j| <= radius, Sakoe and Chiba, IEEE TASSP 1978) with the square
+root taken at the end, so radius 0 on equal-length inputs degenerates
+to plain Euclidean distance. A pair whose lengths differ by more than
+the radius is warped under a band widened to that gap, the narrowest
+that still holds a path from its first cell to its last. The
 dynamic programme sweeps the anti-diagonals i + j = t in numpy, one
 vector expression per diagonal for a whole batch of pairs: the pairs
 lie along the last, contiguous axis, each zero-padded to the longest
@@ -31,7 +34,6 @@ import numpy as np
 
 from .errors import (
     AlarmSentinelError,
-    BandInfeasible,
     EmptyCorpus,
     EmptySequence,
     InsufficientData,
@@ -140,14 +142,15 @@ def znormalize(values: np.ndarray) -> np.ndarray:
     return (x - np.mean(x)) / sigma
 
 
-def dtw_distances(a, b, radii) -> np.ndarray:
+def dtw_distances(a, b, radius: int) -> np.ndarray:
     """Banded DTW distances of the pairs (a[k], b[k]), one sweep for all.
 
-    ``a`` and ``b`` are sequences of 1-D sequences of equal count;
-    ``radii`` holds one band radius per pair, or one for all. The sweep
-    runs in float32 when every input sequence is float32, and in float64
-    otherwise; the distances are float64, the square roots of the
-    swept costs.
+    ``a`` and ``b`` are sequences of 1-D sequences of equal count. Pair
+    k is warped under the band radius
+    ``max(radius, |len(a[k]) - len(b[k])|)``, so every pair has a path.
+    The sweep runs in float32 when every input sequence is float32, and
+    in float64 otherwise; the distances are float64, the square roots of
+    the swept costs.
 
     Raises
     ------
@@ -156,30 +159,22 @@ def dtw_distances(a, b, radii) -> np.ndarray:
     NonFiniteSample
         An input of some pair holds a NaN or an infinity.
     ValueError
-        The counts differ, or a band radius is negative.
-    BandInfeasible
-        The length difference of some pair exceeds its band radius, so
-        no warping path exists.
+        The counts differ, or the band radius is negative.
     """
     a = [np.asarray(x) for x in a]
     b = [np.asarray(x) for x in b]
     dtype = np.float32 if all(x.dtype == np.float32 for x in (*a, *b)) else np.float64
     if len(a) != len(b):
         raise ValueError(f"{len(a)} first sequences against {len(b)} second sequences")
-    radii = np.broadcast_to(np.asarray(radii, dtype=np.int64), (len(a),))
+    if radius < 0:
+        raise ValueError("band radius must be non-negative")
     n = np.array([len(x) for x in a], dtype=np.int64)
     m = np.array([len(x) for x in b], dtype=np.int64)
     if len(a) == 0:
         return np.empty(0)
     if not (n.all() and m.all()):
         raise EmptySequence("DTW inputs must be non-empty")
-    if (radii < 0).any():
-        raise ValueError("band radius must be non-negative")
-    gap = np.abs(n - m)
-    infeasible = np.flatnonzero(gap > radii)
-    if len(infeasible):
-        k = infeasible[0]
-        raise BandInfeasible(f"length difference {gap[k]} exceeds radius {radii[k]}")
+    radii = np.maximum(int(radius), np.abs(n - m))
     out = np.empty(len(a))
     per_part = max(1, SWEEP_SLOTS // int(n.max() + 1))
     for part in np.array_split(np.arange(len(a)), -(-len(a) // per_part)):

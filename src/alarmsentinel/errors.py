@@ -75,10 +75,6 @@ class NonFiniteSample(AlarmSentinelError):
     """DTW input sequence holds a NaN or an infinity."""
 
 
-class BandInfeasible(AlarmSentinelError):
-    """Length difference exceeds the warping band radius."""
-
-
 class EmptyCorpus(AlarmSentinelError):
     """No training entries available for nearest-neighbour search."""
 

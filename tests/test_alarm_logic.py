@@ -137,6 +137,33 @@ class TestConfigHandling:
             Thresholds.from_file(p)
         assert Thresholds(brady_beats=2).brady_beats == 2
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            # an empty 9-8 Hz band, and a band of one frequency
+            ({"vf_dominant_lo_hz": 9.0}, "vf_dominant_lo_hz must be below vf_dominant_hi_hz, got 9.0 and 8.0"),
+            ({"vf_dominant_lo_hz": 8.0}, "vf_dominant_lo_hz must be below vf_dominant_hi_hz, got 8.0 and 8.0"),
+            ({"vf_dominant_hi_hz": 1.5}, "vf_dominant_lo_hz must be below vf_dominant_hi_hz, got 2.0 and 1.5"),
+            ({"vf_concentration": 1.5}, "vf_concentration is a share of power, at most 1, got 1.5"),
+            ({"brady_hr": 0.0}, "brady_hr must be above 0, got 0.0"),
+            ({"brady_hr": -5.0}, "brady_hr must be above 0, got -5.0"),
+            # no beat-free stretch is longer than the window it lies in
+            ({"asystole_gap_s": 17.0}, r"asystole_gap_s must be at most analysis_window_s \(16.0\), got 17.0"),
+            ({"analysis_window_s": 2.0}, r"asystole_gap_s must be at most analysis_window_s \(2.0\), got 3.0"),
+        ],
+    )
+    def test_a_check_that_can_never_fire_is_rejected(self, overrides, message):
+        # each of these turned a true synthkit alarm of seed 5 false under improved
+        with pytest.raises(InvalidConfig, match=message):
+            Thresholds(**overrides)
+        with pytest.raises(InvalidConfig, match=message):
+            Thresholds().update({key: str(value) for key, value in overrides.items()})
+
+    def test_the_edges_of_the_firing_range_are_accepted(self):
+        cfg = Thresholds(vf_dominant_lo_hz=7.5, vf_concentration=1.0, brady_hr=1.0, asystole_gap_s=16.0)
+        assert (cfg.vf_dominant_lo_hz, cfg.vf_concentration, cfg.brady_hr, cfg.asystole_gap_s) == (7.5, 1.0, 1.0, 16.0)
+        assert Thresholds(analysis_window_s=3.0).asystole_gap_s == 3.0
+
     @pytest.mark.parametrize("name", [f.name for f in fields(Thresholds) if isinstance(f.default, float)])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_threshold_rejected(self, name, value):

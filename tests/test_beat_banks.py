@@ -332,7 +332,7 @@ def pairwise_distances(draw):
 def stats_from(reference, n):
     """bank_novelty_stats of an n-beat bank whose pairwise distances are ``reference``."""
     bank = BeatBank(BankKind.SELF, [np.zeros(1)] * n)
-    with mock.patch.object(beat_banks, "_beat_distances", lambda a, b: reference.copy()):
+    with mock.patch.object(beat_banks, "dtw_distances", lambda a, b, radius: reference.copy()):
         return bank_novelty_stats(bank)
 
 

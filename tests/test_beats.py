@@ -167,20 +167,32 @@ class TestHeartRate:
             window_heart_rate(ann, 250.0, k=1)
 
 
+def segments_loop(idx):
+    """beat_segments as a loop over the beats in Python integers, each
+    bound rounded by Python's round: the reference the arrays must equal."""
+    n = len(idx)
+    starts, ends = [], []
+    for i in range(n):
+        prev_gap = int(idx[i] - idx[i - 1]) if i > 0 else int(idx[1] - idx[0])
+        next_gap = int(idx[i + 1] - idx[i]) if i < n - 1 else int(idx[n - 1] - idx[n - 2])
+        starts.append(int(idx[i]) - int(round(prev_gap / 3.0)))
+        ends.append(int(idx[i]) + int(round(2.0 * next_gap / 3.0)))
+    return starts, ends
+
+
 class TestBeatSegments:
     def test_interior_proportions(self):
         idx = np.array([1000, 1300, 1600])
-        segs = beat_segments(BeatAnnotation(0, idx))
-        middle = segs[1]
-        assert middle.beat == 1300
-        assert middle.start == 1300 - 100  # one third of the previous interval
-        assert middle.end == 1300 + 200  # two thirds of the next
+        starts, ends = beat_segments(BeatAnnotation(0, idx))
+        assert starts[1] < idx[1] < ends[1]  # the middle segment holds the middle beat
+        assert starts[1] == 1300 - 100  # one third of the previous interval
+        assert ends[1] == 1300 + 200  # two thirds of the next
 
     def test_boundary_beats_reuse_adjacent_interval(self):
         idx = np.array([1000, 1300, 1600])
-        segs = beat_segments(BeatAnnotation(0, idx))
-        assert segs[0].start == 1000 - 100
-        assert segs[-1].end == 1600 + 200
+        starts, ends = beat_segments(BeatAnnotation(0, idx))
+        assert starts[0] == 1000 - 100
+        assert ends[-1] == 1600 + 200
 
     def test_requires_three(self):
         with pytest.raises(TooFewBeats):
@@ -193,11 +205,23 @@ class TestBeatSegments:
     )
     @settings(max_examples=80, deadline=None)
     def test_segments_tile_without_gap_or_overlap(self, idx):
-        segs = beat_segments(BeatAnnotation(0, idx))
-        for a, b in zip(segs, segs[1:]):
-            assert a.end == b.start
-        for seg, beat in zip(segs, idx):
-            assert seg.start < beat < seg.end
+        starts, ends = beat_segments(BeatAnnotation(0, idx))
+        assert (ends[:-1] == starts[1:]).all()
+        assert ((starts < idx) & (idx < ends)).all()
+
+    @given(
+        st.lists(st.integers(1, 3000), min_size=2, max_size=40),
+        st.integers(0, 5000),
+        st.sampled_from([np.int64, np.int32, np.uint32, np.uint64]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_arrays_equal_the_loop(self, deltas, first, dtype):
+        # gaps of every residue mod 3 round both down and up; a first beat
+        # near 0 puts the first start below 0, where unsigned positions wrap
+        idx = np.cumsum([first] + deltas).astype(dtype)
+        starts, ends = beat_segments(BeatAnnotation(0, idx))
+        assert starts.dtype == ends.dtype == np.int64
+        assert (starts.tolist(), ends.tolist()) == segments_loop(idx)
 
 
 class TestSpectralBeatLabel:

@@ -24,7 +24,6 @@ from alarmsentinel.dtw import (
     znormalize,
 )
 from alarmsentinel.errors import (
-    BandInfeasible,
     EmptyCorpus,
     EmptySequence,
     InsufficientData,
@@ -55,6 +54,11 @@ def dtw_oracle(a, b, radius):
                 )
                 D[i, j] = cost + prev
     return math.sqrt(D[n - 1, m - 1])
+
+
+def widened(a, b, radius):
+    """The band radius dtw_distances warps the pair (a, b) under."""
+    return max(radius, abs(len(a) - len(b)))
 
 
 class TestDtwDistance:
@@ -97,9 +101,12 @@ class TestDtwDistance:
         with pytest.raises(EmptySequence):
             dtw_distance(np.array([]), np.array([1.0]), 5)
 
-    def test_band_infeasible(self):
-        with pytest.raises(BandInfeasible):
-            dtw_distance(np.zeros(10), np.zeros(3), 2)
+    def test_a_gap_above_the_radius_widens_the_band(self):
+        rng = np.random.default_rng(3)
+        for n, m, radius in ((10, 3, 2), (3, 10, 0), (40, 12, 5), (1, 30, 0), (150, 23, 125)):
+            a, b = rng.uniform(-1, 1, n), rng.uniform(-1, 1, m)
+            gap = abs(n - m)
+            assert dtw_distance(a, b, radius) == dtw_distance(a, b, gap) == dtw_oracle(a, b, gap)
 
     def test_negative_radius(self):
         with pytest.raises(ValueError):
@@ -136,61 +143,93 @@ class TestDtwDistance:
 
 
 class TestDtwDistances:
-    def ragged(self, rng, count):
-        """Pairs of lengths 1-150 with radii |n - m| to |n - m| + 8, some of them radius 0."""
-        a, b, radii = [], [], []
+    def ragged(self, rng, count, radius):
+        """Pairs of lengths 1-150 under one radius: every fifth pair of equal
+        lengths, every fifth of a gap up to the radius, every fifth of a gap
+        of exactly the radius, and the rest of any gap, mostly above it, so
+        the kernel sees mixed radii, and radius 0 when ``radius`` is 0."""
+        a, b = [], []
         for k in range(count):
             n = int(rng.integers(1, 151))
-            m = n if k % 5 == 0 else int(rng.integers(1, 151))
+            gap = (0, int(rng.integers(0, radius + 1)), radius, None, None)[k % 5]
+            if gap is None:
+                m = int(rng.integers(1, 151))
+            else:
+                m = n + gap if n + gap <= 150 else n - gap
+                if m < 1:
+                    m = n
             a.append(rng.uniform(-1, 1, n))
             b.append(rng.uniform(-1, 1, m))
-            radii.append(0 if k % 5 == 0 else abs(n - m) + int(rng.integers(0, 9)))
-        return a, b, radii
+        return a, b, radius
 
     def test_ragged_batch_matches_oracle(self):
         rng = np.random.default_rng(7)
-        for count in (1, 2, 40):
-            a, b, radii = self.ragged(rng, count)
-            got = dtw_distances(a, b, radii)
+        for count, radius in ((1, 0), (2, 4), (40, 0), (40, 8)):
+            a, b, radius = self.ragged(rng, count, radius)
+            got = dtw_distances(a, b, radius)
             assert got.shape == (count,)
-            assert list(got) == [dtw_oracle(x, y, r) for x, y, r in zip(a, b, radii)]
+            assert list(got) == [dtw_oracle(x, y, widened(x, y, radius)) for x, y in zip(a, b)]
+
+    @pytest.mark.parametrize("budget", [None, 200])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_gaps_on_both_sides_of_the_radius(self, monkeypatch, budget, dtype):
+        # each pair is warped under max(radius, gap): the widened pairs and the
+        # others share one sweep, so the kernel masks their mixed radii
+        rng = np.random.default_rng(21)
+        radius = 6
+        a, b = [], []
+        for gap in list(range(13)) * 4:
+            n = int(rng.integers(20, 41))
+            a.append(rng.uniform(-1, 1, n).astype(dtype))
+            b.append(rng.uniform(-1, 1, n + gap if gap % 2 else n - gap).astype(dtype))
+        if budget is not None:
+            monkeypatch.setattr(dtw, "SWEEP_SLOTS", budget)
+        swept = []
+
+        def spy(pa, pb, n, m, radii):
+            swept.append(radii.copy())
+            return _dtw_core(pa, pb, n, m, radii)
+
+        monkeypatch.setattr(dtw, "_dtw_core", spy)
+        got = dtw_distances(a, b, radius)
+        assert list(got) == [dtw_oracle(x, y, widened(x, y, radius)) for x, y in zip(a, b)]
+        assert len(swept) == (1 if budget is None else -(-52 // (200 // (max(map(len, a)) + 1))))
+        assert np.concatenate(swept).tolist() == [widened(x, y, radius) for x, y in zip(a, b)]
+        assert any(len(np.unique(radii)) > 1 for radii in swept)
 
     def test_single_pair_batches_match_oracle(self):
         rng = np.random.default_rng(8)
-        for x, y, r in zip(*self.ragged(rng, 10)):
-            assert dtw_distances([x], [y], [r])[0] == dtw_oracle(x, y, r)
+        a, b, radius = self.ragged(rng, 10, 3)
+        for x, y in zip(a, b):
+            assert dtw_distances([x], [y], radius)[0] == dtw_oracle(x, y, widened(x, y, radius))
 
     def test_permuted_batch_permutes_the_result(self):
         rng = np.random.default_rng(9)
-        a, b, radii = self.ragged(rng, 30)
+        a, b, radius = self.ragged(rng, 30, 5)
         order = rng.permutation(30)
-        got = dtw_distances([a[k] for k in order], [b[k] for k in order], [radii[k] for k in order])
-        assert np.array_equal(got, dtw_distances(a, b, radii)[order])
-
-    def test_one_radius_for_all(self):
-        rng = np.random.default_rng(10)
-        a = [rng.uniform(-1, 1, 20) for _ in range(4)]
-        b = [rng.uniform(-1, 1, 23) for _ in range(4)]
-        assert np.array_equal(dtw_distances(a, b, 5), dtw_distances(a, b, [5] * 4))
+        got = dtw_distances([a[k] for k in order], [b[k] for k in order], radius)
+        assert np.array_equal(got, dtw_distances(a, b, radius)[order])
 
     def test_empty_batch(self):
-        assert dtw_distances([], [], []).shape == (0,)
+        assert dtw_distances([], [], 0).shape == (0,)
 
     @pytest.mark.parametrize("position", [0, 2, 4])
     def test_bad_pair_anywhere_raises(self, position):
-        def batch(bad_a, bad_b, bad_radius):
-            a, b, radii = [np.ones(5)] * 5, [np.ones(6)] * 5, [3] * 5
-            a[position], b[position], radii[position] = bad_a, bad_b, bad_radius
-            return a, b, radii
+        def batch(bad_a, bad_b):
+            a, b = [np.ones(5)] * 5, [np.ones(6)] * 5
+            a[position], b[position] = bad_a, bad_b
+            return a, b
 
         with pytest.raises(EmptySequence):
-            dtw_distances(*batch(np.array([]), np.ones(3), 5))
+            dtw_distances(*batch(np.array([]), np.ones(3)), 5)
         with pytest.raises(EmptySequence):
-            dtw_distances(*batch(np.ones(3), np.array([]), 5))
-        with pytest.raises(BandInfeasible, match="length difference 7 exceeds radius 2"):
-            dtw_distances(*batch(np.zeros(10), np.zeros(3), 2))
+            dtw_distances(*batch(np.ones(3), np.array([])), 5)
         with pytest.raises(ValueError, match="non-negative"):
-            dtw_distances(*batch(np.zeros(3), np.zeros(3), -1))
+            dtw_distances(*batch(np.zeros(3), np.zeros(3)), -1)
+        # a gap of 7 above radius 2 widens that pair's band: it is no error
+        got = dtw_distances(*batch(np.zeros(10), np.ones(3)), 2)
+        assert got[position] == math.sqrt(10.0)
+        assert np.delete(got, position).tolist() == [0.0] * 4
 
     def test_counts_must_match(self):
         with pytest.raises(ValueError):
@@ -218,8 +257,8 @@ class TestDtwDistances:
         # GIL inside each diagonal's arithmetic, so sweeps interleave; more
         # threads than cores and a short switch interval make that likely
         rng = np.random.default_rng(11)
-        batches = [self.ragged(rng, 40) for _ in range(4)]
-        expected = [[dtw_oracle(x, y, r) for x, y, r in zip(*batch)] for batch in batches]
+        batches = [self.ragged(rng, 40, radius) for radius in (0, 3, 6, 9)]
+        expected = [[dtw_oracle(x, y, widened(x, y, radius)) for x, y in zip(a, b)] for a, b, radius in batches]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -231,10 +270,10 @@ class TestDtwDistances:
             sys.setswitchinterval(interval)
 
 
-def one_sweep(a, b, radii):
-    """All pairs in one _dtw_core sweep, padded to the longest pair in the
-    inputs' precision: what dtw_distances computed before it split large
-    batches."""
+def one_sweep(a, b, radius):
+    """All pairs in one _dtw_core sweep under their widened radii, padded
+    to the longest pair in the inputs' precision: what dtw_distances
+    computed before it split large batches."""
     n = np.array([len(x) for x in a])
     m = np.array([len(y) for y in b])
     dtype = np.result_type(*a, *b)
@@ -242,7 +281,7 @@ def one_sweep(a, b, radii):
     for k, (x, y) in enumerate(zip(a, b)):
         padded_a[: len(x), k] = x
         padded_b[: len(y), k] = y
-    return np.sqrt(_dtw_core(padded_a, padded_b, n, m, np.broadcast_to(np.asarray(radii), (len(a),))))
+    return np.sqrt(_dtw_core(padded_a, padded_b, n, m, np.maximum(radius, np.abs(n - m))))
 
 
 class TestSplitSweeps:
@@ -250,16 +289,16 @@ class TestSplitSweeps:
     fewest parts under it, each padded to its own longest pair."""
 
     def batch(self, rng, count, longest):
-        """Pairs of mixed lengths up to ``longest`` and mixed radii, one of
-        them ``longest`` samples long."""
-        a, b, radii = [], [], []
+        """Pairs of mixed lengths up to ``longest``, one of them ``longest``
+        samples long, whose gaps of 0-12 fall on both sides of one radius
+        of 0-12: the widened pairs mix radii."""
+        a, b = [], []
         for k in range(count):
             n = longest if k == count // 2 else int(rng.integers(1, longest + 1))
             m = int(rng.integers(max(1, n - 12), min(longest, n + 12) + 1))
             a.append(rng.uniform(-1, 1, n))
             b.append(rng.uniform(-1, 1, m))
-            radii.append(abs(n - m) + int(rng.integers(0, 4)) if k % 3 else 125)
-        return a, b, radii
+        return a, b, int(rng.integers(0, 13))
 
     def sweeps(self, monkeypatch, budget=None):
         """Set an optional smaller budget and spy on _dtw_core; return the
@@ -281,10 +320,10 @@ class TestSplitSweeps:
         # a pair of 40 samples takes 41 slots of a diagonal buffer, so 10
         # pairs fill a 410-slot budget exactly and overflow a 409-slot one
         rng = np.random.default_rng(count)
-        a, b, radii = self.batch(rng, count, 40)
-        expected = one_sweep(a, b, radii)
+        a, b, radius = self.batch(rng, count, 40)
+        expected = one_sweep(a, b, radius)
         parts = self.sweeps(monkeypatch, budget=budget)
-        got = dtw_distances(a, b, radii)
+        got = dtw_distances(a, b, radius)
         assert got.tobytes() == expected.tobytes()
         assert len(parts) == -(-count // (budget // 41))
         assert sum(k for _, k in parts) == count
@@ -294,11 +333,11 @@ class TestSplitSweeps:
     @settings(max_examples=40, deadline=None)
     def test_any_budget_matches_one_sweep(self, count, longest, budget, seed):
         rng = np.random.default_rng(seed)
-        a, b, radii = self.batch(rng, count, longest)
-        expected = one_sweep(a, b, radii)
+        a, b, radius = self.batch(rng, count, longest)
+        expected = one_sweep(a, b, radius)
         with pytest.MonkeyPatch.context() as patch:
             parts = self.sweeps(patch, budget=budget)
-            got = dtw_distances(a, b, radii)
+            got = dtw_distances(a, b, radius)
         assert got.tobytes() == expected.tobytes()
         assert sum(k for _, k in parts) == count
 
@@ -306,10 +345,10 @@ class TestSplitSweeps:
         # the size of a record's beats against the two banks: 48 beats of
         # 91-124 samples against 20 members
         rng = np.random.default_rng(12)
-        a, b, radii = self.batch(rng, 960, 124)
-        expected = one_sweep(a, b, radii)
+        a, b, radius = self.batch(rng, 960, 124)
+        expected = one_sweep(a, b, radius)
         parts = self.sweeps(monkeypatch)
-        got = dtw_distances(a, b, radii)
+        got = dtw_distances(a, b, radius)
         assert got.tobytes() == expected.tobytes()
         assert len(parts) == -(-960 // (SWEEP_SLOTS // 125)) > 1
         assert all((rows + 1) * k <= SWEEP_SLOTS for rows, k in parts)
@@ -338,33 +377,33 @@ class TestSinglePrecision:
         # the ragged pairs include radius 0 and mixed radii
         rng = np.random.default_rng(17)
         dtypes = self.swept_dtypes(monkeypatch)
-        for count in (1, 2, 40):
-            a, b, radii = TestDtwDistances().ragged(rng, count)
+        for count, radius in ((1, 0), (2, 4), (40, 0), (40, 8)):
+            a, b, radius = TestDtwDistances().ragged(rng, count, radius)
             a, b = single(a), single(b)
-            got = dtw_distances(a, b, radii)
+            got = dtw_distances(a, b, radius)
             assert got.dtype == np.float64
-            assert list(got) == [dtw_oracle(x, y, r) for x, y, r in zip(a, b, radii)]
-        assert dtypes == [np.float32] * 3
+            assert list(got) == [dtw_oracle(x, y, widened(x, y, radius)) for x, y in zip(a, b)]
+        assert dtypes == [np.float32] * 4
 
     @pytest.mark.parametrize("budget", [None, 200])
     def test_split_and_unsplit_match_one_sweep_and_the_oracle(self, monkeypatch, budget):
         rng = np.random.default_rng(18)
-        a, b, radii = TestSplitSweeps().batch(rng, 47, 40)
+        a, b, radius = TestSplitSweeps().batch(rng, 47, 40)
         a, b = single(a), single(b)
-        expected = one_sweep(a, b, radii)
+        expected = one_sweep(a, b, radius)
         parts = TestSplitSweeps().sweeps(monkeypatch, budget=budget)
-        got = dtw_distances(a, b, radii)
+        got = dtw_distances(a, b, radius)
         assert len(parts) == (1 if budget is None else -(-47 // (200 // 41)))
         assert got.tobytes() == expected.tobytes()
-        assert list(got) == [dtw_oracle(x, y, r) for x, y, r in zip(a, b, radii)]
+        assert list(got) == [dtw_oracle(x, y, widened(x, y, radius)) for x, y in zip(a, b)]
 
     @pytest.mark.parametrize("mixed", ["a", "b", "one pair"])
     def test_mixed_batch_sweeps_in_float64(self, monkeypatch, mixed):
         rng = np.random.default_rng(20)
-        a, b, radii = TestDtwDistances().ragged(rng, 30)
+        a, b, radius = TestDtwDistances().ragged(rng, 30, 4)
         a32, b32 = single(a), single(b)
         # float32 to float64 is exact, so today's bits are those of the widened inputs
-        expected = dtw_distances([x.astype(np.float64) for x in a32], [y.astype(np.float64) for y in b32], radii)
+        expected = dtw_distances([x.astype(np.float64) for x in a32], [y.astype(np.float64) for y in b32], radius)
         if mixed == "a":
             a32 = [x.astype(np.float64) for x in a32]
         elif mixed == "b":
@@ -372,7 +411,7 @@ class TestSinglePrecision:
         else:
             a32[0], b32[0] = a32[0].astype(np.float64), b32[0].astype(np.float64)
         dtypes = self.swept_dtypes(monkeypatch)
-        assert dtw_distances(a32, b32, radii).tobytes() == expected.tobytes()
+        assert dtw_distances(a32, b32, radius).tobytes() == expected.tobytes()
         assert dtypes == [np.float64]
 
     def test_other_inputs_sweep_in_float64(self, monkeypatch):
@@ -405,9 +444,8 @@ class TestSinglePrecision:
             x = np.sin(f * np.linspace(0, 6, n)) + rng.normal(0, noise, n)
             y = np.sin(f * np.linspace(0, 6, m)) + rng.normal(0, noise, m)
         x, y = znormalize(x), znormalize(y)
-        radius = max(BEAT_RADIUS, abs(n - m))
-        double = dtw_distance(x, y, radius)
-        assert abs(dtw_distance(x.astype(np.float32), y.astype(np.float32), radius) - double) <= 1e-6 * (1.0 + double)
+        double = dtw_distance(x, y, BEAT_RADIUS)
+        assert abs(dtw_distance(x.astype(np.float32), y.astype(np.float32), BEAT_RADIUS) - double) <= 1e-6 * (1.0 + double)
 
 
 class TestZnormalize:

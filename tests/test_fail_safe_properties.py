@@ -44,7 +44,6 @@ from alarmsentinel.beat_banks import BankSet, BeatBank
 from alarmsentinel.beats import QRS_BAND_HZ
 from alarmsentinel.dtw import MATCH_RATE_HZ, TrainingCorpus, corpus_from_records
 from alarmsentinel.errors import (
-    BandInfeasible,
     EmptyBank,
     EmptyCorpus,
     EmptySequence,
@@ -183,7 +182,7 @@ def test_dtw_methods_raise_unsupported_rate_off_the_match_rates(index, rate, met
 
 
 # the errors a caller's inputs may raise; anything else out of classify_alarm is a defect
-CALLER_ERRORS = (UnsupportedMethod, EmptyBank, EmptyCorpus, BandInfeasible)
+CALLER_ERRORS = (UnsupportedMethod, EmptyBank, EmptyCorpus)
 BAD_INPUT_ERRORS = (NonFiniteSample, EmptySequence) + CALLER_ERRORS
 CLEAN = {
     (index, method): classify_alarm(record, method, banks=BANKS, corpus=CORPUS).to_dict()

@@ -1,11 +1,16 @@
-"""Every module-level import in the package is used by its module.
+"""Every module-level import in the package is used by its module, and
+every error class in ``errors.py`` is raised somewhere in the package.
 
-``__init__.py`` is left out: its imports are the public surface.
+``__init__.py`` is left out of the import check: its imports are the
+public surface.
 """
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
+
+from alarmsentinel import errors
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "alarmsentinel"
 
@@ -54,3 +59,32 @@ def test_an_unused_import_is_found(tmp_path):
     path = tmp_path / "sample.py"
     path.write_text("import os\nimport numpy as np\nfrom typing import Any, Iterable\n\nx: Iterable = np.zeros(1)\n")
     assert unused_imports(path) == ["os", "Any"]
+
+
+def raised_names(path: Path) -> set[str]:
+    """The names the module's ``raise`` statements raise, called or not."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+    return names
+
+
+def test_every_error_class_is_raised():
+    """An error path that is deleted must take its class with it."""
+    classes = {
+        name
+        for name, cls in inspect.getmembers(errors, inspect.isclass)
+        if issubclass(cls, errors.AlarmSentinelError) and cls is not errors.AlarmSentinelError
+    }
+    assert len(classes) >= 20
+    raised = set().union(*(raised_names(p) for p in PACKAGE.glob("*.py")))
+    assert sorted(classes - raised) == []
+
+
+def test_a_raised_name_is_found(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("def f(x):\n    if x:\n        raise KeyError('x') from None\n    raise StopIteration\n")
+    assert raised_names(path) == {"KeyError", "StopIteration"}
