@@ -73,6 +73,9 @@ from .signal_quality import QualityReport, _density, assess_quality
 # verdicts, 20 s none), and the self bank's history: three 10 s sections
 DETECT_WARMUP_S = 30.0
 
+# the band in which the VF check looks for the dominant frequency and sums power
+VF_SEARCH_HZ = (0.5, 30.0)
+
 
 @dataclass
 class Thresholds:
@@ -112,8 +115,14 @@ class Thresholds:
             raise InvalidConfig(
                 f"vf_dominant_lo_hz must be below vf_dominant_hi_hz, got {self.vf_dominant_lo_hz} and {self.vf_dominant_hi_hz}"
             )
+        lo, hi = VF_SEARCH_HZ
+        if self.vf_dominant_hi_hz < lo or self.vf_dominant_lo_hz > hi:
+            key = "vf_dominant_hi_hz" if self.vf_dominant_hi_hz < lo else "vf_dominant_lo_hz"
+            raise InvalidConfig(f"{key} leaves the VF band outside the {lo}-{hi} Hz search band, got {getattr(self, key)}")
         if self.vf_concentration > 1:
             raise InvalidConfig(f"vf_concentration is a share of power, at most 1, got {self.vf_concentration}")
+        if self.vt_abp_std <= 0:
+            raise InvalidConfig(f"vt_abp_std must be above 0, got {self.vt_abp_std}")
         if self.brady_hr <= 0:
             raise InvalidConfig(f"brady_hr must be above 0, got {self.brady_hr}")
         if self.asystole_gap_s > self.analysis_window_s:
@@ -349,14 +358,14 @@ def _vf_windows(windows: np.ndarray, fs: float, config: Thresholds) -> np.ndarra
     """Which gap-free windows show one dominant 2-8 Hz oscillation, from
     one batched spectrum call."""
     f, psd = _density(windows, fs, "boxcar", max(1024, windows.shape[1]))
-    band = (f >= 0.5) & (f <= 30.0)
+    band = (f >= VF_SEARCH_HZ[0]) & (f <= VF_SEARCH_HZ[1])
     f_band = f[band]
     # contiguous rows sum in the same order as a single window's spectrum
     p_band = np.ascontiguousarray(psd[:, band])
     total = p_band.sum(axis=1)
     f_dom = f_band[np.argmax(p_band, axis=1)]
     # the bins within 1 Hz of the peak are one contiguous run per row
-    lo = np.searchsorted(f_band, np.maximum(0.5, f_dom - 1.0), side="left")
+    lo = np.searchsorted(f_band, f_dom - 1.0, side="left")
     width = np.searchsorted(f_band, f_dom + 1.0, side="right") - lo
     around = np.empty(len(p_band))
     for w in np.unique(width):

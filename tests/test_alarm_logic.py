@@ -150,10 +150,23 @@ class TestConfigHandling:
             # no beat-free stretch is longer than the window it lies in
             ({"asystole_gap_s": 17.0}, r"asystole_gap_s must be at most analysis_window_s \(16.0\), got 17.0"),
             ({"analysis_window_s": 2.0}, r"asystole_gap_s must be at most analysis_window_s \(2.0\), got 3.0"),
+            # a VF band wholly outside the 0.5-30 Hz band the spectrum is searched in
+            (
+                {"vf_dominant_lo_hz": 31.0, "vf_dominant_hi_hz": 40.0},
+                "vf_dominant_lo_hz leaves the VF band outside the 0.5-30.0 Hz search band, got 31.0",
+            ),
+            (
+                {"vf_dominant_lo_hz": 0.1, "vf_dominant_hi_hz": 0.4},
+                "vf_dominant_hi_hz leaves the VF band outside the 0.5-30.0 Hz search band, got 0.4",
+            ),
+            # no spread is below 0, so the pressure vote could never fire
+            ({"vt_abp_std": 0.0}, "vt_abp_std must be above 0, got 0.0"),
+            ({"vt_abp_std": -1.0}, "vt_abp_std must be above 0, got -1.0"),
         ],
     )
     def test_a_check_that_can_never_fire_is_rejected(self, overrides, message):
-        # each of these turned a true synthkit alarm of seed 5 false under improved
+        # each of these turned true synthkit alarms false (seed 5 under improved for
+        # the first rows; the VF bands on VF seeds 0-4, vt_abp_std on VT seeds 0-5)
         with pytest.raises(InvalidConfig, match=message):
             Thresholds(**overrides)
         with pytest.raises(InvalidConfig, match=message):
@@ -163,6 +176,9 @@ class TestConfigHandling:
         cfg = Thresholds(vf_dominant_lo_hz=7.5, vf_concentration=1.0, brady_hr=1.0, asystole_gap_s=16.0)
         assert (cfg.vf_dominant_lo_hz, cfg.vf_concentration, cfg.brady_hr, cfg.asystole_gap_s) == (7.5, 1.0, 1.0, 16.0)
         assert Thresholds(analysis_window_s=3.0).asystole_gap_s == 3.0
+        assert Thresholds(vf_dominant_lo_hz=0.1, vf_dominant_hi_hz=0.5).vf_dominant_hi_hz == 0.5
+        assert Thresholds(vf_dominant_lo_hz=30.0, vf_dominant_hi_hz=40.0).vf_dominant_lo_hz == 30.0
+        assert Thresholds(vt_abp_std=1e-9).vt_abp_std == 1e-9
 
     @pytest.mark.parametrize("name", [f.name for f in fields(Thresholds) if isinstance(f.default, float)])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -244,7 +244,8 @@ class TestClassifyCommand:
         ["brady_hr 50", "brady_hr = slow", "brady_rate = 50", "brady_beats = 1", "brady_hr = nan",
          "analysis_window_s = nan", "analysis_window_s = 0", "analysis_window_s = -16", "vt_hr = inf",
          "brady_hr = 40\nbrady_hr = 50", "vf_dominant_lo_hz = 9", "vf_concentration = 1.5", "brady_hr = 0",
-         "brady_hr = -5", "asystole_gap_s = 17"],
+         "brady_hr = -5", "asystole_gap_s = 17", "vt_abp_std = 0", "vt_abp_std = -1",
+         "vf_dominant_lo_hz = 31\nvf_dominant_hi_hz = 40", "vf_dominant_lo_hz = 0.1\nvf_dominant_hi_hz = 0.4"],
     )
     def test_bad_config_exits_two(self, small_suite, tmp_path, capsys, line):
         # exit 1 would read as "true alarm"
