@@ -15,10 +15,9 @@ through as true. False negatives are the dangerous direction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
 from itertools import groupby
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Mapping
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -296,14 +295,9 @@ def regular_activity(
 def _longest_gap_samples(annotation: BeatAnnotation, window: tuple[int, int]) -> int:
     """Longest run of beat-free samples in the half-open window."""
     start, end = window
-    inside = annotation.within(start, end).indices
-    if len(inside) == 0:
-        return end - start
-    spans = [int(inside[0]) - start]
-    if len(inside) > 1:
-        spans.extend(int(d) - 1 for d in np.diff(inside))
-    spans.append(end - int(inside[-1]) - 1)
-    return max(spans)
+    # the sample before the window and the window's end bound the first and last gaps like beats
+    bounded = np.concatenate(([start - 1], annotation.within(start, end).indices, [end]))
+    return int(np.diff(bounded).max()) - 1
 
 
 def check_asystole(ctx: AlarmContext) -> list[ChannelEvidence]:
@@ -485,32 +479,27 @@ def _spectral_votes(ctx: AlarmContext) -> list[ChannelEvidence]:
     return votes
 
 
-def _curated_rule(classify: Callable[..., BeatRule], ctx: AlarmContext, *_) -> BeatRule:
-    """``classify`` bound to the curated banks of ``ctx``."""
-    return classify(ctx.banks or BankSet())
-
-
-def _self_rule(classify: Callable[..., BeatRule], ctx: AlarmContext, lead: BankLead, ann: BeatAnnotation) -> BeatRule:
-    """``classify`` bound to the patient's own bank, built from the
-    lead's pre-alarm beats, and to that bank's novelty statistics."""
+def _bank_rule(ctx: AlarmContext, lead: BankLead, ann: BeatAnnotation) -> BeatRule:
+    """The beat rule of a bank method: dtw-vbank's curated banks, or the
+    self-min or self-kl classifier bound to the patient's own bank, built
+    from the lead's pre-alarm beats, and to that bank's novelty statistics."""
+    if ctx.method == "dtw-vbank":
+        return classify_beat_vbank(ctx.banks or BankSet())
     try:
         bank = extract_self_bank(lead, ann, exclude_s=ctx.config.analysis_window_s)
     except InsufficientCleanBeats as exc:
         raise CannotDecide(FailSafe.SELF_BANK_FAILED, clean_beats_found=float(exc.found)) from None
+    classify = classify_beat_self_min if ctx.method == "dtw-self-min" else classify_beat_self_kl
     return classify(bank, bank_novelty_stats(bank))
 
 
-def _bank_votes(
-    bind: Callable[..., BeatRule], classify: Callable[..., BeatRule], ctx: AlarmContext
-) -> list[ChannelEvidence]:
-    """Labels from ``classify``, bound to its banks by ``bind``
-    (:func:`_curated_rule` or :func:`_self_rule`), on the single
-    analysis lead (:func:`analysis_beats`); pressure does not vote, nor
-    does a named lead that is not ECG. The lead is brought to the match
-    rate once, for the bank and the labels alike.
-    """
+def _bank_votes(ctx: AlarmContext) -> list[ChannelEvidence]:
+    """Labels from the method's :func:`_bank_rule` on the single analysis
+    lead (:func:`analysis_beats`); pressure does not vote, nor does a
+    named lead that is not ECG. The lead is brought to the match rate
+    once, for the bank and the labels alike."""
     lead, ann = analysis_beats(ctx.record, ctx.annotations, ctx.lead)
-    rule = bind(classify, ctx, lead, ann)
+    rule = _bank_rule(ctx, lead, ann)
     beats_in = ann.within(*ctx.quality.window)
     try:
         labels = vt_labels_from_bank(lead, beats_in, rule)
@@ -533,28 +522,19 @@ def _nearest_signal(ctx: AlarmContext) -> list[ChannelEvidence]:
     return [ChannelEvidence(ctx.corpus.lead, "nearest_neighbor", label, {"distance": distance, "neighbor": float(index)})]
 
 
-class Method(NamedTuple):
-    """What sets a method apart: the evidence it gathers for a VT alarm
-    (for a bank method, its beat classifier and the banks it is bound
-    to: the curated banks, or a patient bank built from the lead's beats
-    in the span every method detects, :func:`detection_start`), and how
-    a check's evidence combines into the verdict."""
-
-    vt_evidence: Callable[[AlarmContext], list[ChannelEvidence]]
-    combine: Callable[[Iterable[bool]], bool] = any
-
-
-METHOD_TABLE: dict[str, Method] = {
-    "baseline": Method(_spectral_votes, all),
-    "improved": Method(_spectral_votes),
-    "dtw-full": Method(_nearest_signal),
-    "dtw-vbank": Method(partial(_bank_votes, _curated_rule, classify_beat_vbank)),
-    "dtw-self-min": Method(partial(_bank_votes, _self_rule, classify_beat_self_min)),
-    "dtw-self-kl": Method(partial(_bank_votes, _self_rule, classify_beat_self_kl)),
+# what sets a method apart: the evidence it gathers for a VT alarm (a self
+# bank comes from the span every method detects, :func:`detection_start`)
+METHOD_TABLE: dict[str, Callable[[AlarmContext], list[ChannelEvidence]]] = {
+    "baseline": _spectral_votes,
+    "improved": _spectral_votes,
+    "dtw-full": _nearest_signal,
+    "dtw-vbank": _bank_votes,
+    "dtw-self-min": _bank_votes,
+    "dtw-self-kl": _bank_votes,
 }
 METHODS = tuple(METHOD_TABLE)
 # the warping methods analyze a single lead and apply only to VT alarms
-DTW_METHODS = tuple(m for m, spec in METHOD_TABLE.items() if spec.vt_evidence is not _spectral_votes)
+DTW_METHODS = tuple(m for m, evidence in METHOD_TABLE.items() if evidence is not _spectral_votes)
 
 
 def check_vtach(ctx: AlarmContext) -> list[ChannelEvidence]:
@@ -563,7 +543,7 @@ def check_vtach(ctx: AlarmContext) -> list[ChannelEvidence]:
     channel with a collapsed pulse, votes for the alarm), or the
     nearest-neighbour match for dtw-full. No vote at all cannot be
     judged."""
-    votes = METHOD_TABLE[ctx.method].vt_evidence(ctx)
+    votes = METHOD_TABLE[ctx.method](ctx)
     if not votes:
         raise CannotDecide(FailSafe.VTACH_NO_VOTES)
     return votes
@@ -642,9 +622,9 @@ def classify_alarm(
 
     Validity screening and the regular-activity gate always run; the
     gate dismissing the alarm overrides everything else. Otherwise the
-    record's arrhythmia tag picks the check from :data:`CHECKS`, and
-    the method's ``combine`` turns the check's evidence into the
-    decision. A check that cannot decide leaves the alarm true. The
+    record's arrhythmia tag picks the check from :data:`CHECKS`; any
+    positive entry of its evidence keeps the alarm, or every entry for
+    baseline. A check that cannot decide leaves the alarm true. The
     DTW methods apply only to ventricular tachycardia alarms and
     analyze a single lead.
 
@@ -681,5 +661,6 @@ def classify_alarm(
     except CannotDecide as exc:
         found, decision = [ChannelEvidence("", exc.note, True, exc.witnesses)], True
     else:
-        decision = METHOD_TABLE[method].combine(e.outcome for e in found)
+        # only VT gathers several entries: baseline keeps the alarm only if every vote agrees
+        decision = (all if method == "baseline" else any)(e.outcome for e in found)
     return Verdict(is_true_alarm=decision, gate_fired=False, evidence=evidence + found, method=method)

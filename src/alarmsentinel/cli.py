@@ -282,37 +282,35 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_bank(args) -> int:
-    if args.bank_cmd == "build-self":
-        record, config = load_record(args.record), _config_from(args)
-        given = _annotation_files(record, args.annotations)
-        try:
-            annotations = detect_annotations(record, given, config)
-            lead, annotation = analysis_beats(record, annotations, args.lead)
-        except CannotDecide as exc:
-            return _fail(f"cannot build a bank from record {record.name}: {exc.note}")
-        try:
-            bank = extract_self_bank(lead, annotation, exclude_s=config.analysis_window_s)
-        except InsufficientCleanBeats as exc:
-            print(f"error: {exc} (found {exc.found})", file=sys.stderr)
-            return 3
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        paths = save_bank(bank, out, prefix=record.name)
-        print(f"wrote {len(paths)} beat files to {out}")
-        return 0
+def cmd_build_self(args) -> int:
+    record, config = load_record(args.record), _config_from(args)
+    given = _annotation_files(record, args.annotations)
+    try:
+        annotations = detect_annotations(record, given, config)
+        lead, annotation = analysis_beats(record, annotations, args.lead)
+    except CannotDecide as exc:
+        return _fail(f"cannot build a bank from record {record.name}: {exc.note}")
+    try:
+        bank = extract_self_bank(lead, annotation, exclude_s=config.analysis_window_s)
+    except InsufficientCleanBeats as exc:
+        print(f"error: {exc} (found {exc.found})", file=sys.stderr)
+        return 3
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = save_bank(bank, out, prefix=record.name)
+    print(f"wrote {len(paths)} beat files to {out}")
+    return 0
 
-    if args.bank_cmd == "inspect":
-        bank_set = load_bank_dir(args.bank_dir)
-        bank = bank_set.standard if len(bank_set.standard) else bank_set.ventricular
-        stats = bank_novelty_stats(bank)
-        print(f"beats: {len(bank)} ({bank.kind.value}), ventricular files: {len(bank_set.ventricular)}, "
-              f"standard files: {len(bank_set.standard)}")
-        print(f"mu_min={stats.mu_min:.6f} sigma_min={stats.sigma_min:.6f} "
-              f"mu_kl={stats.mu_kl:.6f} sigma_kl={stats.sigma_kl:.6f}")
-        return 0
 
-    return _fail(f"unknown bank sub-command {args.bank_cmd!r}")
+def cmd_inspect(args) -> int:
+    bank_set = load_bank_dir(args.bank_dir)
+    bank = bank_set.standard if len(bank_set.standard) else bank_set.ventricular
+    stats = bank_novelty_stats(bank)
+    print(f"beats: {len(bank)} ({bank.kind.value}), ventricular files: {len(bank_set.ventricular)}, "
+          f"standard files: {len(bank_set.standard)}")
+    print(f"mu_min={stats.mu_min:.6f} sigma_min={stats.sigma_min:.6f} "
+          f"mu_kl={stats.mu_kl:.6f} sigma_kl={stats.sigma_kl:.6f}")
+    return 0
 
 
 def cmd_synth(args) -> int:
@@ -360,10 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
     bs.add_argument("--lead", default=DEFAULT_LEAD)
     bs.add_argument("--annotations", help="directory of annotation files")
     bs.add_argument("--config", help="key = value file overriding test thresholds (analysis_window_s sets the bank's span)")
-    bs.set_defaults(fn=cmd_bank)
+    bs.set_defaults(fn=cmd_build_self)
     bi = bank_sub.add_parser("inspect", help="print novelty statistics of a bank directory")
     bi.add_argument("--bank-dir", required=True)
-    bi.set_defaults(fn=cmd_bank)
+    bi.set_defaults(fn=cmd_inspect)
 
     s = sub.add_parser("synth", help="generate the synthetic suite")
     s.add_argument("--out", required=True)

@@ -265,10 +265,11 @@ def encode_samples(analog: np.ndarray, channels: list[ChannelMeta]) -> bytes:
 
 
 def read_text(path: str | Path, what: str) -> str:
-    """The text of a UTF-8 file. A file that cannot be read, or is not
-    UTF-8, is an :class:`IoFailure` naming ``what`` and the file."""
+    """The text of a UTF-8 file, less a leading byte-order mark. A file
+    that cannot be read, or is not UTF-8, is an :class:`IoFailure`
+    naming ``what`` and the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise IoFailure(f"cannot read {what} {path}: {exc}") from None
 

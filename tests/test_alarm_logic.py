@@ -14,6 +14,7 @@ from alarmsentinel.alarm_logic import (
     AlarmContext,
     Thresholds,
     _ecg_vote,
+    _longest_gap_samples,
     _vf_windows,
     _vfib_detail,
     check_asystole,
@@ -305,6 +306,38 @@ class TestAsystole:
     def test_no_annotated_channel_cannot_decide(self):
         rec = make_record(arrhythmia=Arrhythmia.ASYSTOLE)
         assert cannot_decide(check_asystole, context(rec, [None])) == "asystole_no_channel"
+
+
+@st.composite
+def gap_windows(draw):
+    """A window of up to a few thousand samples, and strictly increasing
+    beats around it: none to many, some of them outside."""
+    start = draw(st.integers(0, 2000))
+    end = start + draw(st.integers(1, 3000))
+    beats = draw(st.lists(st.integers(max(0, start - 300), end + 300), max_size=400, unique=True))
+    return np.array(sorted(beats), dtype=np.int64), (start, end)
+
+
+def longest_gap_scan(beats, window):
+    """The longest run of beat-free samples, from a boolean beat mask."""
+    start, end = window
+    mask = np.zeros(end - start, dtype=bool)
+    mask[[b - start for b in beats if start <= b < end]] = True
+    longest = run = 0
+    for beat in mask:
+        run = 0 if beat else run + 1
+        longest = max(longest, run)
+    return longest
+
+
+@given(gap_windows())
+@example((np.array([], dtype=np.int64), (0, 1)))
+@example((np.array([0, 1, 2]), (0, 3)))
+@example((np.array([5, 9]), (5, 10)))
+@settings(max_examples=200, deadline=None)
+def test_longest_gap_matches_the_scan(case):
+    beats, window = case
+    assert _longest_gap_samples(ann(beats), window) == longest_gap_scan(beats, window)
 
 
 class TestRateExtremes:

@@ -1,3 +1,5 @@
+import codecs
+import dataclasses
 import re
 
 import numpy as np
@@ -473,6 +475,40 @@ class TestTextFiles:
         path = tmp_path / "ghost.txt"
         with pytest.raises(IoFailure, match=f"cannot read {what} {path}"):
             self.READERS[what](path)
+
+    TEXTS = {
+        "manifest": "record,arrhythmia,label\nrec.hea,vtach,true\n",
+        "annotations": "100\n350 N\n600 V\n",
+        "beat file": "fs=125 label=V\n0.5\n-1.0\n0.25\n",
+        "config": "brady_hr = 40\n",
+    }
+
+    @pytest.mark.parametrize("what", READERS)
+    def test_byte_order_mark(self, tmp_path, what):
+        """Spreadsheet tools often start a CSV with a UTF-8 byte-order
+        mark; a file parses the same with one as without. Kept, the mark
+        hid the manifest's header row, renamed the record and spoiled
+        the first key, index or beat-file header."""
+        if what == "header":
+            plain = write_record(make_record(), tmp_path)
+        else:
+            plain = tmp_path / "plain.txt"
+            plain.write_text(self.TEXTS[what])
+        marked = tmp_path / f"marked{plain.suffix}"
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        read = self.READERS[what]
+        assert _plain(read(marked)) == _plain(read(plain))
+
+
+def _plain(parsed):
+    """A parse result as nested lists, dicts and scalars, to compare with ``==``."""
+    if isinstance(parsed, np.ndarray):
+        return parsed.tolist()
+    if dataclasses.is_dataclass(parsed):
+        return {f.name: _plain(getattr(parsed, f.name)) for f in dataclasses.fields(parsed)}
+    if isinstance(parsed, (list, tuple)):
+        return [_plain(x) for x in parsed]
+    return parsed
 
 
 def _rejects(call, error, message):
