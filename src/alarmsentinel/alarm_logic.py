@@ -24,7 +24,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .beats import (
     BEAT_MIN_S,
-    BeatAnnotation,
     BeatLabel,
     beat_segments,
     beat_slices,
@@ -32,6 +31,7 @@ from .beats import (
     detect_qrs,
     spectral_labels,
     window_heart_rate,
+    within,
 )
 # unused here: kept because perfbench/spans.py wraps alarm_logic.classify_beat_spectral,
 # and its tracer test fails when a wrap point is missing
@@ -51,6 +51,7 @@ from .errors import (
     CannotDecide,
     EmptyCorpus,
     FailSafe,
+    IndexOutOfBounds,
     InsufficientCleanBeats,
     InsufficientData,
     InvalidConfig,
@@ -193,12 +194,12 @@ class Verdict:
 
 @dataclass
 class AlarmContext:
-    """What the arrhythmia checks read: the record, its beat annotations,
-    the validity report over the analysis window (``quality.window``),
-    and the inputs of the adjudication method."""
+    """What the arrhythmia checks read: the record, each channel's beat
+    positions (None for no beats), the validity report over the analysis
+    window (``quality.window``), and the inputs of the adjudication method."""
 
     record: Record
-    annotations: list[BeatAnnotation | None]
+    annotations: list[np.ndarray | None]
     quality: QualityReport
     config: Thresholds = field(default_factory=Thresholds)
     method: str = "improved"
@@ -231,7 +232,7 @@ def most_reliable_channel(record: Record, quality: QualityReport, candidates: li
     return min(candidates, key=key)
 
 
-def analysis_beats(record: Record, annotations: list[BeatAnnotation | None], lead: str) -> tuple[BankLead, BeatAnnotation]:
+def analysis_beats(record: Record, annotations: list[np.ndarray | None], lead: str) -> tuple[BankLead, np.ndarray]:
     """The bank methods' lead at the match rate, and its beats: the named
     lead, else the first ECG channel. Cannot decide without either
     (``vtach_no_ecg``), without beats on it (``vtach_no_annotations``),
@@ -255,7 +256,7 @@ def analysis_beats(record: Record, annotations: list[BeatAnnotation | None], lea
 
 def regular_activity(
     record: Record,
-    annotations: list[BeatAnnotation | None],
+    annotations: list[np.ndarray | None],
     quality: QualityReport,
     config: Thresholds,
 ) -> tuple[list[ChannelEvidence], bool]:
@@ -275,14 +276,14 @@ def regular_activity(
         ann = annotations[i]
         regular = False
         if ann is not None:
-            beats_in = ann.within(*quality.window)
-            witnesses["beats"] = float(beats_in.count)
-            if beats_in.count >= 2:
-                rr = np.diff(beats_in.indices) / fs
+            beats_in = within(ann, *quality.window)
+            witnesses["beats"] = float(len(beats_in))
+            if len(beats_in) >= 2:
+                rr = np.diff(beats_in) / fs
                 cv = float(np.std(rr) / np.mean(rr))
                 witnesses["rr_cv"] = cv
                 regular = (
-                    beats_in.count >= config.min_regular_beats
+                    len(beats_in) >= config.min_regular_beats
                     and quality.validity[i] == 1.0
                     and cv <= config.rr_cv_max
                     and float(rr.min()) >= config.rr_min_s
@@ -292,11 +293,11 @@ def regular_activity(
     return evidence, any(e.outcome for e in evidence)
 
 
-def _longest_gap_samples(annotation: BeatAnnotation, window: tuple[int, int]) -> int:
+def _longest_gap_samples(beats: np.ndarray, window: tuple[int, int]) -> int:
     """Longest run of beat-free samples in the half-open window."""
     start, end = window
     # the sample before the window and the window's end bound the first and last gaps like beats
-    bounded = np.concatenate(([start - 1], annotation.within(start, end).indices, [end]))
+    bounded = np.concatenate(([start - 1], within(beats, start, end), [end]))
     return int(np.diff(bounded).max()) - 1
 
 
@@ -325,15 +326,15 @@ def _rate_check(ctx: AlarmContext, note: FailSafe, beats_per_window: int, pick_m
     if best is None:
         raise CannotDecide(note, reason_no_channel=1.0)
     name = record.channels[best].name
-    beats_in = ctx.annotations[best].within(*ctx.quality.window)
-    if beats_in.count < beats_per_window:
+    beats_in = within(ctx.annotations[best], *ctx.quality.window)
+    if len(beats_in) < beats_per_window:
         # not enough beats to measure a rate: never suppress on missing evidence
-        return [ChannelEvidence(name, test, True, {"beats": float(beats_in.count), "needed": float(beats_per_window)})]
+        return [ChannelEvidence(name, test, True, {"beats": float(len(beats_in)), "needed": float(beats_per_window)})]
     rates = window_heart_rate(beats_in, record.sample_rate, beats_per_window)
     extreme = float(rates.min() if pick_min else rates.max())
     fired = extreme < config.brady_hr if pick_min else extreme > config.tachy_hr
     key = "min_window_hr" if pick_min else "max_window_hr"
-    return [ChannelEvidence(name, test, fired, {key: extreme, "beats": float(beats_in.count)})]
+    return [ChannelEvidence(name, test, fired, {key: extreme, "beats": float(len(beats_in))})]
 
 
 def check_bradycardia(ctx: AlarmContext) -> list[ChannelEvidence]:
@@ -414,7 +415,7 @@ def check_vfib(ctx: AlarmContext) -> list[ChannelEvidence]:
 
 
 def _ventricular_run_hr(
-    beats: BeatAnnotation, labels: list[BeatLabel], fs: float, config: Thresholds
+    beats: np.ndarray, labels: list[BeatLabel], fs: float, config: Thresholds
 ) -> tuple[bool, float, float]:
     """Longest run of consecutive ventricular ``labels`` of ``beats``, and
     the fastest ``vt_beats``-beat window inside any run."""
@@ -426,14 +427,13 @@ def _ventricular_run_hr(
         if ventricular:
             best_run = max(best_run, length)
             if length >= config.vt_beats:
-                run = BeatAnnotation(beats.channel, beats.indices[pos : pos + length])
-                best_hr = max(best_hr, float(window_heart_rate(run, fs, config.vt_beats).max()))
+                best_hr = max(best_hr, float(window_heart_rate(beats[pos : pos + length], fs, config.vt_beats).max()))
         pos += length
     return best_hr > config.vt_hr, float(best_run), best_hr
 
 
 def _ecg_vote(
-    name: str, beats: BeatAnnotation, labels: list[BeatLabel], fs: float, config: Thresholds
+    name: str, beats: np.ndarray, labels: list[BeatLabel], fs: float, config: Thresholds
 ) -> list[ChannelEvidence]:
     """The ``vtach_ecg`` vote of one lead's window beats and their labels
     (a fast ventricular run votes for the alarm); no vote when every
@@ -444,14 +444,13 @@ def _ecg_vote(
     return [ChannelEvidence(name, "vtach_ecg", positive, {"ventricular_run": run, "run_hr": hr})]
 
 
-def spectral_vt_labels(record: Record, annotation: BeatAnnotation) -> list[BeatLabel]:
-    """The label of each beat, in order: Normal/Ventricular from its
-    slice's band power, or Unknown without a usable slice."""
-    fs = record.sample_rate
-    segments = beat_segments(annotation)
-    channel = record.samples[annotation.channel]
-    # no upper length bound: a clamped slice is never longer than the record
-    slices = [slice_ for _, _, slice_ in beat_slices(channel, segments, int(round(BEAT_MIN_S * fs)), record.n_samples)]
+def spectral_vt_labels(samples: np.ndarray, fs: float, beats: np.ndarray) -> list[BeatLabel]:
+    """The label of each of ``beats``, positions in the channel
+    ``samples``, in order: Normal/Ventricular from its slice's band
+    power, or Unknown without a usable slice."""
+    segments = beat_segments(beats)
+    # no upper length bound: a clamped slice is never longer than the channel
+    slices = [slice_ for _, _, slice_ in beat_slices(samples, segments, int(round(BEAT_MIN_S * fs)), len(samples))]
     found = iter(spectral_labels([x for x in slices if x is not None], fs))
     return [BeatLabel.UNKNOWN if x is None else next(found) for x in slices]
 
@@ -464,9 +463,9 @@ def _spectral_votes(ctx: AlarmContext) -> list[ChannelEvidence]:
     for i, ch in enumerate(record.channels):
         ann = ctx.annotations[i]
         if ch.kind is ChannelKind.ECG and ann is not None:
-            beats_in = ann.within(start, end)
+            beats_in = within(ann, start, end)
             try:
-                labels = spectral_vt_labels(record, beats_in)
+                labels = spectral_vt_labels(record.samples[i], record.sample_rate, beats_in)
             except TooFewBeats:  # too few beats to segment: the channel abstains
                 continue
             votes += _ecg_vote(ch.name, beats_in, labels, record.sample_rate, ctx.config)
@@ -479,14 +478,14 @@ def _spectral_votes(ctx: AlarmContext) -> list[ChannelEvidence]:
     return votes
 
 
-def _bank_rule(ctx: AlarmContext, lead: BankLead, ann: BeatAnnotation) -> BeatRule:
+def _bank_rule(ctx: AlarmContext, lead: BankLead, beats: np.ndarray) -> BeatRule:
     """The beat rule of a bank method: dtw-vbank's curated banks, or the
     self-min or self-kl classifier bound to the patient's own bank, built
     from the lead's pre-alarm beats, and to that bank's novelty statistics."""
     if ctx.method == "dtw-vbank":
         return classify_beat_vbank(ctx.banks or BankSet())
     try:
-        bank = extract_self_bank(lead, ann, exclude_s=ctx.config.analysis_window_s)
+        bank = extract_self_bank(lead, beats, exclude_s=ctx.config.analysis_window_s)
     except InsufficientCleanBeats as exc:
         raise CannotDecide(FailSafe.SELF_BANK_FAILED, clean_beats_found=float(exc.found)) from None
     classify = classify_beat_self_min if ctx.method == "dtw-self-min" else classify_beat_self_kl
@@ -498,13 +497,13 @@ def _bank_votes(ctx: AlarmContext) -> list[ChannelEvidence]:
     lead (:func:`analysis_beats`); pressure does not vote, nor does a
     named lead that is not ECG. The lead is brought to the match rate
     once, for the bank and the labels alike."""
-    lead, ann = analysis_beats(ctx.record, ctx.annotations, ctx.lead)
-    rule = _bank_rule(ctx, lead, ann)
-    beats_in = ann.within(*ctx.quality.window)
+    lead, beats = analysis_beats(ctx.record, ctx.annotations, ctx.lead)
+    rule = _bank_rule(ctx, lead, beats)
+    beats_in = within(beats, *ctx.quality.window)
     try:
         labels = vt_labels_from_bank(lead, beats_in, rule)
     except TooFewBeats:
-        raise CannotDecide(FailSafe.VTACH_TOO_FEW_BEATS, beats=float(beats_in.count)) from None
+        raise CannotDecide(FailSafe.VTACH_TOO_FEW_BEATS, beats=float(len(beats_in))) from None
     channel = ctx.record.channels[lead.channel]
     if channel.kind is not ChannelKind.ECG:
         return []
@@ -571,27 +570,34 @@ def detection_start(record: Record, config: Thresholds) -> int:
 
 
 def detect_annotations(
-    record: Record, given: Mapping[int, BeatAnnotation | None] | None = None, config: Thresholds | None = None
-) -> list[BeatAnnotation | None]:
-    """Beat annotations per channel: the ``given`` entry (None for no beats)
+    record: Record, given: Mapping[int, np.ndarray | None] | None = None, config: Thresholds | None = None
+) -> list[np.ndarray | None]:
+    """Beat positions per channel: the ``given`` entry (None for no beats)
     where there is one, detector output elsewhere, from
     :func:`detection_start` under ``config`` to the record's end, in record
-    coordinates. A key that is no channel, or an entry on another channel
-    than its key, is a :class:`LengthMismatch`; an entry that does not
-    strictly increase, a :class:`MalformedAnnotation`."""
-    given = given or {}
-    for i, ann in given.items():
+    coordinates. A key that is no channel is a :class:`LengthMismatch`; an
+    entry that is not a 1-D array of integers (an empty one may be of any
+    type) or does not strictly increase, a :class:`MalformedAnnotation`;
+    a position outside the record, an :class:`IndexOutOfBounds`."""
+    supplied = {}
+    for i, beats in (given or {}).items():
         if i not in range(record.n_channels):
             raise LengthMismatch(f"annotation key {i!r} is no channel of {record.n_channels}")
-        if ann is not None and ann.channel != i:
-            raise LengthMismatch(f"annotation entry {i} is on channel {ann.channel}")
-        if ann is not None and (np.diff(ann.indices) <= 0).any():
-            raise MalformedAnnotation(f"annotation entry {i} ({record.channels[i].name}): beats must strictly increase")
+        if beats is not None:
+            where, beats = f"annotation entry {i} ({record.channels[i].name})", np.asarray(beats)
+            if beats.ndim != 1 or beats.size and beats.dtype.kind not in "iu":
+                raise MalformedAnnotation(f"{where}: beats must be a 1-D array of integer positions, got {beats.dtype} {beats.shape}")
+            beats = beats.astype(np.int64, copy=False)  # unsigned differences must not wrap
+            if (np.diff(beats) <= 0).any():
+                raise MalformedAnnotation(f"{where}: beats must strictly increase")
+            if ((beats < 0) | (beats >= record.n_samples)).any():
+                raise IndexOutOfBounds(f"{where}: beats must lie in the record's {record.n_samples} samples")
+        supplied[i] = beats
     start = detection_start(record, config or Thresholds())
-    return [given[i] if i in given else _detected(record, i, start) for i in range(record.n_channels)]
+    return [supplied[i] if i in supplied else _detected(record, i, start) for i in range(record.n_channels)]
 
 
-def _detected(record: Record, channel: int, start: int) -> BeatAnnotation | None:
+def _detected(record: Record, channel: int, start: int) -> np.ndarray | None:
     """The detector's beats on ``channel`` from sample ``start`` on, in
     record coordinates; None for a channel kind without a detector, or a
     span too short to detect on."""
@@ -603,10 +609,10 @@ def _detected(record: Record, channel: int, start: int) -> BeatAnnotation | None
     else:
         return None
     try:
-        found = detect(record.samples[channel, start:], record.sample_rate, channel=channel)
+        found = detect(record.samples[channel, start:], record.sample_rate)
     except WindowTooShort:
         return None
-    return BeatAnnotation(channel, found.indices + start)
+    return found + start
 
 
 def classify_alarm(
@@ -615,7 +621,7 @@ def classify_alarm(
     config: Thresholds | None = None,
     banks: BankSet | None = None,
     corpus: TrainingCorpus | None = None,
-    annotations: Mapping[int, BeatAnnotation | None] | None = None,
+    annotations: Mapping[int, np.ndarray | None] | None = None,
     lead: str = DEFAULT_LEAD,
 ) -> Verdict:
     """Adjudicate one alarm record end to end.
@@ -628,8 +634,8 @@ def classify_alarm(
     DTW methods apply only to ventricular tachycardia alarms and
     analyze a single lead.
 
-    ``annotations`` maps a channel to its beats, or to None for no
-    beats; :func:`detect_annotations` detects the channels it does not
+    ``annotations`` maps a channel to its beats' sample positions, or to
+    None for no beats; :func:`detect_annotations` checks them and detects the channels it does not
     key over the same span for every method. ``banks`` holds the curated ventricular and standard
     banks that dtw-vbank needs (dtw-self-min and dtw-self-kl build the
     patient's bank from the beats of that span before the window);

@@ -23,7 +23,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .beats import BEAT_MIN_S, BeatAnnotation, BeatLabel, beat_segments, beat_slices
+from .beats import BEAT_MIN_S, BeatLabel, beat_segments, beat_slices, within
 from .dtw import BEAT_RADIUS, MATCH_RATE_HZ, BankLead, dtw_distances, znormalize
 from .errors import (
     BankTooSmall,
@@ -120,23 +120,16 @@ def _comparable_beats(
         yield pos, start, end, beat
 
 
-def _on_lead(lead: BankLead, annotation: BeatAnnotation) -> BeatAnnotation:
-    """``annotation``'s beats in the samples of ``lead``, its channel at
-    the match rate; beats on another channel raise ``ValueError``."""
-    if annotation.channel != lead.channel:
-        raise ValueError(f"bank lead is channel {lead.channel}, beats are on channel {annotation.channel}")
-    return BeatAnnotation(lead.channel, annotation.indices // lead.factor)
-
-
-def extract_self_bank(lead: BankLead, annotation: BeatAnnotation, exclude_s: float) -> BeatBank:
+def extract_self_bank(lead: BankLead, beats: np.ndarray, exclude_s: float) -> BeatBank:
     """Collect the patient's own recent clean beats, newest first.
 
-    Scans 10 s sections of ``lead`` (:func:`bank_lead`) backward, from
-    before the alarm section (the final ``exclude_s`` seconds stay out:
-    they may hold the event being adjudicated, and banked beats must
-    never be the beats under test) down to the lead's first beat. A
-    section contributes its interior beats only when its clean-signal
-    metrics pass, so every banked beat comes from trustworthy signal.
+    Scans 10 s sections of ``lead`` (:func:`bank_lead`; ``beats`` are its
+    beat positions at the record's rate) backward, from before the alarm
+    section (the final ``exclude_s`` seconds stay out: they may hold the
+    event being adjudicated, and banked beats must never be the beats
+    under test) down to the lead's first beat. A section contributes its
+    interior beats only when its clean-signal metrics pass, so every
+    banked beat comes from trustworthy signal.
 
     Raises
     ------
@@ -146,14 +139,14 @@ def extract_self_bank(lead: BankLead, annotation: BeatAnnotation, exclude_s: flo
     """
     rec = lead.record
     section = int(SECTION_S * MATCH_RATE_HZ)
-    at_match_rate = _on_lead(lead, annotation)
+    at_match_rate = beats // lead.factor
     samples = rec.samples[0]
 
-    beats: list[np.ndarray] = []
+    bank: list[np.ndarray] = []
     provenance: list[tuple[str, int, int]] = []
     sec_end = rec.alarm.alarm_index - int(round(exclude_s * MATCH_RATE_HZ))
-    first = int(at_match_rate.indices.min()) if at_match_rate.count else sec_end  # a section ending by then holds no beat
-    while sec_end - section >= 0 and sec_end > first and len(beats) < SELF_BANK_SIZE:
+    first = int(at_match_rate.min()) if len(at_match_rate) else sec_end  # a section ending by then holds no beat
+    while sec_end - section >= 0 and sec_end > first and len(bank) < SELF_BANK_SIZE:
         sec_start = sec_end - section
         window = samples[sec_start:sec_end]
         try:
@@ -163,23 +156,23 @@ def extract_self_bank(lead: BankLead, annotation: BeatAnnotation, exclude_s: flo
             continue
         if is_clean(metrics):
             try:
-                starts, ends = beat_segments(at_match_rate.within(sec_start, sec_end))
+                starts, ends = beat_segments(within(at_match_rate, sec_start, sec_end))
             except TooFewBeats:  # a section with fewer than three beats has no interior
                 starts = ends = np.empty(0, dtype=np.int64)
             interior = starts[-2:0:-1], ends[-2:0:-1]  # newest first
             for _, s, e, beat in _comparable_beats(samples, interior):
-                beats.append(beat)
+                bank.append(beat)
                 provenance.append((rec.name, s, e))
-                if len(beats) == SELF_BANK_SIZE:
+                if len(bank) == SELF_BANK_SIZE:
                     break
         sec_end = sec_start
 
-    if len(beats) < SELF_BANK_SIZE:
+    if len(bank) < SELF_BANK_SIZE:
         raise InsufficientCleanBeats(
-            f"found {len(beats)} clean beats before the alarm section, need {SELF_BANK_SIZE}",
-            found=len(beats),
+            f"found {len(bank)} clean beats before the alarm section, need {SELF_BANK_SIZE}",
+            found=len(bank),
         )
-    return BeatBank(BankKind.SELF, beats, provenance)
+    return BeatBank(BankKind.SELF, bank, provenance)
 
 
 def bank_novelty_stats(bank: BeatBank) -> NoveltyStats:
@@ -353,17 +346,18 @@ def _distance_rows(beats: list[np.ndarray], members: list[np.ndarray]) -> np.nda
     return pairs.reshape(len(beats), len(members))
 
 
-def vt_labels_from_bank(lead: BankLead, annotation: BeatAnnotation, rule: BeatRule) -> list[BeatLabel]:
-    """The label of every annotated beat of ``lead`` (:func:`bank_lead`),
-    in the beats' order, from ``rule``: :func:`classify_beat_vbank`,
-    :func:`classify_beat_self_min` or :func:`classify_beat_self_kl`.
+def vt_labels_from_bank(lead: BankLead, beats: np.ndarray, rule: BeatRule) -> list[BeatLabel]:
+    """The label of each of ``beats``, positions at the record's rate on
+    ``lead`` (:func:`bank_lead`), in order, from ``rule``:
+    :func:`classify_beat_vbank`, :func:`classify_beat_self_min` or
+    :func:`classify_beat_self_kl`.
 
     Beats whose slice cannot be compared (flat, out of length bounds,
     or containing gaps) are Unknown; the others are warped against the
     bank members in one batch.
     """
-    segments = beat_segments(_on_lead(lead, annotation))
-    labels = [BeatLabel.UNKNOWN] * annotation.count
+    segments = beat_segments(beats // lead.factor)
+    labels = [BeatLabel.UNKNOWN] * len(beats)
     comparable = list(_comparable_beats(lead.record.samples[0], segments))
     rows = _distance_rows([beat for *_, beat in comparable], rule.members)
     for (pos, *_), label in zip(comparable, rule.label(rows)):

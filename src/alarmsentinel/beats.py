@@ -4,15 +4,14 @@ The QRS detector is the classic band-pass / differentiate / square /
 integrate chain with an adaptive two-level threshold; the pulse
 detector looks for steep upstrokes in pressure-like signals. Both are
 deliberately simple: alarm adjudication needs beat positions that are
-roughly right far more than it needs textbook-grade detection. The
-span each beat owns is a pair of positions too: :func:`beat_segments`
-gives the starts and ends of all beats as two int64 arrays, and
-:func:`beat_slices` cuts them from a channel.
+roughly right far more than it needs textbook-grade detection. A
+channel's beats are their sample positions, one int64 array; the span
+each beat owns is a pair of positions: :func:`beat_segments` gives the
+starts and ends as two such arrays, :func:`beat_slices` cuts them out.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -45,21 +44,9 @@ class BeatLabel(Enum):
     UNKNOWN = "?"
 
 
-@dataclass
-class BeatAnnotation:
-    """Beat positions on one channel."""
-
-    channel: int
-    indices: np.ndarray  # strictly increasing sample positions
-
-    @property
-    def count(self) -> int:
-        return len(self.indices)
-
-    def within(self, start: int, end: int) -> "BeatAnnotation":
-        """Restrict to beats with start <= index < end."""
-        keep = (self.indices >= start) & (self.indices < end)
-        return BeatAnnotation(self.channel, self.indices[keep])
+def within(beats: np.ndarray, start: int, end: int) -> np.ndarray:
+    """The beat positions ``p`` of ``beats`` with ``start <= p < end``."""
+    return beats[(beats >= start) & (beats < end)]
 
 
 def _prepare(samples: np.ndarray, fs: float) -> np.ndarray:
@@ -89,8 +76,8 @@ def _percentiles(a: np.ndarray, qs: Sequence[float]) -> list[float]:
     return out
 
 
-def detect_qrs(samples: np.ndarray, fs: float, channel: int = 0) -> BeatAnnotation:
-    """Detect QRS complexes in one ECG channel.
+def detect_qrs(samples: np.ndarray, fs: float) -> np.ndarray:
+    """The sample positions of the QRS complexes in one ECG channel.
 
     Adaptive thresholding keeps a running signal level and noise level
     (exponential updates) and accepts integrated-energy peaks above
@@ -104,7 +91,7 @@ def detect_qrs(samples: np.ndarray, fs: float, channel: int = 0) -> BeatAnnotati
     spacing = int(round(QRS_REFRACTORY_S * fs))
     peaks, _ = find_peaks(energy, distance=spacing)
     if len(peaks) == 0:
-        return BeatAnnotation(channel, np.empty(0, dtype=np.int64))
+        return np.empty(0, dtype=np.int64)
 
     heights = energy[peaks]
     upper, lower = _percentiles(heights, (75, 25))
@@ -122,11 +109,11 @@ def detect_qrs(samples: np.ndarray, fs: float, channel: int = 0) -> BeatAnnotati
             signal_level = 0.125 * v + 0.875 * signal_level
         else:
             noise_level = 0.125 * v + 0.875 * noise_level
-    return BeatAnnotation(channel, np.asarray(accepted, dtype=np.int64))
+    return np.asarray(accepted, dtype=np.int64)
 
 
-def detect_pulses(samples: np.ndarray, fs: float, channel: int = 0) -> BeatAnnotation:
-    """Detect pulse onsets (steep upstrokes) in ABP or PPG."""
+def detect_pulses(samples: np.ndarray, fs: float) -> np.ndarray:
+    """The sample positions of the pulse onsets (steep upstrokes) in ABP or PPG."""
     x = _prepare(samples, fs)
     slope = np.gradient(zero_phase(butter_filter(2, PULSE_LOWPASS_HZ, "low", fs), x)) * fs
     positive = slope[slope > 0]
@@ -134,13 +121,13 @@ def detect_pulses(samples: np.ndarray, fs: float, channel: int = 0) -> BeatAnnot
     peak = slope.max() if len(slope) else 0.0
     height = max(threshold, 0.05 * peak if peak > 0 else 0.0, 1e-9)
     onsets, _ = find_peaks(slope, height=height, distance=int(round(PULSE_REFRACTORY_S * fs)))
-    return BeatAnnotation(channel, onsets.astype(np.int64))
+    return onsets.astype(np.int64)
 
 
-def import_annotations(path: str | Path, record: Record, channel: int = 0) -> BeatAnnotation:
-    """Read an external annotation file: one beat per line, ``index``
-    or ``index label`` with label N or V. A label is checked, not kept:
-    every method labels the beats itself.
+def import_annotations(path: str | Path, record: Record) -> np.ndarray:
+    """The beat positions of an external annotation file: one beat per
+    line, ``index`` or ``index label`` with label N or V. A label is
+    checked, not kept: every method labels the beats itself.
 
     Raises
     ------
@@ -171,26 +158,25 @@ def import_annotations(path: str | Path, record: Record, channel: int = 0) -> Be
         if len(fields) == 2 and fields[1] not in ("N", "V"):
             raise MalformedAnnotation(f"{path.name}:{line_no}: unknown label {fields[1]!r}")
         indices.append(idx)
-    return BeatAnnotation(channel, np.asarray(indices, dtype=np.int64))
+    return np.asarray(indices, dtype=np.int64)
 
 
-def window_heart_rate(annotation: BeatAnnotation, fs: float, k: int) -> np.ndarray:
-    """Heart rate in bpm over every window of ``k`` consecutive beats.
+def window_heart_rate(beats: np.ndarray, fs: float, k: int) -> np.ndarray:
+    """Heart rate in bpm over every window of ``k`` consecutive ``beats``.
 
     Each window spans k - 1 intervals, so the rate for beats
     [i, i + k) is 60 * (k - 1) / elapsed seconds.
     """
     if k < 2:
         raise ValueError("a rate window needs at least two beats")
-    idx = annotation.indices
-    if len(idx) < k:
-        raise TooFewBeats(f"need {k} beats, have {len(idx)}")
-    spans = (idx[k - 1 :] - idx[: len(idx) - k + 1]) / fs
+    if len(beats) < k:
+        raise TooFewBeats(f"need {k} beats, have {len(beats)}")
+    spans = (beats[k - 1 :] - beats[: len(beats) - k + 1]) / fs
     return 60.0 * (k - 1) / spans
 
 
-def beat_segments(annotation: BeatAnnotation) -> tuple[np.ndarray, np.ndarray]:
-    """Split the beat train into per-beat slices: beat i owns the
+def beat_segments(beats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split the beat train ``beats`` into per-beat slices: beat i owns the
     half-open span ``[starts[i], ends[i])`` of the two int64 arrays.
 
     Each beat owns from a third of the preceding interval before it to
@@ -199,7 +185,7 @@ def beat_segments(annotation: BeatAnnotation) -> tuple[np.ndarray, np.ndarray]:
     interval, which stands in on both sides. Consecutive segments share
     boundaries exactly, so they tile the span without gaps or overlap.
     """
-    idx = annotation.indices.astype(np.int64)  # unsigned positions must not wrap below 0
+    idx = beats.astype(np.int64)  # unsigned positions must not wrap below 0
     if len(idx) < 3:
         raise TooFewBeats(f"segmentation needs at least 3 beats, have {len(idx)}")
     gaps = np.diff(idx)

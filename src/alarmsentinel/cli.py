@@ -48,7 +48,7 @@ def _annotation_files(record, directory: str | None) -> dict:
     if not directory:
         return {}
     paths = {i: Path(directory) / f"{record.name}.ch{i}.txt" for i in range(record.n_channels)}
-    return {i: import_annotations(path, record, channel=i) for i, path in paths.items() if path.exists()}
+    return {i: import_annotations(path, record) for i, path in paths.items() if path.exists()}
 
 
 def _corpus_for(args, train) -> TrainingCorpus:
@@ -287,11 +287,11 @@ def cmd_build_self(args) -> int:
     given = _annotation_files(record, args.annotations)
     try:
         annotations = detect_annotations(record, given, config)
-        lead, annotation = analysis_beats(record, annotations, args.lead)
+        lead, beats = analysis_beats(record, annotations, args.lead)
     except CannotDecide as exc:
         return _fail(f"cannot build a bank from record {record.name}: {exc.note}")
     try:
-        bank = extract_self_bank(lead, annotation, exclude_s=config.analysis_window_s)
+        bank = extract_self_bank(lead, beats, exclude_s=config.analysis_window_s)
     except InsufficientCleanBeats as exc:
         print(f"error: {exc} (found {exc.found})", file=sys.stderr)
         return 3

@@ -29,7 +29,7 @@ from alarmsentinel.alarm_logic import (
     regular_activity,
     spectral_vt_labels,
 )
-from alarmsentinel.beats import BeatAnnotation, BeatLabel, detect_pulses, detect_qrs
+from alarmsentinel.beats import BeatLabel, detect_pulses, detect_qrs, within
 from alarmsentinel.beat_banks import SECTION_S
 from alarmsentinel.dtw import MATCH_RATE_HZ, CorpusEntry, corpus_from_records
 from alarmsentinel.errors import (
@@ -37,6 +37,7 @@ from alarmsentinel.errors import (
     EmptyBank,
     EmptyCorpus,
     FailSafe,
+    IndexOutOfBounds,
     InsufficientData,
     InvalidConfig,
     LengthMismatch,
@@ -63,8 +64,8 @@ def clean_quality(record, window=None, validity=None):
     return QualityReport(window=window or (0, record.n_samples), validity=v)
 
 
-def ann(indices, channel=0):
-    return BeatAnnotation(channel, np.asarray(indices, dtype=np.int64))
+def ann(indices):
+    return np.asarray(indices, dtype=np.int64)
 
 
 def context(record, annotations, quality=None, window=(0, 4000)):
@@ -273,7 +274,7 @@ class TestRegularActivity:
     def test_gate_is_any_channel(self):
         rec = make_record(("II", "ABP"))
         q = clean_quality(rec)
-        anns = [None, ann(np.arange(100, 4000, 200), channel=1)]
+        anns = [None, ann(np.arange(100, 4000, 200))]
         per_channel, gate = gate_outcomes(rec, anns, q)
         assert per_channel == [False, True]
         assert gate is True
@@ -372,7 +373,7 @@ class TestRateExtremes:
     def test_rate_reads_most_reliable_channel(self):
         rec = make_record(("II", "ABP"), arrhythmia=Arrhythmia.BRADYCARDIA)
         q = clean_quality(rec, validity=[0.5, 1.0])
-        anns = [ann([0, 500, 1000, 1500]), ann(np.arange(0, 4000, 200), channel=1)]
+        anns = [ann([0, 500, 1000, 1500]), ann(np.arange(0, 4000, 200))]
         # lead II alone would fire at 30 bpm; the cleaner pressure channel wins
         assert fired(check_bradycardia(context(rec, anns, q))) is False
 
@@ -581,26 +582,26 @@ class TestSpectralVtLabelsIntegration:
         rec, truth = generate(spec)
         a = detect_qrs(rec.samples[0], rec.sample_rate)
         window = (rec.n_samples - 4000, rec.n_samples)
-        beats_in = a.within(*window)
-        labels = spectral_vt_labels(rec, beats_in)
-        assert len(labels) == beats_in.count
+        beats_in = within(a, *window)
+        labels = spectral_vt_labels(rec.samples[0], rec.sample_rate, beats_in)
+        assert len(labels) == len(beats_in)
         assert labels.count(BeatLabel.VENTRICULAR) >= 4
 
     def test_sinus_record_has_no_ventricular_labels(self, sinus_record):
         rec = sinus_record
         a = detect_qrs(rec.samples[0], rec.sample_rate)
         window = (rec.n_samples - 4000, rec.n_samples)
-        assert BeatLabel.VENTRICULAR not in spectral_vt_labels(rec, a.within(*window))
+        assert BeatLabel.VENTRICULAR not in spectral_vt_labels(rec.samples[0], rec.sample_rate, within(a, *window))
 
     def test_gap_slice_is_unknown(self, sinus_record):
         rec = sinus_record
         rec = Record(rec.name, rec.sample_rate, rec.channels, rec.samples.copy(), rec.alarm)
         a = detect_qrs(rec.samples[0], rec.sample_rate)
         window = (rec.n_samples - 4000, rec.n_samples)
-        beats_in = a.within(*window)
-        mid = int(beats_in.indices[len(beats_in.indices) // 2])
+        beats_in = within(a, *window)
+        mid = int(beats_in[len(beats_in) // 2])
         rec.samples[0, mid - 2 : mid + 2] = np.nan
-        assert BeatLabel.UNKNOWN in spectral_vt_labels(rec, beats_in)
+        assert BeatLabel.UNKNOWN in spectral_vt_labels(rec.samples[0], rec.sample_rate, beats_in)
 
 
 class TestDetectAnnotations:
@@ -700,8 +701,7 @@ class TestClassifyAlarm:
         rec = next(r for _, r, t in vt_suite if t.expected_true)
         start = rec.alarm.alarm_index - int(Thresholds().analysis_window_s * rec.sample_rate)
         lead = detect_annotations(rec)[0]
-        before = lead.indices[lead.indices < start]
-        annotations = {0: BeatAnnotation(0, np.concatenate([before, [start + 10, start + 400]]))}
+        annotations = {0: np.concatenate([lead[lead < start], [start + 10, start + 400]])}
         verdict = classify_alarm(rec, "dtw-vbank", banks=banks, annotations=annotations)
         assert verdict.evidence[-1].to_dict() == {
             "channel": "", "test": "vtach_too_few_beats", "outcome": True, "witnesses": {"beats": 2.0},
@@ -748,9 +748,9 @@ class TestClassifyAlarm:
 
 
 class TestSuppliedAnnotations:
-    """Supplied annotations map a channel to its beats (None for none),
-    key i on channel i, for every stage alike; the channels without a
-    key are detected."""
+    """Supplied annotations map a channel to its beat positions (None
+    for none), for every stage alike; the channels without a key are
+    detected."""
 
     @pytest.fixture(scope="class")
     def asystole(self):
@@ -762,12 +762,6 @@ class TestSuppliedAnnotations:
         record, annotations = asystole
         with pytest.raises(LengthMismatch, match=f"annotation key {key!r} is no channel of 4"):
             classify_alarm(record, annotations={**annotations, key: None})
-
-    def test_entry_must_sit_on_its_channel(self, asystole):
-        record, annotations = asystole
-        swapped = {**annotations, 0: annotations[1], 1: annotations[0]}
-        with pytest.raises(LengthMismatch, match="entry 0 is on channel 1"):
-            classify_alarm(record, annotations=swapped)
 
     def test_matching_entries_give_the_detected_verdict(self, asystole):
         record, annotations = asystole
@@ -782,8 +776,8 @@ class TestSuppliedAnnotations:
         RR intervals; read as given, they would dismiss the alarm at 56.6 bpm."""
         record, truth = generate(SynthSpec(name="brady", arrhythmia=Arrhythmia.BRADYCARDIA, event=True, seed=3))
         assert truth.expected_true and classify_alarm(record).is_true_alarm is True
-        beats = detect_annotations(record)[0].indices
-        doubled = BeatAnnotation(0, np.sort(np.concatenate([beats, beats])))
+        beats = detect_annotations(record)[0]
+        doubled = np.sort(np.concatenate([beats, beats]))
         with pytest.raises(MalformedAnnotation, match=r"annotation entry 0 \(II\): beats must strictly increase"):
             classify_alarm(record, annotations={0: doubled})
 
@@ -791,9 +785,36 @@ class TestSuppliedAnnotations:
         record, annotations = asystole
         with mock.patch.object(alarm_logic, "detect_qrs", wraps=detect_qrs) as qrs:
             got = detect_annotations(record, {0: annotations[0], 2: None})
-        assert [c.kwargs["channel"] for c in qrs.call_args_list] == [1]
+        [call] = qrs.call_args_list
+        span = record.samples[1, detection_start(record, Thresholds()) :]
+        assert np.array_equal(call.args[0], span, equal_nan=True)
         assert got[0] is annotations[0] and got[2] is None
-        assert got[1].indices.tolist() == annotations[1].indices.tolist()
+        assert got[1].tolist() == annotations[1].tolist()
+
+    @pytest.mark.parametrize(
+        "entry, error",
+        [
+            (lambda beats, n: beats.tolist(), None),
+            (lambda beats, n: np.array([], dtype=np.float64), None),
+            (lambda beats, n: beats.astype(np.float64), MalformedAnnotation),
+            (lambda beats, n: beats[:, np.newaxis], MalformedAnnotation),
+            (lambda beats, n: np.concatenate([[-1], beats]), IndexOutOfBounds),
+            (lambda beats, n: np.concatenate([beats, [n]]), IndexOutOfBounds),
+        ],
+        ids=["list", "empty-float", "float", "2-D", "below-0", "past-the-end"],
+    )
+    def test_entries_are_checked_where_they_enter(self, asystole, entry, error):
+        """A list reads as its array and an empty entry as no beats; a
+        float or 2-D entry, or a position outside the record, is refused
+        instead of being cast or dropped."""
+        record, annotations = asystole
+        given = {**annotations, 0: entry(annotations[0], record.n_samples)}
+        if error is None:
+            as_array = {**annotations, 0: np.asarray(given[0], dtype=np.int64)}
+            assert classify_alarm(record, annotations=given).to_dict() == classify_alarm(record, annotations=as_array).to_dict()
+        else:
+            with pytest.raises(error, match=r"annotation entry 0 \(II\)"):
+                classify_alarm(record, annotations=given)
 
 
 class TestDetectionSpan:
@@ -852,10 +873,9 @@ class TestDetectionSpan:
         assert start == 20000
         found = detect_annotations(true_vt, config=config)
         for i, detect in enumerate([detect_qrs, detect_qrs, detect_pulses, detect_pulses]):
-            alone = detect(true_vt.samples[i, start:], fs, channel=i)
-            assert found[i].channel == i
-            assert found[i].indices.tolist() == (alone.indices + start).tolist()
-            assert found[i].indices.min() >= start
+            alone = detect(true_vt.samples[i, start:], fs)
+            assert found[i].tolist() == (alone + start).tolist()
+            assert found[i].min() >= start
 
 
 class TestNonFiniteMatchInputs:

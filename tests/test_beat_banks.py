@@ -29,7 +29,7 @@ from alarmsentinel.beat_banks import (
     smooth_distribution,
     vt_labels_from_bank,
 )
-from alarmsentinel.beats import BeatAnnotation, BeatLabel, detect_qrs
+from alarmsentinel.beats import BeatLabel, detect_qrs, within
 from alarmsentinel.cli import main
 from alarmsentinel.dtw import bank_lead, znormalize
 from alarmsentinel.errors import (
@@ -41,7 +41,7 @@ from alarmsentinel.errors import (
     NotNormalized,
 )
 from alarmsentinel.record_io import Arrhythmia, load_record, write_record
-from alarmsentinel.synthkit import SynthSpec, generate, narrow_template, surrogate_banks, wide_template
+from alarmsentinel.synthkit import SynthSpec, generate, narrow_template, wide_template
 
 ANALYSIS_WINDOW_S = Thresholds().analysis_window_s
 
@@ -71,7 +71,7 @@ class TestSelfBankExtraction:
     def test_exactly_twenty_normalized_beats(self, vt_true_record):
         rec, _ = vt_true_record
         ann = detect_qrs(rec.samples[0], rec.sample_rate)
-        bank = extract_self_bank(bank_lead(rec, ann.channel), ann, ANALYSIS_WINDOW_S)
+        bank = extract_self_bank(bank_lead(rec, 0), ann, ANALYSIS_WINDOW_S)
         assert len(bank) == 20
         assert bank.kind is BankKind.SELF
         for beat in bank.beats:
@@ -81,7 +81,7 @@ class TestSelfBankExtraction:
     def test_beats_come_from_before_the_alarm_section(self, vt_true_record):
         rec, _ = vt_true_record
         ann = detect_qrs(rec.samples[0], rec.sample_rate)
-        bank = extract_self_bank(bank_lead(rec, ann.channel), ann, exclude_s=16.0)
+        bank = extract_self_bank(bank_lead(rec, 0), ann, exclude_s=16.0)
         cutoff = rec.alarm.alarm_index // 2 - int(16.0 * 125.0)  # bank works at 125 Hz
         for _, start, end in bank.provenance:
             assert end <= cutoff + 1
@@ -89,26 +89,17 @@ class TestSelfBankExtraction:
     def test_newest_sections_first(self, vt_true_record):
         rec, _ = vt_true_record
         ann = detect_qrs(rec.samples[0], rec.sample_rate)
-        bank = extract_self_bank(bank_lead(rec, ann.channel), ann, ANALYSIS_WINDOW_S)
+        bank = extract_self_bank(bank_lead(rec, 0), ann, ANALYSIS_WINDOW_S)
         starts = [s for _, s, _ in bank.provenance]
         # within the scan the first banked beat is the most recent one
         assert starts[0] == max(starts)
-
-    def test_beats_on_another_channel_are_rejected(self, vt_true_record):
-        rec, _ = vt_true_record
-        ann = detect_qrs(rec.samples[0], rec.sample_rate)
-        lead = bank_lead(rec, ann.channel + 1)
-        with pytest.raises(ValueError, match="bank lead is channel 1, beats are on channel 0"):
-            extract_self_bank(lead, ann, ANALYSIS_WINDOW_S)
-        with pytest.raises(ValueError, match="bank lead is channel 1, beats are on channel 0"):
-            vt_labels_from_bank(lead, ann, classify_beat_vbank(surrogate_banks(seed=0)))
 
     def test_noisy_record_fails_with_count(self):
         spec = SynthSpec(name="noisy", arrhythmia=Arrhythmia.VTACH, event=False, noise_mv=3.0, seed=5)
         rec, _ = generate(spec)
         ann = detect_qrs(rec.samples[0], rec.sample_rate)
         with pytest.raises(InsufficientCleanBeats) as exc_info:
-            extract_self_bank(bank_lead(rec, ann.channel), ann, ANALYSIS_WINDOW_S)
+            extract_self_bank(bank_lead(rec, 0), ann, ANALYSIS_WINDOW_S)
         assert exc_info.value.found == 0
 
 
@@ -424,14 +415,14 @@ class TestVtLabelsFromBank:
     def test_methods_label_the_run(self, vt_true_record, banks):
         rec, truth = vt_true_record
         ann = detect_qrs(rec.samples[0], rec.sample_rate)
-        lead = bank_lead(rec, ann.channel)
+        lead = bank_lead(rec, 0)
         run = [t for t, l in zip(truth.beat_times, truth.beat_labels) if l is BeatLabel.VENTRICULAR]
         for method, rule in self.rules(lead, ann, banks).items():
             labels = vt_labels_from_bank(lead, ann, rule)
             assert "".join(label.value for label in labels) == self.EXPECTED[method]
             hits = 0
             for t in run:
-                for idx, label in zip(ann.indices, labels):
+                for idx, label in zip(ann, labels):
                     if abs(idx / rec.sample_rate - t) < 0.1 and label is BeatLabel.VENTRICULAR:
                         hits += 1
                         break
@@ -445,9 +436,9 @@ class TestVtLabelsFromBank:
         # after each gap gets a longer slice that can still be compared.
         rec, _ = vt_true_record
         ann = detect_qrs(rec.samples[0], rec.sample_rate)
-        lead = bank_lead(rec, ann.channel)
-        kept = np.delete(np.arange(ann.count), [61, 62, 63, 101, 102, 103])
-        thinned = BeatAnnotation(ann.channel, ann.indices[kept])
+        lead = bank_lead(rec, 0)
+        kept = np.delete(np.arange(len(ann)), [61, 62, 63, 101, 102, 103])
+        thinned = ann[kept]
         reshaped = {60, 64, 100, 104}  # the beats either side of each gap
         for method, rule in self.rules(lead, ann, banks).items():
             labels = vt_labels_from_bank(lead, thinned, rule)
@@ -493,7 +484,7 @@ class TestSinglePrecisionLabels:
         for k in range(30):
             record, _ = generate(vt_spec(k))
             lead, ann = analysis_beats(record, detect_annotations(record, None, config), "II")
-            beats_in = ann.within(*_window(record, config))
+            beats_in = within(ann, *_window(record, config))
             labels = {}
             for precision in ("single", "double"):
                 with mock.patch.object(beat_banks, "_single", (lambda beats: beats) if precision == "double" else beat_banks._single):
@@ -521,7 +512,7 @@ class TestBanksStayDouble:
     def test_self_bank_and_loaded_banks_are_float64(self, vt_true_record, banks, tmp_path):
         rec, _ = vt_true_record
         ann = detect_qrs(rec.samples[0], rec.sample_rate)
-        bank = extract_self_bank(bank_lead(rec, ann.channel), ann, ANALYSIS_WINDOW_S)
+        bank = extract_self_bank(bank_lead(rec, 0), ann, ANALYSIS_WINDOW_S)
         save_bank(banks.ventricular, tmp_path, prefix="v")
         save_bank(banks.standard, tmp_path, prefix="n")
         loaded = load_bank_dir(tmp_path)

@@ -2,7 +2,6 @@ import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ from alarmsentinel.beats import (
     QRS_INTEGRATE_S,
     QRS_REFRACTORY_S,
     VT_SPLIT_HZ,
-    BeatAnnotation,
     BeatLabel,
     beat_segments,
     classify_beat_spectral,
@@ -26,6 +24,7 @@ from alarmsentinel.beats import (
     import_annotations,
     spectral_labels,
     window_heart_rate,
+    within,
 )
 from alarmsentinel.errors import (
     IndexOutOfBounds,
@@ -54,23 +53,23 @@ class TestQrsDetector:
     def test_finds_planned_beats(self, beat_record):
         rec, truth = beat_record
         ann = detect_qrs(rec.samples[0], rec.sample_rate)
-        assert truth_match(ann.indices, truth.beat_times, rec.sample_rate) > 0.98
+        assert truth_match(ann, truth.beat_times, rec.sample_rate) > 0.98
         # no more than a few percent extra detections
-        assert ann.count <= len(truth.beat_times) * 1.05
+        assert len(ann) <= len(truth.beat_times) * 1.05
 
     def test_strictly_increasing_positions(self, beat_record):
         rec, _ = beat_record
         ann = detect_qrs(rec.samples[0], rec.sample_rate)
-        assert np.all(np.diff(ann.indices) > 0)
+        assert np.all(np.diff(ann) > 0)
 
     def test_refractory_spacing(self, beat_record):
         rec, _ = beat_record
         ann = detect_qrs(rec.samples[0], rec.sample_rate)
-        assert np.diff(ann.indices).min() >= int(round(0.2 * rec.sample_rate))
+        assert np.diff(ann).min() >= int(round(0.2 * rec.sample_rate))
 
     def test_flat_signal_yields_nothing(self):
         ann = detect_qrs(np.zeros(5000), 250.0)
-        assert ann.count == 0
+        assert len(ann) == 0
 
     def test_nan_tolerated(self, beat_record):
         rec, truth = beat_record
@@ -78,7 +77,7 @@ class TestQrsDetector:
         x[:500] = np.nan
         ann = detect_qrs(x, rec.sample_rate)
         later = [t for t in truth.beat_times if t > 4.0]
-        assert truth_match(ann.indices, later, rec.sample_rate) > 0.95
+        assert truth_match(ann, later, rec.sample_rate) > 0.95
 
     def test_wide_complexes_detected(self):
         spec = SynthSpec(name="vt", arrhythmia=Arrhythmia.VTACH, event=True, seed=33)
@@ -86,7 +85,7 @@ class TestQrsDetector:
         ann = detect_qrs(rec.samples[0], rec.sample_rate)
         wide = [t for t, l in zip(truth.beat_times, truth.beat_labels) if l is BeatLabel.VENTRICULAR]
         assert len(wide) == spec.vt_beats
-        assert truth_match(ann.indices, wide, rec.sample_rate) == 1.0
+        assert truth_match(ann, wide, rec.sample_rate) == 1.0
 
 
 class TestPulseDetector:
@@ -96,7 +95,7 @@ class TestPulseDetector:
         ann = detect_pulses(rec.samples[abp], rec.sample_rate)
         # pulses lag beats by a fixed delay; alignment need only be consistent
         rr_truth = np.diff(truth.beat_times)
-        rr_det = np.diff(ann.indices) / rec.sample_rate
+        rr_det = np.diff(ann) / rec.sample_rate
         assert abs(len(rr_det) - len(rr_truth)) <= 3
         assert abs(np.median(rr_det) - np.median(rr_truth)) < 0.02
 
@@ -104,7 +103,7 @@ class TestPulseDetector:
         rec, truth = beat_record
         ppg = rec.channel_index("PLETH")
         ann = detect_pulses(rec.samples[ppg], rec.sample_rate)
-        assert ann.count == pytest.approx(len(truth.beat_times), abs=3)
+        assert len(ann) == pytest.approx(len(truth.beat_times), abs=3)
 
 
 class TestImportAnnotations:
@@ -116,17 +115,16 @@ class TestImportAnnotations:
     def test_positions_only(self, tmp_path, beat_record):
         rec, _ = beat_record
         path = self.write(tmp_path, "# beat list\n100\n350\n600\n")
-        ann = import_annotations(path, rec, channel=0)
-        assert list(ann.indices) == [100, 350, 600]
+        ann = import_annotations(path, rec)
+        assert list(ann) == [100, 350, 600]
 
     def test_labels(self, tmp_path, beat_record):
         """N and V labels are accepted and not kept: an annotation is positions only."""
         rec, _ = beat_record
         path = self.write(tmp_path, "100 N\n350 V\n600\n")
-        ann = import_annotations(path, rec, channel=1)
-        assert ann.channel == 1
-        assert list(ann.indices) == [100, 350, 600]
-        assert [f.name for f in fields(ann)] == ["channel", "indices"]
+        ann = import_annotations(path, rec)
+        assert ann.dtype == np.int64
+        assert list(ann) == [100, 350, 600]
 
     def test_must_increase(self, tmp_path, beat_record):
         rec, _ = beat_record
@@ -151,18 +149,17 @@ class TestHeartRate:
     def test_known_rates(self):
         fs = 250.0
         idx = np.arange(0, 20) * int(0.5 * fs)  # steady 120 bpm
-        ann = BeatAnnotation(0, idx)
-        rates = window_heart_rate(ann, fs, k=5)
+        rates = window_heart_rate(idx, fs, k=5)
         assert np.allclose(rates, 120.0)
         assert len(rates) == 20 - 5 + 1
 
     def test_too_few(self):
-        ann = BeatAnnotation(0, np.array([0, 100, 200]))
+        ann = np.array([0, 100, 200])
         with pytest.raises(TooFewBeats):
             window_heart_rate(ann, 250.0, k=4)
 
     def test_k_validation(self):
-        ann = BeatAnnotation(0, np.array([0, 100]))
+        ann = np.array([0, 100])
         with pytest.raises(ValueError):
             window_heart_rate(ann, 250.0, k=1)
 
@@ -183,20 +180,20 @@ def segments_loop(idx):
 class TestBeatSegments:
     def test_interior_proportions(self):
         idx = np.array([1000, 1300, 1600])
-        starts, ends = beat_segments(BeatAnnotation(0, idx))
+        starts, ends = beat_segments(idx)
         assert starts[1] < idx[1] < ends[1]  # the middle segment holds the middle beat
         assert starts[1] == 1300 - 100  # one third of the previous interval
         assert ends[1] == 1300 + 200  # two thirds of the next
 
     def test_boundary_beats_reuse_adjacent_interval(self):
         idx = np.array([1000, 1300, 1600])
-        starts, ends = beat_segments(BeatAnnotation(0, idx))
+        starts, ends = beat_segments(idx)
         assert starts[0] == 1000 - 100
         assert ends[-1] == 1600 + 200
 
     def test_requires_three(self):
         with pytest.raises(TooFewBeats):
-            beat_segments(BeatAnnotation(0, np.array([0, 100])))
+            beat_segments(np.array([0, 100]))
 
     @given(
         st.lists(st.integers(50, 400), min_size=2, max_size=18).map(
@@ -205,7 +202,7 @@ class TestBeatSegments:
     )
     @settings(max_examples=80, deadline=None)
     def test_segments_tile_without_gap_or_overlap(self, idx):
-        starts, ends = beat_segments(BeatAnnotation(0, idx))
+        starts, ends = beat_segments(idx)
         assert (ends[:-1] == starts[1:]).all()
         assert ((starts < idx) & (idx < ends)).all()
 
@@ -219,7 +216,7 @@ class TestBeatSegments:
         # gaps of every residue mod 3 round both down and up; a first beat
         # near 0 puts the first start below 0, where unsigned positions wrap
         idx = np.cumsum([first] + deltas).astype(dtype)
-        starts, ends = beat_segments(BeatAnnotation(0, idx))
+        starts, ends = beat_segments(idx)
         assert starts.dtype == ends.dtype == np.int64
         assert (starts.tolist(), ends.tolist()) == segments_loop(idx)
 
@@ -325,13 +322,13 @@ class TestFiltersDesignedOnce:
 
     def test_threads_match_one_thread(self, beat_record):
         rec, _ = beat_record
-        alone = detect_qrs(rec.samples[0], rec.sample_rate).indices
+        alone = detect_qrs(rec.samples[0], rec.sample_rate)
         workers = 2 * (os.cpu_count() or 2)  # more threads than cores
         start = threading.Barrier(workers, timeout=30)
 
         def detect(_):
             start.wait()
-            return detect_qrs(rec.samples[0], rec.sample_rate).indices
+            return detect_qrs(rec.samples[0], rec.sample_rate)
 
         butter_filter.cache_clear()  # every thread races to design the filter
         interval = sys.getswitchinterval()
@@ -405,7 +402,7 @@ class TestQrsThresholdLoopMatchesTheOracle:
     def test_suite_and_mutations(self, suite):
         for k, (spec, record, _) in enumerate(suite):
             for x in mutated_leads(record, seed=k):
-                assert np.array_equal(detect_qrs(x, record.sample_rate).indices, detect_qrs_loop(x, record.sample_rate))
+                assert np.array_equal(detect_qrs(x, record.sample_rate), detect_qrs_loop(x, record.sample_rate))
 
     def test_peaks_of_equal_height(self):
         x = equal_height_train()
@@ -414,7 +411,7 @@ class TestQrsThresholdLoopMatchesTheOracle:
         energy = np.convolve(np.gradient(filtfilt(design.b, design.a, x)) ** 2, np.ones(w) / w, mode="same")
         heights = energy[find_peaks(energy, distance=int(round(QRS_REFRACTORY_S * 250.0)))[0]]
         assert len(np.unique(heights)) < len(heights)  # the tie is really there
-        got = detect_qrs(x, 250.0).indices
+        got = detect_qrs(x, 250.0)
         assert len(got) >= 45
         assert np.array_equal(got, detect_qrs_loop(x, 250.0))
 
@@ -425,7 +422,7 @@ class TestQrsThresholdLoopMatchesTheOracle:
         x = equal_height_train(fs=fs, seconds=12.0, period_s=rng.uniform(0.3, 1.6))
         x += rng.normal(0.0, noise, len(x))
         x[rng.random(len(x)) < 0.01] = np.nan
-        assert np.array_equal(detect_qrs(x, fs).indices, detect_qrs_loop(x, fs))
+        assert np.array_equal(detect_qrs(x, fs), detect_qrs_loop(x, fs))
 
 
 @st.composite
@@ -456,6 +453,4 @@ class TestPercentilesMatchNumpy:
 
 class TestWithin:
     def test_keeps_the_positions_in_the_half_open_range(self):
-        sub = BeatAnnotation(3, np.array([10, 20, 30, 40])).within(15, 40)
-        assert sub.channel == 3
-        assert list(sub.indices) == [20, 30]
+        assert list(within(np.array([10, 20, 30, 40]), 15, 40)) == [20, 30]

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from alarmsentinel import alarm_logic, cli
-from alarmsentinel.alarm_logic import Thresholds, classify_alarm
+from alarmsentinel.alarm_logic import Thresholds, classify_alarm, detection_start
 from alarmsentinel.cli import main
 from alarmsentinel.record_io import AlarmMeta, Arrhythmia, Manifest, ManifestEntry, load_manifest, load_record
 from alarmsentinel.synthkit import SynthSpec, generate, surrogate_banks
@@ -277,7 +277,9 @@ class TestClassifyCommand:
         with mock.patch.object(alarm_logic, "detect_qrs", wraps=alarm_logic.detect_qrs) as qrs:
             assert main(["classify", record, "--annotations", str(tmp_path)]) in (0, 1)
         capsys.readouterr()
-        assert [c.kwargs["channel"] for c in qrs.call_args_list] == [1]
+        [call] = qrs.call_args_list
+        loaded = load_record(record)
+        assert np.array_equal(call.args[0], loaded.samples[1, detection_start(loaded, Thresholds()) :], equal_nan=True)
 
 
 class TestEvaluateCommand:
@@ -555,6 +557,80 @@ class TestEvaluateCommand:
         rc = main(["evaluate", "--manifest", str(small_suite[1]), "--config", str(cfg), "--out", str(out)])
         assert rc == 0
         assert json.loads(out.read_text())["config"]["asystole_gap_s"] == 2.5
+
+
+def _manifest(path, rows):
+    path.write_text("record,arrhythmia,label\n" + "".join(f"{r},{a.value},{label}\n" for r, a, label in rows))
+    return path
+
+
+def _unlabelled_training_row(suite, tmp_path):
+    query, other = [e.record for e in load_manifest(suite[1]) if e.arrhythmia is Arrhythmia.VTACH]
+    train = _manifest(tmp_path / "train.csv", [(other, Arrhythmia.VTACH, "unknown")])
+    args = ["classify", query, "--method", "dtw-full", "--train-manifest", str(train)]
+    return args, f"training manifest row without a label: {other}", []
+
+
+def _every_training_row_skipped(suite, tmp_path):
+    specs = [SynthSpec(f"nl{seed}", Arrhythmia.VTACH, event=True, seed=seed, channels=("V", "ABP", "PLETH")) for seed in range(2)]
+    headers = [write_record(generate(spec)[0], tmp_path) for spec in specs]
+    train = _manifest(tmp_path / "train.csv", [(h, Arrhythmia.VTACH, "true") for h in headers])
+    query = entry_for(suite[1], truth=True, arrhythmia=Arrhythmia.VTACH)
+    args = ["classify", query, "--method", "dtw-full", "--train-manifest", str(train)]
+    return args, "training corpus is empty", ["nl0", "nl1"]
+
+
+def _header_only_manifest(suite, tmp_path):
+    return ["evaluate", "--manifest", str(_manifest(tmp_path / "m.csv", []))], "manifest is empty", []
+
+
+def _no_vt_rows(suite, tmp_path):
+    rows = [(e.record, e.arrhythmia, str(e.truth).lower()) for e in load_manifest(suite[1]) if e.arrhythmia is not Arrhythmia.VTACH]
+    args = ["evaluate", "--manifest", str(_manifest(tmp_path / "m.csv", rows)), "--method", "dtw-self-min"]
+    return args, "no ventricular tachycardia rows for a DTW method", []
+
+
+def _split_of_every_vt_row(suite, tmp_path):
+    rows = [(e.record, e.arrhythmia, str(e.truth).lower()) for e in load_manifest(suite[1]) if e.arrhythmia is Arrhythmia.VTACH]
+    split = _manifest(tmp_path / "train.csv", rows)
+    args = ["evaluate", "--manifest", str(suite[1]), "--method", "dtw-self-min", "--split", str(split)]
+    return args, "train/test split left no test records", []
+
+
+def _every_signal_file_missing(suite, tmp_path):
+    rows = []
+    for e in list(load_manifest(suite[1]))[:2]:
+        header = tmp_path / Path(e.record).name  # the header alone, without its signal file
+        header.write_text(Path(e.record).read_text())
+        rows.append((header, e.arrhythmia, str(e.truth).lower()))
+    args = ["evaluate", "--manifest", str(_manifest(tmp_path / "m.csv", rows)), "--workers", "1"]
+    return args, "every record failed to classify", [str(header) for header, _, _ in rows]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        _unlabelled_training_row,
+        _every_training_row_skipped,
+        _header_only_manifest,
+        _no_vt_rows,
+        _split_of_every_vt_row,
+        _every_signal_file_missing,
+    ],
+)
+def test_an_input_that_leaves_nothing_to_adjudicate_exits_two(small_suite, tmp_path, capsys, case):
+    """Each of these exits 2 with one error line, after one warning per
+    row it left out, and writes no report."""
+    args, message, warned = case(small_suite, tmp_path)
+    out = tmp_path / "report.json"
+    assert main(args + (["--out", str(out)] if args[0] == "evaluate" else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    *warnings, error = captured.err.splitlines()
+    assert error == f"error: {message}"
+    assert [w.split(": ", 2)[1] for w in warnings] == warned
+    assert all(w.startswith("warning: ") for w in warnings)
+    assert not out.exists()
 
 
 @pytest.fixture

@@ -12,7 +12,19 @@ property adjudicates an edited copy of every case and compares:
   and the set of evidence entries are unchanged;
 - **history prepended**: the record's last 60 s before the alarm, put
   before its start with the alarm moved to match, leave the whole
-  verdict dict unchanged.
+  verdict dict unchanged;
+- **ECG scaled** by 0.5 and by 2, pressure and pleth as they are: the
+  decision and ``gate_fired`` are unchanged (the validity screen's range
+  rules are absolute, and these factors stay inside them).
+
+Two more stand apart from those cases:
+
+- **sample rate**: the suite specs of seeds 7 and 8 (``per_class=6``)
+  rendered at 125 Hz and at 250 Hz get the same decision under baseline
+  and improved;
+- **missing lead**: a true VT alarm whose lead II is missing throughout
+  keeps its alarm under each DTW method, on the fail-safe note that the
+  method's first missing input gives.
 """
 from dataclasses import replace
 
@@ -21,10 +33,12 @@ import pytest
 
 from alarmsentinel.alarm_logic import DTW_METHODS, classify_alarm
 from alarmsentinel.dtw import corpus_from_records
-from alarmsentinel.record_io import Arrhythmia, Record
+from alarmsentinel.record_io import Arrhythmia, ChannelKind, Record
 from alarmsentinel.synthkit import generate, suite_specs, surrogate_banks
 
 HISTORY_S = 60.0
+ECG_SCALES = (0.5, 2.0)
+RATE_SEEDS = (7, 8)
 
 
 @pytest.fixture(scope="module")
@@ -104,3 +118,57 @@ def test_prepended_history(cases):
         if after != before:
             changed.append(f"{record.name}/{method}")
     assert not changed, f"{len(changed)} of {len(pairs)} verdicts changed: {changed}"
+
+
+def _scaled_ecg(record: Record, factor: float) -> Record:
+    samples = record.samples.copy()
+    samples[record.channels_of_kind(ChannelKind.ECG)] *= factor
+    return Record(record.name, record.sample_rate, record.channels, samples, record.alarm)
+
+
+@pytest.mark.parametrize("factor", ECG_SCALES)
+def test_ecg_scale(cases, factor):
+    pairs, inputs = cases
+    changed = []
+    for record, method in pairs:
+        before = classify_alarm(record, method, **inputs)
+        after = classify_alarm(_scaled_ecg(record, factor), method, **inputs)
+        if (after.is_true_alarm, after.gate_fired) != (before.is_true_alarm, before.gate_fired):
+            changed.append(f"{record.name}/{method}")
+    assert not changed, f"{len(changed)} of {len(pairs)} decisions changed: {changed}"
+
+
+def test_sample_rate():
+    changed = []
+    specs = [spec for seed in RATE_SEEDS for spec in suite_specs(seed=seed, per_class=6)]
+    for spec in specs:
+        records = [generate(replace(spec, sample_rate=fs))[0] for fs in (125.0, 250.0)]
+        for method in ("baseline", "improved"):
+            slow, fast = (classify_alarm(record, method).is_true_alarm for record in records)
+            if slow != fast:
+                changed.append(f"{spec.name}/{spec.seed}/{method}")
+    assert not changed, f"{len(changed)} of {2 * len(specs)} decisions changed: {changed}"
+
+
+@pytest.mark.parametrize(
+    "method, note",
+    [
+        ("dtw-vbank", "vtach_too_few_beats"),
+        ("dtw-self-min", "self_bank_failed"),
+        ("dtw-self-kl", "self_bank_failed"),
+        ("dtw-full", "dtw_full_no_signal"),
+    ],
+)
+def test_a_missing_lead_keeps_a_true_vt_alarm(cases, method, note):
+    # lead II is kept as a channel of NaN: the bank lead resamples it whole
+    # to NaN, and the detector finds no beat on it
+    pairs, inputs = cases
+    true_vt = {record.name: record for record, _ in pairs if record.alarm.arrhythmia is Arrhythmia.VTACH and record.alarm.truth}
+    assert len(true_vt) == 2
+    for record in true_vt.values():
+        samples = record.samples.copy()
+        samples[record.channel_index("II")] = np.nan
+        missing = Record(record.name, record.sample_rate, record.channels, samples, record.alarm)
+        verdict = classify_alarm(missing, method, **inputs)
+        assert verdict.is_true_alarm is True
+        assert verdict.evidence[-1].test == note
